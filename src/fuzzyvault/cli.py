@@ -1,7 +1,8 @@
 """Command-line front end: lock, unlock, analyze, minutiae-demo, selftest.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 unlock
-returned null.  All commands are deterministic functions of their
+returned null.  Commands raise OSError or ValueError; :func:`main` alone
+maps them to exit codes.  All commands are deterministic functions of their
 arguments, input files and seed.
 """
 
@@ -22,30 +23,12 @@ EXIT_VALIDATION = 2
 EXIT_NULL = 3
 
 
-class ValidationError(Exception):
-    pass
-
-
-def _load_mfs(path, kind):
-    try:
-        return MultiFuzzySet.load(path, kind)
-    except OSError as e:
-        raise OSError(f"cannot read {path}: {e}") from e
-    except (KeyError, ValueError, json.JSONDecodeError) as e:
-        raise ValidationError(f"bad multi-fuzzy set file {path}: {e}") from e
-
-
 def cmd_lock(args) -> int:
-    try:
-        key = bytes.fromhex(args.key_hex)
-    except ValueError:
-        raise ValidationError(f"key is not valid hex: {args.key_hex!r}")
-    locking_set = _load_mfs(args.locking_set, LOCKING)
-    field_mfs = _load_mfs(args.field_partition, None)
-    if args.r > field_mfs.q:
-        raise ValidationError("r exceeds field size")
+    key = bytes.fromhex(args.key_hex)
+    locking_set = MultiFuzzySet.load(args.locking_set, LOCKING)
+    field_mfs = MultiFuzzySet.load(args.field_partition)
     if not (0 <= args.subset_index < locking_set.subset_count):
-        raise ValidationError(f"subset index {args.subset_index} out of range")
+        raise ValueError(f"subset index {args.subset_index} out of range")
     params = LockParams(
         t=locking_set.total_elements,
         k_subset=args.subset_index,
@@ -53,38 +36,23 @@ def cmd_lock(args) -> int:
         r=args.r,
         k=args.k,
         rho=args.rho,
-        delta=args.delta,
         seed=args.seed,
     )
-    try:
-        vault, _ = fuzzy_lock(key, locking_set, field_mfs, params)
-    except ValueError as e:
-        raise ValidationError(str(e))
+    vault, _ = fuzzy_lock(key, locking_set, field_mfs, params)
     vault.save(args.out)
     print(f"locked: q={vault.q} n={vault.n} r={vault.r} crc={vault.crc_variant}")
     return EXIT_OK
 
 
 def cmd_unlock(args) -> int:
-    try:
-        vault = Vault.load(args.vault)
-    except OSError as e:
-        raise OSError(f"cannot read {args.vault}: {e}")
-    except (KeyError, ValueError, json.JSONDecodeError) as e:
-        raise ValidationError(f"bad vault file {args.vault}: {e}")
-    probe_set = _load_mfs(args.probe_set, UNLOCKING)
-    try:
-        result = fuzzy_unlock(
-            vault, probe_set, args.subset_index, args.delta,
-            args.key_len, args.effort_cap,
-        )
-    except ValueError as e:
-        raise ValidationError(str(e))
-    d = result.diagnostics
-    print(
-        f"matched={d.matched} subsets_tried={d.subsets_tried} effort={d.effort}",
-        file=sys.stderr,
+    vault = Vault.load(args.vault)
+    probe_set = MultiFuzzySet.load(args.probe_set, UNLOCKING)
+    result = fuzzy_unlock(
+        vault, probe_set, args.subset_index, args.delta,
+        args.key_len, args.effort_cap,
     )
+    d = result.diagnostics
+    print(f"matched={d.matched} subsets_tried={d.subsets_tried}", file=sys.stderr)
     if result.key is None:
         print("null")
         return EXIT_NULL
@@ -96,23 +64,17 @@ def _scenario_from_args(args) -> security_analysis.ScenarioParams:
     required = ("q", "k", "r", "t", "t_mfj", "m_a", "m_f", "n")
     missing = [name for name in required if getattr(args, name) is None]
     if missing:
-        raise ValidationError(f"missing scenario parameters: {', '.join(missing)}")
-    try:
-        return security_analysis.ScenarioParams(
-            q=args.q, k=args.k, r=args.r, t=args.t, t_mfj=args.t_mfj,
-            m_a=args.m_a, m_f=args.m_f, n=args.n, mu=args.mu,
-            family_cardinality=args.family_cardinality,
-        )
-    except ValueError as e:
-        raise ValidationError(str(e))
+        raise ValueError(f"missing scenario parameters: {', '.join(missing)}")
+    return security_analysis.ScenarioParams(
+        q=args.q, k=args.k, r=args.r, t=args.t, t_mfj=args.t_mfj,
+        m_a=args.m_a, m_f=args.m_f, n=args.n, mu=args.mu,
+        family_cardinality=args.family_cardinality,
+    )
 
 
 def cmd_analyze(args) -> int:
     if args.preset:
-        try:
-            report = security_analysis.scenario_report(args.preset)
-        except ValueError as e:
-            raise ValidationError(str(e))
+        report = security_analysis.scenario_report(args.preset)
     else:
         report = security_analysis.scenario_report(_scenario_from_args(args))
     if args.format == "json":
@@ -136,20 +98,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_minutiae_demo(args) -> int:
-    try:
-        minutiae = minutiae_demo.parse_minutiae_file(args.minutiae)
-    except OSError as e:
-        raise OSError(str(e))
-    except ValueError as e:
-        raise ValidationError(str(e))
-    try:
-        key = bytes.fromhex(args.key_hex)
-        result = minutiae_demo.minutiae_vault_demo(
-            minutiae, key, q=args.q, k=args.k, r=args.r,
-            delta=args.delta, jitter=args.jitter, seed=args.seed,
-        )
-    except ValueError as e:
-        raise ValidationError(str(e))
+    minutiae = minutiae_demo.parse_minutiae_file(args.minutiae)
+    key = bytes.fromhex(args.key_hex)
+    result = minutiae_demo.minutiae_vault_demo(
+        minutiae, key, q=args.q, k=args.k, r=args.r,
+        delta=args.delta, jitter=args.jitter, seed=args.seed,
+    )
     d = result.unlock.diagnostics
     print(f"minutiae={len(minutiae)} vault_points={result.vault.r} "
           f"matched={d.matched}", file=sys.stderr)
@@ -243,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="coefficient count")
     p.add_argument("--r", type=int, required=True, help="total vault points")
     p.add_argument("--rho", type=float, default=0.2)
-    p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--subset-index", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -289,12 +242,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

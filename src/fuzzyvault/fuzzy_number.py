@@ -35,6 +35,47 @@ _PARAM_COUNT = {
     CRISP: 1,
 }
 
+def json_fields(d, *keys) -> list:
+    """The values of the required ``keys`` of the parsed JSON object ``d``.
+
+    Raises ValueError if ``d`` is not a JSON object or lacks one of the keys.
+    """
+    if type(d) is not dict:
+        raise ValueError(f"expected a JSON object, got {type(d).__name__}")
+    try:
+        return [d[k] for k in keys]
+    except KeyError as e:
+        raise ValueError(f"missing key {e}") from None
+
+
+# The checks below match exact types, so a JSON true is neither an int nor a
+# float.  json_numbers runs once per vault coordinate, hence the plain loop.
+
+def json_numbers(v) -> list:
+    """``v`` if it is a parsed JSON array of numbers, else ValueError."""
+    if type(v) is not list:
+        raise ValueError(f"expected an array of numbers, got {type(v).__name__}")
+    for x in v:
+        if type(x) is not float and type(x) is not int:
+            raise ValueError(f"expected a number, got {type(x).__name__}")
+    return v
+
+
+def json_ints(v) -> list:
+    """``v`` if it is a parsed JSON array of integers, else ValueError."""
+    if type(v) is not list:
+        raise ValueError(f"expected an array of integers, got {type(v).__name__}")
+    for x in v:
+        json_int(x)
+    return v
+
+
+def json_int(v) -> int:
+    """``v`` if it is a parsed JSON integer, else ValueError."""
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {type(v).__name__}")
+    return v
+
 
 def _logistic(z: float) -> float:
     if z >= 0:
@@ -69,15 +110,17 @@ class FuzzyNumber:
     params: tuple
 
     def __post_init__(self):
-        if self.family not in _PARAM_COUNT:
+        if not isinstance(self.family, str) or self.family not in _PARAM_COUNT:
             raise ValueError(f"unknown membership family: {self.family!r}")
-        params = tuple(float(p) for p in self.params)
+        params = tuple(map(float, self.params))
         object.__setattr__(self, "params", params)
         if len(params) != _PARAM_COUNT[self.family]:
             raise ValueError(
                 f"{self.family} needs {_PARAM_COUNT[self.family]} parameters, "
                 f"got {len(params)}"
             )
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"{self.family} parameters must be finite: {params}")
         self._validate()
 
     def _validate(self):
@@ -199,12 +242,17 @@ class FuzzyNumber:
         if x <= a2:
             if a2 == a1:
                 return omega
+            if x == a1:
+                return 0.0
             z = (x - (a1 + a2) / 2) * (2 * a / (a2 - a1))
-            return omega * (_logistic(z) - _logistic(-a)) / span
-        if a3 == a2:
-            return omega
-        z = (x - (a2 + a3) / 2) * (2 * a / (a3 - a2))
-        return omega * (_logistic(a) - _logistic(z)) / span
+            grade = (_logistic(z) - _logistic(-a)) / span
+        else:
+            if x == a3:
+                return 0.0
+            z = (x - (a2 + a3) / 2) * (2 * a / (a3 - a2))
+            grade = (_logistic(a) - _logistic(z)) / span
+        # the logistic differences cancel near the ends and can leave [0, 1]
+        return omega * min(max(grade, 0.0), 1.0)
 
     def alpha_cut(self, alpha: float) -> AlphaCut:
         """The interval of points with membership at least ``alpha``.
@@ -241,6 +289,8 @@ class FuzzyNumber:
             raise ValueError(
                 f"alpha {alpha} exceeds sigmoid peak grade {omega}: empty cut"
             )
+        if alpha == 0.0:
+            return AlphaCut(alpha, a1, a3)
         span = _logistic(a) - _logistic(-a)
 
         def logit(p: float) -> float:
@@ -342,7 +392,12 @@ class FuzzyNumber:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FuzzyNumber":
-        return cls(d["family"], tuple(d["params"]))
+        """Parse ``to_dict`` output; raises ValueError on any malformed input."""
+        # checked inline rather than with json_fields: this runs twice per
+        # vault point
+        if type(d) is not dict or "family" not in d or "params" not in d:
+            raise ValueError("a fuzzy number is a JSON object with family and params")
+        return cls(d["family"], json_numbers(d["params"]))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ linear fuzzy arithmetic, and reducing mod 360 only when comparing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .field_poly import FieldParams, encode_key
@@ -64,6 +65,8 @@ class Minutia:
         interval = tuple(normalize_orientation(float(v))
                          for v in self.orientation_interval)
         object.__setattr__(self, "orientation_interval", interval)
+        if not all(map(math.isfinite, interval)):
+            raise ValueError(f"orientation interval must be finite: {interval}")
         lower, center, upper = self._unwrapped()
         if not (lower <= center <= upper):
             raise ValueError(
@@ -162,17 +165,26 @@ def minutiae_vault_demo(
 
 
 def parse_minutiae_file(path) -> list[Minutia]:
-    """One minutia per line: ``kind x y lower center upper``."""
+    """One minutia per line: ``kind x y lower center upper``.
+
+    OSError passes through; a malformed file raises ValueError naming the
+    file and line.
+    """
     minutiae = []
+    lineno = 0
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ValueError(f"line {lineno}: expected 6 fields, got {len(parts)}")
-            kind, x, y, lower, center, upper = parts
-            minutiae.append(Minutia(kind, (int(x), int(y)),
-                                    (float(lower), float(center), float(upper))))
+        try:
+            for lineno, line in enumerate(fh.read().splitlines(), 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 6:
+                    raise ValueError(f"expected 6 fields, got {len(parts)}")
+                kind, x, y, lower, center, upper = parts
+                minutiae.append(Minutia(kind, (int(x), int(y)),
+                                        (float(lower), float(center), float(upper))))
+        except ValueError as e:
+            where = f", line {lineno}" if lineno else ""
+            raise ValueError(f"bad minutiae file {path}{where}: {e}") from e
     return minutiae

@@ -11,6 +11,7 @@ a locking set, and an unlocking set.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .fuzzy_number import (
@@ -20,6 +21,10 @@ from .fuzzy_number import (
     TRAPEZOIDAL,
     TRIANGULAR,
     FuzzyNumber,
+    json_fields,
+    json_int,
+    json_ints,
+    json_numbers,
 )
 
 FIELD = "field"
@@ -43,15 +48,17 @@ class FamilyTemplate:
     spread_params: tuple = ()
 
     def __post_init__(self):
-        if self.family not in _TEMPLATE_ARITY:
+        if not isinstance(self.family, str) or self.family not in _TEMPLATE_ARITY:
             raise ValueError(f"unknown membership family: {self.family!r}")
-        params = tuple(float(p) for p in self.spread_params)
+        params = tuple(map(float, self.spread_params))
         object.__setattr__(self, "spread_params", params)
         if len(params) != _TEMPLATE_ARITY[self.family]:
             raise ValueError(
                 f"{self.family} template needs {_TEMPLATE_ARITY[self.family]} "
                 f"parameters, got {len(params)}"
             )
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"template spreads must be finite: {params}")
         if self.family == TRAPEZOIDAL:
             if params[0] < 0:
                 raise ValueError("trapezoidal plateau halfwidth must be nonnegative")
@@ -85,7 +92,9 @@ class FamilyTemplate:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FamilyTemplate":
-        return cls(d["family"], tuple(d.get("spreads", ())))
+        """Parse ``to_dict`` output; raises ValueError on any malformed input."""
+        (family,) = json_fields(d, "family")
+        return cls(family, json_numbers(d.get("spreads", [])))
 
 
 @dataclass(frozen=True)
@@ -190,22 +199,32 @@ class MultiFuzzySet:
         Each subset entry carries ``family`` + ``spreads`` and either an
         explicit ``elements`` list or a ``size`` (contiguous elements picked
         up where the previous subset left off -- convenient for field
-        partitions at large q).
+        partitions at large q).  Raises ValueError on any malformed input.
         """
+        q, entries = json_fields(d, "q", "subsets")
+        q = json_int(q)
+        if type(entries) is not list:
+            raise ValueError(f"subsets must be an array, got {type(entries).__name__}")
         subsets = []
         cursor = 0
-        for i, entry in enumerate(d["subsets"]):
-            template = FamilyTemplate(entry["family"], tuple(entry.get("spreads", ())))
+        for i, entry in enumerate(entries):
+            template = FamilyTemplate.from_dict(entry)
             if "elements" in entry:
-                elements = tuple(int(e) for e in entry["elements"])
+                elements = json_ints(entry["elements"])
                 if elements:
                     cursor = max(cursor, max(elements) + 1)
             else:
-                size = int(entry["size"])
-                elements = tuple(range(cursor, cursor + size))
+                (size,) = json_fields(entry, "size")
+                size = json_int(size)
+                # checked before range() is built: a huge size must not allocate
+                if not 1 <= size <= q - cursor:
+                    raise ValueError(
+                        f"subset {i} size {size} outside [1, {q - cursor}]"
+                    )
+                elements = range(cursor, cursor + size)
                 cursor += size
-            subsets.append(SubsetDescriptor(elements, template, i))
-        return cls(int(d["q"]), tuple(subsets), kind or d.get("kind", FIELD))
+            subsets.append(SubsetDescriptor(tuple(elements), template, i))
+        return cls(q, tuple(subsets), kind or d.get("kind", FIELD))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -214,8 +233,13 @@ class MultiFuzzySet:
 
     @classmethod
     def load(cls, path, kind: str | None = None) -> "MultiFuzzySet":
+        """Read a description file; OSError passes through, and a malformed
+        document raises ValueError naming the file."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh), kind)
+            try:
+                return cls.from_dict(json.load(fh), kind)
+            except ValueError as e:
+                raise ValueError(f"bad multi-fuzzy set file {path}: {e}") from e
 
 
 def partition_field(q: int, sizes: list[int], templates: list[FamilyTemplate]) -> MultiFuzzySet:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .field_poly import (
@@ -25,7 +26,7 @@ from .field_poly import (
     encode_key,
     lagrange_interpolate,
 )
-from .fuzzy_number import FuzzyNumber, distance
+from .fuzzy_number import FuzzyNumber, distance, json_fields, json_int
 from .multi_fuzzy_set import LOCKING, UNLOCKING, FamilyTemplate, MultiFuzzySet
 
 _MASK64 = (1 << 64) - 1
@@ -87,6 +88,10 @@ class VaultPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VaultPoint":
+        """Parse ``to_dict`` output; raises ValueError on any malformed input."""
+        # checked inline rather than with json_fields: this runs once per point
+        if type(d) is not dict or "x" not in d or "y" not in d:
+            raise ValueError("a vault point is a JSON object with x and y")
         return cls(FuzzyNumber.from_dict(d["x"]), FuzzyNumber.from_dict(d["y"]))
 
 
@@ -98,10 +103,8 @@ class LockParams:
     r: int              # total vault points
     k: int              # coefficient count; polynomial degree n = k - 1
     rho: float = 0.2    # fraction of chaff that is on-polynomial wrong-family
-    delta: float = 0.25         # matching tolerance, in core units
-    delta_tilde: float = 0.0    # reserved coefficient tolerance, unused
+    delta: float = 0.25  # matching tolerance, in core units
     seed: int = 0
-    m_b: int = 1        # family count the unlocker must supply
 
     @property
     def n(self) -> int:
@@ -132,13 +135,25 @@ class Vault:
     crc_variant: str = CRC_VARIANT
 
     def __post_init__(self):
+        if self.crc_variant != CRC_VARIANT:
+            raise ValueError(
+                f"unsupported CRC variant {self.crc_variant!r}, "
+                f"expected {CRC_VARIANT!r}"
+            )
         points = tuple(self.points)
         object.__setattr__(self, "points", points)
         if len(points) != self.r:
             raise ValueError(f"vault holds {len(points)} points, expected r={self.r}")
+        if not 0 <= self.n < self.r:
+            raise ValueError(f"polynomial degree n={self.n} outside [0, r={self.r})")
         cores = [p.x_core for p in points]
         if len(set(cores)) != len(cores):
             raise ValueError("vault x-cores must be pairwise distinct")
+        # rounded cores only: a trapezoidal core (x0 + y0) / 2 may miss its
+        # integer by an ulp in vaults fuzzy_lock itself writes
+        for axis, axis_cores in (("x", cores), ("y", [p.y_core for p in points])):
+            if not (0 <= min(axis_cores) and max(axis_cores) < self.q):
+                raise ValueError(f"vault {axis}-cores must lie in [0, q={self.q})")
 
     def to_dict(self) -> dict:
         return {
@@ -155,14 +170,21 @@ class Vault:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vault":
-        if d.get("format_version") != 1:
-            raise ValueError(f"unsupported vault format: {d.get('format_version')!r}")
+        """Parse ``to_dict`` output; raises ValueError on any malformed input."""
+        (version,) = json_fields(d, "format_version")
+        if type(version) is not int or version != 1:
+            raise ValueError(f"unsupported vault format: {version!r}")
+        points, q, n, r, crc_variant = json_fields(
+            d, "points", "q", "n", "r", "crc_variant"
+        )
+        if type(points) is not list:
+            raise ValueError(f"points must be an array, got {type(points).__name__}")
         return cls(
-            tuple(VaultPoint.from_dict(p) for p in d["points"]),
-            int(d["q"]),
-            int(d["n"]),
-            int(d["r"]),
-            d.get("crc_variant", CRC_VARIANT),
+            tuple(map(VaultPoint.from_dict, points)),
+            json_int(q),
+            json_int(n),
+            json_int(r),
+            crc_variant,
         )
 
     def save(self, path) -> None:
@@ -171,8 +193,13 @@ class Vault:
 
     @classmethod
     def load(cls, path) -> "Vault":
+        """Read a vault file; OSError passes through, and a malformed
+        document raises ValueError naming the file."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except ValueError as e:
+                raise ValueError(f"bad vault file {path}: {e}") from e
 
 
 @dataclass(frozen=True)
@@ -192,7 +219,6 @@ class LockTranscript:
 class UnlockDiagnostics:
     matched: int = 0
     subsets_tried: int = 0
-    effort: int = 0
 
 
 @dataclass(frozen=True)
@@ -332,6 +358,8 @@ def match_points(
     in ascending core order, ties broken toward the smaller x-core.  A probe
     matches only within distance delta (family mismatch is infinitely far).
     """
+    if not 0 < delta < math.inf:
+        raise ValueError(f"matching tolerance must be positive and finite: {delta}")
     families = {p.family for p in probes}
     if len(families) > 1:
         raise ValueError("probes must share a single membership family")
@@ -378,7 +406,6 @@ def search_key(
         if diagnostics.subsets_tried >= effort_cap:
             break
         diagnostics.subsets_tried += 1
-        diagnostics.effort += k
         candidate = lagrange_interpolate(list(combo), field)
         material = decode_key(candidate, field, key_len)
         if material is not None:
@@ -399,8 +426,6 @@ def fuzzy_unlock(
     Fuzzifies the chosen unlocking subset, matches against the vault, then
     runs the k-subset search over the matches.
     """
-    if effort_cap <= 0:
-        raise ValueError("effort cap must be positive")
     if unlocking_set.kind not in (UNLOCKING, LOCKING):
         raise ValueError(f"expected an unlocking set, got kind={unlocking_set.kind!r}")
     probes = unlocking_set.select_subset(k_subset)

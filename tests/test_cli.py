@@ -1,6 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fuzzyvault.cli import EXIT_IO, EXIT_NULL, EXIT_OK, EXIT_VALIDATION, main
 
@@ -26,13 +32,17 @@ LOCKING_DOC = {
 }
 
 
+def write_inputs(d):
+    (d / "field.json").write_text(json.dumps(FIELD_DOC))
+    (d / "locking.json").write_text(json.dumps(LOCKING_DOC))
+    probe = dict(LOCKING_DOC, kind="unlocking")
+    (d / "probe.json").write_text(json.dumps(probe))
+    return d
+
+
 @pytest.fixture
 def workdir(tmp_path):
-    (tmp_path / "field.json").write_text(json.dumps(FIELD_DOC))
-    (tmp_path / "locking.json").write_text(json.dumps(LOCKING_DOC))
-    probe = dict(LOCKING_DOC, kind="unlocking")
-    (tmp_path / "probe.json").write_text(json.dumps(probe))
-    return tmp_path
+    return write_inputs(tmp_path)
 
 
 def lock_args(d, **overrides):
@@ -84,20 +94,21 @@ class TestLock:
         assert main(argv) == EXIT_IO
 
 
-class TestUnlock:
-    def unlock_args(self, d, probe="probe.json", **overrides):
-        args = {
-            "--vault": str(d / "vault.json"),
-            "--probe-set": str(d / probe),
-            "--key-len": str(KEY_LEN),
-        }
-        args.update(overrides)
-        return ["unlock"] + [s for kv in args.items() for s in kv]
+def unlock_args(d, probe="probe.json", **overrides):
+    args = {
+        "--vault": str(d / "vault.json"),
+        "--probe-set": str(d / probe),
+        "--key-len": str(KEY_LEN),
+    }
+    args.update(overrides)
+    return ["unlock"] + [s for kv in args.items() for s in kv]
 
+
+class TestUnlock:
     def test_round_trip(self, workdir, capsys):
         main(lock_args(workdir))
         capsys.readouterr()
-        assert main(self.unlock_args(workdir)) == EXIT_OK
+        assert main(unlock_args(workdir)) == EXIT_OK
         captured = capsys.readouterr()
         assert captured.out.strip() == KEY_HEX
         assert "matched=12" in captured.err
@@ -109,19 +120,19 @@ class TestUnlock:
                                family="gaussian", spreads=[0.5, 0.5])]
         (workdir / "wrong.json").write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(self.unlock_args(workdir, probe="wrong.json")) == EXIT_NULL
+        assert main(unlock_args(workdir, probe="wrong.json")) == EXIT_NULL
         assert capsys.readouterr().out.strip() == "null"
 
     def test_missing_vault(self, workdir):
-        assert main(self.unlock_args(workdir)) == EXIT_IO
+        assert main(unlock_args(workdir)) == EXIT_IO
 
     def test_corrupted_vault(self, workdir):
         (workdir / "vault.json").write_text("{not json")
-        assert main(self.unlock_args(workdir)) == EXIT_VALIDATION
+        assert main(unlock_args(workdir)) == EXIT_VALIDATION
 
     def test_truncated_vault_document(self, workdir):
         (workdir / "vault.json").write_text('{"q": 65537}')
-        assert main(self.unlock_args(workdir)) == EXIT_VALIDATION
+        assert main(unlock_args(workdir)) == EXIT_VALIDATION
 
 
 class TestAnalyze:
@@ -199,3 +210,183 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert out.count("ok   ") == 5
         assert "FAIL" not in out
+
+
+def _replace(doc, path, value):
+    """JSON text of ``doc`` with the node at ``path`` replaced by ``value``."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _first(doc, family):
+    """Index of the first vault point of ``family``."""
+    return next(i for i, p in enumerate(doc["points"]) if p["x"]["family"] == family)
+
+
+def _sized_subset(doc, size):
+    entry = doc["subsets"][0]
+    del entry["elements"]
+    entry["size"] = size
+    return json.dumps(doc)
+
+
+# (file, mutation of its parsed document or text -> new file contents)
+MALFORMED = {
+    # vault files that crashed with TypeError or AttributeError
+    "vault-points-int": ("vault.json", lambda d: _replace(d, ["points"], 5)),
+    "vault-params-null": (
+        "vault.json", lambda d: _replace(d, ["points", 0, "x", "params"], None)),
+    "vault-top-level-array": ("vault.json", lambda d: json.dumps([d])),
+    "vault-point-int": ("vault.json", lambda d: _replace(d, ["points", 0], 7)),
+    "vault-family-array": (
+        "vault.json", lambda d: _replace(d, ["points", 0, "x", "family"], ["x"])),
+    # vault files that unlocked with exit 0
+    "vault-param-nan": ("vault.json", lambda d: _replace(
+        d, ["points", _first(d, "gaussian"), "x", "params", 1], math.nan)),
+    "vault-params-1e300": ("vault.json", lambda d: _replace(
+        d, ["points", _first(d, "triangular"), "x", "params"], [1e300] * 3)),
+    "vault-core-beyond-q": ("vault.json", lambda d: _replace(
+        d, ["points", _first(d, "triangular"), "x", "params"],
+        [69999.0, 70000.0, 70001.0])),
+    "vault-y-core-negative": ("vault.json", lambda d: _replace(
+        d, ["points", _first(d, "triangular"), "y", "params"], [-6.0, -5.0, -4.0])),
+    "vault-param-1e400": ("vault.json", lambda d: _replace(
+        d, ["points", _first(d, "gaussian"), "x", "params", 1], "BIG"
+    ).replace('"BIG"', "1e400")),
+    "vault-crc-variant": (
+        "vault.json", lambda d: _replace(d, ["crc_variant"], "CRC-32")),
+    # probe-set files that crashed with TypeError
+    "probe-subsets-int": ("probe.json", lambda d: _replace(d, ["subsets"], 5)),
+    "probe-top-level-array": ("probe.json", lambda d: json.dumps([d])),
+    "probe-spreads-null": (
+        "probe.json", lambda d: _replace(d, ["subsets", 0, "spreads"], None)),
+    "probe-q-null": ("probe.json", lambda d: _replace(d, ["q"], None)),
+    # a size that range() would have tried to allocate
+    "probe-size-1e12": ("probe.json", lambda d: _sized_subset(d, 10**12)),
+    # minutiae files whose error did not name the file
+    "minutiae-orientation-nan": (
+        "m.txt", lambda text: text.replace("337.5 0 22.5", "nan 0 22.5")),
+    "minutiae-not-utf8": ("m.txt", lambda text: b"\xff" + text.encode()),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("name, mutate", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_rejected_with_exit_2_naming_the_file(self, workdir, capsys, name, mutate):
+        path = workdir / name
+        if name == "m.txt":
+            contents = mutate(TestMinutiaeDemo.MINUTIAE)
+            argv = ["minutiae-demo", "--minutiae", str(path)]
+        else:
+            assert main(lock_args(workdir)) == EXIT_OK
+            contents = mutate(json.loads(path.read_text()))
+            argv = unlock_args(workdir)
+        if isinstance(contents, str):
+            contents = contents.encode()
+        path.write_bytes(contents)
+        capsys.readouterr()
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(path) in err[0]
+
+    def test_unlock_rejects_non_finite_delta(self, workdir):
+        main(lock_args(workdir))
+        for delta in ("nan", "inf", "0"):
+            assert main(unlock_args(workdir, **{"--delta": delta})) == EXIT_VALIDATION
+
+
+Q = FIELD_DOC["q"]
+# every integer a mutation inserts is at most q, so no subset size can
+# ask for an unbounded allocation
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-Q, Q) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+SPECIAL = "\0special\0"
+
+
+def _paths(node, prefix=()):
+    """Paths (key and index tuples) to every node below ``node``."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _minutiae_text(doc):
+    return "\n".join(
+        " ".join(map(str, line)) if isinstance(line, list) else str(line)
+        for line in doc
+    )
+
+
+def _mutated(data, doc, render, special_tokens):
+    """File bytes of ``doc`` after one random mutation: a node replaced by
+    another JSON value, a node deleted, a NaN/Infinity/1e400 token
+    inserted, or the rendered bytes truncated."""
+    doc = copy.deepcopy(doc)
+    op = data.draw(st.sampled_from(["replace", "delete", "special", "truncate"]))
+    if op != "truncate":
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES) if op == "replace" else SPECIAL
+    text = render(doc)
+    if op == "special":
+        token = data.draw(st.sampled_from(special_tokens))
+        text = text.replace(json.dumps(SPECIAL), token).replace(SPECIAL, token)
+    raw = text.encode("utf-8", "surrogatepass")
+    if op == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    return raw
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = write_inputs(tmp_path_factory.mktemp("fuzz"))
+    (d / "m.txt").write_text(TestMinutiaeDemo.MINUTIAE)
+    assert main(lock_args(d)) == EXIT_OK
+    return d
+
+
+class TestFuzzedInput:
+    @pytest.mark.parametrize("name", ["vault.json", "probe.json", "locking.json",
+                                      "field.json", "m.txt"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_contract(self, fuzz_dir, name, data):
+        """A mutated input file yields exit 0-3 and never an exception."""
+        original = fuzz_dir / name
+        mutated = fuzz_dir / f"mutated-{name}"
+        if name == "m.txt":
+            doc = [line.split() for line in original.read_text().splitlines()]
+            raw = _mutated(data, doc, _minutiae_text, ["nan", "inf", "-inf", "1e400"])
+            argv = ["minutiae-demo", "--minutiae", str(mutated)]
+        else:
+            doc = json.loads(original.read_text())
+            raw = _mutated(data, doc, json.dumps,
+                           ["NaN", "Infinity", "-Infinity", "1e400"])
+            if name in ("vault.json", "probe.json"):
+                argv = unlock_args(fuzz_dir, **{"--effort-cap": "50"})
+            else:
+                argv = lock_args(fuzz_dir, **{"--out": str(fuzz_dir / "out.json")})
+            argv = [str(mutated) if a == str(original) else a for a in argv]
+        mutated.write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_IO, EXIT_VALIDATION, EXIT_NULL)
+        if code == EXIT_VALIDATION:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from fuzzyvault import FuzzyNumber, distance
@@ -13,6 +13,14 @@ def triangulars():
     ).map(lambda t: FuzzyNumber.triangular(t[0], t[0] + t[1], t[0] + t[1] + t[2]))
 
 
+def sigmoids():
+    return st.tuples(st.floats(-20, 20), st.floats(0.1, 5), st.floats(0.1, 5),
+                     st.floats(0.05, 1), st.floats(0.5, 8)).map(
+        lambda t: FuzzyNumber.sigmoid(t[0], t[0] + t[1], t[0] + t[1] + t[2],
+                                      t[3], t[4])
+    )
+
+
 ANY_FAMILY = st.one_of(
     triangulars(),
     st.tuples(st.floats(-20, 20), st.floats(0.1, 5), st.floats(0.1, 5)).map(
@@ -22,11 +30,7 @@ ANY_FAMILY = st.one_of(
               st.floats(0.1, 5)).map(
         lambda t: FuzzyNumber.trapezoidal(t[0], t[0] + t[1], t[2], t[3])
     ),
-    st.tuples(st.floats(-20, 20), st.floats(0.1, 5), st.floats(0.1, 5),
-              st.floats(0.05, 1), st.floats(0.5, 8)).map(
-        lambda t: FuzzyNumber.sigmoid(t[0], t[0] + t[1], t[0] + t[1] + t[2],
-                                      t[3], t[4])
-    ),
+    sigmoids(),
 )
 
 
@@ -61,6 +65,7 @@ class TestMembership:
         assert f.membership(0.9) == 0.0
 
     @given(ANY_FAMILY, st.floats(-100, 100))
+    @example(FuzzyNumber.sigmoid(0.0, 0.3125, 1.3125, 1.0, 3.452784273890271), 0.0)
     def test_membership_in_unit_interval(self, f, x):
         assert 0.0 <= f.membership(x) <= 1.0
 
@@ -69,6 +74,13 @@ class TestMembership:
         lo, hi = f.support()
         x = lo + w * (hi - lo)
         assert f.membership(x) <= f.peak_grade + 1e-12
+
+    @given(sigmoids())
+    def test_sigmoid_zero_at_support_ends(self, f):
+        lo, hi = f.support()
+        assert f.membership(lo) == 0.0 and f.membership(hi) == 0.0
+        cut = f.alpha_cut(0.0)
+        assert (cut.lo, cut.hi) == (lo, hi)
 
 
 class TestAlphaCut:
@@ -257,3 +269,21 @@ class TestSerialization:
             FuzzyNumber.gaussian(0, -1, 1)
         with pytest.raises(ValueError):
             FuzzyNumber.sigmoid(0, 1, 2, 1.5, 4)
+        with pytest.raises(ValueError):
+            FuzzyNumber.gaussian(math.nan, 1, 1)
+        with pytest.raises(ValueError):
+            FuzzyNumber.triangular(0, 1, math.inf)
+
+    @pytest.mark.parametrize("doc", [
+        None,
+        [],
+        {"family": "triangular"},
+        {"family": ["x"], "params": [1, 2, 3]},
+        {"family": "triangular", "params": "123"},
+        {"family": "triangular", "params": [1, True, 3]},
+        {"family": "triangular", "params": [0, 1, None]},
+        {"family": "gaussian", "params": [0, math.nan, 1]},
+    ])
+    def test_from_dict_rejects_malformed(self, doc):
+        with pytest.raises(ValueError):
+            FuzzyNumber.from_dict(doc)

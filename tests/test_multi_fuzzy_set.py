@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fuzzyvault import (
@@ -137,7 +139,30 @@ class TestSerialization:
         assert loaded.subsets[1].elements == tuple(range(8, 16))
 
 
+    @pytest.mark.parametrize("q, subsets", [
+        ("16", [{"elements": [1], "family": "crisp"}]),
+        (16, {"elements": [1], "family": "crisp"}),
+        (16, [{"elements": [1.5], "family": "crisp"}]),
+        (16, [{"elements": ["3"], "family": "crisp"}]),
+        (16, [{"family": "crisp"}]),
+        (16, [{"size": 0, "family": "crisp"}]),
+        (16, [{"size": 8, "family": "crisp"}, {"size": 9, "family": "crisp"}]),
+        (16, [{"size": 10**12, "family": "crisp"}]),
+        (16, [{"size": 4, "family": "gaussian", "spreads": [0.5, math.inf]}]),
+    ], ids=["q-string", "subsets-object", "element-float", "element-string",
+            "no-elements-or-size", "size-0", "size-beyond-q", "size-1e12",
+            "spread-inf"])
+    def test_from_dict_rejects_malformed(self, q, subsets):
+        with pytest.raises(ValueError):
+            MultiFuzzySet.from_dict({"q": q, "kind": "locking", "subsets": subsets})
+
+
 class TestTemplates:
+    def test_non_finite_spreads_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                FamilyTemplate("triangular", (1.0, bad))
+
     def test_nonpositive_spreads_rejected(self):
         with pytest.raises(ValueError):
             FamilyTemplate("triangular", (0.0, 1.0))

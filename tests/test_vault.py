@@ -187,6 +187,14 @@ class TestMatch:
         matched = match_points(vault, probes, 0.25)
         assert sorted(x for x, _ in matched) == list(transcript.genuine_cores)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, field_mfs, delta):
+        # a NaN or infinite tolerance would match across families
+        locking = desk_locking_set(field_mfs, seed=15)
+        vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=15))
+        with pytest.raises(ValueError):
+            match_points(vault, locking.select_subset(0), delta)
+
     def test_mixed_family_probes_rejected(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=11)
         vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=11))
@@ -279,6 +287,37 @@ class TestSerialization:
     def test_bad_format_version(self):
         with pytest.raises(ValueError):
             Vault.from_dict({"format_version": 2, "points": [], "q": 7, "n": 1, "r": 0})
+
+    @pytest.mark.parametrize("edit", [
+        {"format_version": True},
+        {"q": "11"},
+        {"r": 1.0},
+        {"n": 1},
+        {"n": -1},
+        {"crc_variant": "CRC-16/XMODEM"},
+        {"points": {}},
+    ])
+    def test_from_dict_rejects_malformed(self, edit):
+        point = VaultPoint(TRI.instantiate(3.0), TRI.instantiate(5.0))
+        doc = dict(Vault((point,), 11, 0, 1).to_dict(), **edit)
+        with pytest.raises(ValueError):
+            Vault.from_dict(doc)
+
+    def test_missing_crc_variant_rejected(self):
+        point = VaultPoint(TRI.instantiate(3.0), TRI.instantiate(5.0))
+        doc = Vault((point,), 11, 0, 1).to_dict()
+        del doc["crc_variant"]
+        with pytest.raises(ValueError):
+            Vault.from_dict(doc)
+
+    def test_core_an_ulp_off_its_integer_loads(self):
+        # for this plateau half-width (x0 + y0) / 2 misses the core 7 by an
+        # ulp; cores are range-checked after rounding, so the vault loads
+        trap = FamilyTemplate("trapezoidal", (9.128388452964652, 1.0, 1.0))
+        x = trap.instantiate(7.0)
+        assert x.defuzzify() != 7.0
+        vault = Vault((VaultPoint(x, trap.instantiate(3.0)),), 11, 0, 1)
+        assert Vault.from_dict(vault.to_dict()) == vault
 
 
 class TestVaultPoint:
