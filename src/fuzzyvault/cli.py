@@ -52,7 +52,8 @@ def cmd_unlock(args) -> int:
         args.key_len, args.effort_cap,
     )
     d = result.diagnostics
-    print(f"matched={d.matched} subsets_tried={d.subsets_tried}", file=sys.stderr)
+    print(f"matched={d.matched} subsets_tried={d.subsets_tried} "
+          f"cap_hit={int(d.cap_hit)}", file=sys.stderr)
     if result.key is None:
         print("null")
         return EXIT_NULL

@@ -238,7 +238,7 @@ class MultiFuzzySet:
         with open(path, encoding="utf-8") as fh:
             try:
                 return cls.from_dict(json.load(fh), kind)
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:  # deep nesting recurses
                 raise ValueError(f"bad multi-fuzzy set file {path}: {e}") from e
 
 

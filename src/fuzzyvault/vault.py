@@ -18,6 +18,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .field_poly import (
     CRC_VARIANT,
     FieldParams,
@@ -30,6 +32,9 @@ from .fuzzy_number import FuzzyNumber, distance, json_fields, json_int
 from .multi_fuzzy_set import LOCKING, UNLOCKING, FamilyTemplate, MultiFuzzySet
 
 _MASK64 = (1 << 64) - 1
+
+# k-subsets whose constant coefficient search_key computes in one numpy batch
+_SUBSET_CHUNK = 4096
 
 
 class SplitMix64:
@@ -198,7 +203,7 @@ class Vault:
         with open(path, encoding="utf-8") as fh:
             try:
                 return cls.from_dict(json.load(fh))
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:  # deep nesting recurses
                 raise ValueError(f"bad vault file {path}: {e}") from e
 
 
@@ -219,6 +224,7 @@ class LockTranscript:
 class UnlockDiagnostics:
     matched: int = 0
     subsets_tried: int = 0
+    cap_hit: bool = False  # the effort cap stopped the search early
 
 
 @dataclass(frozen=True)
@@ -385,6 +391,63 @@ def match_points(
     return matched
 
 
+def _basis_at_zero(xs: list[int], q: int) -> list[list[int]]:
+    """w[a][b] = x_a / (x_a - x_b) mod q for a != b, 0 on the diagonal.
+
+    The Lagrange basis polynomial of point b, evaluated at 0, is the product
+    of w[a][b] over the other points a of the subset.  All m * (m - 1)
+    differences share one modular inversion (Montgomery's batch trick).
+    """
+    m = len(xs)
+    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
+    prefix = []
+    acc = 1
+    for a, b in pairs:
+        prefix.append(acc)
+        acc = acc * (xs[a] - xs[b]) % q
+    inv = pow(acc, -1, q)
+    w = [[0] * m for _ in range(m)]
+    for (a, b), before in zip(reversed(pairs), reversed(prefix)):
+        # inv is 1 / (product of the differences up to and including (a, b))
+        w[a][b] = xs[a] * inv * before % q
+        inv = inv * (xs[a] - xs[b]) % q
+    return w
+
+
+def _subsets_passing_a0(xs: list[int], ys: list[int], q: int, k: int,
+                        reject: int, limit: int):
+    """Yield (position, subset) for each of the first ``limit`` k-subsets of
+    the points, in lexicographic order, whose interpolating polynomial has a
+    constant term a_0 with ``a_0 & reject == 0``.
+
+    a_0 = sum_j y_j prod_{i != j} w[i][j] is evaluated with numpy for
+    _SUBSET_CHUNK subsets at a time.  Operands stay below q, so int64
+    products stay below 2**62 while q < 2**31; larger fields use Python ints.
+    """
+    m = len(xs)
+    dtype = np.int64 if q < 2**31 else object
+    w = np.array(_basis_at_zero(xs, q), dtype=dtype).ravel()
+    y = np.array(ys, dtype=dtype)
+    subsets = itertools.islice(itertools.combinations(range(m), k), limit)
+    start = 0
+    while chunk := list(itertools.islice(subsets, _SUBSET_CHUNK)):
+        # cols[j] holds the j-th point index of every subset in the chunk
+        cols = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp,
+                           count=len(chunk) * k).reshape(len(chunk), k).T.copy()
+        rows = cols * m
+        a0 = 0
+        for j in range(k):
+            term = y[cols[j]]
+            for i in range(k):
+                if i != j:
+                    term *= w[rows[i] + cols[j]]
+                    term %= q
+            a0 = a0 + term  # k terms below q: no int64 overflow
+        for s in np.flatnonzero(((a0 % q) & reject) == 0).tolist():
+            yield start + s, chunk[s]
+        start += len(chunk)
+
+
 def search_key(
     matched: list[tuple[int, int]],
     q: int,
@@ -394,22 +457,43 @@ def search_key(
     diagnostics: UnlockDiagnostics | None = None,
 ) -> UnlockResult:
     """Search k-subsets of matched points in lexicographic order, accepting
-    the first candidate polynomial whose decoded key passes the CRC check."""
+    the first candidate polynomial whose decoded key passes the CRC check.
+
+    Only the constant term a_0 of each candidate is computed at first.
+    decode_key rejects every polynomial whose a_0 is at least 2**bits or
+    has a set bit in the zero padding at the tail of the payload, so only
+    the subsets whose a_0 passes that test are interpolated in full and
+    decoded.  Matched points must have distinct x values mod q.
+    """
     if effort_cap <= 0:
         raise ValueError("effort cap must be positive")
+    if k < 1:
+        raise ValueError("coefficient count must be at least 1")
     if diagnostics is None:
         diagnostics = UnlockDiagnostics(matched=len(matched))
     if len(matched) < k:
         return UnlockResult(None, diagnostics)
     field = FieldParams(q)
-    for combo in itertools.combinations(matched, k):
-        if diagnostics.subsets_tried >= effort_cap:
-            break
-        diagnostics.subsets_tried += 1
-        candidate = lagrange_interpolate(list(combo), field)
-        material = decode_key(candidate, field, key_len)
-        if material is not None:
-            return UnlockResult(material.key_bytes, diagnostics)
+    xs = [x % q for x, _ in matched]
+    if len(set(xs)) != len(xs):
+        raise ValueError("matched points must have distinct x values")
+    total = math.comb(len(matched), k)
+    limit = min(total, effort_cap)
+    bits = field.bits_per_element
+    pad = k * bits - (8 * key_len + 16)
+    if pad >= 0 and key_len >= 1:  # otherwise decode_key rejects everything
+        # a_0 < q < 2**(bits + 1), so a_0 >= 2**bits exactly when bit `bits`
+        # is set; the low min(pad, bits) bits of a_0 end the zero padding
+        reject = (1 << bits) | ((1 << min(pad, bits)) - 1)
+        ys = [y % q for _, y in matched]
+        for position, subset in _subsets_passing_a0(xs, ys, q, k, reject, limit):
+            candidate = lagrange_interpolate([matched[i] for i in subset], field)
+            material = decode_key(candidate, field, key_len)
+            if material is not None:
+                diagnostics.subsets_tried = position + 1
+                return UnlockResult(material.key_bytes, diagnostics)
+    diagnostics.subsets_tried = limit
+    diagnostics.cap_hit = total > effort_cap
     return UnlockResult(None, diagnostics)
 
 

@@ -123,6 +123,21 @@ class TestUnlock:
         assert main(unlock_args(workdir, probe="wrong.json")) == EXIT_NULL
         assert capsys.readouterr().out.strip() == "null"
 
+    @pytest.mark.parametrize("cap, tail", [
+        ("100", "subsets_tried=100 cap_hit=1"),
+        # C(12, 8) = 495: every subset tried, so the cap did not cut it short
+        ("495", "subsets_tried=495 cap_hit=0"),
+    ])
+    def test_stderr_reports_cap_hit(self, workdir, capsys, cap, tail):
+        main(lock_args(workdir))
+        capsys.readouterr()
+        # the genuine subset decoded as a 9-byte key fails the CRC check
+        argv = unlock_args(workdir, **{"--key-len": "9", "--effort-cap": cap})
+        assert main(argv) == EXIT_NULL
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "null"
+        assert captured.err.strip() == f"matched=12 {tail}"
+
     def test_missing_vault(self, workdir):
         assert main(unlock_args(workdir)) == EXIT_IO
 
@@ -203,6 +218,13 @@ class TestMinutiaeDemo:
         path = tmp_path / "absent.txt"
         assert main(["minutiae-demo", "--minutiae", str(path)]) == EXIT_IO
 
+    def test_field_beyond_demo_bound(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_text(self.MINUTIAE)
+        argv = ["minutiae-demo", "--minutiae", str(path), "--q", str(2**61 - 1)]
+        assert main(argv) == EXIT_VALIDATION
+        assert "exceeds" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_all_checks_pass(self, capsys):
@@ -266,6 +288,10 @@ MALFORMED = {
     "probe-q-null": ("probe.json", lambda d: _replace(d, ["q"], None)),
     # a size that range() would have tried to allocate
     "probe-size-1e12": ("probe.json", lambda d: _sized_subset(d, 10**12)),
+    # nesting that made json.load raise RecursionError
+    "vault-nested-arrays": ("vault.json", lambda d: "[" * 200_000 + "]" * 200_000),
+    "probe-nested-objects": (
+        "probe.json", lambda d: '{"q":' * 200_000 + "0" + "}" * 200_000),
     # minutiae files whose error did not name the file
     "minutiae-orientation-nan": (
         "m.txt", lambda text: text.replace("337.5 0 22.5", "nan 0 22.5")),

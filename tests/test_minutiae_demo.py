@@ -13,6 +13,7 @@ from fuzzyvault import (
     orientation_set,
     parse_minutiae_file,
 )
+from fuzzyvault.minutiae_demo import MAX_DEMO_Q
 
 
 def grid_minutiae(count, kind=RIDGE_ENDING, spread=GRID_STEP):
@@ -133,6 +134,13 @@ class TestVaultDemo:
     def test_too_few_minutiae(self):
         with pytest.raises(ValueError):
             minutiae_vault_demo(grid_minutiae(3), self.KEY)
+
+    @pytest.mark.parametrize("q", [MAX_DEMO_Q + 7, 2**61 - 1])
+    def test_field_beyond_bound_rejected(self, q):
+        # both are prime: the bound, not FieldParams, rejects them, before
+        # partition_field lists all q elements
+        with pytest.raises(ValueError, match="exceeds"):
+            minutiae_vault_demo(grid_minutiae(8), self.KEY, q=q)
 
 
 class TestParseFile:

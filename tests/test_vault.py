@@ -1,8 +1,12 @@
+import itertools
 import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import fuzzyvault.vault as vault_module
 from fuzzyvault import (
     FamilyTemplate,
     FieldParams,
@@ -10,18 +14,23 @@ from fuzzyvault import (
     MultiFuzzySet,
     SplitMix64,
     SubsetDescriptor,
+    UnlockResult,
     Vault,
     VaultPoint,
     build_locking_set,
+    decode_key,
     encode_key,
     fuzzy_lock,
     fuzzy_unlock,
     generate_chaff,
+    lagrange_interpolate,
     lock_polynomial,
     match_points,
     partition_field,
     scramble,
+    search_key,
 )
+from fuzzyvault.vault import UnlockDiagnostics
 from conftest import ALL_TEMPLATES, GAU, TRI, desk_field, desk_locking_set, desk_params
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d")
@@ -252,6 +261,147 @@ class TestUnlock:
         vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=24))
         with pytest.raises(ValueError):
             fuzzy_unlock(vault, locking, 9, 0.25, len(KEY))
+
+
+# search_key as it was before the constant-term filter, kept as the oracle:
+# one full interpolation and decode per subset
+def reference_search_key(
+    matched: list[tuple[int, int]],
+    q: int,
+    k: int,
+    key_len: int,
+    effort_cap: int = 100_000,
+    diagnostics: UnlockDiagnostics | None = None,
+) -> UnlockResult:
+    """Search k-subsets of matched points in lexicographic order, accepting
+    the first candidate polynomial whose decoded key passes the CRC check."""
+    if effort_cap <= 0:
+        raise ValueError("effort cap must be positive")
+    if diagnostics is None:
+        diagnostics = UnlockDiagnostics(matched=len(matched))
+    if len(matched) < k:
+        return UnlockResult(None, diagnostics)
+    field = FieldParams(q)
+    for combo in itertools.combinations(matched, k):
+        if diagnostics.subsets_tried >= effort_cap:
+            break
+        diagnostics.subsets_tried += 1
+        candidate = lagrange_interpolate(list(combo), field)
+        material = decode_key(candidate, field, key_len)
+        if material is not None:
+            return UnlockResult(material.key_bytes, diagnostics)
+    return UnlockResult(None, diagnostics)
+
+
+def outcome(result):
+    d = result.diagnostics
+    return result.key, d.matched, d.subsets_tried
+
+
+def pad_bits(q, k, key_len):
+    return k * (q.bit_length() - 1) - (8 * key_len + 16)
+
+
+P31 = 2147483659  # the smallest prime above 2**31, where int64 would overflow
+
+# (q, k, key_len) with pad < 0, pad = 0, 0 < pad < bits, pad = bits
+# (q = 65537 only) and pad > bits, for fields on both sides of 2**31
+SEARCH_CASES = [
+    *[(65537, 3, n) for n in (5, 4, 3, 2, 1)],
+    *[(2**31 - 1, 4, n) for n in (14, 13, 12, 8)],
+    *[(P31, 8, n) for n in (30, 29, 28, 24)],
+    *[(2**61 - 1, 4, n) for n in (29, 28, 27, 20)],
+]
+
+
+@st.composite
+def matched_sets(draw, q, k, key_len):
+    """Points with distinct x: each lies on the polynomial of a random key
+    or carries a random y, in random order."""
+    bits = q.bit_length() - 1
+    key_bytes = min(key_len, (k * bits - 16) // 8)  # encode_key must fit it
+    key = draw(st.binary(min_size=key_bytes, max_size=key_bytes))
+    poly = encode_key(key, FieldParams(q), k)
+    xs = draw(st.lists(st.integers(0, q - 1), max_size=k + 3, unique=True))
+    return [
+        (x, poly.eval(x) if draw(st.booleans()) else draw(st.integers(0, q - 1)))
+        for x in xs
+    ]
+
+
+def chaff_matches(count, seed, q=65537):
+    """Random points with distinct x >= 16; smaller x are left for genuine ones."""
+    rnd = random.Random(seed)
+    return [(x, rnd.randrange(q)) for x in rnd.sample(range(16, q), count)]
+
+
+class TestSearchKey:
+    @pytest.mark.parametrize(
+        "q, k, key_len", SEARCH_CASES,
+        ids=[f"q{q}-k{k}-pad{pad_bits(q, k, n)}" for q, k, n in SEARCH_CASES],
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_search(self, q, k, key_len, data):
+        matched = data.draw(matched_sets(q, k, key_len))
+        cap = data.draw(st.sampled_from([1, 100_000]) | st.integers(2, 40))
+        got = search_key(matched, q, k, key_len, cap)
+        want = reference_search_key(matched, q, k, key_len, cap)
+        assert outcome(got) == outcome(want)
+        assert got.diagnostics.cap_hit == (
+            got.key is None and math.comb(len(matched), k) > cap
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
+    def test_key_found_past_chunk_boundaries(self, monkeypatch, chunk):
+        # the genuine points come last, so the key is the last of
+        # C(31, 3) = 4495 subsets, beyond the first chunk of every size
+        monkeypatch.setattr(vault_module, "_SUBSET_CHUNK", chunk)
+        q, key = 65537, b"\x5a\xa5"
+        poly = encode_key(key, FieldParams(q), 3)
+        matched = chaff_matches(28, seed=chunk) + [(x, poly.eval(x)) for x in (1, 2, 3)]
+        got = search_key(matched, q, 3, len(key))
+        assert outcome(got) == outcome(reference_search_key(matched, q, 3, len(key)))
+        assert outcome(got) == (key, 31, 4495)
+        for cap in (4494, 500):
+            got = search_key(matched, q, 3, len(key), cap)
+            assert (*outcome(got), got.diagnostics.cap_hit) == (None, 31, cap, True)
+
+    @pytest.mark.parametrize("repeat", [1, 1 + 65537])
+    def test_repeated_x_rejected_up_front(self, repeat):
+        # the points sharing an x (mod q) meet in no subset the cap reaches,
+        # so the reference search never noticed them
+        matched = [(1, 5), (2, 7), (3, 9), (repeat, 11)]
+        assert reference_search_key(matched, 65537, 2, 1, effort_cap=1).key is None
+        with pytest.raises(ValueError, match="distinct x"):
+            search_key(matched, 65537, 2, 1, effort_cap=1)
+
+    def test_twenty_chaff_matches_run_to_the_cap(self, field_mfs):
+        key = bytes(range(12))
+        locking = desk_locking_set(field_mfs, seed=40)
+        vault, transcript = fuzzy_lock(key, locking, field_mfs, desk_params(seed=40))
+        genuine = set(transcript.genuine_indices)
+        chaff = [(p.x_core, p.y_core) for i, p in enumerate(vault.points)
+                 if i not in genuine][:20]
+        result = search_key(chaff, vault.q, vault.n + 1, len(key))
+        d = result.diagnostics
+        assert result.key is None
+        assert (d.matched, d.subsets_tried, d.cap_hit) == (20, 100_000, True)
+
+    def test_cap_hit_only_with_subsets_left(self):
+        chaff = chaff_matches(10, seed=4)  # C(10, 8) = 45 subsets
+        for cap, tried, hit in ((44, 44, True), (45, 45, False), (46, 45, False)):
+            d = search_key(chaff, 65537, 8, 12, cap).diagnostics
+            assert (d.subsets_tried, d.cap_hit) == (tried, hit)
+
+    def test_cap_hit_false_when_key_found_at_the_cap(self):
+        q, key = 65537, bytes(range(12))
+        poly = encode_key(key, FieldParams(q), 8)
+        matched = chaff_matches(1, seed=5) + [(x, poly.eval(x)) for x in range(1, 9)]
+        # subsets holding the chaff point come first: C(8, 7) = 8 of them
+        result = search_key(matched, q, 8, len(key), effort_cap=9)
+        assert result.key == key
+        assert (result.diagnostics.subsets_tried, result.diagnostics.cap_hit) == (9, False)
 
 
 class TestSerialization:
