@@ -16,7 +16,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -127,8 +129,10 @@ class LockParams:
             )
         if not (0.0 <= self.rho <= 1.0):
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if self.delta <= 0:
-            raise ValueError("matching tolerance delta must be positive")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(
+                f"matching tolerance delta must be positive and finite: {self.delta}"
+            )
 
 
 @dataclass(frozen=True)
@@ -363,30 +367,49 @@ def match_points(
     One-to-one: each vault point is claimed at most once, probes processed
     in ascending core order, ties broken toward the smaller x-core.  A probe
     matches only within distance delta (family mismatch is infinitely far).
+
+    Only the vault points of the probes' family are indexed, sorted by core,
+    and a probe with core c tests those with a core in [c - w, c + w], where
+    w = delta + 1 plus 2**-50 of |c| + delta.  No match lies outside: the
+    core of every family is a parameter, or for trapezoidal the mean of two,
+    so two cores differ by at most their Chebyshev distance; the margin
+    covers the float rounding of a trapezoidal (x0 + y0) / 2 at any
+    magnitude.  Matching costs a sort of the same-family points plus
+    O(log r) per probe, instead of O(probes * r) distance calls.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"matching tolerance must be positive and finite: {delta}")
     families = {p.family for p in probes}
     if len(families) > 1:
         raise ValueError("probes must share a single membership family")
+    index = sorted(
+        ((pt.x.defuzzify(), pt) for pt in vault.points if pt.x.family in families),
+        key=itemgetter(0),
+    )
+    cores = [core for core, _ in index]
+    points = [pt for _, pt in index]
     claimed = set()
     matched = []
     for probe in sorted(probes, key=lambda f: f.defuzzify()):
+        c = probe.defuzzify()
+        if math.isfinite(c):
+            w = delta + 1.0 + (abs(c) + delta) * 2**-50
+            window = range(bisect_left(cores, c - w), bisect_right(cores, c + w))
+        else:  # a trapezoidal (x0 + y0) / 2 overflowed and bounds nothing
+            window = range(len(cores))
         best = None
         best_dist = None
-        for idx, pt in enumerate(vault.points):
-            if idx in claimed:
+        for i in window:  # ascending cores, so a tie keeps the smaller x-core
+            if i in claimed:
                 continue
-            d = distance(pt.x, probe)
+            d = distance(points[i].x, probe)
             if d > delta:
                 continue
-            if best is None or d < best_dist or (
-                d == best_dist and pt.x_core < vault.points[best].x_core
-            ):
-                best, best_dist = idx, d
+            if best is None or d < best_dist:
+                best, best_dist = i, d
         if best is not None:
             claimed.add(best)
-            pt = vault.points[best]
+            pt = points[best]
             matched.append((pt.x_core, pt.y_core))
     return matched
 

@@ -10,6 +10,7 @@ import fuzzyvault.vault as vault_module
 from fuzzyvault import (
     FamilyTemplate,
     FieldParams,
+    FuzzyNumber,
     LockParams,
     MultiFuzzySet,
     SplitMix64,
@@ -19,6 +20,7 @@ from fuzzyvault import (
     VaultPoint,
     build_locking_set,
     decode_key,
+    distance,
     encode_key,
     fuzzy_lock,
     fuzzy_unlock,
@@ -31,7 +33,16 @@ from fuzzyvault import (
     search_key,
 )
 from fuzzyvault.vault import UnlockDiagnostics
-from conftest import ALL_TEMPLATES, GAU, TRI, desk_field, desk_locking_set, desk_params
+from conftest import (
+    ALL_TEMPLATES,
+    GAU,
+    SIG,
+    TRAP,
+    TRI,
+    desk_field,
+    desk_locking_set,
+    desk_params,
+)
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d")
 
@@ -169,6 +180,104 @@ class TestLock:
             fuzzy_lock(KEY, locking, field_mfs, params)
 
 
+# match_points as it was before the core index, kept as the oracle: every
+# probe is compared with every vault point
+def reference_match_points(
+    vault: Vault,
+    probes: list,
+    delta: float,
+) -> list[tuple[int, int]]:
+    """Nearest-neighbor fuzzy matching of probe abscissae against the vault.
+
+    One-to-one: each vault point is claimed at most once, probes processed
+    in ascending core order, ties broken toward the smaller x-core.  A probe
+    matches only within distance delta (family mismatch is infinitely far).
+    """
+    if not 0 < delta < math.inf:
+        raise ValueError(f"matching tolerance must be positive and finite: {delta}")
+    families = {p.family for p in probes}
+    if len(families) > 1:
+        raise ValueError("probes must share a single membership family")
+    claimed = set()
+    matched = []
+    for probe in sorted(probes, key=lambda f: f.defuzzify()):
+        best = None
+        best_dist = None
+        for idx, pt in enumerate(vault.points):
+            if idx in claimed:
+                continue
+            d = distance(pt.x, probe)
+            if d > delta:
+                continue
+            if best is None or d < best_dist or (
+                d == best_dist and pt.x_core < vault.points[best].x_core
+            ):
+                best, best_dist = idx, d
+        if best is not None:
+            claimed.add(best)
+            pt = vault.points[best]
+            matched.append((pt.x_core, pt.y_core))
+    return matched
+
+
+# two shapes per family, so that distances also differ away from the core
+MATCH_TEMPLATES = {
+    "triangular": [TRI, FamilyTemplate("triangular", (0.5, 2.0))],
+    "trapezoidal": [TRAP, FamilyTemplate("trapezoidal", (0.0, 0.5, 2.0))],
+    "gaussian": [GAU, FamilyTemplate("gaussian", (1.0, 0.25))],
+    "sigmoid": [SIG, FamilyTemplate("sigmoid", (0.5, 2.0, 1.0, 3.0))],
+    "crisp": [FamilyTemplate("crisp")],
+}
+MATCH_Q = 64
+
+
+@st.composite
+def match_cases(draw):
+    """A vault of all families on a dense core range, probes of one family
+    jittered around its cores or around the midpoint of two neighbours, and
+    a tolerance.  Probes often share a target, so later ones fall through
+    to their second-best point, and a midpoint ties the distances to two
+    points of the same shape."""
+    families = sorted(MATCH_TEMPLATES)
+    family = draw(st.sampled_from(families))
+    # the first shape of a family is the common one, so ties are common
+    shapes = {f: st.sampled_from(t[:1] * 3 + t[1:]) for f, t in MATCH_TEMPLATES.items()}
+    xs = sorted(draw(st.lists(st.integers(0, MATCH_Q - 1), min_size=1, max_size=40,
+                              unique=True)))
+    # most points carry the probes' family; some sit off their integer core
+    point_family = st.sampled_from([family] * 12 + families)
+    shift = st.sampled_from([0.0, 0.25, -0.375] if draw(st.booleans()) else [0.0])
+    points = []
+    for x in xs:
+        template = draw(shapes[draw(point_family)])
+        y = draw(st.integers(0, MATCH_Q - 1))
+        points.append(VaultPoint(template.instantiate(x + draw(shift)),
+                                 template.instantiate(y)))
+    delta = draw(st.sampled_from([0.01, 0.25, 0.5, 1.0, 3.0, 50.0])
+                 | st.floats(0.01, 50.0))
+    jitter = (st.just(0.0) | st.sampled_from([0.5, -0.5, delta, -delta])
+              | st.floats(-2 * delta, 2 * delta))
+    probes = []
+    for _ in range(draw(st.integers(0, 12))):
+        i = draw(st.integers(0, len(xs) - 1))
+        centre = xs[i] if draw(st.booleans()) else (xs[i] + xs[i - 1]) / 2
+        probes.append(draw(shapes[family]).instantiate(centre + draw(jitter)))
+    return Vault(tuple(points), MATCH_Q, 0, len(points)), probes, delta
+
+
+def tri_vault(*cores):
+    return Vault(tuple(VaultPoint(TRI.instantiate(float(c)), TRI.instantiate(0.0))
+                       for c in cores), 100, 0, len(cores))
+
+
+class NoPoints:
+    """A vault stand-in that fails the test if matching reads its points."""
+
+    @property
+    def points(self):
+        raise AssertionError("the vault was read before the arguments were checked")
+
+
 class TestMatch:
     def test_exact_probes_match_all_genuine(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=7)
@@ -210,6 +319,75 @@ class TestMatch:
         probes = [TRI.instantiate(1.0), GAU.instantiate(2.0)]
         with pytest.raises(ValueError):
             match_points(vault, probes, 0.25)
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_lock_params_tolerance_must_be_positive_and_finite(self, delta):
+        params = desk_params(seed=0, delta=delta)
+        with pytest.raises(ValueError, match="delta"):
+            params.validate(65537)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=match_cases())
+    def test_matches_reference_matching(self, case):
+        vault, probes, delta = case
+        assert match_points(vault, probes, delta) == reference_match_points(
+            vault, probes, delta)
+
+    def test_contended_point_falls_to_second_best(self):
+        vault = tri_vault(13, 11, 10)
+        probes = [TRI.instantiate(10.4), TRI.instantiate(10.2)]
+        # 10.2 comes first and claims 10; 10.4 then takes 11, at 0.6
+        assert match_points(vault, probes, 1.0) == [(10, 0), (11, 0)]
+        assert reference_match_points(vault, probes, 1.0) == [(10, 0), (11, 0)]
+
+    def test_distance_tie_goes_to_smaller_core(self):
+        vault = tri_vault(11, 10)
+        probes = [TRI.instantiate(10.5)]
+        assert match_points(vault, probes, 1.0) == [(10, 0)]
+        assert match_points(vault, probes * 2, 1.0) == [(10, 0), (11, 0)]
+
+    def test_no_probes_match_nothing(self):
+        assert match_points(tri_vault(1, 2, 3), [], 0.25) == []
+
+    def test_family_absent_from_vault_matches_nothing(self):
+        probes = [GAU.instantiate(float(c)) for c in (1, 2, 3)]
+        assert match_points(tri_vault(1, 2, 3), probes, 50.0) == []
+
+    def test_trapezoid_exactly_delta_away_matched(self):
+        x = TRAP.instantiate(10.0)
+        vault = Vault((VaultPoint(x, TRAP.instantiate(4.0)),), 100, 0, 1)
+        probe = TRAP.instantiate(10.25)
+        assert distance(x, probe) == 0.25
+        assert match_points(vault, [probe], 0.25) == [(10, 4)]
+
+    @pytest.mark.parametrize("probes, delta", [
+        ([TRI.instantiate(1.0), GAU.instantiate(2.0)], 0.25),
+        ([TRI.instantiate(1.0)], math.nan),
+        ([TRI.instantiate(1.0)], math.inf),
+    ], ids=["mixed-families", "nan", "inf"])
+    def test_bad_arguments_rejected_before_indexing(self, probes, delta):
+        with pytest.raises(ValueError):
+            match_points(NoPoints(), probes, delta)
+
+    def test_window_covers_rounding_at_large_cores(self):
+        # x0 + y0 rounds to even at 2**61: the cores are 512 apart while the
+        # Chebyshev distance is 256, more than one unit beyond delta
+        q, big = 2**62, 2.0**60
+        x = FuzzyNumber.trapezoidal(big, big + 256, 1.0, 1.0)
+        probe = FuzzyNumber.trapezoidal(big + 256, big + 512, 1.0, 1.0)
+        assert probe.defuzzify() - x.defuzzify() == 512
+        vault = Vault((VaultPoint(x, TRAP.instantiate(3.0)),), q, 0, 1)
+        assert reference_match_points(vault, [probe], 256.0) == [(2**60, 3)]
+        assert match_points(vault, [probe], 256.0) == [(2**60, 3)]
+
+    def test_probe_core_beyond_float_range(self):
+        # (x0 + y0) / 2 overflows to inf, yet the probe is 1e308 from (0, 0)
+        probe = FuzzyNumber.trapezoidal(1e308, 1e308, 1.0, 1.0)
+        assert probe.defuzzify() == math.inf
+        vault = Vault((VaultPoint(FuzzyNumber.trapezoidal(0.0, 0.0, 1.0, 1.0),
+                                  TRAP.instantiate(3.0)),), 11, 0, 1)
+        assert reference_match_points(vault, [probe], 1.5e308) == [(0, 3)]
+        assert match_points(vault, [probe], 1.5e308) == [(0, 3)]
 
 
 class TestUnlock:
