@@ -180,6 +180,16 @@ class FuzzyNumber:
     def crisp(cls, value: float) -> "FuzzyNumber":
         return cls(CRISP, (value,))
 
+    @classmethod
+    def _trusted(cls, family: str, params: tuple) -> "FuzzyNumber":
+        """Build without ``__post_init__``: for ``FamilyTemplate.instantiate``
+        only, which passes a tuple of finite floats whose order and signs its
+        template's checks already guarantee."""
+        fn = object.__new__(cls)
+        object.__setattr__(fn, "family", family)
+        object.__setattr__(fn, "params", params)
+        return fn
+
     # ------------------------------------------------------------------
     # queries
 
@@ -265,8 +275,9 @@ class FuzzyNumber:
         p = self.params
         if self.family == TRIANGULAR:
             left, core, right = p
-            return AlphaCut(alpha, (core - left) * alpha + left,
-                            right - (right - core) * alpha)
+            # rounding can carry an end past the core: 1 - (1 - 1e-38) * 1 == 0
+            return AlphaCut(alpha, min((core - left) * alpha + left, core),
+                            max(right - (right - core) * alpha, core))
         if self.family == TRAPEZOIDAL:
             x0, y0, sigma, beta = p
             return AlphaCut(alpha, x0 - sigma * (1 - alpha), y0 + beta * (1 - alpha))

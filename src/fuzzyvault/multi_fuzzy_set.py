@@ -73,19 +73,32 @@ class FamilyTemplate:
             raise ValueError(f"template spreads must be strictly positive: {params}")
 
     def instantiate(self, core: float) -> FuzzyNumber:
-        """Fuzzify a crisp location with this template; defuzzifies back to it."""
+        """Fuzzify a crisp location with this template; defuzzifies back to it.
+
+        The template's own checks leave only finiteness to test: spreads are
+        finite and positive (a plateau half-width nonnegative), and rounding
+        is monotone, so finite ``core - spread <= core <= core + spread``.
+        A non-finite parameter goes through the validated constructor and
+        raises its ValueError.
+        """
         p = self.spread_params
-        if self.family == TRIANGULAR:
-            return FuzzyNumber.triangular(core - p[0], core, core + p[1])
-        if self.family == TRAPEZOIDAL:
+        family = self.family
+        if family == TRIANGULAR:
+            params = (core - p[0], core, core + p[1])
+        elif family == TRAPEZOIDAL:
             h, sigma, beta = p
-            return FuzzyNumber.trapezoidal(core - h, core + h, sigma, beta)
-        if self.family == GAUSSIAN:
-            return FuzzyNumber.gaussian(core, p[0], p[1])
-        if self.family == SIGMOID:
+            params = (core - h, core + h, sigma, beta)
+        elif family == GAUSSIAN:
+            params = (core, p[0], p[1])
+        elif family == SIGMOID:
             w1, w2, omega, halfwidth = p
-            return FuzzyNumber.sigmoid(core - w1, core, core + w2, omega, halfwidth)
-        return FuzzyNumber.crisp(core)
+            params = (core - w1, core, core + w2, omega, halfwidth)
+        else:
+            params = (core,)
+        params = tuple(map(float, params))
+        if all(map(math.isfinite, params)):
+            return FuzzyNumber._trusted(family, params)
+        return FuzzyNumber(family, params)
 
     def to_dict(self) -> dict:
         return {"family": self.family, "spreads": list(self.spread_params)}

@@ -34,30 +34,49 @@ from .fuzzy_number import FuzzyNumber, distance, json_fields, json_int
 from .multi_fuzzy_set import LOCKING, UNLOCKING, FamilyTemplate, MultiFuzzySet
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 # k-subsets whose constant coefficient search_key computes in one numpy batch
 _SUBSET_CHUNK = 4096
+
+# SplitMix64 outputs computed in one numpy batch
+_DRAW_BLOCK = 1024
+
+
+def _splitmix64_outputs(state: int):
+    """The SplitMix64 stream after ``state``, computed a block at a time.
+
+    The state after i steps is state + i * gamma (mod 2**64), so a block of
+    outputs is one uint64 expression; numpy wraps it mod 2**64 as the
+    scalar algorithm's masks do.
+    """
+    # built on the first draw: numpy's uint64 loops cost memory at first use,
+    # which processes that never lock (unlock, the CLI) should not pay
+    steps = np.arange(1, _DRAW_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    while True:
+        z = steps + np.uint64(state)
+        state = (state + _DRAW_BLOCK * _GAMMA) & _MASK64
+        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+        yield from (z ^ (z >> 31)).tolist()
 
 
 class SplitMix64:
     """Deterministic 64-bit generator; fixed so vaults reproduce per seed."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._draw = _splitmix64_outputs(seed & _MASK64).__next__
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return self._draw()
 
     def randbelow(self, n: int) -> int:
         if n <= 0:
             raise ValueError("bound must be positive")
         limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
+        draw = self._draw
         while True:
-            r = self.next_u64()
+            r = draw()
             if r < limit:
                 return r % n
 
@@ -155,12 +174,16 @@ class Vault:
             raise ValueError(f"vault holds {len(points)} points, expected r={self.r}")
         if not 0 <= self.n < self.r:
             raise ValueError(f"polynomial degree n={self.n} outside [0, r={self.r})")
-        cores = [p.x_core for p in points]
+        try:
+            cores = [p.x_core for p in points]
+            y_cores = [p.y_core for p in points]
+        except OverflowError:  # round() of a trapezoidal (x0 + y0) / 2 beyond floats
+            raise ValueError("vault cores must be finite") from None
         if len(set(cores)) != len(cores):
             raise ValueError("vault x-cores must be pairwise distinct")
         # rounded cores only: a trapezoidal core (x0 + y0) / 2 may miss its
         # integer by an ulp in vaults fuzzy_lock itself writes
-        for axis, axis_cores in (("x", cores), ("y", [p.y_core for p in points])):
+        for axis, axis_cores in (("x", cores), ("y", y_cores)):
             if not (0 <= min(axis_cores) and max(axis_cores) < self.q):
                 raise ValueError(f"vault {axis}-cores must lie in [0, q={self.q})")
 
@@ -175,7 +198,29 @@ class Vault:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        """The v1 text, ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":")) + "\\n"``, written without building the dicts.
+
+        Keys appear in sorted order, and every parameter is a finite float,
+        which json writes with ``float.__repr__``.
+        """
+        dumps = json.dumps
+        heads = {}  # '{"family":...,"params":[' per family
+        parts = []
+        for pt in self.points:
+            x, y = pt.x, pt.y  # a vault point's coordinates share a family
+            head = heads.get(x.family)
+            if head is None:
+                head = heads[x.family] = f'{{"family":{dumps(x.family)},"params":['
+            parts.append(
+                f'{{"x":{head}{",".join(map(float.__repr__, x.params))}]}},'
+                f'"y":{head}{",".join(map(float.__repr__, y.params))}]}}}}'
+            )
+        return (
+            f'{{"crc_variant":{dumps(self.crc_variant)},"format_version":1,'
+            f'"n":{dumps(self.n)},"points":[{",".join(parts)}],'
+            f'"q":{dumps(self.q)},"r":{dumps(self.r)}}}\n'
+        )
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vault":
@@ -237,6 +282,24 @@ class UnlockResult:
     diagnostics: UnlockDiagnostics
 
 
+def _field_dtype(q: int):
+    """numpy int64 while a product of two residues fits (q < 2**31), else
+    Python ints in an object array."""
+    return np.int64 if q < 2**31 else object
+
+
+def _eval_all(p: Polynomial, xs: list[int]) -> list[int]:
+    """[p.eval(x) for x in xs], as one numpy Horner pass."""
+    q = p.q
+    if xs and not (0 <= min(xs) and max(xs) < q):
+        raise ValueError(f"evaluation points must lie in [0, {q})")
+    x = np.array(xs, dtype=_field_dtype(q))
+    acc = np.zeros_like(x)
+    for c in reversed(p.coefficients):
+        acc = (acc * x + c) % q
+    return acc.tolist()
+
+
 def generate_chaff(
     p: Polynomial,
     field_mfs: MultiFuzzySet,
@@ -265,28 +328,31 @@ def generate_chaff(
         raise ValueError("on-polynomial chaff needs at least one non-locking family")
 
     used = set(used_x_cores)
-    points = []
+    draw = rng.randbelow
 
     def fresh_core() -> int:
         while True:
-            u = rng.randbelow(q)
+            u = draw(q)
             if u not in used:
                 used.add(u)
                 return u
 
+    # (core, off-polynomial value or None, template), drawn in the order that
+    # fixes the vault bytes; p is evaluated once all cores are known
+    drawn = []
     for _ in range(n_on_poly):
         u = fresh_core()
-        template = decoys[rng.randbelow(len(decoys))]
-        points.append(VaultPoint(template.instantiate(float(u)),
-                                 template.instantiate(float(p.eval(u)))))
+        drawn.append((u, None, decoys[draw(len(decoys))]))
     for _ in range(count - n_on_poly):
         u = fresh_core()
-        v = rng.randbelow(q - 1)
-        if v >= p.eval(u):
-            v += 1  # uniform over F_q minus the on-polynomial value
-        template = templates[rng.randbelow(len(templates))]
+        v = draw(q - 1)
+        drawn.append((u, v, templates[draw(len(templates))]))
+    points = []
+    for (u, v, template), y in zip(drawn, _eval_all(p, [u for u, _, _ in drawn])):
+        if v is not None:
+            y = v + 1 if v >= y else v  # uniform over F_q minus the value on p
         points.append(VaultPoint(template.instantiate(float(u)),
-                                 template.instantiate(float(v))))
+                                 template.instantiate(float(y))))
     return points
 
 
@@ -320,10 +386,11 @@ def lock_polynomial(
 
     rng = SplitMix64(params.seed)
     template = subset.template
-    genuine = []
-    for a in sorted(subset.elements):
-        genuine.append(VaultPoint(template.instantiate(float(a)),
-                                  template.instantiate(float(p.eval(a)))))
+    elements = sorted(subset.elements)
+    genuine = [
+        VaultPoint(template.instantiate(float(a)), template.instantiate(float(y)))
+        for a, y in zip(elements, _eval_all(p, elements))
+    ]
     used = {pt.x_core for pt in genuine}
     chaff = generate_chaff(
         p, field_mfs, used, params.r - params.t_mfk, params.rho, template, rng
@@ -448,7 +515,7 @@ def _subsets_passing_a0(xs: list[int], ys: list[int], q: int, k: int,
     products stay below 2**62 while q < 2**31; larger fields use Python ints.
     """
     m = len(xs)
-    dtype = np.int64 if q < 2**31 else object
+    dtype = _field_dtype(q)
     w = np.array(_basis_at_zero(xs, q), dtype=dtype).ravel()
     y = np.array(ys, dtype=dtype)
     subsets = itertools.islice(itertools.combinations(range(m), k), limit)

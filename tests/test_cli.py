@@ -280,6 +280,11 @@ MALFORMED = {
     ).replace('"BIG"', "1e400")),
     "vault-crc-variant": (
         "vault.json", lambda d: _replace(d, ["crc_variant"], "CRC-32")),
+    # a trapezoidal core (x0 + y0) / 2 beyond the float range: a traceback
+    "vault-core-overflow": ("vault.json", lambda d: _replace(d, ["points", 0], {
+        "x": {"family": "trapezoidal", "params": [1e308, 1.5e308, 1.0, 1.0]},
+        "y": {"family": "trapezoidal", "params": [3.0, 3.0, 1.0, 1.0]},
+    })),
     # probe-set files that crashed with TypeError
     "probe-subsets-int": ("probe.json", lambda d: _replace(d, ["subsets"], 5)),
     "probe-top-level-array": ("probe.json", lambda d: json.dumps([d])),

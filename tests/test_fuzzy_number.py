@@ -108,6 +108,7 @@ class TestAlphaCut:
         assert cut.lo <= 1 <= cut.hi
 
     @given(ANY_FAMILY, st.floats(0.01, 1), st.floats(0.01, 1))
+    @example(FuzzyNumber.triangular(0.0, 1.1754943508222875e-38, 1.0), 1.0, 1.0)
     def test_nestedness(self, f, a1, a2):
         a1, a2 = sorted((a1, a2))
         a1 = min(a1, f.peak_grade)

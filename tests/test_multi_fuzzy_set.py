@@ -1,9 +1,12 @@
 import math
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from fuzzyvault import (
     FamilyTemplate,
+    FuzzyNumber,
     MultiFuzzySet,
     SubsetDescriptor,
     build_locking_set,
@@ -12,6 +15,41 @@ from fuzzyvault import (
 
 TRI = FamilyTemplate("triangular", (1.0, 1.0))
 GAU = FamilyTemplate("gaussian", (0.5, 0.5))
+
+
+# FamilyTemplate.instantiate as it was before it skipped the second
+# validation, kept as the oracle: every instance goes through __post_init__
+def reference_instantiate(template: FamilyTemplate, core) -> FuzzyNumber:
+    p = template.spread_params
+    if template.family == "triangular":
+        return FuzzyNumber.triangular(core - p[0], core, core + p[1])
+    if template.family == "trapezoidal":
+        h, sigma, beta = p
+        return FuzzyNumber.trapezoidal(core - h, core + h, sigma, beta)
+    if template.family == "gaussian":
+        return FuzzyNumber.gaussian(core, p[0], p[1])
+    if template.family == "sigmoid":
+        w1, w2, omega, halfwidth = p
+        return FuzzyNumber.sigmoid(core - w1, core, core + w2, omega, halfwidth)
+    return FuzzyNumber.crisp(core)
+
+
+SPREAD = st.sampled_from([5e-324, 0.5, 1.0, 1e308]) | st.floats(5e-324, 1e308)
+TEMPLATES = st.one_of(
+    st.tuples(SPREAD, SPREAD).map(lambda p: FamilyTemplate("triangular", p)),
+    st.tuples(st.just(0.0) | SPREAD, SPREAD, SPREAD).map(
+        lambda p: FamilyTemplate("trapezoidal", p)),
+    st.tuples(SPREAD, SPREAD).map(lambda p: FamilyTemplate("gaussian", p)),
+    st.tuples(SPREAD, SPREAD, st.floats(5e-324, 1.0), SPREAD).map(
+        lambda p: FamilyTemplate("sigmoid", p)),
+    st.just(FamilyTemplate("crisp")),
+)
+# cores near +-1.7e308 overflow core +- spread for the larger spreads
+INSTANCE_CORES = st.one_of(
+    st.integers(-10**6, 10**6), st.sampled_from([-0.0, 10**308]),
+    st.floats(-1e6, 1e6), st.floats(1.6e308, 1.79e308), st.floats(-1.79e308, -1.6e308),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
 
 
 class TestPartitionField:
@@ -183,3 +221,17 @@ class TestTemplates:
             FamilyTemplate("crisp", ()),
         ):
             assert template.instantiate(7.0).defuzzify() == 7.0
+
+    @settings(max_examples=500, deadline=None)
+    @given(template=TEMPLATES, core=INSTANCE_CORES)
+    def test_instantiate_matches_validated_constructor(self, template, core):
+        try:
+            want = reference_instantiate(template, core)
+        except ValueError:  # a non-finite parameter
+            with pytest.raises(ValueError):
+                template.instantiate(core)
+            return
+        got = template.instantiate(core)
+        assert all(type(p) is float for p in got.params)
+        assert got == FuzzyNumber(template.family, got.params) == want
+        assert repr(got) == repr(want)  # repr also tells -0.0 from 0.0

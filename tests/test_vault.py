@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 import math
 import random
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import fuzzyvault.vault as vault_module
 from fuzzyvault import (
@@ -45,6 +48,7 @@ from conftest import (
 )
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d")
+P31 = 2147483659  # the smallest prime above 2**31, where int64 would overflow
 
 
 class TestScramble:
@@ -115,6 +119,108 @@ class TestChaff:
         mono = partition_field(self.Q, [self.Q], [TRI])
         with pytest.raises(ValueError):
             generate_chaff(self.poly, mono, set(), 10, 0.5, TRI, SplitMix64(0))
+
+
+# SplitMix64 and generate_chaff as they were before the numpy batches, kept
+# as the oracles: one pure-Python step, one Horner evaluation and one
+# fuzzification per draw
+def reference_splitmix64(seed: int):
+    """The SplitMix64 output stream of ``seed``, one step at a time."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield z ^ (z >> 31)
+
+
+def reference_randbelow(outputs, n: int) -> int:
+    limit = 2**64 - 2**64 % n
+    while True:
+        r = next(outputs)
+        if r < limit:
+            return r % n
+
+
+def reference_generate_chaff(p, field_mfs, used_x_cores, count, rho,
+                             locking_template, rng):
+    q = field_mfs.q
+    templates = field_mfs.templates()
+    decoys = [t for t in templates if t.family != locking_template.family]
+    n_on_poly = int(rho * count)
+    used = set(used_x_cores)
+    points = []
+
+    def fresh_core() -> int:
+        while True:
+            u = rng.randbelow(q)
+            if u not in used:
+                used.add(u)
+                return u
+
+    for _ in range(n_on_poly):
+        u = fresh_core()
+        template = decoys[rng.randbelow(len(decoys))]
+        points.append(VaultPoint(template.instantiate(float(u)),
+                                 template.instantiate(float(p.eval(u)))))
+    for _ in range(count - n_on_poly):
+        u = fresh_core()
+        v = rng.randbelow(q - 1)
+        if v >= p.eval(u):
+            v += 1
+        template = templates[rng.randbelow(len(templates))]
+        points.append(VaultPoint(template.instantiate(float(u)),
+                                 template.instantiate(float(v))))
+    return points
+
+
+RNG_SEEDS = [0, 2**64 - 1, 0x243F6A8885A308D3, 0x13198A2E03707344]
+
+
+class TestBatchedLock:
+    @pytest.mark.parametrize("seed", RNG_SEEDS)
+    def test_block_stream_matches_reference(self, seed):
+        n = 3 * vault_module._DRAW_BLOCK + 5
+        rng, ref = SplitMix64(seed), reference_splitmix64(seed)
+        assert [rng.next_u64() for _ in range(n)] == [next(ref) for _ in range(n)]
+
+    def test_published_seed_zero_outputs(self):
+        rng = SplitMix64(0)
+        assert [rng.next_u64() for _ in range(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("seed", RNG_SEEDS)
+    def test_randbelow_matches_reference(self, seed):
+        # 2**63 + 1 rejects almost half the draws, so blocks end mid-search
+        bounds = [1, 2, 17, 65537, P31, 2**63 + 1, 2**64] * 500
+        rng, ref = SplitMix64(seed), reference_splitmix64(seed)
+        assert ([rng.randbelow(n) for n in bounds]
+                == [reference_randbelow(ref, n) for n in bounds])
+
+    @pytest.mark.parametrize("q", [65537, P31])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_generate_chaff_matches_reference(self, field_mfs, q, rho):
+        # generate_chaff reads only q and the templates of the field; a
+        # partition of 2**31 elements would not fit in memory
+        field = field_mfs if q == field_mfs.q else SimpleNamespace(
+            q=q, templates=lambda: list(ALL_TEMPLATES))
+        poly = encode_key(bytes(range(12)), FieldParams(q), 8)
+        used = set(random.Random(q).sample(range(q), 12))
+        args = (poly, field, used, 2000, rho, TRI)
+        got = generate_chaff(*args, SplitMix64(q + 1))
+        want = reference_generate_chaff(*args, SplitMix64(q + 1))
+        assert repr(got) == repr(want)  # repr also tells -0.0 from 0.0
+
+    def test_desk_vault_golden_bytes(self, field_mfs):
+        # the vault file format is fixed per seed across versions
+        vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field_mfs, seed=7),
+                              field_mfs, desk_params(seed=7))
+        text = vault.to_json().encode()
+        assert len(text) == 37521
+        assert hashlib.sha256(text).hexdigest() == (
+            "f8b7276de8ee6f4b2ecf9edf3a413b38d24e0e826008be2ddfb6bef98d196bb0")
 
 
 class TestLock:
@@ -480,8 +586,6 @@ def pad_bits(q, k, key_len):
     return k * (q.bit_length() - 1) - (8 * key_len + 16)
 
 
-P31 = 2147483659  # the smallest prime above 2**31, where int64 would overflow
-
 # (q, k, key_len) with pad < 0, pad = 0, 0 < pad < bits, pad = bits
 # (q = 65537 only) and pad > bits, for fields on both sides of 2**31
 SEARCH_CASES = [
@@ -582,7 +686,56 @@ class TestSearchKey:
         assert (result.diagnostics.subsets_tried, result.diagnostics.cap_hit) == (9, False)
 
 
+# floats whose JSON text is easy to get wrong: signed zero, the smallest
+# subnormal, integral values in and beyond exponent notation, and 0.1
+AWKWARD = [-0.0, 0.0, 5e-324, 0.1, 1.0, 7.0, 1e16, 1e22, 123456789.0]
+CORES = st.sampled_from(AWKWARD) | st.integers(0, 10**6).map(float) | st.floats(0, 1e22)
+SPREADS = (st.sampled_from([5e-324, 0.1, 0.5, 1.0, 3.0, 1e16, 1e22])
+           | st.floats(5e-324, 1e22))
+GRADES = st.sampled_from([5e-324, 0.1, 0.5, 1.0]) | st.floats(5e-324, 1.0)
+
+
+@st.composite
+def fuzzy_numbers(draw, family, core):
+    """A valid fuzzy number of ``family`` at ``core``, spreads drawn freely."""
+    if family == "triangular":
+        params = (core - draw(SPREADS), core, core + draw(SPREADS))
+    elif family == "trapezoidal":
+        params = (core, core + draw(SPREADS | st.just(0.0)), draw(SPREADS), draw(SPREADS))
+    elif family == "gaussian":
+        params = (core, draw(SPREADS), draw(SPREADS))
+    elif family == "sigmoid":
+        params = (core - draw(SPREADS), core, core + draw(SPREADS), draw(GRADES),
+                  draw(SPREADS))
+    else:
+        params = (core,)
+    return FuzzyNumber(family, params)
+
+
+@st.composite
+def serialisable_vaults(draw):
+    """Vaults of one to eight points of any families, with awkward floats."""
+    points = {}
+    for _ in range(draw(st.integers(1, 8))):
+        family = draw(st.sampled_from(sorted(MATCH_TEMPLATES)))
+        point = VaultPoint(draw(fuzzy_numbers(family, draw(CORES))),
+                           draw(fuzzy_numbers(family, draw(CORES))))
+        points.setdefault(point.x_core, point)  # x-cores must be distinct
+    q = 1 + max(max(p.x_core, p.y_core) for p in points.values())
+    return Vault(tuple(points.values()), q, draw(st.integers(0, len(points) - 1)),
+                 len(points))
+
+
 class TestSerialization:
+    @settings(max_examples=200, deadline=None)
+    @given(vault=serialisable_vaults())
+    @example(vault=Vault((VaultPoint(FuzzyNumber.crisp(-0.0), FuzzyNumber.crisp(0.0)),),
+                         1, 0, 1))
+    def test_to_json_matches_json_dumps(self, vault):
+        # to_dict is kept as the oracle of the text to_json writes directly
+        assert vault.to_json() == json.dumps(
+            vault.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
     def test_deterministic_bytes(self, field_mfs, tmp_path):
         locking = desk_locking_set(field_mfs, seed=30)
         a = tmp_path / "a.json"
@@ -636,6 +789,15 @@ class TestSerialization:
         doc = Vault((point,), 11, 0, 1).to_dict()
         del doc["crc_variant"]
         with pytest.raises(ValueError):
+            Vault.from_dict(doc)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_core_beyond_float_range_rejected(self, axis):
+        # (x0 + y0) / 2 overflows to inf, which round() cannot convert
+        point = VaultPoint(TRAP.instantiate(3.0), TRAP.instantiate(5.0))
+        doc = Vault((point,), 11, 0, 1).to_dict()
+        doc["points"][0][axis]["params"] = [1e308, 1.5e308, 1.0, 1.0]
+        with pytest.raises(ValueError, match="finite"):
             Vault.from_dict(doc)
 
     def test_core_an_ulp_off_its_integer_loads(self):
