@@ -27,7 +27,8 @@ GAUSSIAN = "gaussian"
 SIGMOID = "sigmoid"
 CRISP = "crisp"
 
-_PARAM_COUNT = {
+# parameters per family; a vault stores a point's family as its position here
+PARAM_COUNT = {
     TRIANGULAR: 3,
     TRAPEZOIDAL: 4,
     GAUSSIAN: 3,
@@ -110,13 +111,16 @@ class FuzzyNumber:
     params: tuple
 
     def __post_init__(self):
-        if not isinstance(self.family, str) or self.family not in _PARAM_COUNT:
+        if not isinstance(self.family, str) or self.family not in PARAM_COUNT:
             raise ValueError(f"unknown membership family: {self.family!r}")
-        params = tuple(map(float, self.params))
+        try:
+            params = tuple(map(float, self.params))
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError(f"{self.family} parameters must be finite") from None
         object.__setattr__(self, "params", params)
-        if len(params) != _PARAM_COUNT[self.family]:
+        if len(params) != PARAM_COUNT[self.family]:
             raise ValueError(
-                f"{self.family} needs {_PARAM_COUNT[self.family]} parameters, "
+                f"{self.family} needs {PARAM_COUNT[self.family]} parameters, "
                 f"got {len(params)}"
             )
         if not all(map(math.isfinite, params)):
@@ -183,8 +187,8 @@ class FuzzyNumber:
     @classmethod
     def _trusted(cls, family: str, params: tuple) -> "FuzzyNumber":
         """Build without ``__post_init__``: for ``FamilyTemplate.instantiate``
-        only, which passes a tuple of finite floats whose order and signs its
-        template's checks already guarantee."""
+        and a vault's columns only, which pass a tuple of finite floats whose
+        order and signs their own checks already guarantee."""
         fn = object.__new__(cls)
         object.__setattr__(fn, "family", family)
         object.__setattr__(fn, "params", params)

@@ -50,7 +50,10 @@ class FamilyTemplate:
     def __post_init__(self):
         if not isinstance(self.family, str) or self.family not in _TEMPLATE_ARITY:
             raise ValueError(f"unknown membership family: {self.family!r}")
-        params = tuple(map(float, self.spread_params))
+        try:
+            params = tuple(map(float, self.spread_params))
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError("template spreads must be finite") from None
         object.__setattr__(self, "spread_params", params)
         if len(params) != _TEMPLATE_ARITY[self.family]:
             raise ValueError(

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .vault import LockTranscript, Vault
+from .vault import FAMILIES, LockTranscript, Vault
 
 
 def _log2_int(n: int) -> float:
@@ -238,11 +238,9 @@ def empirical_spurious_census(vault: Vault, transcript: LockTranscript, k: int) 
     if q ** k > 10**7:
         raise ValueError(f"census infeasible: q^k = {q**k} exceeds 1e7")
     t = transcript.t_mfk
-    xs = np.array([p.x_core for p in vault.points], dtype=np.int64)
-    ys = np.array([p.y_core for p in vault.points], dtype=np.int64)
-    fam_mask = np.array(
-        [p.x.family == transcript.locking_family.family for p in vault.points]
-    )
+    xs = vault.x_cores.astype(np.int64)
+    ys = vault.y_cores.astype(np.int64)
+    fam_mask = vault.family_ids == FAMILIES.index(transcript.locking_family.family)
 
     def count_exact(xs_sel, ys_sel, target):
         if len(xs_sel) < target:

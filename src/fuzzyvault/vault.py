@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -30,7 +29,17 @@ from .field_poly import (
     encode_key,
     lagrange_interpolate,
 )
-from .fuzzy_number import FuzzyNumber, distance, json_fields, json_int
+from .fuzzy_number import (
+    GAUSSIAN,
+    PARAM_COUNT,
+    SIGMOID,
+    TRAPEZOIDAL,
+    TRIANGULAR,
+    FuzzyNumber,
+    distance,
+    json_fields,
+    json_int,
+)
 from .multi_fuzzy_set import LOCKING, UNLOCKING, FamilyTemplate, MultiFuzzySet
 
 _MASK64 = (1 << 64) - 1
@@ -154,38 +163,211 @@ class LockParams:
             )
 
 
-@dataclass(frozen=True)
-class Vault:
-    points: tuple
-    q: int
-    n: int
-    r: int
-    crc_variant: str = CRC_VARIANT
+# a vault point's family id is its family's position in FAMILIES
+FAMILIES = tuple(PARAM_COUNT)
+_FAMILY_ID = {family: i for i, family in enumerate(FAMILIES)}
 
-    def __post_init__(self):
-        if self.crc_variant != CRC_VARIANT:
+_NOT_A_POINT = "a vault point is a JSON object with x and y"
+_NOT_A_NUMBER = "a fuzzy number is a JSON object with family and params"
+
+
+def _defuzzify_rows(family: str, block):
+    """``FuzzyNumber.defuzzify`` of every row of a parameter block."""
+    if family == TRAPEZOIDAL:
+        with np.errstate(over="ignore"):  # beyond the float range: inf, as in Python
+            return (block[:, 0] + block[:, 1]) / 2
+    return block[:, 1 if family in (TRIANGULAR, SIGMOID) else 0]
+
+
+def _check_rows(family: str, block) -> None:
+    """The checks ``FuzzyNumber.__post_init__`` makes, on every row of a
+    block of parsed parameters at once."""
+    p = block.T
+    rules = [(np.isfinite(p).all(axis=0), f"{family} parameters must be finite")]
+    if family == TRIANGULAR:
+        rules.append(((p[0] <= p[1]) & (p[1] <= p[2]), "triangular endpoints out of order"))
+    elif family == TRAPEZOIDAL:
+        rules.append((p[0] <= p[1], "trapezoidal defuzzifiers out of order"))
+        rules.append(((p[2] > 0) & (p[3] > 0), "trapezoidal fuzziness must be positive"))
+    elif family == GAUSSIAN:
+        rules.append(((p[1] > 0) & (p[2] > 0), "gaussian deviations must be positive"))
+    elif family == SIGMOID:
+        rules.append(((p[0] <= p[1]) & (p[1] <= p[2]), "sigmoid breakpoints out of order"))
+        rules.append(((0 < p[3]) & (p[3] <= 1), "sigmoid peak grade must be in (0, 1]"))
+        rules.append((p[4] > 0, "sigmoid domain halfwidth must be positive"))
+    for ok, message in rules:  # the finiteness rule first: inf passes no order test
+        if not ok.all():
+            raise ValueError(f"{message}: {tuple(block[np.argmin(ok)].tolist())}")
+
+
+def _block(family: str, rows: list):
+    """``rows``, parameter sequences of ``family``'s length, as a float64
+    block; a number converts as ``float()`` converts it."""
+    arity = PARAM_COUNT[family]
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(flat, np.float64, len(rows) * arity).reshape(len(rows), arity)
+
+
+def _parse_block(family: str, rows: list):
+    """The parsed JSON parameter arrays ``rows`` of one family as a float64
+    block, checked as ``FuzzyNumber.from_dict`` checks each of them."""
+    if not {float, int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
+        raise ValueError(f"{family} parameters must be numbers")
+    arity = PARAM_COUNT[family]
+    if not {arity}.issuperset(map(len, rows)):
+        raise ValueError(f"{family} needs {arity} parameters")
+    try:
+        block = _block(family, rows)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValueError(f"{family} parameters must be finite") from None
+    _check_rows(family, block)
+    return block
+
+
+def _parse_points(points: list):
+    """Family ids and per-family x and y parameter blocks of the parsed v1
+    points, accepting exactly what ``VaultPoint.from_dict`` accepts."""
+    if not {dict}.issuperset(map(type, points)):
+        raise ValueError(_NOT_A_POINT)
+    try:
+        coords = [*map(itemgetter("x"), points), *map(itemgetter("y"), points)]
+    except KeyError:
+        raise ValueError(_NOT_A_POINT) from None
+    if not {dict}.issuperset(map(type, coords)):
+        raise ValueError(_NOT_A_NUMBER)
+    try:
+        families = list(map(itemgetter("family"), coords))
+        params = list(map(itemgetter("params"), coords))
+    except KeyError:
+        raise ValueError(_NOT_A_NUMBER) from None
+    try:
+        ids = list(map(_FAMILY_ID.__getitem__, families))
+    except (KeyError, TypeError):  # an array or object is unhashable
+        bad = next(f for f in families if type(f) is not str or f not in _FAMILY_ID)
+        raise ValueError(f"unknown membership family: {bad!r}") from None
+    r = len(points)
+    if ids[:r] != ids[r:]:
+        raise ValueError("vault point coordinates must share a family")
+    if not {list}.issuperset(map(type, params)):
+        raise ValueError("fuzzy number parameters must be an array")
+    family_ids = np.array(ids[:r], dtype=np.int8)
+    blocks = ([], [])
+    for f, family in enumerate(FAMILIES):
+        members = np.flatnonzero(family_ids == f).tolist()
+        for offset, axis in zip((0, r), blocks):
+            axis.append(_parse_block(family, [params[offset + i] for i in members]))
+    return family_ids, *blocks
+
+
+class Vault:
+    """r fuzzy points over F_q, held as columns.
+
+    Point i carries the family ``FAMILIES[family_ids[i]]``.  Per family id
+    f, ``x_params[f]`` and ``y_params[f]`` are float64 blocks with one row
+    of parameters for each point of that family, in vault order;
+    ``x_cores`` and ``y_cores`` hold every point's rounded core, as
+    integral float64.  All of them are read-only.
+
+    ``Vault(points, q, n, r)`` copies ``VaultPoint`` s into the columns and
+    keeps none of them, and ``from_dict`` / ``load`` check a parsed v1
+    document a family at a time straight into the columns, so loading
+    builds no object per point: ``json.load`` plus a few numpy passes.
+    ``points`` is the same vault as a tuple of ``VaultPoint`` s, built from
+    the columns on first use and kept.  Two vaults are equal when q, n, r,
+    the CRC variant and every point's family and parameters are.
+    """
+
+    def __init__(self, points, q: int, n: int, r: int, crc_variant: str = CRC_VARIANT):
+        ids = []
+        rows = ([[] for _ in FAMILIES], [[] for _ in FAMILIES])
+        for pt in points:
+            f = _FAMILY_ID[pt.x.family]
+            ids.append(f)
+            rows[0][f].append(pt.x.params)
+            rows[1][f].append(pt.y.params)
+        x_params, y_params = (tuple(map(_block, FAMILIES, axis)) for axis in rows)
+        self._set_columns(np.array(ids, dtype=np.int8), x_params, y_params,
+                          q, n, r, crc_variant)
+
+    def _set_columns(self, family_ids, x_params, y_params, q, n, r, crc_variant):
+        """Check a vault's columns, derive its cores and store them."""
+        if crc_variant != CRC_VARIANT:
             raise ValueError(
-                f"unsupported CRC variant {self.crc_variant!r}, "
-                f"expected {CRC_VARIANT!r}"
+                f"unsupported CRC variant {crc_variant!r}, expected {CRC_VARIANT!r}"
             )
-        points = tuple(self.points)
-        object.__setattr__(self, "points", points)
-        if len(points) != self.r:
-            raise ValueError(f"vault holds {len(points)} points, expected r={self.r}")
-        if not 0 <= self.n < self.r:
-            raise ValueError(f"polynomial degree n={self.n} outside [0, r={self.r})")
-        try:
-            cores = [p.x_core for p in points]
-            y_cores = [p.y_core for p in points]
-        except OverflowError:  # round() of a trapezoidal (x0 + y0) / 2 beyond floats
-            raise ValueError("vault cores must be finite") from None
-        if len(set(cores)) != len(cores):
+        if len(family_ids) != r:
+            raise ValueError(f"vault holds {len(family_ids)} points, expected r={r}")
+        if not 0 <= n < r:
+            raise ValueError(f"polynomial degree n={n} outside [0, r={r})")
+        cores = []
+        for blocks in (x_params, y_params):
+            core = np.empty(r)
+            for f, (family, block) in enumerate(zip(FAMILIES, blocks)):
+                core[family_ids == f] = _defuzzify_rows(family, block)
+            cores.append(np.rint(core))  # round() of each point's core
+        x_cores, y_cores = cores
+        # a trapezoidal (x0 + y0) / 2 beyond the float range is inf
+        if not (np.isfinite(x_cores).all() and np.isfinite(y_cores).all()):
+            raise ValueError("vault cores must be finite")
+        x_sorted = np.sort(x_cores)
+        if (x_sorted[1:] == x_sorted[:-1]).any():
             raise ValueError("vault x-cores must be pairwise distinct")
         # rounded cores only: a trapezoidal core (x0 + y0) / 2 may miss its
         # integer by an ulp in vaults fuzzy_lock itself writes
-        for axis, axis_cores in (("x", cores), ("y", y_cores)):
-            if not (0 <= min(axis_cores) and max(axis_cores) < self.q):
-                raise ValueError(f"vault {axis}-cores must lie in [0, q={self.q})")
+        for axis, axis_cores in (("x", x_sorted), ("y", y_cores)):
+            if not (0 <= axis_cores.min() and int(axis_cores.max()) < q):
+                raise ValueError(f"vault {axis}-cores must lie in [0, q={q})")
+        columns = (family_ids, *x_params, *y_params, x_cores, y_cores)
+        for column in columns:
+            column.flags.writeable = False
+        for name, value in (("q", q), ("n", n), ("r", r), ("crc_variant", crc_variant),
+                            ("family_ids", family_ids), ("x_params", x_params),
+                            ("y_params", y_params), ("x_cores", x_cores),
+                            ("y_cores", y_cores), ("_points", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _in_vault_order(self, per_family: list) -> list:
+        """Merge per-family lists, each in vault order, into one list."""
+        nexts = [iter(items).__next__ for items in per_family]
+        return [nexts[f]() for f in self.family_ids.tolist()]
+
+    @property
+    def points(self) -> tuple:
+        """The vault as a tuple of ``VaultPoint`` s, built on first use."""
+        if self._points is None:
+            coords = [
+                self._in_vault_order([
+                    [FuzzyNumber._trusted(family, tuple(row)) for row in block.tolist()]
+                    for family, block in zip(FAMILIES, blocks)
+                ])
+                for blocks in (self.x_params, self.y_params)
+            ]
+            object.__setattr__(self, "_points", tuple(map(VaultPoint, *coords)))
+        return self._points
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            (self.q, self.n, self.r, self.crc_variant)
+            == (other.q, other.n, other.r, other.crc_variant)
+            and np.array_equal(self.family_ids, other.family_ids)
+            and all(map(np.array_equal, self.x_params + self.y_params,
+                        other.x_params + other.y_params))
+        )
+
+    def __hash__(self):
+        return hash((self.q, self.n, self.r, self.crc_variant, self.family_ids.tobytes()))
+
+    def __repr__(self):
+        return (f"Vault(points={self.points!r}, q={self.q!r}, n={self.n!r}, "
+                f"r={self.r!r}, crc_variant={self.crc_variant!r})")
 
     def to_dict(self) -> dict:
         return {
@@ -199,26 +381,27 @@ class Vault:
 
     def to_json(self) -> str:
         """The v1 text, ``json.dumps(self.to_dict(), sort_keys=True,
-        separators=(",", ":")) + "\\n"``, written without building the dicts.
+        separators=(",", ":")) + "\\n"``, written from the columns.
 
         Keys appear in sorted order, and every parameter is a finite float,
         which json writes with ``float.__repr__``.
         """
         dumps = json.dumps
-        heads = {}  # '{"family":...,"params":[' per family
-        parts = []
-        for pt in self.points:
-            x, y = pt.x, pt.y  # a vault point's coordinates share a family
-            head = heads.get(x.family)
-            if head is None:
-                head = heads[x.family] = f'{{"family":{dumps(x.family)},"params":['
-            parts.append(
-                f'{{"x":{head}{",".join(map(float.__repr__, x.params))}]}},'
-                f'"y":{head}{",".join(map(float.__repr__, y.params))}]}}}}'
-            )
+        per_family = []
+        for family, x_block, y_block in zip(FAMILIES, self.x_params, self.y_params):
+            head = f'{{"family":{dumps(family)},"params":['
+            # rows as transient tuples of one flat list: block.tolist() would
+            # keep a list per row alive, which the cyclic collector scans
+            rows = (zip(*[iter(block.ravel().tolist())] * PARAM_COUNT[family])
+                    for block in (x_block, y_block))
+            per_family.append([
+                f'{{"x":{head}{",".join(map(float.__repr__, x))}]}},'
+                f'"y":{head}{",".join(map(float.__repr__, y))}]}}}}'
+                for x, y in zip(*rows)
+            ])
         return (
             f'{{"crc_variant":{dumps(self.crc_variant)},"format_version":1,'
-            f'"n":{dumps(self.n)},"points":[{",".join(parts)}],'
+            f'"n":{dumps(self.n)},"points":[{",".join(self._in_vault_order(per_family))}],'
             f'"q":{dumps(self.q)},"r":{dumps(self.r)}}}\n'
         )
 
@@ -233,13 +416,10 @@ class Vault:
         )
         if type(points) is not list:
             raise ValueError(f"points must be an array, got {type(points).__name__}")
-        return cls(
-            tuple(map(VaultPoint.from_dict, points)),
-            json_int(q),
-            json_int(n),
-            json_int(r),
-            crc_variant,
-        )
+        columns = _parse_points(points)
+        vault = object.__new__(cls)
+        vault._set_columns(*columns, json_int(q), json_int(n), json_int(r), crc_variant)
+        return vault
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -384,8 +564,14 @@ def lock_polynomial(
     if len(p.coefficients) != params.k:
         raise ValueError("polynomial length disagrees with params.k")
 
-    rng = SplitMix64(params.seed)
     template = subset.template
+    if template not in field_mfs.templates():
+        # chaff takes its templates from the field, so these points would
+        # be the only ones of their shape: exactly the genuine ones
+        raise ValueError(
+            f"locking template {template} is not a template of the field partition"
+        )
+    rng = SplitMix64(params.seed)
     elements = sorted(subset.elements)
     genuine = [
         VaultPoint(template.instantiate(float(a)), template.instantiate(float(y)))
@@ -441,7 +627,9 @@ def match_points(
     core of every family is a parameter, or for trapezoidal the mean of two,
     so two cores differ by at most their Chebyshev distance; the margin
     covers the float rounding of a trapezoidal (x0 + y0) / 2 at any
-    magnitude.  Matching costs a sort of the same-family points plus
+    magnitude.  The index is the family's x-parameter block, sorted by its
+    core column; a ``FuzzyNumber`` is built only for a point inside a
+    probe's window, so matching costs a sort of the same-family cores plus
     O(log r) per probe, instead of O(probes * r) distance calls.
     """
     if not 0 < delta < math.inf:
@@ -449,35 +637,49 @@ def match_points(
     families = {p.family for p in probes}
     if len(families) > 1:
         raise ValueError("probes must share a single membership family")
-    index = sorted(
-        ((pt.x.defuzzify(), pt) for pt in vault.points if pt.x.family in families),
-        key=itemgetter(0),
-    )
-    cores = [core for core, _ in index]
-    points = [pt for _, pt in index]
-    claimed = set()
-    matched = []
-    for probe in sorted(probes, key=lambda f: f.defuzzify()):
+    if not probes:
+        return []
+    (family,) = families
+    f = _FAMILY_ID[family]
+    block = vault.x_params[f]
+    cores = _defuzzify_rows(family, block)
+    order = np.argsort(cores, kind="stable")
+    cores = cores[order]
+    members = np.flatnonzero(vault.family_ids == f)[order]
+    probes = sorted(probes, key=lambda p: p.defuzzify())
+    lows, highs = [], []
+    for probe in probes:
         c = probe.defuzzify()
         if math.isfinite(c):
             w = delta + 1.0 + (abs(c) + delta) * 2**-50
-            window = range(bisect_left(cores, c - w), bisect_right(cores, c + w))
+            lows.append(c - w)
+            highs.append(c + w)
         else:  # a trapezoidal (x0 + y0) / 2 overflowed and bounds nothing
-            window = range(len(cores))
+            lows.append(-math.inf)
+            highs.append(math.inf)
+    starts = cores.searchsorted(lows, "left").tolist()
+    ends = cores.searchsorted(highs, "right").tolist()
+    built = {}  # window position -> the point's x, built once
+    claimed = set()
+    matched = []
+    for probe, start, end in zip(probes, starts, ends):
         best = None
         best_dist = None
-        for i in window:  # ascending cores, so a tie keeps the smaller x-core
+        for i in range(start, end):  # ascending cores, so a tie keeps the smaller x-core
             if i in claimed:
                 continue
-            d = distance(points[i].x, probe)
+            x = built.get(i)
+            if x is None:
+                x = built[i] = FuzzyNumber._trusted(family, tuple(block[order[i]].tolist()))
+            d = distance(x, probe)
             if d > delta:
                 continue
             if best is None or d < best_dist:
                 best, best_dist = i, d
         if best is not None:
             claimed.add(best)
-            pt = points[best]
-            matched.append((pt.x_core, pt.y_core))
+            j = members[best]
+            matched.append((int(vault.x_cores[j]), int(vault.y_cores[j])))
     return matched
 
 

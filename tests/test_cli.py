@@ -89,6 +89,15 @@ class TestLock:
     def test_bad_subset_index(self, workdir):
         assert main(lock_args(workdir, **{"--subset-index": "3"})) == EXIT_VALIDATION
 
+    def test_locking_template_missing_from_field(self, workdir, capsys):
+        # the field has triangular (1, 1): chaff would never take this shape
+        doc = copy.deepcopy(LOCKING_DOC)
+        doc["subsets"][0]["spreads"] = [1.0, 2.0]
+        (workdir / "locking.json").write_text(json.dumps(doc))
+        assert main(lock_args(workdir)) == EXIT_VALIDATION
+        assert "not a template of the field" in capsys.readouterr().err
+        assert not (workdir / "vault.json").exists()
+
     def test_missing_locking_file(self, workdir):
         argv = lock_args(workdir, **{"--locking-set": str(workdir / "nope.json")})
         assert main(argv) == EXIT_IO
@@ -255,6 +264,9 @@ def _sized_subset(doc, size):
     return json.dumps(doc)
 
 
+# a JSON integer that no float holds
+HUGE_INT = 10**400
+
 # (file, mutation of its parsed document or text -> new file contents)
 MALFORMED = {
     # vault files that crashed with TypeError or AttributeError
@@ -285,6 +297,11 @@ MALFORMED = {
         "x": {"family": "trapezoidal", "params": [1e308, 1.5e308, 1.0, 1.0]},
         "y": {"family": "trapezoidal", "params": [3.0, 3.0, 1.0, 1.0]},
     })),
+    # integers beyond the float range: float() raised OverflowError
+    "vault-param-huge-int": ("vault.json", lambda d: _replace(
+        d, ["points", _first(d, "gaussian"), "x", "params", 1], HUGE_INT)),
+    "probe-spread-huge-int": (
+        "probe.json", lambda d: _replace(d, ["subsets", 0, "spreads", 0], HUGE_INT)),
     # probe-set files that crashed with TypeError
     "probe-subsets-int": ("probe.json", lambda d: _replace(d, ["subsets"], 5)),
     "probe-top-level-array": ("probe.json", lambda d: json.dumps([d])),
@@ -331,8 +348,8 @@ class TestMalformedInput:
 
 
 Q = FIELD_DOC["q"]
-# every integer a mutation inserts is at most q, so no subset size can
-# ask for an unbounded allocation
+# every integer drawn here is at most q, so no subset size can ask for an
+# unbounded allocation; the HUGE_INT token covers integers beyond floats
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-Q, Q) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
@@ -360,7 +377,7 @@ def _minutiae_text(doc):
 
 def _mutated(data, doc, render, special_tokens):
     """File bytes of ``doc`` after one random mutation: a node replaced by
-    another JSON value, a node deleted, a NaN/Infinity/1e400 token
+    another JSON value, a node deleted, a NaN/Infinity/1e400/10**400 token
     inserted, or the rendered bytes truncated."""
     doc = copy.deepcopy(doc)
     op = data.draw(st.sampled_from(["replace", "delete", "special", "truncate"]))
@@ -402,12 +419,13 @@ class TestFuzzedInput:
         mutated = fuzz_dir / f"mutated-{name}"
         if name == "m.txt":
             doc = [line.split() for line in original.read_text().splitlines()]
-            raw = _mutated(data, doc, _minutiae_text, ["nan", "inf", "-inf", "1e400"])
+            raw = _mutated(data, doc, _minutiae_text,
+                           ["nan", "inf", "-inf", "1e400", str(HUGE_INT)])
             argv = ["minutiae-demo", "--minutiae", str(mutated)]
         else:
             doc = json.loads(original.read_text())
             raw = _mutated(data, doc, json.dumps,
-                           ["NaN", "Infinity", "-Infinity", "1e400"])
+                           ["NaN", "Infinity", "-Infinity", "1e400", str(HUGE_INT)])
             if name in ("vault.json", "probe.json"):
                 argv = unlock_args(fuzz_dir, **{"--effort-cap": "50"})
             else:

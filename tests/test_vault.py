@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import json
@@ -35,6 +36,8 @@ from fuzzyvault import (
     scramble,
     search_key,
 )
+from fuzzyvault.field_poly import CRC_VARIANT
+from fuzzyvault.fuzzy_number import PARAM_COUNT, json_fields, json_int
 from fuzzyvault.vault import UnlockDiagnostics
 from conftest import (
     ALL_TEMPLATES,
@@ -278,6 +281,14 @@ class TestLock:
         params = LockParams(t=12, k_subset=0, t_mfk=12, r=q + 1, k=8, seed=0)
         with pytest.raises(ValueError):
             fuzzy_lock(KEY, locking, field, params)
+
+    def test_locking_template_missing_from_field_rejected(self, field_mfs):
+        # chaff takes its templates from the field, so the 12 points of this
+        # shape would be exactly the genuine ones
+        odd = FamilyTemplate("triangular", (1.0, 2.0))
+        locking = desk_locking_set(field_mfs, seed=12, k_template=odd)
+        with pytest.raises(ValueError, match="not a template of the field"):
+            fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=12))
 
     def test_subset_smaller_than_k_rejected(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=6, t_mfk=4, extra=(6, 6))
@@ -726,7 +737,226 @@ def serialisable_vaults(draw):
                  len(points))
 
 
+# Vault.from_dict as it was before the columns, kept as the oracle: a
+# VaultPoint and two FuzzyNumbers per point, then the checks the vault made
+# on them one point at a time
+def reference_vault_from_dict(d: dict) -> Vault:
+    (version,) = json_fields(d, "format_version")
+    if type(version) is not int or version != 1:
+        raise ValueError(f"unsupported vault format: {version!r}")
+    points, q, n, r, crc_variant = json_fields(
+        d, "points", "q", "n", "r", "crc_variant"
+    )
+    if type(points) is not list:
+        raise ValueError(f"points must be an array, got {type(points).__name__}")
+    points = tuple(map(VaultPoint.from_dict, points))
+    q, n, r = json_int(q), json_int(n), json_int(r)
+    if crc_variant != CRC_VARIANT:
+        raise ValueError(f"unsupported CRC variant {crc_variant!r}")
+    if len(points) != r:
+        raise ValueError(f"vault holds {len(points)} points, expected r={r}")
+    if not 0 <= n < r:
+        raise ValueError(f"polynomial degree n={n} outside [0, r={r})")
+    try:
+        cores = [p.x_core for p in points]
+        y_cores = [p.y_core for p in points]
+    except OverflowError:
+        raise ValueError("vault cores must be finite") from None
+    if len(set(cores)) != len(cores):
+        raise ValueError("vault x-cores must be pairwise distinct")
+    for axis_cores in (cores, y_cores):
+        if not (0 <= min(axis_cores) and max(axis_cores) < q):
+            raise ValueError("vault cores must lie in [0, q)")
+    return Vault(points, q, n, r, crc_variant)
+
+
+def json_nodes(node, path=()):
+    """(path, node) for ``node`` and every node below it."""
+    yield path, node
+    items = node.items() if type(node) is dict else (
+        enumerate(node) if type(node) is list else ())
+    for key, child in items:
+        yield from json_nodes(child, path + (key,))
+
+
+# values a mutation puts in place of a node: the edges of the parameter
+# rules, and JSON values of the wrong type or beyond the float range
+EDGES = [-1.0, -5e-324, -0.0, 0, 0.0, 5e-324, 0.5, 1, 1.0, 1.5, 2, 1e308,
+         10**400, math.inf, math.nan]
+ODD_JSON = [True, False, None, "1", [], {}, [1.0], "triangular"]
+
+
+@st.composite
+def vault_documents(draw):
+    """Parsed v1 documents: a valid vault's, with some integral parameters
+    written as JSON ints, and mostly one or two mutations."""
+    vault = draw(serialisable_vaults())
+    doc = vault.to_dict()
+    for point in doc["points"]:
+        for axis in ("x", "y"):
+            params = point[axis]["params"]
+            for i, v in enumerate(params):
+                if v == int(v) and draw(st.booleans()):
+                    params[i] = int(v)
+    points = doc["points"]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        where = draw(st.sampled_from(["param"] * 4 + ["family", "header", "point", "node"]))
+        if where == "param":
+            params = draw(st.sampled_from(points))[draw(st.sampled_from("xy"))].get("params")
+            if type(params) is not list or not params:
+                continue
+            i = draw(st.integers(0, len(params) - 1))
+            row = st.sampled_from([v for v in params if type(v) in (int, float)] or [0.0])
+            params[i] = draw(st.one_of(
+                st.sampled_from(EDGES), st.sampled_from(ODD_JSON), st.floats(),
+                row,  # ties with a neighbour, or the same value as an int
+                st.tuples(row, st.sampled_from([-math.inf, math.inf])).map(
+                    lambda a: math.nextafter(*a)),
+            ))
+        elif where == "family":
+            coord = draw(st.sampled_from(points))[draw(st.sampled_from("xy"))]
+            coord["family"] = draw(st.sampled_from([*MATCH_TEMPLATES, "Crisp", 3]))
+            if draw(st.booleans()):  # a parameter count that fits the new family
+                arity = PARAM_COUNT.get(coord["family"], 1)
+                params = coord.get("params")
+                coord["params"] = ((params if type(params) is list else [0.0]) * 5)[:arity]
+        elif where == "header":
+            top = max(int(vault.x_cores.max()), int(vault.y_cores.max()))
+            key = draw(st.sampled_from(["q", "n", "r", "format_version", "crc_variant"]))
+            doc[key] = draw(st.sampled_from(
+                [top, top + 1, vault.r - 1, vault.r, vault.r + 1, -1, 0, 1, 2, 1.0,
+                 True, "CRC-16/ARC", "CRC-32", 10**400]))
+        elif where == "point":  # another point's x: its x-core twice
+            a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+            b["x"] = copy.deepcopy(a["x"])
+        else:
+            nodes = list(json_nodes(doc))[1:]
+            path = draw(st.sampled_from(nodes))[0]
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = draw(st.sampled_from(EDGES + ODD_JSON)
+                                        | st.sampled_from(nodes).map(lambda n: copy.deepcopy(n[1])))
+        if type(doc.get("points")) is not list or not doc["points"] or not all(
+                type(p) is dict and type(p.get("x")) is dict and type(p.get("y")) is dict
+                for p in doc["points"]):
+            break  # later mutations expect the points intact
+        points = doc["points"]
+    return doc
+
+
+def assert_parses_like_reference(doc: dict) -> None:
+    """Vault.from_dict rejects ``doc`` where the oracle does, and otherwise
+    returns the oracle's vault, bytes and cores."""
+    try:
+        want = reference_vault_from_dict(copy.deepcopy(doc))
+    except ValueError:
+        with pytest.raises(ValueError):
+            Vault.from_dict(doc)
+        return
+    got = Vault.from_dict(doc)
+    assert got == want
+    assert got.to_json() == want.to_json() == json.dumps(
+        want.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert repr(got.points) == repr(want.points)  # repr tells -0.0 from 0.0
+    assert got.x_cores.tolist() == [p.x_core for p in want.points]
+    assert got.y_cores.tolist() == [p.y_core for p in want.points]
+
+
 class TestSerialization:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=vault_documents())
+    def test_from_dict_matches_reference_parser(self, doc):
+        assert_parses_like_reference(doc)
+
+    @pytest.mark.parametrize("family", sorted(MATCH_TEMPLATES))
+    def test_from_dict_matches_reference_at_parameter_edges(self, family):
+        # every parameter of a one-point vault set to each edge of the
+        # family's rules: a neighbour's value, one ulp either side of it,
+        # a half-integer core, signed zeros, subnormals, 1 and values of
+        # the wrong type
+        template = MATCH_TEMPLATES[family][0]
+        point = VaultPoint(template.instantiate(3.0), template.instantiate(5.0))
+        base = Vault((point,), 11, 0, 1).to_dict()
+        for axis in ("x", "y"):
+            row = base["points"][0][axis]["params"]
+            edges = [-5e-324, -0.0, 0, 5e-324, 1, 1.0, math.nextafter(1.0, 2.0), -1.0,
+                     2.5, 3.5, 5.5, 10**400, math.inf, math.nan, True, None, "1"]
+            for v in row:
+                edges += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+            for i, value in itertools.product(range(len(row)), edges):
+                doc = copy.deepcopy(base)
+                doc["points"][0][axis]["params"][i] = value
+                assert_parses_like_reference(doc)
+
+    def test_from_dict_matches_reference_at_header_edges(self):
+        points = (VaultPoint(TRI.instantiate(3.0), TRI.instantiate(5.0)),
+                  VaultPoint(GAU.instantiate(7.0), GAU.instantiate(0.0)))
+        base = Vault(points, 8, 1, 2).to_dict()
+        for key, values in {
+            "q": [0, 5, 6, 7, 8, 2**64, 10**400, 8.0, True, None],
+            "n": [-1, 0, 1, 2, 1.0, False],
+            "r": [0, 1, 2, 3, 2.0],
+            "format_version": [0, 1, 2, 1.0, True, "1"],
+            "crc_variant": [CRC_VARIANT, CRC_VARIANT.lower(), None, 0],
+        }.items():
+            for value in values:
+                assert_parses_like_reference(dict(base, **{key: value}))
+
+    def test_huge_integer_parameter_rejected(self):
+        point = VaultPoint(GAU.instantiate(3.0), GAU.instantiate(5.0))
+        doc = Vault((point,), 11, 0, 1).to_dict()
+        doc["points"][0]["x"]["params"][1] = 10**400
+        for parse in (Vault.from_dict, reference_vault_from_dict):
+            with pytest.raises(ValueError, match="finite"):
+                parse(doc)
+
+    def test_load_and_unlock_build_no_point_objects(self, field_mfs, tmp_path,
+                                                    monkeypatch):
+        locking = desk_locking_set(field_mfs, seed=33)
+        locked = []  # the points lock_polynomial builds the vault from
+        monkeypatch.setattr(vault_module, "Vault", lambda points, *args: (
+            locked.append(points) or Vault(points, *args)))
+        vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=33, r=3000))
+        monkeypatch.undo()
+        path = tmp_path / "vault.json"
+        vault.save(path)
+        built = []
+
+        def counting(build):
+            def wrapper(*args):
+                built.append(args)
+                return build(*args)
+            return wrapper
+
+        monkeypatch.setattr(FuzzyNumber, "__post_init__",
+                            counting(FuzzyNumber.__post_init__))
+        monkeypatch.setattr(FuzzyNumber, "_trusted",
+                            classmethod(counting(FuzzyNumber._trusted.__func__)))
+        loaded = Vault.load(path)
+        result = fuzzy_unlock(loaded, locking, 0, 0.25, len(KEY))
+        monkeypatch.undo()
+        assert result.key == KEY
+        probes = locking.select_subset(0)
+        # the points match_points may test: same family, core within its window
+        window = {
+            i for i, pt in enumerate(loaded.points)
+            if pt.x.family == TRI.family and any(
+                abs(pt.x.defuzzify() - c) <= 1.25 + (abs(c) + 0.25) * 2**-50
+                for c in (p.defuzzify() for p in probes))
+        }
+        assert len(window) < 3 * len(probes)
+        assert len(built) <= len(probes) + len(window)
+        # the points rebuilt from the columns are the ones the lock made
+        assert loaded.points is loaded.points
+        for rebuilt in (vault.points, loaded.points):
+            assert rebuilt == locked[0]
+            assert repr(rebuilt) == repr(locked[0])
+
+
     @settings(max_examples=200, deadline=None)
     @given(vault=serialisable_vaults())
     @example(vault=Vault((VaultPoint(FuzzyNumber.crisp(-0.0), FuzzyNumber.crisp(0.0)),),
