@@ -47,10 +47,13 @@ def cmd_lock(args) -> int:
 def cmd_unlock(args) -> int:
     vault = Vault.load(args.vault)
     probe_set = MultiFuzzySet.load(args.probe_set, UNLOCKING)
-    result = fuzzy_unlock(
-        vault, probe_set, args.subset_index, args.delta,
-        args.key_len, args.effort_cap,
-    )
+    try:
+        result = fuzzy_unlock(
+            vault, probe_set, args.subset_index, args.delta,
+            args.key_len, args.effort_cap,
+        )
+    except ValueError as e:  # a probe set that does not fit the vault, or a bad option
+        raise ValueError(f"unlocking {args.vault} with {args.probe_set}: {e}") from e
     d = result.diagnostics
     print(f"matched={d.matched} subsets_tried={d.subsets_tried} "
           f"cap_hit={int(d.cap_hit)}", file=sys.stderr)

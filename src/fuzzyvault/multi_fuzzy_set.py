@@ -14,9 +14,12 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fuzzy_number import (
     CRISP,
     GAUSSIAN,
+    PARAM_COUNT,
     SIGMOID,
     TRAPEZOIDAL,
     TRIANGULAR,
@@ -103,6 +106,34 @@ class FamilyTemplate:
             return FuzzyNumber._trusted(family, params)
         return FuzzyNumber(family, params)
 
+    def instantiate_column(self, cores) -> np.ndarray:
+        """``instantiate`` of every core of a float64 column at once.
+
+        Row i of the float64 block returned holds the parameters of
+        ``instantiate(cores[i])``, computed with the same float arithmetic,
+        so the two agree bit for bit.  Raises ValueError where
+        ``instantiate`` raises: when a parameter is not finite.
+        """
+        p = self.spread_params
+        family = self.family
+        cores = np.asarray(cores, dtype=np.float64)
+        block = np.empty((len(cores), PARAM_COUNT[family]))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            if family in (TRIANGULAR, SIGMOID):
+                block[:, 0], block[:, 1], block[:, 2] = cores - p[0], cores, cores + p[1]
+                block[:, 3:] = p[2:]
+            elif family == TRAPEZOIDAL:
+                block[:, 0], block[:, 1] = cores - p[0], cores + p[0]
+                block[:, 2:] = p[1:]
+            else:  # gaussian and crisp: the core, then any spreads as they are
+                block[:, 0] = cores
+                block[:, 1:] = p
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            bad = tuple(block[np.argmin(finite)].tolist())
+            raise ValueError(f"{family} parameters must be finite: {bad}")
+        return block
+
     def to_dict(self) -> dict:
         return {"family": self.family, "spreads": list(self.spread_params)}
 
@@ -111,6 +142,14 @@ class FamilyTemplate:
         """Parse ``to_dict`` output; raises ValueError on any malformed input."""
         (family,) = json_fields(d, "family")
         return cls(family, json_numbers(d.get("spreads", [])))
+
+
+def _core(element: int) -> float:
+    """A field element as the float core a template fuzzifies."""
+    try:
+        return float(element)
+    except OverflowError:  # a set file may declare a q beyond the float range
+        raise ValueError("field element beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -179,14 +218,14 @@ class MultiFuzzySet:
         """Fuzzify a field element with its subset's template."""
         if not (0 <= a < self.q):
             raise ValueError(f"element {a} outside field [0, {self.q})")
-        return self.subset_of(a).template.instantiate(float(a))
+        return self.subset_of(a).template.instantiate(_core(a))
 
     def select_subset(self, k: int) -> list[FuzzyNumber]:
         """All fuzzified elements of subset ``k``, ascending by core."""
         if not (0 <= k < len(self.subsets)):
             raise ValueError(f"subset index {k} out of range")
         s = self.subsets[k]
-        return [s.template.instantiate(float(e)) for e in sorted(s.elements)]
+        return [s.template.instantiate(_core(e)) for e in sorted(s.elements)]
 
     def templates(self) -> list[FamilyTemplate]:
         return [s.template for s in self.subsets]

@@ -254,19 +254,27 @@ def empirical_spurious_census(vault: Vault, transcript: LockTranscript, k: int) 
         for _ in range(1, k):
             powers.append(acc_pow)
             acc_pow = np.mod(acc_pow * xs_sel, q)
-        higher = np.zeros(len(xs_sel), dtype=np.int64)
+        # every value b of the last higher coefficient at once: row b of the
+        # residual array is offset by b * q, so one bincount holds the
+        # histograms of all rows side by side
+        if powers:
+            b = np.arange(q, dtype=np.int64)[:, None]
+            last = b * powers.pop()
+        else:  # k = 1: the constant term alone
+            b = last = np.zeros((1, 1), dtype=np.int64)
+        offsets = b * q
 
         def recurse(j, acc):
             nonlocal total
             if j == len(powers):
-                residual = np.mod(ys_sel - acc, q)
-                counts = np.bincount(residual, minlength=q)
+                residual = np.mod(ys_sel - acc - last, q) + offsets
+                counts = np.bincount(residual.ravel(), minlength=len(offsets) * q)
                 total += int(np.count_nonzero(counts == target))
                 return
             for b in range(q):
                 recurse(j + 1, acc + b * powers[j])
 
-        recurse(0, higher)
+        recurse(0, np.zeros(len(xs_sel), dtype=np.int64))
         return total
 
     blind = count_exact(xs, ys, t)

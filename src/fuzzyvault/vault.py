@@ -269,9 +269,11 @@ class Vault:
     integral float64.  All of them are read-only.
 
     ``Vault(points, q, n, r)`` copies ``VaultPoint`` s into the columns and
-    keeps none of them, and ``from_dict`` / ``load`` check a parsed v1
-    document a family at a time straight into the columns, so loading
-    builds no object per point: ``json.load`` plus a few numpy passes.
+    keeps none of them.  ``lock_polynomial`` builds the columns from
+    ``(x_core, y_core, template)`` triples a template at a time, and
+    ``from_dict`` / ``load`` check a parsed v1 document a family at a time
+    straight into the columns, so neither locking nor loading builds an
+    object per point: a few numpy passes, plus ``json.load`` for loading.
     ``points`` is the same vault as a tuple of ``VaultPoint`` s, built from
     the columns on first use and kept.  Two vaults are equal when q, n, r,
     the CRC variant and every point's family and parameters are.
@@ -288,6 +290,37 @@ class Vault:
         x_params, y_params = (tuple(map(_block, FAMILIES, axis)) for axis in rows)
         self._set_columns(np.array(ids, dtype=np.int8), x_params, y_params,
                           q, n, r, crc_variant)
+
+    @classmethod
+    def _from_triples(cls, triples: list, q: int, n: int, r: int) -> "Vault":
+        """The vault whose point i is ``template.instantiate`` of both cores
+        of ``triples[i] = (x_core, y_core, template)``, built a template at
+        a time with ``FamilyTemplate.instantiate_column``."""
+        xs, ys, templates = zip(*triples)
+        # the points of one template object share a group; equal templates
+        # in separate groups instantiate alike
+        _, first, group = np.unique(
+            np.fromiter(map(id, templates), np.uint64, len(templates)),
+            return_index=True, return_inverse=True)
+        group_templates = [templates[i] for i in first.tolist()]
+        family_ids = np.array([_FAMILY_ID[t.family] for t in group_templates],
+                              dtype=np.int8)[group]
+        # float(core) of every core, as instantiate's callers convert them
+        x_cores, y_cores = np.array(xs, np.float64), np.array(ys, np.float64)
+        x_params, y_params = [], []
+        for f, family in enumerate(FAMILIES):
+            members = np.flatnonzero(family_ids == f)
+            in_family = group[members]
+            for cores, blocks in ((x_cores[members], x_params), (y_cores[members], y_params)):
+                block = np.empty((len(members), PARAM_COUNT[family]))
+                for g, template in enumerate(group_templates):
+                    if template.family == family:
+                        rows = in_family == g
+                        block[rows] = template.instantiate_column(cores[rows])
+                blocks.append(block)
+        vault = object.__new__(cls)
+        vault._set_columns(family_ids, tuple(x_params), tuple(y_params), q, n, r, CRC_VARIANT)
+        return vault
 
     def _set_columns(self, family_ids, x_params, y_params, q, n, r, crc_variant):
         """Check a vault's columns, derive its cores and store them."""
@@ -488,8 +521,10 @@ def generate_chaff(
     rho: float,
     locking_template: FamilyTemplate,
     rng: SplitMix64,
-) -> list[VaultPoint]:
-    """Chaff points with fresh, pairwise distinct x-cores.
+) -> list[tuple]:
+    """Chaff points with fresh, pairwise distinct x-cores, as
+    ``(x_core, y_core, template)`` triples of integer cores; the point is
+    ``template.instantiate`` of each core.
 
     floor(rho * count) points are type (ii): on the polynomial but with a
     family other than the locking one.  The rest are type (i): off the
@@ -517,23 +552,20 @@ def generate_chaff(
                 used.add(u)
                 return u
 
-    # (core, off-polynomial value or None, template), drawn in the order that
-    # fixes the vault bytes; p is evaluated once all cores are known
-    drawn = []
+    # drawn in the order that fixes the vault bytes; p is evaluated once all
+    # cores are known
+    cores, offsets, chosen = [], [], []
     for _ in range(n_on_poly):
-        u = fresh_core()
-        drawn.append((u, None, decoys[draw(len(decoys))]))
+        cores.append(fresh_core())
+        chosen.append(decoys[draw(len(decoys))])
     for _ in range(count - n_on_poly):
-        u = fresh_core()
-        v = draw(q - 1)
-        drawn.append((u, v, templates[draw(len(templates))]))
-    points = []
-    for (u, v, template), y in zip(drawn, _eval_all(p, [u for u, _, _ in drawn])):
-        if v is not None:
-            y = v + 1 if v >= y else v  # uniform over F_q minus the value on p
-        points.append(VaultPoint(template.instantiate(float(u)),
-                                 template.instantiate(float(y))))
-    return points
+        cores.append(fresh_core())
+        offsets.append(draw(q - 1))
+        chosen.append(templates[draw(len(templates))])
+    ys = _eval_all(p, cores)
+    # an offset v skips the value y on p: uniform over F_q minus y
+    ys[n_on_poly:] = [v + (v >= y) for v, y in zip(offsets, ys[n_on_poly:])]
+    return list(zip(cores, ys, chosen))
 
 
 def lock_polynomial(
@@ -542,7 +574,14 @@ def lock_polynomial(
     field_mfs: MultiFuzzySet,
     params: LockParams,
 ) -> tuple[Vault, LockTranscript]:
-    """Lock an already-encoded polynomial (the key-free core of fuzzy_lock)."""
+    """Lock an already-encoded polynomial (the key-free core of fuzzy_lock).
+
+    Every point is a pair of integer cores plus a template: the genuine
+    points are the locking subset's elements and their values on p, with
+    the subset's template, and ``generate_chaff`` adds the rest.  The
+    triples are scrambled and the vault's columns built from them a
+    template at a time, so locking builds no object per point.
+    """
     q = field_mfs.q
     params.validate(q)
     if locking_set.kind != LOCKING:
@@ -573,23 +612,17 @@ def lock_polynomial(
         )
     rng = SplitMix64(params.seed)
     elements = sorted(subset.elements)
-    genuine = [
-        VaultPoint(template.instantiate(float(a)), template.instantiate(float(y)))
-        for a, y in zip(elements, _eval_all(p, elements))
-    ]
-    used = {pt.x_core for pt in genuine}
-    chaff = generate_chaff(
-        p, field_mfs, used, params.r - params.t_mfk, params.rho, template, rng
+    triples = [(a, y, template) for a, y in zip(elements, _eval_all(p, elements))]
+    triples += generate_chaff(
+        p, field_mfs, set(elements), params.r - params.t_mfk, params.rho, template, rng
     )
-    tagged = [(pt, i < len(genuine)) for i, pt in enumerate(genuine + chaff)]
-    tagged = scramble(tagged, rng)
-    points = tuple(pt for pt, _ in tagged)
-    genuine_indices = tuple(i for i, (_, g) in enumerate(tagged) if g)
-    vault = Vault(points, q, params.n, params.r)
+    # scrambling the positions draws what scrambling the points would
+    order = scramble(range(len(triples)), rng)
+    vault = Vault._from_triples([triples[i] for i in order], q, params.n, params.r)
     transcript = LockTranscript(
         p,
-        genuine_indices,
-        tuple(sorted(subset.elements)),
+        tuple(at for at, i in enumerate(order) if i < params.t_mfk),
+        tuple(elements),
         template,
         params.t_mfk,
         locking_set.subset_count,
@@ -800,10 +833,13 @@ def fuzzy_unlock(
     """Attempt to recover the key from the vault with an unlocking set.
 
     Fuzzifies the chosen unlocking subset, matches against the vault, then
-    runs the k-subset search over the matches.
+    runs the k-subset search over the matches.  An unlocking set whose q
+    differs from the vault's raises ValueError.
     """
     if unlocking_set.kind not in (UNLOCKING, LOCKING):
         raise ValueError(f"expected an unlocking set, got kind={unlocking_set.kind!r}")
+    if unlocking_set.q != vault.q:
+        raise ValueError("unlocking set and vault disagree on q")
     probes = unlocking_set.select_subset(k_subset)
     matched = match_points(vault, probes, delta)
     diagnostics = UnlockDiagnostics(matched=len(matched))

@@ -302,6 +302,12 @@ MALFORMED = {
         d, ["points", _first(d, "gaussian"), "x", "params", 1], HUGE_INT)),
     "probe-spread-huge-int": (
         "probe.json", lambda d: _replace(d, ["subsets", 0, "spreads", 0], HUGE_INT)),
+    # a q beyond the float range: float() of an element raised OverflowError
+    "probe-q-beyond-float": ("probe.json", lambda d: _replace(
+        json.loads(_replace(d, ["q"], HUGE_INT)),
+        ["subsets", 0, "elements"], [HUGE_INT // 10])),
+    # a probe set over another field that unlocked with exit 0
+    "probe-q-other-field": ("probe.json", lambda d: _replace(d, ["q"], 70001)),
     # probe-set files that crashed with TypeError
     "probe-subsets-int": ("probe.json", lambda d: _replace(d, ["subsets"], 5)),
     "probe-top-level-array": ("probe.json", lambda d: json.dumps([d])),

@@ -1,6 +1,7 @@
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -155,6 +156,19 @@ class TestSelectSubset:
         with pytest.raises(ValueError):
             locking.select_subset(2)
 
+    def test_element_beyond_float_range_rejected(self):
+        # a probe-set file may declare any q; float() of such an element
+        # raised OverflowError
+        probe = MultiFuzzySet.from_dict({
+            "q": 10**400, "kind": "unlocking",
+            "subsets": [{"elements": [10**399], "family": "triangular",
+                         "spreads": [1.0, 1.0]}],
+        })
+        with pytest.raises(ValueError, match="float range"):
+            probe.select_subset(0)
+        with pytest.raises(ValueError, match="float range"):
+            probe.fuzzify_element(10**399)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -223,8 +237,21 @@ class TestTemplates:
             assert template.instantiate(7.0).defuzzify() == 7.0
 
     @settings(max_examples=500, deadline=None)
-    @given(template=TEMPLATES, core=INSTANCE_CORES)
-    def test_instantiate_matches_validated_constructor(self, template, core):
+    @given(template=TEMPLATES, core=INSTANCE_CORES,
+           others=st.lists(INSTANCE_CORES.map(float), max_size=4))
+    def test_instantiate_matches_validated_constructor(self, template, core, others):
+        # the column form agrees with the scalar form row by row, and raises
+        # where the scalar form raises on any core of the column
+        column = np.array([float(core), *others])
+        try:
+            rows = [template.instantiate(c).params for c in column.tolist()]
+        except ValueError:
+            with pytest.raises(ValueError, match="must be finite"):
+                template.instantiate_column(column)
+        else:
+            block = template.instantiate_column(column)
+            assert block.dtype == np.float64
+            assert repr(list(map(tuple, block.tolist()))) == repr(rows)
         try:
             want = reference_instantiate(template, core)
         except ValueError:  # a non-finite parameter

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fuzzyvault import (
@@ -22,6 +23,7 @@ from fuzzyvault.security_analysis import (
 )
 from conftest import GAU, TRI, desk_params
 from fuzzyvault import LockParams, build_locking_set, partition_field
+from fuzzyvault.vault import FAMILIES
 
 
 def small_params(**overrides):
@@ -215,7 +217,56 @@ def census_vault(seed, q=97, k_lock=3, r=30, t_mfj=6, rho=0.2):
     return lock_polynomial(poly, locking, field, params)
 
 
+# empirical_spurious_census's counter as it was before the last coefficient
+# was vectorised, kept as the oracle: one bincount per choice of every
+# higher coefficient
+def reference_census_count(xs_sel, ys_sel, q, k, target):
+    if len(xs_sel) < target:
+        return 0
+    total = 0
+    powers = []
+    acc_pow = np.mod(xs_sel, q)
+    for _ in range(1, k):
+        powers.append(acc_pow)
+        acc_pow = np.mod(acc_pow * xs_sel, q)
+
+    def recurse(j, acc):
+        nonlocal total
+        if j == len(powers):
+            counts = np.bincount(np.mod(ys_sel - acc, q), minlength=q)
+            total += int(np.count_nonzero(counts == target))
+            return
+        for b in range(q):
+            recurse(j + 1, acc + b * powers[j])
+
+    recurse(0, np.zeros(len(xs_sel), dtype=np.int64))
+    return total
+
+
+def reference_census(vault, transcript, k):
+    """(family_blind, family_aware) as the recursive counter finds them."""
+    xs = vault.x_cores.astype(np.int64)
+    ys = vault.y_cores.astype(np.int64)
+    aware = vault.family_ids == FAMILIES.index(transcript.locking_family.family)
+    return tuple(reference_census_count(x, y, vault.q, k, transcript.t_mfk)
+                 for x, y in ((xs, ys), (xs[aware], ys[aware])))
+
+
 class TestCensus:
+    @pytest.mark.parametrize("seed, q, k_lock, k, r, t_mfj, rho", [
+        (0, 97, 3, 3, 30, 6, 0.2),
+        (1, 97, 3, 3, 30, 6, 0.0),
+        (2, 31, 1, 1, 31, 2, 0.5),
+        (3, 31, 2, 2, 31, 4, 1.0),
+        (4, 53, 2, 3, 25, 2, 0.2),
+        (5, 17, 3, 4, 17, 5, 0.3),
+        (6, 11, 1, 4, 11, 1, 0.0),
+    ])
+    def test_matches_recursive_counter(self, seed, q, k_lock, k, r, t_mfj, rho):
+        vault, transcript = census_vault(seed, q=q, k_lock=k_lock, r=r, t_mfj=t_mfj, rho=rho)
+        res = empirical_spurious_census(vault, transcript, k)
+        assert (res.family_blind, res.family_aware) == reference_census(vault, transcript, k)
+
     def test_genuine_only_vault_unique_polynomial(self):
         vault, transcript = census_vault(0, q=97, k_lock=3, r=6, t_mfj=6, rho=0.0)
         res = empirical_spurious_census(vault, transcript, 3)

@@ -1,9 +1,11 @@
+import collections
 import copy
 import hashlib
 import itertools
 import json
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -17,6 +19,7 @@ from fuzzyvault import (
     FuzzyNumber,
     LockParams,
     MultiFuzzySet,
+    Polynomial,
     SplitMix64,
     SubsetDescriptor,
     UnlockResult,
@@ -38,7 +41,7 @@ from fuzzyvault import (
 )
 from fuzzyvault.field_poly import CRC_VARIANT
 from fuzzyvault.fuzzy_number import PARAM_COUNT, json_fields, json_int
-from fuzzyvault.vault import UnlockDiagnostics
+from fuzzyvault.vault import LockTranscript, UnlockDiagnostics
 from conftest import (
     ALL_TEMPLATES,
     GAU,
@@ -99,18 +102,18 @@ class TestChaff:
     def test_rho_zero_all_off_polynomial(self):
         pts = generate_chaff(self.poly, self.field, {1, 2}, 40, 0.0, TRI, SplitMix64(4))
         assert len(pts) == 40
-        assert all(p.y_core != self.poly.eval(p.x_core) for p in pts)
+        assert all(y != self.poly.eval(x) for x, y, _ in pts)
 
     def test_rho_one_all_on_polynomial_wrong_family(self):
         pts = generate_chaff(self.poly, self.field, {1, 2}, 40, 1.0, TRI, SplitMix64(4))
-        assert all(p.y_core == self.poly.eval(p.x_core) for p in pts)
-        assert all(p.x.family != "triangular" for p in pts)
+        assert all(y == self.poly.eval(x) for x, y, _ in pts)
+        assert all(t.family != "triangular" for _, _, t in pts)
 
     def test_exhausts_field(self):
         used = set(range(12))
         pts = generate_chaff(self.poly, self.field, used, self.Q - 12, 0.2, TRI,
                              SplitMix64(0))
-        cores = {p.x_core for p in pts}
+        cores = {x for x, _, _ in pts}
         assert cores == set(range(self.Q)) - used
 
     def test_too_many_chaff_rejected(self):
@@ -179,6 +182,31 @@ def reference_generate_chaff(p, field_mfs, used_x_cores, count, rho,
     return points
 
 
+# lock_polynomial as it was before it built the vault's columns from core
+# triples, kept as the oracle for valid inputs: two fuzzy numbers and a
+# VaultPoint per point, scrambled as (point, genuine) pairs
+def reference_lock_points(p, locking_set, field_mfs, params):
+    """The scrambled points and the transcript of the old lock."""
+    subset = locking_set.subsets[params.k_subset]
+    template = subset.template
+    rng = SplitMix64(params.seed)
+    elements = sorted(subset.elements)
+    genuine = [VaultPoint(template.instantiate(float(a)), template.instantiate(float(p.eval(a))))
+               for a in elements]
+    chaff = reference_generate_chaff(p, field_mfs, set(elements), params.r - params.t_mfk,
+                                     params.rho, template, rng)
+    tagged = scramble([(pt, i < len(genuine)) for i, pt in enumerate(genuine + chaff)], rng)
+    transcript = LockTranscript(p, tuple(i for i, (_, g) in enumerate(tagged) if g),
+                                tuple(elements), template, params.t_mfk,
+                                locking_set.subset_count)
+    return tuple(pt for pt, _ in tagged), transcript
+
+
+def reference_lock_polynomial(p, locking_set, field_mfs, params):
+    points, transcript = reference_lock_points(p, locking_set, field_mfs, params)
+    return Vault(points, field_mfs.q, params.n, params.r), transcript
+
+
 RNG_SEEDS = [0, 2**64 - 1, 0x243F6A8885A308D3, 0x13198A2E03707344]
 
 
@@ -214,7 +242,10 @@ class TestBatchedLock:
         args = (poly, field, used, 2000, rho, TRI)
         got = generate_chaff(*args, SplitMix64(q + 1))
         want = reference_generate_chaff(*args, SplitMix64(q + 1))
-        assert repr(got) == repr(want)  # repr also tells -0.0 from 0.0
+        assert all(type(x) is int and type(y) is int for x, y, _ in got)
+        points = [VaultPoint(t.instantiate(float(x)), t.instantiate(float(y)))
+                  for x, y, t in got]
+        assert repr(points) == repr(want)  # repr also tells -0.0 from 0.0
 
     def test_desk_vault_golden_bytes(self, field_mfs):
         # the vault file format is fixed per seed across versions
@@ -227,6 +258,34 @@ class TestBatchedLock:
 
 
 class TestLock:
+    def test_lock_builds_no_point_objects(self, field_mfs, monkeypatch):
+        locking = desk_locking_set(field_mfs, seed=34)
+        params = desk_params(seed=34, r=3000)
+        built = collections.Counter()
+
+        def counting(name, build):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return build(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(FuzzyNumber, "__init__",
+                            counting("FuzzyNumber", FuzzyNumber.__init__))
+        monkeypatch.setattr(FuzzyNumber, "_trusted", classmethod(
+            counting("FuzzyNumber._trusted", FuzzyNumber._trusted.__func__)))
+        monkeypatch.setattr(FamilyTemplate, "instantiate",
+                            counting("instantiate", FamilyTemplate.instantiate))
+        monkeypatch.setattr(VaultPoint, "__init__",
+                            counting("VaultPoint", VaultPoint.__init__))
+        vault, transcript = fuzzy_lock(KEY, locking, field_mfs, params)
+        monkeypatch.undo()
+        assert built == {}
+        points, want = reference_lock_points(
+            encode_key(KEY, FieldParams(field_mfs.q), params.k), locking, field_mfs, params)
+        assert transcript == want
+        assert vault.points == points
+        assert repr(vault.points) == repr(points)  # repr tells -0.0 from 0.0
+
     def test_vault_shape_and_transcript(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=1)
         vault, transcript = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=1))
@@ -550,6 +609,14 @@ class TestUnlock:
         vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=23))
         with pytest.raises(ValueError):
             fuzzy_unlock(vault, locking, 0, 0.25, len(KEY), effort_cap=0)
+
+    def test_unlocking_set_of_another_field_rejected(self, field_mfs):
+        # the elements all lie below 65537, so nothing else stopped this set
+        locking = desk_locking_set(field_mfs, seed=13)
+        vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=13))
+        probe = MultiFuzzySet(70001, locking.subsets, "unlocking")
+        with pytest.raises(ValueError, match="disagree on q"):
+            fuzzy_unlock(vault, probe, 0, 0.25, len(KEY))
 
     def test_bad_subset_index(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=24)
@@ -917,11 +984,11 @@ class TestSerialization:
     def test_load_and_unlock_build_no_point_objects(self, field_mfs, tmp_path,
                                                     monkeypatch):
         locking = desk_locking_set(field_mfs, seed=33)
-        locked = []  # the points lock_polynomial builds the vault from
-        monkeypatch.setattr(vault_module, "Vault", lambda points, *args: (
-            locked.append(points) or Vault(points, *args)))
-        vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=33, r=3000))
-        monkeypatch.undo()
+        params = desk_params(seed=33, r=3000)
+        vault, _ = fuzzy_lock(KEY, locking, field_mfs, params)
+        # the points the per-point lock builds
+        locked = reference_lock_points(encode_key(KEY, FieldParams(field_mfs.q), params.k),
+                                       locking, field_mfs, params)
         path = tmp_path / "vault.json"
         vault.save(path)
         built = []
@@ -1052,3 +1119,64 @@ class TestVaultPoint:
         )
         with pytest.raises(ValueError):
             Vault(pts, 7, 1, 2)
+
+
+SMALL_PRIME = 2003
+TEMPLATE_SPREADS = {
+    "triangular": st.tuples(SPREADS, SPREADS),
+    "trapezoidal": st.tuples(st.just(0.0) | SPREADS, SPREADS, SPREADS),
+    "gaussian": st.tuples(SPREADS, SPREADS),
+    "sigmoid": st.tuples(SPREADS, SPREADS, GRADES, SPREADS),
+    "crisp": st.just(()),
+}
+ANY_TEMPLATE = st.sampled_from(sorted(TEMPLATE_SPREADS)).flatmap(
+    lambda family: TEMPLATE_SPREADS[family].map(lambda p: FamilyTemplate(family, p)))
+
+
+@st.composite
+def lock_cases(draw):
+    """Valid lock_polynomial arguments: a field of every family, some
+    templates twice, at q = 65537, a small prime or P31."""
+    q = draw(st.sampled_from([65537, SMALL_PRIME, P31]))
+    templates = [FamilyTemplate(family, draw(spreads))
+                 for family, spreads in TEMPLATE_SPREADS.items()]
+    templates = draw(st.permutations(templates + draw(st.lists(ANY_TEMPLATE, max_size=3))))
+    # lock_polynomial reads only q and the templates of the field
+    field = SimpleNamespace(q=q, templates=lambda: list(templates))
+    k = draw(st.integers(1, 8))
+    t_mfk = draw(st.integers(k, 16))
+    extra = draw(st.lists(st.integers(1, 6), max_size=2))
+    t = t_mfk + sum(extra)
+    r = draw(st.integers(t, min(q, 2000)))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    elements = rnd.sample(range(q), t)
+    locking_template = draw(st.sampled_from(templates))
+    if draw(st.booleans()):  # equal to a field template, but another object
+        locking_template = FamilyTemplate(locking_template.family,
+                                          locking_template.spread_params)
+    groups = [(elements[:t_mfk], locking_template)]
+    start = t_mfk
+    for size in extra:
+        groups.append((elements[start:start + size], draw(st.sampled_from(templates))))
+        start += size
+    locking = build_locking_set(field, groups)
+    poly = Polynomial(tuple(rnd.randrange(q) for _ in range(k)), q)
+    params = LockParams(t=t, k_subset=0, t_mfk=t_mfk, r=r, k=k,
+                        rho=draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 2**64 - 1)))
+    return poly, locking, field, params
+
+
+class TestColumnarLock:
+    @settings(max_examples=80, deadline=None)
+    @given(case=lock_cases())
+    def test_matches_reference_lock(self, case):
+        try:
+            want, want_transcript = reference_lock_polynomial(*case)
+        except ValueError as e:  # a plateau so wide that cores collide after rounding
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                lock_polynomial(*case)
+            return
+        vault, transcript = lock_polynomial(*case)
+        assert vault.to_json() == want.to_json()
+        assert vault == want
+        assert transcript == want_transcript
