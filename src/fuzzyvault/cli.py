@@ -15,7 +15,7 @@ import sys
 from . import minutiae_demo, security_analysis
 from .field_poly import FieldParams, crc16, decode_key, encode_key, lagrange_interpolate
 from .multi_fuzzy_set import LOCKING, UNLOCKING, MultiFuzzySet
-from .vault import LockParams, Vault, fuzzy_lock, fuzzy_unlock
+from .vault import DEFAULT_EFFORT_CAP, LockParams, Vault, fuzzy_lock, fuzzy_unlock
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subset-index", type=int, default=0)
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--key-len", type=int, required=True)
-    p.add_argument("--effort-cap", type=int, default=100_000)
+    p.add_argument("--effort-cap", type=int, default=DEFAULT_EFFORT_CAP)
     p.set_defaults(func=cmd_unlock)
 
     p = sub.add_parser("analyze", help="evaluate the security formulas")

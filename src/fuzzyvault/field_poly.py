@@ -51,10 +51,6 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self.coefficients)
 
-    @property
-    def degree_bound(self) -> int:
-        return len(self.coefficients) - 1
-
     def eval(self, x: int) -> int:
         """Horner evaluation mod q."""
         if not (0 <= x < self.q):

@@ -50,7 +50,7 @@ def json_fields(d, *keys) -> list:
 
 
 # The checks below match exact types, so a JSON true is neither an int nor a
-# float.  json_numbers runs once per vault coordinate, hence the plain loop.
+# float.
 
 def json_numbers(v) -> list:
     """``v`` if it is a parsed JSON array of numbers, else ValueError."""
@@ -96,9 +96,6 @@ class AlphaCut:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError(f"alpha-cut interval inverted: [{self.lo}, {self.hi}]")
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
 
     @property
     def width(self) -> float:
@@ -158,13 +155,6 @@ class FuzzyNumber:
     @classmethod
     def triangular(cls, left: float, core: float, right: float) -> "FuzzyNumber":
         return cls(TRIANGULAR, (left, core, right))
-
-    @classmethod
-    def triangular_spread(
-        cls, core: float, left_spread: float, right_spread: float
-    ) -> "FuzzyNumber":
-        """Triangular number from spread form (core, left width, right width)."""
-        return cls(TRIANGULAR, (core - left_spread, core, core + right_spread))
 
     @classmethod
     def trapezoidal(cls, x0: float, y0: float, sigma: float, beta: float) -> "FuzzyNumber":
@@ -408,11 +398,8 @@ class FuzzyNumber:
     @classmethod
     def from_dict(cls, d: dict) -> "FuzzyNumber":
         """Parse ``to_dict`` output; raises ValueError on any malformed input."""
-        # checked inline rather than with json_fields: this runs twice per
-        # vault point
-        if type(d) is not dict or "family" not in d or "params" not in d:
-            raise ValueError("a fuzzy number is a JSON object with family and params")
-        return cls(d["family"], json_numbers(d["params"]))
+        family, params = json_fields(d, "family", "params")
+        return cls(family, json_numbers(params))
 
 
 @dataclass(frozen=True)

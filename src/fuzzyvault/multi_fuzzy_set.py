@@ -10,9 +10,10 @@ a locking set, and an unlocking set.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,8 +85,7 @@ class FamilyTemplate:
         The template's own checks leave only finiteness to test: spreads are
         finite and positive (a plateau half-width nonnegative), and rounding
         is monotone, so finite ``core - spread <= core <= core + spread``.
-        A non-finite parameter goes through the validated constructor and
-        raises its ValueError.
+        A non-finite parameter raises the constructor's ValueError.
         """
         p = self.spread_params
         family = self.family
@@ -102,9 +102,9 @@ class FamilyTemplate:
         else:
             params = (core,)
         params = tuple(map(float, params))
-        if all(map(math.isfinite, params)):
-            return FuzzyNumber._trusted(family, params)
-        return FuzzyNumber(family, params)
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"{family} parameters must be finite: {params}")
+        return FuzzyNumber._trusted(family, params)
 
     def instantiate_column(self, cores) -> np.ndarray:
         """``instantiate`` of every core of a float64 column at once.
@@ -177,7 +177,6 @@ class MultiFuzzySet:
     q: int
     subsets: tuple
     kind: str = FIELD
-    _lookup: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (FIELD, LOCKING, UNLOCKING):
@@ -188,17 +187,17 @@ class MultiFuzzySet:
         object.__setattr__(self, "subsets", subsets)
         if not subsets:
             raise ValueError("a multi-fuzzy set needs at least one subset")
-        lookup = {}
-        for s in subsets:
-            for e in s.elements:
-                if not (0 <= e < self.q):
-                    raise ValueError(f"element {e} outside field [0, {self.q})")
-                if e in lookup:
-                    raise ValueError(f"element {e} appears in more than one subset")
-                lookup[e] = s
-        if self.kind == FIELD and len(lookup) != self.q:
+        # a subset has no repeated element, so a repeat in the sorted list
+        # is an element of two subsets
+        elements = sorted(itertools.chain.from_iterable(s.elements for s in subsets))
+        for e in (elements[0], elements[-1]):
+            if not (0 <= e < self.q):
+                raise ValueError(f"element {e} outside field [0, {self.q})")
+        for a, b in itertools.pairwise(elements):
+            if a == b:
+                raise ValueError(f"element {a} appears in more than one subset")
+        if self.kind == FIELD and len(elements) != self.q:
             raise ValueError("field partition must cover every element of [0, q)")
-        object.__setattr__(self, "_lookup", lookup)
 
     @property
     def subset_count(self) -> int:
@@ -209,15 +208,14 @@ class MultiFuzzySet:
         return sum(len(s) for s in self.subsets)
 
     def subset_of(self, a: int) -> SubsetDescriptor:
-        try:
-            return self._lookup[a]
-        except KeyError:
-            raise ValueError(f"element {a} is not covered by this {self.kind} set")
+        """The subset holding element ``a``, found by scanning the subsets."""
+        for s in self.subsets:
+            if a in s.elements:
+                return s
+        raise ValueError(f"element {a} is not covered by this {self.kind} set")
 
     def fuzzify_element(self, a: int) -> FuzzyNumber:
         """Fuzzify a field element with its subset's template."""
-        if not (0 <= a < self.q):
-            raise ValueError(f"element {a} outside field [0, {self.q})")
         return self.subset_of(a).template.instantiate(_core(a))
 
     def select_subset(self, k: int) -> list[FuzzyNumber]:

@@ -11,7 +11,7 @@ bit the report raises its discrepancy flag instead of normalizing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -148,25 +148,7 @@ class SecurityReport:
     discrepancy_flag: bool
 
     def to_dict(self) -> dict:
-        return {
-            "params": {
-                "q": self.params.q,
-                "k": self.params.k,
-                "r": self.params.r,
-                "t": self.params.t,
-                "t_mfj": self.params.t_mfj,
-                "m_a": self.params.m_a,
-                "m_f": self.params.m_f,
-                "n": self.params.n,
-                "mu": self.params.mu,
-                "family_cardinality": self.params.family_cardinality,
-            },
-            "log2_spurious": self.log2_spurious,
-            "log2_family_bound": self.log2_family_bound,
-            "attacker_prob": self.attacker_prob,
-            "reported_claims": self.reported_claims,
-            "discrepancy_flag": self.discrepancy_flag,
-        }
+        return asdict(self)
 
 
 # Published movie-lover scenarios with their claimed exponents.  The claims

@@ -51,6 +51,9 @@ _SUBSET_CHUNK = 4096
 # SplitMix64 outputs computed in one numpy batch
 _DRAW_BLOCK = 1024
 
+# k-subsets an unlock tries at most, unless its caller sets another cap
+DEFAULT_EFFORT_CAP = 100_000
+
 
 def _splitmix64_outputs(state: int):
     """The SplitMix64 stream after ``state``, computed a block at a time.
@@ -124,10 +127,8 @@ class VaultPoint:
     @classmethod
     def from_dict(cls, d: dict) -> "VaultPoint":
         """Parse ``to_dict`` output; raises ValueError on any malformed input."""
-        # checked inline rather than with json_fields: this runs once per point
-        if type(d) is not dict or "x" not in d or "y" not in d:
-            raise ValueError("a vault point is a JSON object with x and y")
-        return cls(FuzzyNumber.from_dict(d["x"]), FuzzyNumber.from_dict(d["y"]))
+        x, y = json_fields(d, "x", "y")
+        return cls(FuzzyNumber.from_dict(x), FuzzyNumber.from_dict(y))
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,14 @@ def _defuzzify_rows(family: str, block):
         with np.errstate(over="ignore"):  # beyond the float range: inf, as in Python
             return (block[:, 0] + block[:, 1]) / 2
     return block[:, 1 if family in (TRIANGULAR, SIGMOID) else 0]
+
+
+def _rounded_cores(family_ids, blocks):
+    """round() of every point's core on one axis, as integral float64."""
+    core = np.empty(len(family_ids))
+    for f, (family, block) in enumerate(zip(FAMILIES, blocks)):
+        core[family_ids == f] = _defuzzify_rows(family, block)
+    return np.rint(core)
 
 
 def _check_rows(family: str, block) -> None:
@@ -295,7 +304,9 @@ class Vault:
     def _from_triples(cls, triples: list, q: int, n: int, r: int) -> "Vault":
         """The vault whose point i is ``template.instantiate`` of both cores
         of ``triples[i] = (x_core, y_core, template)``, built a template at
-        a time with ``FamilyTemplate.instantiate_column``."""
+        a time with ``FamilyTemplate.instantiate_column``.  ValueError names
+        a template under which a rounded core is not the integer core it was
+        built from, as (x0 + y0) / 2 under a plateau of half-width 2**53."""
         xs, ys, templates = zip(*triples)
         # the points of one template object share a group; equal templates
         # in separate groups instantiate alike
@@ -318,6 +329,14 @@ class Vault:
                         rows = in_family == g
                         block[rows] = template.instantiate_column(cores[rows])
                 blocks.append(block)
+        for axis, locked, blocks in (("x", xs, x_params), ("y", ys, y_params)):
+            # as Python numbers, a float and an int compare exactly
+            derived = _rounded_cores(family_ids, blocks).tolist()
+            if derived != list(locked):
+                for core, want, template in zip(derived, locked, templates):
+                    if core != want:
+                        raise ValueError(f"template {template} turns the {axis}-core "
+                                         f"{want} into {core}")
         vault = object.__new__(cls)
         vault._set_columns(family_ids, tuple(x_params), tuple(y_params), q, n, r, CRC_VARIANT)
         return vault
@@ -332,13 +351,8 @@ class Vault:
             raise ValueError(f"vault holds {len(family_ids)} points, expected r={r}")
         if not 0 <= n < r:
             raise ValueError(f"polynomial degree n={n} outside [0, r={r})")
-        cores = []
-        for blocks in (x_params, y_params):
-            core = np.empty(r)
-            for f, (family, block) in enumerate(zip(FAMILIES, blocks)):
-                core[family_ids == f] = _defuzzify_rows(family, block)
-            cores.append(np.rint(core))  # round() of each point's core
-        x_cores, y_cores = cores
+        x_cores = _rounded_cores(family_ids, x_params)
+        y_cores = _rounded_cores(family_ids, y_params)
         # a trapezoidal (x0 + y0) / 2 beyond the float range is inf
         if not (np.isfinite(x_cores).all() and np.isfinite(y_cores).all()):
             raise ValueError("vault cores must be finite")
@@ -778,8 +792,7 @@ def search_key(
     q: int,
     k: int,
     key_len: int,
-    effort_cap: int = 100_000,
-    diagnostics: UnlockDiagnostics | None = None,
+    effort_cap: int = DEFAULT_EFFORT_CAP,
 ) -> UnlockResult:
     """Search k-subsets of matched points in lexicographic order, accepting
     the first candidate polynomial whose decoded key passes the CRC check.
@@ -794,8 +807,7 @@ def search_key(
         raise ValueError("effort cap must be positive")
     if k < 1:
         raise ValueError("coefficient count must be at least 1")
-    if diagnostics is None:
-        diagnostics = UnlockDiagnostics(matched=len(matched))
+    diagnostics = UnlockDiagnostics(matched=len(matched))
     if len(matched) < k:
         return UnlockResult(None, diagnostics)
     field = FieldParams(q)
@@ -828,7 +840,7 @@ def fuzzy_unlock(
     k_subset: int,
     delta: float,
     key_len: int,
-    effort_cap: int = 100_000,
+    effort_cap: int = DEFAULT_EFFORT_CAP,
 ) -> UnlockResult:
     """Attempt to recover the key from the vault with an unlocking set.
 
@@ -842,5 +854,4 @@ def fuzzy_unlock(
         raise ValueError("unlocking set and vault disagree on q")
     probes = unlocking_set.select_subset(k_subset)
     matched = match_points(vault, probes, delta)
-    diagnostics = UnlockDiagnostics(matched=len(matched))
-    return search_key(matched, vault.q, vault.n + 1, key_len, effort_cap, diagnostics)
+    return search_key(matched, vault.q, vault.n + 1, key_len, effort_cap)

@@ -98,6 +98,22 @@ class TestLock:
         assert "not a template of the field" in capsys.readouterr().err
         assert not (workdir / "vault.json").exists()
 
+    def test_plateau_too_wide_for_its_cores(self, workdir, capsys):
+        # (x0 + y0) / 2 rounds to even at 1e16: the vault would not hold the
+        # cores it was locked at
+        wide = {"family": "trapezoidal", "spreads": [1e16, 1.0, 1.0]}
+        field = copy.deepcopy(FIELD_DOC)
+        field["subsets"][0].update(wide)
+        locking = copy.deepcopy(LOCKING_DOC)
+        locking["subsets"][0].update(wide)
+        (workdir / "field.json").write_text(json.dumps(field))
+        (workdir / "locking.json").write_text(json.dumps(locking))
+        assert main(lock_args(workdir)) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: template ")
+        assert "trapezoidal" in err[0] and "-core" in err[0]
+        assert not (workdir / "vault.json").exists()
+
     def test_missing_locking_file(self, workdir):
         argv = lock_args(workdir, **{"--locking-set": str(workdir / "nope.json")})
         assert main(argv) == EXIT_IO

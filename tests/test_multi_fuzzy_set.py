@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -13,9 +15,52 @@ from fuzzyvault import (
     build_locking_set,
     partition_field,
 )
+from conftest import desk_field
 
 TRI = FamilyTemplate("triangular", (1.0, 1.0))
 GAU = FamilyTemplate("gaussian", (0.5, 0.5))
+KINDS = ["field", "locking", "unlocking"]
+
+
+# MultiFuzzySet's checks as they were while it kept an index from every
+# element to its subset, kept as the oracle: one pass over the elements of
+# each subset in turn
+def reference_element_index(q, subsets, kind) -> dict:
+    lookup = {}
+    for s in subsets:
+        for e in s.elements:
+            if not (0 <= e < q):
+                raise ValueError(f"element {e} outside field [0, {q})")
+            if e in lookup:
+                raise ValueError(f"element {e} appears in more than one subset")
+            lookup[e] = s
+    if kind == "field" and len(lookup) != q:
+        raise ValueError("field partition must cover every element of [0, q)")
+    return lookup
+
+
+@st.composite
+def subset_lists(draw):
+    """(q, element groups): partitions of [0, q), some broken by an element
+    dropped, repeated or out of range, and free groups of elements near the
+    field's ends, also at q = 10**400."""
+    q = draw(st.sampled_from([2, 3, 5, 8, 13, 10**400]))
+    near = st.integers(-2, q + 2) if q < 100 else st.sampled_from(
+        [-1, 0, 1, 10**399, q - 1, q, q + 1])
+    if q < 100 and draw(st.booleans()):
+        order = draw(st.permutations(range(q)))
+        cuts = sorted(draw(st.lists(st.integers(1, q - 1), unique=True, max_size=3)))
+        groups = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, q])]
+        for _ in range(draw(st.integers(0, 2))):
+            group = draw(st.sampled_from(groups))
+            e = draw(near)
+            if draw(st.booleans()) and len(group) > 1:
+                group.remove(e if e in group else group[0])  # an element uncovered
+            elif e not in group:
+                group.append(e)  # maybe outside the field or in another group
+        return q, groups
+    return q, draw(st.lists(st.lists(near, min_size=1, max_size=4, unique=True),
+                            min_size=1, max_size=4))
 
 
 # FamilyTemplate.instantiate as it was before it skipped the second
@@ -71,6 +116,37 @@ class TestPartitionField:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
             partition_field(8, [8, 0], [TRI, GAU])
+
+    def test_desk_field_keeps_only_its_subsets(self):
+        # an index from each of the 65 537 elements to its subset doubled this
+        tracemalloc.start()
+        try:
+            field = desk_field()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert field.q == 65537
+        assert held < 3.5e6
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=subset_lists(), kind=st.sampled_from(KINDS))
+    def test_checks_match_element_index(self, case, kind):
+        q, groups = case
+        subsets = tuple(SubsetDescriptor(tuple(g), TRI, i) for i, g in enumerate(groups))
+        try:
+            lookup = reference_element_index(q, subsets, kind)
+        except ValueError as want:
+            with pytest.raises(ValueError) as got:
+                MultiFuzzySet(q, subsets, kind)
+            if str(want).startswith("element "):
+                assert re.match(r"element -?\d+ ", str(got.value))
+            return
+        mfs = MultiFuzzySet(q, subsets, kind)
+        for e, subset in lookup.items():
+            assert mfs.subset_of(e) is subset
+        for e in {-1, 0, 1, q - 1, q, q + 1, 10**399} - lookup.keys():
+            with pytest.raises(ValueError, match="not covered"):
+                mfs.subset_of(e)
 
     def test_every_element_covered_exactly_once(self):
         q = 101

@@ -151,7 +151,9 @@ def reference_randbelow(outputs, n: int) -> int:
 
 
 def reference_generate_chaff(p, field_mfs, used_x_cores, count, rho,
-                             locking_template, rng):
+                             locking_template, rng, cores=None):
+    """The chaff points; ``cores``, if given, receives each point's
+    (x, y) cores as drawn."""
     q = field_mfs.q
     templates = field_mfs.templates()
     decoys = [t for t in templates if t.family != locking_template.family]
@@ -171,6 +173,8 @@ def reference_generate_chaff(p, field_mfs, used_x_cores, count, rho,
         template = decoys[rng.randbelow(len(decoys))]
         points.append(VaultPoint(template.instantiate(float(u)),
                                  template.instantiate(float(p.eval(u)))))
+        if cores is not None:
+            cores.append((u, p.eval(u)))
     for _ in range(count - n_on_poly):
         u = fresh_core()
         v = rng.randbelow(q - 1)
@@ -179,31 +183,37 @@ def reference_generate_chaff(p, field_mfs, used_x_cores, count, rho,
         template = templates[rng.randbelow(len(templates))]
         points.append(VaultPoint(template.instantiate(float(u)),
                                  template.instantiate(float(v))))
+        if cores is not None:
+            cores.append((u, v))
     return points
 
 
 # lock_polynomial as it was before it built the vault's columns from core
 # triples, kept as the oracle for valid inputs: two fuzzy numbers and a
-# VaultPoint per point, scrambled as (point, genuine) pairs
-def reference_lock_points(p, locking_set, field_mfs, params):
-    """The scrambled points and the transcript of the old lock."""
+# VaultPoint per point, scrambled as (point, source index) pairs
+def reference_lock_points(p, locking_set, field_mfs, params, cores=None):
+    """The scrambled points and the transcript of the old lock; ``cores``,
+    if given, receives each point's (x, y) cores as drawn, in vault order."""
     subset = locking_set.subsets[params.k_subset]
     template = subset.template
     rng = SplitMix64(params.seed)
     elements = sorted(subset.elements)
     genuine = [VaultPoint(template.instantiate(float(a)), template.instantiate(float(p.eval(a))))
                for a in elements]
+    drawn = [(a, p.eval(a)) for a in elements]
     chaff = reference_generate_chaff(p, field_mfs, set(elements), params.r - params.t_mfk,
-                                     params.rho, template, rng)
-    tagged = scramble([(pt, i < len(genuine)) for i, pt in enumerate(genuine + chaff)], rng)
-    transcript = LockTranscript(p, tuple(i for i, (_, g) in enumerate(tagged) if g),
-                                tuple(elements), template, params.t_mfk,
+                                     params.rho, template, rng, drawn)
+    tagged = scramble([(pt, i) for i, pt in enumerate(genuine + chaff)], rng)
+    genuine_indices = tuple(at for at, (_, i) in enumerate(tagged) if i < len(genuine))
+    transcript = LockTranscript(p, genuine_indices, tuple(elements), template, params.t_mfk,
                                 locking_set.subset_count)
+    if cores is not None:
+        cores.extend(drawn[i] for _, i in tagged)
     return tuple(pt for pt, _ in tagged), transcript
 
 
-def reference_lock_polynomial(p, locking_set, field_mfs, params):
-    points, transcript = reference_lock_points(p, locking_set, field_mfs, params)
+def reference_lock_polynomial(p, locking_set, field_mfs, params, cores=None):
+    points, transcript = reference_lock_points(p, locking_set, field_mfs, params, cores)
     return Vault(points, field_mfs.q, params.n, params.r), transcript
 
 
@@ -285,6 +295,19 @@ class TestLock:
         assert transcript == want
         assert vault.points == points
         assert repr(vault.points) == repr(points)  # repr tells -0.0 from 0.0
+
+    @pytest.mark.parametrize("halfwidth, elements", [
+        (2.0**53, range(101, 322, 20)),  # stored as 100, 120, ...: a vault its set cannot open
+        (1e16, range(1, 13)),  # cores 1-8 round to 0, 2, 4, 4, 4, 6, 8, 8
+    ])
+    def test_plateau_too_wide_for_its_cores_rejected(self, halfwidth, elements):
+        q = 65537
+        wide = FamilyTemplate("trapezoidal", (halfwidth, 1.0, 1.0))
+        field = partition_field(q, [q // 2, q - q // 2], [wide, GAU])
+        locking = build_locking_set(field, [(tuple(elements), wide)])
+        params = LockParams(t=12, k_subset=0, t_mfk=12, r=60, k=8, seed=7)
+        with pytest.raises(ValueError, match=re.escape(f"template {wide} turns the ")):
+            fuzzy_lock(KEY, locking, field, params)
 
     def test_vault_shape_and_transcript(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=1)
@@ -1122,6 +1145,7 @@ class TestVaultPoint:
 
 
 SMALL_PRIME = 2003
+LOST_CORE = re.compile(r"template FamilyTemplate\(family='trapezoidal'.* turns the [xy]-core ")
 TEMPLATE_SPREADS = {
     "triangular": st.tuples(SPREADS, SPREADS),
     "trapezoidal": st.tuples(st.just(0.0) | SPREADS, SPREADS, SPREADS),
@@ -1170,13 +1194,26 @@ class TestColumnarLock:
     @settings(max_examples=80, deadline=None)
     @given(case=lock_cases())
     def test_matches_reference_lock(self, case):
+        # a trapezoidal plateau of half-width 2**53 or more loses cores in
+        # (x0 + y0) / 2: the old lock then raised, or stored other cores
+        # than it drew, where the lock refuses the template
+        drawn = []
         try:
-            want, want_transcript = reference_lock_polynomial(*case)
-        except ValueError as e:  # a plateau so wide that cores collide after rounding
-            with pytest.raises(ValueError, match=re.escape(str(e))):
+            want, want_transcript = reference_lock_polynomial(*case, drawn)
+        except ValueError as e:  # cores that collide after rounding
+            with pytest.raises(ValueError) as got:
                 lock_polynomial(*case)
+            if not LOST_CORE.search(str(got.value)):
+                assert str(e) in str(got.value)
             return
-        vault, transcript = lock_polynomial(*case)
+        try:
+            vault, transcript = lock_polynomial(*case)
+        except ValueError as e:
+            assert LOST_CORE.search(str(e))
+            stored = list(zip(want.x_cores.tolist(), want.y_cores.tolist()))
+            assert stored != drawn
+            return
+        assert list(zip(vault.x_cores.tolist(), vault.y_cores.tolist())) == drawn
         assert vault.to_json() == want.to_json()
         assert vault == want
         assert transcript == want_transcript
