@@ -14,6 +14,12 @@ Families and their parameter order (the serialization order as well):
 * ``sigmoid``:     ``(a1, a2, a3, omega, halfwidth)`` -- peak grade is
   ``omega``, flanks shaped by a logistic on ``[-halfwidth, halfwidth]``.
 * ``crisp``:       ``(value,)`` -- degenerate embedding of a real number.
+
+A family is one entry in each of ``PARAM_COUNT``, ``CORE`` and ``RULES``
+here, plus one in each of ``multi_fuzzy_set``'s template tables.  A core
+and a rule index ``p[i]`` and join comparisons with ``&``, so the same
+entry works on one number's tuple of floats and on the columns
+(``block.T``) of a vault's float64 parameter block.
 """
 
 from __future__ import annotations
@@ -35,6 +41,36 @@ PARAM_COUNT = {
     SIGMOID: 5,
     CRISP: 1,
 }
+
+# the crisp value a number defuzzifies to: its core, or plateau midpoint
+CORE = {
+    TRIANGULAR: lambda p: p[1],
+    TRAPEZOIDAL: lambda p: (p[0] + p[1]) / 2,
+    GAUSSIAN: lambda p: p[0],
+    SIGMOID: lambda p: p[1],
+    CRISP: lambda p: p[0],
+}
+
+# (rule(p), message) pairs: the order and sign checks on finite parameters
+RULES = {
+    TRIANGULAR: [
+        (lambda p: (p[0] <= p[1]) & (p[1] <= p[2]), "triangular endpoints out of order"),
+    ],
+    TRAPEZOIDAL: [
+        (lambda p: p[0] <= p[1], "trapezoidal defuzzifiers out of order"),
+        (lambda p: (p[2] > 0) & (p[3] > 0), "trapezoidal fuzziness must be positive"),
+    ],
+    GAUSSIAN: [
+        (lambda p: (p[1] > 0) & (p[2] > 0), "gaussian deviations must be positive"),
+    ],
+    SIGMOID: [
+        (lambda p: (p[0] <= p[1]) & (p[1] <= p[2]), "sigmoid breakpoints out of order"),
+        (lambda p: (0 < p[3]) & (p[3] <= 1), "sigmoid peak grade must be in (0, 1]"),
+        (lambda p: p[4] > 0, "sigmoid domain halfwidth must be positive"),
+    ],
+    CRISP: [],
+}
+
 
 def json_fields(d, *keys) -> list:
     """The values of the required ``keys`` of the parsed JSON object ``d``.
@@ -122,32 +158,9 @@ class FuzzyNumber:
             )
         if not all(map(math.isfinite, params)):
             raise ValueError(f"{self.family} parameters must be finite: {params}")
-        self._validate()
-
-    def _validate(self):
-        p = self.params
-        if self.family == TRIANGULAR:
-            left, core, right = p
-            if not (left <= core <= right):
-                raise ValueError(f"triangular endpoints out of order: {p}")
-        elif self.family == TRAPEZOIDAL:
-            x0, y0, sigma, beta = p
-            if x0 > y0:
-                raise ValueError(f"trapezoidal defuzzifiers out of order: {p}")
-            if sigma <= 0 or beta <= 0:
-                raise ValueError("trapezoidal fuzziness must be positive")
-        elif self.family == GAUSSIAN:
-            _, sl, sr = p
-            if sl <= 0 or sr <= 0:
-                raise ValueError("gaussian deviations must be positive")
-        elif self.family == SIGMOID:
-            a1, a2, a3, omega, halfwidth = p
-            if not (a1 <= a2 <= a3):
-                raise ValueError(f"sigmoid breakpoints out of order: {p}")
-            if not (0 < omega <= 1):
-                raise ValueError("sigmoid peak grade must be in (0, 1]")
-            if halfwidth <= 0:
-                raise ValueError("sigmoid domain halfwidth must be positive")
+        for rule, message in RULES[self.family]:
+            if not rule(params):
+                raise ValueError(f"{message}: {params}")
 
     # ------------------------------------------------------------------
     # constructors
@@ -318,16 +331,7 @@ class FuzzyNumber:
 
     def defuzzify(self) -> float:
         """Representative crisp value: the core (or plateau midpoint)."""
-        p = self.params
-        if self.family == TRIANGULAR:
-            return p[1]
-        if self.family == TRAPEZOIDAL:
-            return (p[0] + p[1]) / 2
-        if self.family == GAUSSIAN:
-            return p[0]
-        if self.family == SIGMOID:
-            return p[1]
-        return p[0]
+        return CORE[self.family](self.params)
 
     # ------------------------------------------------------------------
     # arithmetic (triangular/crisp algebra)

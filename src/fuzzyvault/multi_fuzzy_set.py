@@ -43,6 +43,16 @@ _TEMPLATE_ARITY = {
     CRISP: 0,
 }
 
+# a template's parameters for a core c and its spreads s, in the family's
+# parameter order; c is a float or a float64 column alike
+_LAYOUT = {
+    TRIANGULAR: lambda c, s: (c - s[0], c, c + s[1]),
+    TRAPEZOIDAL: lambda c, s: (c - s[0], c + s[0], s[1], s[2]),
+    GAUSSIAN: lambda c, s: (c, s[0], s[1]),
+    SIGMOID: lambda c, s: (c - s[0], c, c + s[1], s[2], s[3]),
+    CRISP: lambda c, s: (c,),
+}
+
 
 @dataclass(frozen=True)
 class FamilyTemplate:
@@ -87,21 +97,8 @@ class FamilyTemplate:
         is monotone, so finite ``core - spread <= core <= core + spread``.
         A non-finite parameter raises the constructor's ValueError.
         """
-        p = self.spread_params
         family = self.family
-        if family == TRIANGULAR:
-            params = (core - p[0], core, core + p[1])
-        elif family == TRAPEZOIDAL:
-            h, sigma, beta = p
-            params = (core - h, core + h, sigma, beta)
-        elif family == GAUSSIAN:
-            params = (core, p[0], p[1])
-        elif family == SIGMOID:
-            w1, w2, omega, halfwidth = p
-            params = (core - w1, core, core + w2, omega, halfwidth)
-        else:
-            params = (core,)
-        params = tuple(map(float, params))
+        params = tuple(map(float, _LAYOUT[family](core, self.spread_params)))
         if not all(map(math.isfinite, params)):
             raise ValueError(f"{family} parameters must be finite: {params}")
         return FuzzyNumber._trusted(family, params)
@@ -110,24 +107,16 @@ class FamilyTemplate:
         """``instantiate`` of every core of a float64 column at once.
 
         Row i of the float64 block returned holds the parameters of
-        ``instantiate(cores[i])``, computed with the same float arithmetic,
-        so the two agree bit for bit.  Raises ValueError where
+        ``instantiate(cores[i])``: the same layout entry applied to the
+        column, so the two agree bit for bit.  Raises ValueError where
         ``instantiate`` raises: when a parameter is not finite.
         """
-        p = self.spread_params
         family = self.family
         cores = np.asarray(cores, dtype=np.float64)
         block = np.empty((len(cores), PARAM_COUNT[family]))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            if family in (TRIANGULAR, SIGMOID):
-                block[:, 0], block[:, 1], block[:, 2] = cores - p[0], cores, cores + p[1]
-                block[:, 3:] = p[2:]
-            elif family == TRAPEZOIDAL:
-                block[:, 0], block[:, 1] = cores - p[0], cores + p[0]
-                block[:, 2:] = p[1:]
-            else:  # gaussian and crisp: the core, then any spreads as they are
-                block[:, 0] = cores
-                block[:, 1:] = p
+            for i, column in enumerate(_LAYOUT[family](cores, self.spread_params)):
+                block[:, i] = column
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():
             bad = tuple(block[np.argmin(finite)].tolist())

@@ -30,11 +30,9 @@ from .field_poly import (
     lagrange_interpolate,
 )
 from .fuzzy_number import (
-    GAUSSIAN,
+    CORE,
     PARAM_COUNT,
-    SIGMOID,
-    TRAPEZOIDAL,
-    TRIANGULAR,
+    RULES,
     FuzzyNumber,
     distance,
     json_fields,
@@ -174,10 +172,8 @@ _NOT_A_NUMBER = "a fuzzy number is a JSON object with family and params"
 
 def _defuzzify_rows(family: str, block):
     """``FuzzyNumber.defuzzify`` of every row of a parameter block."""
-    if family == TRAPEZOIDAL:
-        with np.errstate(over="ignore"):  # beyond the float range: inf, as in Python
-            return (block[:, 0] + block[:, 1]) / 2
-    return block[:, 1 if family in (TRIANGULAR, SIGMOID) else 0]
+    with np.errstate(over="ignore"):  # beyond the float range: inf, as in Python
+        return CORE[family](block.T)
 
 
 def _rounded_cores(family_ids, blocks):
@@ -191,20 +187,9 @@ def _rounded_cores(family_ids, blocks):
 def _check_rows(family: str, block) -> None:
     """The checks ``FuzzyNumber.__post_init__`` makes, on every row of a
     block of parsed parameters at once."""
-    p = block.T
-    rules = [(np.isfinite(p).all(axis=0), f"{family} parameters must be finite")]
-    if family == TRIANGULAR:
-        rules.append(((p[0] <= p[1]) & (p[1] <= p[2]), "triangular endpoints out of order"))
-    elif family == TRAPEZOIDAL:
-        rules.append((p[0] <= p[1], "trapezoidal defuzzifiers out of order"))
-        rules.append(((p[2] > 0) & (p[3] > 0), "trapezoidal fuzziness must be positive"))
-    elif family == GAUSSIAN:
-        rules.append(((p[1] > 0) & (p[2] > 0), "gaussian deviations must be positive"))
-    elif family == SIGMOID:
-        rules.append(((p[0] <= p[1]) & (p[1] <= p[2]), "sigmoid breakpoints out of order"))
-        rules.append(((0 < p[3]) & (p[3] <= 1), "sigmoid peak grade must be in (0, 1]"))
-        rules.append((p[4] > 0, "sigmoid domain halfwidth must be positive"))
-    for ok, message in rules:  # the finiteness rule first: inf passes no order test
+    finite = (lambda p: np.isfinite(p).all(axis=0), f"{family} parameters must be finite")
+    for rule, message in [finite, *RULES[family]]:  # inf passes no order test
+        ok = rule(block.T)
         if not ok.all():
             raise ValueError(f"{message}: {tuple(block[np.argmin(ok)].tolist())}")
 
@@ -597,6 +582,9 @@ def lock_polynomial(
     template at a time, so locking builds no object per point.
     """
     q = field_mfs.q
+    if q > 2**53:
+        raise ValueError(f"field size q={q} exceeds 2**53, beyond which float64 "
+                         f"cores cannot hold every field element")
     params.validate(q)
     if locking_set.kind != LOCKING:
         raise ValueError(f"expected a locking set, got kind={locking_set.kind!r}")

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -50,3 +51,59 @@ def desk_params(seed, t=24, t_mfk=12, r=300, k=8, rho=0.2, delta=0.25):
 @pytest.fixture(scope="session")
 def field_mfs():
     return desk_field()
+
+
+# The family rules as one if-chain per family, written out apart from the
+# library's tables so that tests compare those tables with something else.
+REFERENCE_ARITY = {"triangular": 3, "trapezoidal": 4, "gaussian": 3, "sigmoid": 5, "crisp": 1}
+
+
+def reference_validate(family, params) -> tuple:
+    """The checks of ``FuzzyNumber(family, params)``: the parameters as a
+    tuple of floats, or ValueError."""
+    if not isinstance(family, str) or family not in REFERENCE_ARITY:
+        raise ValueError(f"unknown membership family: {family!r}")
+    try:
+        p = tuple(map(float, params))
+    except OverflowError:
+        raise ValueError(f"{family} parameters must be finite") from None
+    if len(p) != REFERENCE_ARITY[family]:
+        raise ValueError(f"{family} needs {REFERENCE_ARITY[family]} parameters, got {len(p)}")
+    if not all(map(math.isfinite, p)):
+        raise ValueError(f"{family} parameters must be finite: {p}")
+    if family == "triangular":
+        left, core, right = p
+        if not (left <= core <= right):
+            raise ValueError(f"triangular endpoints out of order: {p}")
+    elif family == "trapezoidal":
+        x0, y0, sigma, beta = p
+        if x0 > y0:
+            raise ValueError(f"trapezoidal defuzzifiers out of order: {p}")
+        if sigma <= 0 or beta <= 0:
+            raise ValueError("trapezoidal fuzziness must be positive")
+    elif family == "gaussian":
+        _, sl, sr = p
+        if sl <= 0 or sr <= 0:
+            raise ValueError("gaussian deviations must be positive")
+    elif family == "sigmoid":
+        a1, a2, a3, omega, halfwidth = p
+        if not (a1 <= a2 <= a3):
+            raise ValueError(f"sigmoid breakpoints out of order: {p}")
+        if not (0 < omega <= 1):
+            raise ValueError("sigmoid peak grade must be in (0, 1]")
+        if halfwidth <= 0:
+            raise ValueError("sigmoid domain halfwidth must be positive")
+    return p
+
+
+def reference_core(family: str, p: tuple) -> float:
+    """``FuzzyNumber(family, p).defuzzify()``: the core, or plateau midpoint."""
+    if family == "triangular":
+        return p[1]
+    if family == "trapezoidal":
+        return (p[0] + p[1]) / 2
+    if family == "gaussian":
+        return p[0]
+    if family == "sigmoid":
+        return p[1]
+    return p[0]

@@ -1,10 +1,14 @@
+import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from fuzzyvault import FuzzyNumber, distance
+from fuzzyvault.fuzzy_number import PARAM_COUNT
+from conftest import REFERENCE_ARITY, reference_core, reference_validate
 
 
 def triangulars():
@@ -288,3 +292,65 @@ class TestSerialization:
     def test_from_dict_rejects_malformed(self, doc):
         with pytest.raises(ValueError):
             FuzzyNumber.from_dict(doc)
+
+
+# a valid parameter row per family, and the edge values of the rules: each
+# row value and its neighbouring floats, signed zeros, subnormals, 1, the
+# largest floats and values outside the float range
+RULE_ROWS = {
+    "triangular": (2.0, 3.0, 4.0),
+    "trapezoidal": (2.5, 3.5, 1.0, 1.0),
+    "gaussian": (3.0, 0.5, 0.5),
+    "sigmoid": (2.0, 3.0, 4.0, 0.9, 4.0),
+    "crisp": (3.0,),
+}
+RULE_EDGES = [-5e-324, -0.0, 0, 0.0, 5e-324, 1, 1.0, math.nextafter(1.0, 2.0), -1.0,
+              2.5, 3.5, 5.5, sys.float_info.max, -sys.float_info.max, 10**400,
+              math.inf, -math.inf, math.nan]
+RULE_EDGES += sorted({e for row in RULE_ROWS.values() for v in row
+                      for e in (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf))})
+
+
+def assert_constructs_like_reference(family: str, params: list) -> None:
+    """``FuzzyNumber(family, params)`` rejects where the reference chain
+    does, and otherwise holds its floats and defuzzifies to its core."""
+    try:
+        p = reference_validate(family, params)
+    except ValueError as e:
+        with pytest.raises(ValueError) as raised:
+            FuzzyNumber(family, params)
+        # a rule's message ends with the parameters, where some chain
+        # messages did not
+        got = str(raised.value)
+        assert got == str(e) or got == f"{e}: {tuple(map(float, params))}"
+        return
+    f = FuzzyNumber(family, params)
+    assert repr(f.params) == repr(p)  # repr tells -0.0 from 0.0
+    assert repr(f.defuzzify()) == repr(reference_core(family, p))
+
+
+class TestFamilyRules:
+    def test_reference_covers_every_family(self):
+        assert REFERENCE_ARITY == PARAM_COUNT
+        assert RULE_ROWS.keys() == PARAM_COUNT.keys()
+
+    @settings(max_examples=500)
+    @given(data=st.data())
+    def test_constructor_matches_reference(self, data):
+        family = data.draw(st.sampled_from(sorted(RULE_ROWS)))
+        params = [data.draw(st.just(v) | st.sampled_from(RULE_EDGES))
+                  for v in RULE_ROWS[family]]
+        assert_constructs_like_reference(family, params)
+
+    @pytest.mark.parametrize("family", sorted(RULE_ROWS))
+    def test_constructor_matches_reference_at_rule_edges(self, family):
+        # the row with one or two of its parameters set to each edge value
+        row = RULE_ROWS[family]
+        assert_constructs_like_reference(family, list(row))
+        for size in (1, 2):
+            for at in itertools.combinations(range(len(row)), size):
+                for values in itertools.product(RULE_EDGES, repeat=size):
+                    params = list(row)
+                    for i, v in zip(at, values):
+                        params[i] = v
+                    assert_constructs_like_reference(family, params)

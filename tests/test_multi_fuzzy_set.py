@@ -15,6 +15,8 @@ from fuzzyvault import (
     build_locking_set,
     partition_field,
 )
+from fuzzyvault.fuzzy_number import CORE, PARAM_COUNT, RULES
+from fuzzyvault.multi_fuzzy_set import _LAYOUT, _TEMPLATE_ARITY
 from conftest import desk_field
 
 TRI = FamilyTemplate("triangular", (1.0, 1.0))
@@ -286,6 +288,15 @@ class TestSerialization:
 
 
 class TestTemplates:
+    def test_family_tables_agree(self):
+        # a family added to one table and missed in another fails here
+        for table in (CORE, RULES, _TEMPLATE_ARITY, _LAYOUT):
+            assert table.keys() == PARAM_COUNT.keys()
+        for family, layout in _LAYOUT.items():
+            spreads = (0.5,) * _TEMPLATE_ARITY[family]
+            for core in (7.0, np.array([7.0, 9.0])):
+                assert len(layout(core, spreads)) == PARAM_COUNT[family]
+
     def test_non_finite_spreads_rejected(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):

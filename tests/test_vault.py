@@ -40,7 +40,7 @@ from fuzzyvault import (
     search_key,
 )
 from fuzzyvault.field_poly import CRC_VARIANT
-from fuzzyvault.fuzzy_number import PARAM_COUNT, json_fields, json_int
+from fuzzyvault.fuzzy_number import PARAM_COUNT, json_fields, json_int, json_numbers
 from fuzzyvault.vault import LockTranscript, UnlockDiagnostics
 from conftest import (
     ALL_TEMPLATES,
@@ -51,6 +51,8 @@ from conftest import (
     desk_field,
     desk_locking_set,
     desk_params,
+    reference_core,
+    reference_validate,
 )
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d")
@@ -308,6 +310,32 @@ class TestLock:
         params = LockParams(t=12, k_subset=0, t_mfk=12, r=60, k=8, seed=7)
         with pytest.raises(ValueError, match=re.escape(f"template {wide} turns the ")):
             fuzzy_lock(KEY, locking, field, params)
+
+    @pytest.mark.parametrize("q", [2**53 + 1, 2**61 - 1])
+    def test_field_beyond_float_cores_rejected(self, q, monkeypatch):
+        # float64 cores hold every integer only up to 2**53; a partition of
+        # such a field cannot be built, so the field is a stand-in
+        field = SimpleNamespace(q=q, templates=lambda: [TRI, GAU])
+        elements = range(q // 2 + 1, q // 2 + 24, 2)
+        locking = build_locking_set(field, [(tuple(elements), TRI)])
+        poly = Polynomial(tuple(range(1, 9)), q)
+        params = LockParams(t=12, k_subset=0, t_mfk=12, r=60, k=8, seed=7)
+        monkeypatch.setattr(vault_module, "SplitMix64", None)  # nothing is drawn
+        with pytest.raises(ValueError, match=re.escape(f"q={q} exceeds 2**53")) as e:
+            lock_polynomial(poly, locking, field, params)
+        assert "template" not in str(e.value)
+
+    def test_field_at_float_bound_locks(self):
+        q = 2**53
+        field = SimpleNamespace(q=q, templates=lambda: [TRI, GAU])
+        elements = range(q - 24, q, 2)
+        locking = build_locking_set(field, [(tuple(elements), TRI)])
+        poly = Polynomial((q - 1, 2**52 + 3, 5), q)
+        params = LockParams(t=12, k_subset=0, t_mfk=12, r=60, k=3, seed=7)
+        vault, transcript = lock_polynomial(poly, locking, field, params)
+        genuine = sorted((int(vault.x_cores[i]), int(vault.y_cores[i]))
+                         for i in transcript.genuine_indices)
+        assert genuine == [(a, poly.eval(a)) for a in elements]
 
     def test_vault_shape_and_transcript(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=1)
@@ -827,9 +855,15 @@ def serialisable_vaults(draw):
                  len(points))
 
 
+def reference_fuzzy_number(d: dict) -> FuzzyNumber:
+    """``FuzzyNumber.from_dict``, checked by ``reference_validate``."""
+    family, params = json_fields(d, "family", "params")
+    return FuzzyNumber._trusted(family, reference_validate(family, json_numbers(params)))
+
+
 # Vault.from_dict as it was before the columns, kept as the oracle: a
-# VaultPoint and two FuzzyNumbers per point, then the checks the vault made
-# on them one point at a time
+# VaultPoint and two FuzzyNumbers per point, checked by the reference
+# family rules, then the checks the vault made on them one point at a time
 def reference_vault_from_dict(d: dict) -> Vault:
     (version,) = json_fields(d, "format_version")
     if type(version) is not int or version != 1:
@@ -839,7 +873,8 @@ def reference_vault_from_dict(d: dict) -> Vault:
     )
     if type(points) is not list:
         raise ValueError(f"points must be an array, got {type(points).__name__}")
-    points = tuple(map(VaultPoint.from_dict, points))
+    points = tuple(VaultPoint(*map(reference_fuzzy_number, json_fields(pt, "x", "y")))
+                   for pt in points)
     q, n, r = json_int(q), json_int(n), json_int(r)
     if crc_variant != CRC_VARIANT:
         raise ValueError(f"unsupported CRC variant {crc_variant!r}")
@@ -848,8 +883,8 @@ def reference_vault_from_dict(d: dict) -> Vault:
     if not 0 <= n < r:
         raise ValueError(f"polynomial degree n={n} outside [0, r={r})")
     try:
-        cores = [p.x_core for p in points]
-        y_cores = [p.y_core for p in points]
+        cores = [round(reference_core(p.x.family, p.x.params)) for p in points]
+        y_cores = [round(reference_core(p.y.family, p.y.params)) for p in points]
     except OverflowError:
         raise ValueError("vault cores must be finite") from None
     if len(set(cores)) != len(cores):
@@ -857,7 +892,10 @@ def reference_vault_from_dict(d: dict) -> Vault:
     for axis_cores in (cores, y_cores):
         if not (0 <= min(axis_cores) and max(axis_cores) < q):
             raise ValueError("vault cores must lie in [0, q)")
-    return Vault(points, q, n, r, crc_variant)
+    try:
+        return Vault(points, q, n, r, crc_variant)
+    except ValueError as e:  # a library check stricter than the ones above
+        raise AssertionError(f"Vault rejects what the reference accepts: {e}") from e
 
 
 def json_nodes(node, path=()):
@@ -952,8 +990,9 @@ def assert_parses_like_reference(doc: dict) -> None:
     assert got.to_json() == want.to_json() == json.dumps(
         want.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     assert repr(got.points) == repr(want.points)  # repr tells -0.0 from 0.0
-    assert got.x_cores.tolist() == [p.x_core for p in want.points]
-    assert got.y_cores.tolist() == [p.y_core for p in want.points]
+    for axis, cores in (("x", got.x_cores), ("y", got.y_cores)):
+        coords = [getattr(p, axis) for p in want.points]
+        assert cores.tolist() == [round(reference_core(c.family, c.params)) for c in coords]
 
 
 class TestSerialization:
