@@ -154,7 +154,10 @@ def _selftest_checks():
         params = LockParams(t=12, k_subset=0, t_mfk=12, r=60, k=8, seed=7)
         key = b"selftest-key!"
         vault, _ = lock(key, locking, field_mfs, params)
-        result = fuzzy_unlock(vault, locking, 0, 0.25, len(key))
+        # through the file format, as lock and unlock pass a vault
+        loaded = Vault.from_dict(json.loads(vault.to_json()))
+        assert loaded == vault, "vault file round trip changed the vault"
+        result = fuzzy_unlock(loaded, locking, 0, 0.25, len(key))
         assert result.key == key, "vault round trip failed"
 
     def check_alpha_cut():

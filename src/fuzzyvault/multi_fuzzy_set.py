@@ -53,6 +53,28 @@ _LAYOUT = {
     CRISP: lambda c, s: (c,),
 }
 
+# the inverse of _LAYOUT: the spreads read off the parameters p of a number
+# at core c; a template of them rebuilds p only where _LAYOUT's float
+# roundings allow, so whoever reads spreads this way checks the rebuild
+_SPREADS = {
+    TRIANGULAR: lambda c, p: (c - p[0], p[2] - c),
+    TRAPEZOIDAL: lambda c, p: (c - p[0], p[2], p[3]),
+    GAUSSIAN: lambda c, p: (p[1], p[2]),
+    SIGMOID: lambda c, p: (c - p[0], p[2] - c, p[3], p[4]),
+    CRISP: lambda c, p: (),
+}
+
+
+def spread_rows(family: str, cores, block) -> np.ndarray:
+    """``_SPREADS`` of every row of a float64 parameter block of ``family``
+    at the matching core of a float64 column, as a float64 block with one
+    row of spreads per parameter row."""
+    rows = np.empty((len(cores), _TEMPLATE_ARITY[family]))
+    with np.errstate(over="ignore", invalid="ignore"):  # templates check finiteness
+        for i, column in enumerate(_SPREADS[family](cores, block.T)):
+            rows[:, i] = column
+    return rows
+
 
 @dataclass(frozen=True)
 class FamilyTemplate:

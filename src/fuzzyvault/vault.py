@@ -38,7 +38,13 @@ from .fuzzy_number import (
     json_fields,
     json_int,
 )
-from .multi_fuzzy_set import LOCKING, UNLOCKING, FamilyTemplate, MultiFuzzySet
+from .multi_fuzzy_set import (
+    LOCKING,
+    UNLOCKING,
+    FamilyTemplate,
+    MultiFuzzySet,
+    spread_rows,
+)
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -253,6 +259,63 @@ def _parse_points(points: list):
     return family_ids, *blocks
 
 
+def _instantiate(templates, template_ids, x_cores, y_cores):
+    """Family ids and per-family x and y parameter blocks of the points
+    whose point i is ``templates[template_ids[i]].instantiate`` of
+    ``x_cores[i]`` and ``y_cores[i]``, float64 columns, filled a template at
+    a time with ``FamilyTemplate.instantiate_column``."""
+    family_ids = np.array([_FAMILY_ID[t.family] for t in templates],
+                          dtype=np.int8)[template_ids]
+    # each point's row in its family's blocks
+    rows = np.empty(len(family_ids), dtype=np.intp)
+    x_params, y_params = [], []
+    for f, family in enumerate(FAMILIES):
+        members = family_ids == f
+        count = np.count_nonzero(members)
+        rows[members] = np.arange(count)
+        x_params.append(np.empty((count, PARAM_COUNT[family])))
+        y_params.append(np.empty((count, PARAM_COUNT[family])))
+    # the points grouped by template
+    order = np.argsort(template_ids)
+    ends = np.cumsum(np.bincount(template_ids, minlength=len(templates))).tolist()
+    start = 0
+    for template, end in zip(templates, ends):
+        if start == end:
+            continue
+        points = order[start:end]
+        start = end
+        f = _FAMILY_ID[template.family]
+        x_params[f][rows[points]] = template.instantiate_column(x_cores[points])
+        y_params[f][rows[points]] = template.instantiate_column(y_cores[points])
+    return family_ids, tuple(x_params), tuple(y_params)
+
+
+def _int_column(values, r: int, name: str) -> list:
+    """``values`` if it is a parsed JSON array of exactly r integers."""
+    if type(values) is not list or len(values) != r:
+        raise ValueError(f"{name} must be an array of r={r} integers")
+    if not {int}.issuperset(map(type, values)):
+        raise ValueError(f"{name} must hold integers only")
+    return values
+
+
+def _core_column(values, r: int, q: int, axis: str):
+    """A v2 core column as float64, checked to hold r integers in [0, q)
+    that float64 holds exactly."""
+    values = _int_column(values, r, f"{axis}_cores")
+    low, high = (min(values), max(values)) if values else (0, 0)
+    if not (0 <= low and high < q):
+        raise ValueError(f"vault {axis}-cores must lie in [0, q={q})")
+    try:
+        cores = np.array(values, dtype=np.float64)
+    except OverflowError:  # beyond the float range
+        cores = None
+    # float64 holds every integer up to 2**53
+    if cores is None or (high > 2**53 and list(map(int, cores.tolist())) != values):
+        raise ValueError(f"vault {axis}-cores must be integers that float64 holds exactly")
+    return cores
+
+
 class Vault:
     """r fuzzy points over F_q, held as columns.
 
@@ -263,14 +326,14 @@ class Vault:
     integral float64.  All of them are read-only.
 
     ``Vault(points, q, n, r)`` copies ``VaultPoint`` s into the columns and
-    keeps none of them.  ``lock_polynomial`` builds the columns from
-    ``(x_core, y_core, template)`` triples a template at a time, and
-    ``from_dict`` / ``load`` check a parsed v1 document a family at a time
-    straight into the columns, so neither locking nor loading builds an
-    object per point: a few numpy passes, plus ``json.load`` for loading.
-    ``points`` is the same vault as a tuple of ``VaultPoint`` s, built from
-    the columns on first use and kept.  Two vaults are equal when q, n, r,
-    the CRC variant and every point's family and parameters are.
+    keeps none of them.  ``lock_polynomial`` and the v2 reader build the
+    columns from integer cores and a template per point, a template at a
+    time, and keep that template table; the v1 reader checks a parsed
+    document a family at a time straight into the columns.  So neither
+    locking nor loading builds an object per point.  ``points`` is the
+    same vault as a tuple of ``VaultPoint`` s, built from the columns on
+    first use and kept.  Two vaults are equal when q, n, r, the CRC
+    variant and every point's family and parameters are.
     """
 
     def __init__(self, points, q: int, n: int, r: int, crc_variant: str = CRC_VARIANT):
@@ -282,52 +345,40 @@ class Vault:
             rows[0][f].append(pt.x.params)
             rows[1][f].append(pt.y.params)
         x_params, y_params = (tuple(map(_block, FAMILIES, axis)) for axis in rows)
-        self._set_columns(np.array(ids, dtype=np.int8), x_params, y_params,
-                          q, n, r, crc_variant)
+        family_ids = np.array(ids, dtype=np.int8)
+        self._set_columns(family_ids, x_params, y_params, _rounded_cores(family_ids, x_params),
+                          _rounded_cores(family_ids, y_params), q, n, r, crc_variant)
 
     @classmethod
-    def _from_triples(cls, triples: list, q: int, n: int, r: int) -> "Vault":
-        """The vault whose point i is ``template.instantiate`` of both cores
-        of ``triples[i] = (x_core, y_core, template)``, built a template at
-        a time with ``FamilyTemplate.instantiate_column``.  ValueError names
-        a template under which a rounded core is not the integer core it was
-        built from, as (x0 + y0) / 2 under a plateau of half-width 2**53."""
-        xs, ys, templates = zip(*triples)
-        # the points of one template object share a group; equal templates
-        # in separate groups instantiate alike
-        _, first, group = np.unique(
-            np.fromiter(map(id, templates), np.uint64, len(templates)),
-            return_index=True, return_inverse=True)
-        group_templates = [templates[i] for i in first.tolist()]
-        family_ids = np.array([_FAMILY_ID[t.family] for t in group_templates],
-                              dtype=np.int8)[group]
-        # float(core) of every core, as instantiate's callers convert them
-        x_cores, y_cores = np.array(xs, np.float64), np.array(ys, np.float64)
-        x_params, y_params = [], []
-        for f, family in enumerate(FAMILIES):
-            members = np.flatnonzero(family_ids == f)
-            in_family = group[members]
-            for cores, blocks in ((x_cores[members], x_params), (y_cores[members], y_params)):
-                block = np.empty((len(members), PARAM_COUNT[family]))
-                for g, template in enumerate(group_templates):
-                    if template.family == family:
-                        rows = in_family == g
-                        block[rows] = template.instantiate_column(cores[rows])
-                blocks.append(block)
-        for axis, locked, blocks in (("x", xs, x_params), ("y", ys, y_params)):
-            # as Python numbers, a float and an int compare exactly
-            derived = _rounded_cores(family_ids, blocks).tolist()
-            if derived != list(locked):
-                for core, want, template in zip(derived, locked, templates):
-                    if core != want:
-                        raise ValueError(f"template {template} turns the {axis}-core "
-                                         f"{want} into {core}")
+    def _from_cores(cls, x_cores, y_cores, template_ids, templates, q: int, n: int,
+                    r: int, crc_variant: str) -> "Vault":
+        """The vault whose point i is ``templates[template_ids[i]]``
+        instantiated at ``x_cores[i]`` and ``y_cores[i]``, float64 columns
+        of integers.  The vault keeps the table in canonical order (equal
+        templates merged, families as in FAMILIES, then spreads ascending),
+        so equal tables give equal files.  ValueError names a template
+        under which a rounded core is not the integer core it was built
+        from, as (x0 + y0) / 2 under a plateau of half-width 2**53."""
+        table = sorted(set(templates), key=lambda t: (_FAMILY_ID[t.family], t.spread_params))
+        index = {template: i for i, template in enumerate(table)}
+        template_ids = np.array([index[t] for t in templates], dtype=np.intp)[template_ids]
+        family_ids, x_params, y_params = _instantiate(table, template_ids, x_cores, y_cores)
+        for axis, cores, blocks in (("x", x_cores, x_params), ("y", y_cores, y_params)):
+            derived = _rounded_cores(family_ids, blocks)
+            lost = derived != cores
+            if lost.any():
+                i = np.argmax(lost)
+                raise ValueError(f"template {table[template_ids[i]]} turns the {axis}-core "
+                                 f"{int(cores[i])} into {derived[i]}")
         vault = object.__new__(cls)
-        vault._set_columns(family_ids, tuple(x_params), tuple(y_params), q, n, r, CRC_VARIANT)
+        vault._set_columns(family_ids, x_params, y_params, x_cores, y_cores, q, n, r,
+                           crc_variant, (tuple(table), template_ids))
         return vault
 
-    def _set_columns(self, family_ids, x_params, y_params, q, n, r, crc_variant):
-        """Check a vault's columns, derive its cores and store them."""
+    def _set_columns(self, family_ids, x_params, y_params, x_cores, y_cores, q, n, r,
+                     crc_variant, table=None):
+        """Check a vault's columns and the rounded cores its caller derived
+        or checked once, and store them with the template table, if known."""
         if crc_variant != CRC_VARIANT:
             raise ValueError(
                 f"unsupported CRC variant {crc_variant!r}, expected {CRC_VARIANT!r}"
@@ -336,8 +387,6 @@ class Vault:
             raise ValueError(f"vault holds {len(family_ids)} points, expected r={r}")
         if not 0 <= n < r:
             raise ValueError(f"polynomial degree n={n} outside [0, r={r})")
-        x_cores = _rounded_cores(family_ids, x_params)
-        y_cores = _rounded_cores(family_ids, y_params)
         # a trapezoidal (x0 + y0) / 2 beyond the float range is inf
         if not (np.isfinite(x_cores).all() and np.isfinite(y_cores).all()):
             raise ValueError("vault cores must be finite")
@@ -349,13 +398,15 @@ class Vault:
         for axis, axis_cores in (("x", x_sorted), ("y", y_cores)):
             if not (0 <= axis_cores.min() and int(axis_cores.max()) < q):
                 raise ValueError(f"vault {axis}-cores must lie in [0, q={q})")
-        columns = (family_ids, *x_params, *y_params, x_cores, y_cores)
+        columns = [family_ids, *x_params, *y_params, x_cores, y_cores]
+        if table is not None:
+            columns.append(table[1])
         for column in columns:
             column.flags.writeable = False
         for name, value in (("q", q), ("n", n), ("r", r), ("crc_variant", crc_variant),
                             ("family_ids", family_ids), ("x_params", x_params),
                             ("y_params", y_params), ("x_cores", x_cores),
-                            ("y_cores", y_cores), ("_points", None)):
+                            ("y_cores", y_cores), ("_table", table), ("_points", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -401,57 +452,108 @@ class Vault:
         return (f"Vault(points={self.points!r}, q={self.q!r}, n={self.n!r}, "
                 f"r={self.r!r}, crc_variant={self.crc_variant!r})")
 
+    def _template_table(self) -> tuple:
+        """The canonical template table and every point's id in it: the
+        table the vault was built from, or else one read off its parameter
+        columns with ``spread_rows``.  Only the first is exact for every
+        template: a spread such as 0.1 reads off as another float at almost
+        every core.  ValueError names a point whose x and y need different
+        templates, or which no template rebuilds bit for bit at its integer
+        cores."""
+        if self._table is not None:
+            return self._table
+        # the cores as a file holds them: integers, which read back as +0.0, not -0.0
+        x_cores, y_cores = self.x_cores + 0.0, self.y_cores + 0.0
+        table, template_ids = [], np.empty(self.r, dtype=np.intp)
+        for f, family in enumerate(FAMILIES):
+            members = np.flatnonzero(self.family_ids == f)
+            if not len(members):
+                continue
+            spreads, y_spreads = (spread_rows(family, cores[members], blocks[f])
+                                  for cores, blocks in ((x_cores, self.x_params),
+                                                        (y_cores, self.y_params)))
+            differ = (spreads != y_spreads).any(axis=1)
+            if differ.any():
+                raise ValueError(f"vault point {members[np.argmax(differ)]}: x and y "
+                                 f"are not instances of one {family} template")
+            if spreads.shape[1]:
+                rows, inverse = np.unique(spreads, axis=0, return_inverse=True)
+                inverse = inverse.reshape(-1)  # 2-D in some numpy versions
+            else:  # crisp has one template
+                rows, inverse = spreads[:1], np.zeros(len(members), dtype=np.intp)
+            template_ids[members] = len(table) + inverse
+            for j, row in enumerate(rows.tolist()):
+                try:
+                    table.append(FamilyTemplate(family, row))
+                except ValueError as e:
+                    point = members[np.argmax(inverse == j)]
+                    raise ValueError(f"vault point {point}: {e}") from None
+        _, *rebuilt = _instantiate(table, template_ids, x_cores, y_cores)
+        for blocks, ours in zip(rebuilt, (self.x_params, self.y_params)):
+            for f, (block, own) in enumerate(zip(blocks, ours)):
+                same = (block.view(np.uint64) == own.view(np.uint64)).all(axis=1)
+                if not same.all():
+                    point = np.flatnonzero(self.family_ids == f)[np.argmin(same)]
+                    raise ValueError(f"vault point {point} is no template's instance "
+                                     f"at its integer cores")
+        return tuple(table), template_ids
+
     def to_dict(self) -> dict:
+        """The v2 document: the header, the canonical template table, and
+        per point its template id and integer x- and y-core.  ValueError
+        names a point that no template table expresses."""
+        templates, template_ids = self._template_table()
         return {
-            "format_version": 1,
-            "q": self.q,
-            "n": self.n,
-            "r": self.r,
             "crc_variant": self.crc_variant,
-            "points": [p.to_dict() for p in self.points],
+            "format_version": 2,
+            "n": self.n,
+            "q": self.q,
+            "r": self.r,
+            "templates": [t.to_dict() for t in templates],
+            "template_ids": template_ids.tolist(),
+            "x_cores": list(map(int, self.x_cores.tolist())),
+            "y_cores": list(map(int, self.y_cores.tolist())),
         }
 
     def to_json(self) -> str:
-        """The v1 text, ``json.dumps(self.to_dict(), sort_keys=True,
-        separators=(",", ":")) + "\\n"``, written from the columns.
-
-        Keys appear in sorted order, and every parameter is a finite float,
-        which json writes with ``float.__repr__``.
-        """
-        dumps = json.dumps
-        per_family = []
-        for family, x_block, y_block in zip(FAMILIES, self.x_params, self.y_params):
-            head = f'{{"family":{dumps(family)},"params":['
-            # rows as transient tuples of one flat list: block.tolist() would
-            # keep a list per row alive, which the cyclic collector scans
-            rows = (zip(*[iter(block.ravel().tolist())] * PARAM_COUNT[family])
-                    for block in (x_block, y_block))
-            per_family.append([
-                f'{{"x":{head}{",".join(map(float.__repr__, x))}]}},'
-                f'"y":{head}{",".join(map(float.__repr__, y))}]}}}}'
-                for x, y in zip(*rows)
-            ])
-        return (
-            f'{{"crc_variant":{dumps(self.crc_variant)},"format_version":1,'
-            f'"n":{dumps(self.n)},"points":[{",".join(self._in_vault_order(per_family))}],'
-            f'"q":{dumps(self.q)},"r":{dumps(self.r)}}}\n'
-        )
+        """The v2 text, ``json.dumps(self.to_dict(), sort_keys=True,
+        separators=(",", ":")) + "\\n"``."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vault":
-        """Parse ``to_dict`` output; raises ValueError on any malformed input."""
+        """Parse a v1 or v2 document; raises ValueError on any malformed input."""
         (version,) = json_fields(d, "format_version")
-        if type(version) is not int or version != 1:
+        if type(version) is not int or version not in (1, 2):
             raise ValueError(f"unsupported vault format: {version!r}")
+        if version == 2:
+            return cls._from_v2(d)
         points, q, n, r, crc_variant = json_fields(
             d, "points", "q", "n", "r", "crc_variant"
         )
         if type(points) is not list:
             raise ValueError(f"points must be an array, got {type(points).__name__}")
-        columns = _parse_points(points)
+        family_ids, x_params, y_params = _parse_points(points)
         vault = object.__new__(cls)
-        vault._set_columns(*columns, json_int(q), json_int(n), json_int(r), crc_variant)
+        vault._set_columns(family_ids, x_params, y_params, _rounded_cores(family_ids, x_params),
+                           _rounded_cores(family_ids, y_params), json_int(q), json_int(n),
+                           json_int(r), crc_variant)
         return vault
+
+    @classmethod
+    def _from_v2(cls, d: dict) -> "Vault":
+        """Check a parsed v2 document and build its vault as the lock does."""
+        q, n, r, crc_variant, templates, template_ids, x_cores, y_cores = json_fields(
+            d, "q", "n", "r", "crc_variant", "templates", "template_ids", "x_cores", "y_cores")
+        q, n, r = json_int(q), json_int(n), json_int(r)
+        if type(templates) is not list:
+            raise ValueError(f"templates must be an array, got {type(templates).__name__}")
+        table = [FamilyTemplate.from_dict(t) for t in templates]
+        ids = _int_column(template_ids, r, "template_ids")
+        if ids and not (0 <= min(ids) and max(ids) < len(table)):
+            raise ValueError(f"template ids must index the table of {len(table)} templates")
+        return cls._from_cores(_core_column(x_cores, r, q, "x"), _core_column(y_cores, r, q, "y"),
+                               np.array(ids, dtype=np.intp), table, q, n, r, crc_variant)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -620,7 +722,14 @@ def lock_polynomial(
     )
     # scrambling the positions draws what scrambling the points would
     order = scramble(range(len(triples)), rng)
-    vault = Vault._from_triples([triples[i] for i in order], q, params.n, params.r)
+    xs, ys, templates = zip(*[triples[i] for i in order])
+    # the points of one template object share an id
+    _, first, template_ids = np.unique(
+        np.fromiter(map(id, templates), np.uint64, len(templates)),
+        return_index=True, return_inverse=True)
+    vault = Vault._from_cores(np.array(xs, np.float64), np.array(ys, np.float64),
+                              template_ids, [templates[i] for i in first.tolist()],
+                              q, params.n, params.r, CRC_VARIANT)
     transcript = LockTranscript(
         p,
         tuple(at for at, i in enumerate(order) if i < params.t_mfk),

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -107,3 +108,22 @@ def reference_core(family: str, p: tuple) -> float:
     if family == "sigmoid":
         return p[1]
     return p[0]
+
+
+# The v1 vault document, which the library reads but no longer writes, kept
+# as the oracle of the v1 bytes: every point as two {"family", "params"}
+# objects.
+def reference_v1_document(vault) -> dict:
+    return {
+        "format_version": 1,
+        "q": vault.q,
+        "n": vault.n,
+        "r": vault.r,
+        "crc_variant": vault.crc_variant,
+        "points": [p.to_dict() for p in vault.points],
+    }
+
+
+def reference_v1_json(vault) -> str:
+    """The v1 text of ``vault``, as the v1 writer wrote it."""
+    return json.dumps(reference_v1_document(vault), sort_keys=True, separators=(",", ":")) + "\n"

@@ -8,6 +8,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import reference_v1_document
+from fuzzyvault import Vault
 from fuzzyvault.cli import EXIT_IO, EXIT_NULL, EXIT_OK, EXIT_VALIDATION, main
 
 KEY_HEX = "00112233445566778899"
@@ -65,7 +67,8 @@ class TestLock:
         out = capsys.readouterr().out
         assert "locked:" in out and "q=65537" in out
         doc = json.loads((workdir / "vault.json").read_text())
-        assert len(doc["points"]) == 60
+        assert doc["format_version"] == 2
+        assert len(doc["template_ids"]) == len(doc["x_cores"]) == len(doc["y_cores"]) == 60
 
     def test_byte_identical_reruns(self, workdir):
         main(lock_args(workdir))
@@ -343,6 +346,48 @@ MALFORMED = {
 }
 
 
+def assert_rejected(path, contents, argv, capsys):
+    """Writing ``contents`` to ``path`` makes ``argv`` exit 2 with one
+    error line that names the file."""
+    if isinstance(contents, str):
+        contents = contents.encode()
+    path.write_bytes(contents)
+    capsys.readouterr()
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(path) in err[0]
+
+
+def _v2_core(doc, axis, family, value):
+    """``doc`` with the ``axis`` core of its first point of ``family`` set
+    to ``value``, as JSON text."""
+    ids = [i for i, t in enumerate(doc["templates"]) if t["family"] == family]
+    point = next(i for i, t in enumerate(doc["template_ids"]) if t in ids)
+    return _replace(doc, [f"{axis}_cores", point], value)
+
+
+# hostile v2 vault files, mutations of the file lock writes
+MALFORMED_V2 = {
+    "id-outside-table": lambda d: _replace(d, ["template_ids", 0], len(d["templates"])),
+    "id-negative": lambda d: _replace(d, ["template_ids", 0], -1),
+    "core-bool": lambda d: _replace(d, ["x_cores", 0], True),
+    "core-float": lambda d: _replace(d, ["x_cores", 0], float(d["x_cores"][0])),
+    "core-beyond-q": lambda d: _replace(d, ["x_cores", 0], d["q"]),
+    "y-core-negative": lambda d: _replace(d, ["y_cores", 0], -1),
+    "core-huge-int": lambda d: _replace(d, ["x_cores", 0], HUGE_INT),
+    "column-not-r-long": lambda d: _replace(d, ["y_cores"], d["y_cores"][:-1]),
+    "x-cores-repeated": lambda d: _replace(d, ["x_cores", 1], d["x_cores"][0]),
+    # 2**1023 + 2**1023 overflows; q is raised so that the core is in range
+    "spread-overflows-parameter": lambda d: _v2_core(
+        {**d, "q": 2**1024, "templates": [
+            {**t, "spreads": [1.0, 2.0**1023]} if t["family"] == "triangular" else t
+            for t in d["templates"]]},
+        "x", "triangular", 2**1023),
+    "crc-variant": lambda d: _replace(d, ["crc_variant"], "CRC-32"),
+}
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("name, mutate", MALFORMED.values(), ids=MALFORMED.keys())
     def test_rejected_with_exit_2_naming_the_file(self, workdir, capsys, name, mutate):
@@ -352,16 +397,18 @@ class TestMalformedInput:
             argv = ["minutiae-demo", "--minutiae", str(path)]
         else:
             assert main(lock_args(workdir)) == EXIT_OK
-            contents = mutate(json.loads(path.read_text()))
+            doc = json.loads(path.read_text())
+            if name == "vault.json":  # the v1 cases: mutations of a v1 file
+                doc = reference_v1_document(Vault.from_dict(doc))
+            contents = mutate(doc)
             argv = unlock_args(workdir)
-        if isinstance(contents, str):
-            contents = contents.encode()
-        path.write_bytes(contents)
-        capsys.readouterr()
-        assert main(argv) == EXIT_VALIDATION
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert str(path) in err[0]
+        assert_rejected(path, contents, argv, capsys)
+
+    @pytest.mark.parametrize("mutate", MALFORMED_V2.values(), ids=MALFORMED_V2.keys())
+    def test_hostile_v2_vault_rejected(self, workdir, capsys, mutate):
+        assert main(lock_args(workdir)) == EXIT_OK
+        path = workdir / "vault.json"
+        assert_rejected(path, mutate(json.loads(path.read_text())), unlock_args(workdir), capsys)
 
     def test_unlock_rejects_non_finite_delta(self, workdir):
         main(lock_args(workdir))
@@ -427,12 +474,14 @@ def fuzz_dir(tmp_path_factory):
     d = write_inputs(tmp_path_factory.mktemp("fuzz"))
     (d / "m.txt").write_text(TestMinutiaeDemo.MINUTIAE)
     assert main(lock_args(d)) == EXIT_OK
+    v1 = reference_v1_document(Vault.load(d / "vault.json"))
+    (d / "vault-v1.json").write_text(json.dumps(v1))
     return d
 
 
 class TestFuzzedInput:
     @pytest.mark.parametrize("name", ["vault.json", "probe.json", "locking.json",
-                                      "field.json", "m.txt"])
+                                      "field.json", "m.txt", "vault-v1.json"])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_exit_code_contract(self, fuzz_dir, name, data):
@@ -448,7 +497,9 @@ class TestFuzzedInput:
             doc = json.loads(original.read_text())
             raw = _mutated(data, doc, json.dumps,
                            ["NaN", "Infinity", "-Infinity", "1e400", str(HUGE_INT)])
-            if name in ("vault.json", "probe.json"):
+            if name == "vault-v1.json":
+                argv = unlock_args(fuzz_dir, **{"--effort-cap": "50", "--vault": str(original)})
+            elif name in ("vault.json", "probe.json"):
                 argv = unlock_args(fuzz_dir, **{"--effort-cap": "50"})
             else:
                 argv = lock_args(fuzz_dir, **{"--out": str(fuzz_dir / "out.json")})

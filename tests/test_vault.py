@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+from operator import itemgetter
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -52,6 +53,8 @@ from conftest import (
     desk_locking_set,
     desk_params,
     reference_core,
+    reference_v1_document,
+    reference_v1_json,
     reference_validate,
 )
 
@@ -260,13 +263,18 @@ class TestBatchedLock:
         assert repr(points) == repr(want)  # repr also tells -0.0 from 0.0
 
     def test_desk_vault_golden_bytes(self, field_mfs):
-        # the vault file format is fixed per seed across versions
+        # the locked vault is fixed per seed across versions: its v1 text,
+        # written by the oracle, keeps the digest the v1 writer gave it
         vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field_mfs, seed=7),
                               field_mfs, desk_params(seed=7))
-        text = vault.to_json().encode()
+        text = reference_v1_json(vault).encode()
         assert len(text) == 37521
         assert hashlib.sha256(text).hexdigest() == (
             "f8b7276de8ee6f4b2ecf9edf3a413b38d24e0e826008be2ddfb6bef98d196bb0")
+        text = vault.to_json().encode()
+        assert len(text) == 4412
+        assert hashlib.sha256(text).hexdigest() == (
+            "4dd5e8156d99767ef3adfbf81d74b1d3d2b7c96d7e95021858306bc1aea52a61")
 
 
 class TestLock:
@@ -919,7 +927,7 @@ def vault_documents(draw):
     """Parsed v1 documents: a valid vault's, with some integral parameters
     written as JSON ints, and mostly one or two mutations."""
     vault = draw(serialisable_vaults())
-    doc = vault.to_dict()
+    doc = reference_v1_document(vault)
     for point in doc["points"]:
         for axis in ("x", "y"):
             params = point[axis]["params"]
@@ -987,8 +995,7 @@ def assert_parses_like_reference(doc: dict) -> None:
         return
     got = Vault.from_dict(doc)
     assert got == want
-    assert got.to_json() == want.to_json() == json.dumps(
-        want.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert reference_v1_json(got) == reference_v1_json(want)
     assert repr(got.points) == repr(want.points)  # repr tells -0.0 from 0.0
     for axis, cores in (("x", got.x_cores), ("y", got.y_cores)):
         coords = [getattr(p, axis) for p in want.points]
@@ -1009,7 +1016,7 @@ class TestSerialization:
         # the wrong type
         template = MATCH_TEMPLATES[family][0]
         point = VaultPoint(template.instantiate(3.0), template.instantiate(5.0))
-        base = Vault((point,), 11, 0, 1).to_dict()
+        base = reference_v1_document(Vault((point,), 11, 0, 1))
         for axis in ("x", "y"):
             row = base["points"][0][axis]["params"]
             edges = [-5e-324, -0.0, 0, 5e-324, 1, 1.0, math.nextafter(1.0, 2.0), -1.0,
@@ -1024,7 +1031,7 @@ class TestSerialization:
     def test_from_dict_matches_reference_at_header_edges(self):
         points = (VaultPoint(TRI.instantiate(3.0), TRI.instantiate(5.0)),
                   VaultPoint(GAU.instantiate(7.0), GAU.instantiate(0.0)))
-        base = Vault(points, 8, 1, 2).to_dict()
+        base = reference_v1_document(Vault(points, 8, 1, 2))
         for key, values in {
             "q": [0, 5, 6, 7, 8, 2**64, 10**400, 8.0, True, None],
             "n": [-1, 0, 1, 2, 1.0, False],
@@ -1037,7 +1044,7 @@ class TestSerialization:
 
     def test_huge_integer_parameter_rejected(self):
         point = VaultPoint(GAU.instantiate(3.0), GAU.instantiate(5.0))
-        doc = Vault((point,), 11, 0, 1).to_dict()
+        doc = reference_v1_document(Vault((point,), 11, 0, 1))
         doc["points"][0]["x"]["params"][1] = 10**400
         for parse in (Vault.from_dict, reference_vault_from_dict):
             with pytest.raises(ValueError, match="finite"):
@@ -1091,9 +1098,16 @@ class TestSerialization:
     @example(vault=Vault((VaultPoint(FuzzyNumber.crisp(-0.0), FuzzyNumber.crisp(0.0)),),
                          1, 0, 1))
     def test_to_json_matches_json_dumps(self, vault):
-        # to_dict is kept as the oracle of the text to_json writes directly
-        assert vault.to_json() == json.dumps(
-            vault.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        # the v1 text of awkward floats reads back bit for bit
+        loaded = Vault.from_dict(json.loads(reference_v1_json(vault)))
+        assert loaded == vault
+        assert repr(loaded.points) == repr(vault.points)  # repr tells -0.0 from 0.0
+        try:
+            text = vault.to_json()
+        except ValueError as e:
+            assert str(e).startswith("vault point ")
+            return
+        assert text == json.dumps(vault.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
     def test_deterministic_bytes(self, field_mfs, tmp_path):
         locking = desk_locking_set(field_mfs, seed=30)
@@ -1126,7 +1140,7 @@ class TestSerialization:
 
     def test_bad_format_version(self):
         with pytest.raises(ValueError):
-            Vault.from_dict({"format_version": 2, "points": [], "q": 7, "n": 1, "r": 0})
+            Vault.from_dict({"format_version": 3, "points": [], "q": 7, "n": 1, "r": 0})
 
     @pytest.mark.parametrize("edit", [
         {"format_version": True},
@@ -1139,22 +1153,23 @@ class TestSerialization:
     ])
     def test_from_dict_rejects_malformed(self, edit):
         point = VaultPoint(TRI.instantiate(3.0), TRI.instantiate(5.0))
-        doc = dict(Vault((point,), 11, 0, 1).to_dict(), **edit)
+        doc = dict(reference_v1_document(Vault((point,), 11, 0, 1)), **edit)
         with pytest.raises(ValueError):
             Vault.from_dict(doc)
 
     def test_missing_crc_variant_rejected(self):
         point = VaultPoint(TRI.instantiate(3.0), TRI.instantiate(5.0))
-        doc = Vault((point,), 11, 0, 1).to_dict()
-        del doc["crc_variant"]
-        with pytest.raises(ValueError):
-            Vault.from_dict(doc)
+        vault = Vault((point,), 11, 0, 1)
+        for doc in (reference_v1_document(vault), vault.to_dict()):
+            del doc["crc_variant"]
+            with pytest.raises(ValueError):
+                Vault.from_dict(doc)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_core_beyond_float_range_rejected(self, axis):
         # (x0 + y0) / 2 overflows to inf, which round() cannot convert
         point = VaultPoint(TRAP.instantiate(3.0), TRAP.instantiate(5.0))
-        doc = Vault((point,), 11, 0, 1).to_dict()
+        doc = reference_v1_document(Vault((point,), 11, 0, 1))
         doc["points"][0][axis]["params"] = [1e308, 1.5e308, 1.0, 1.0]
         with pytest.raises(ValueError, match="finite"):
             Vault.from_dict(doc)
@@ -1166,6 +1181,7 @@ class TestSerialization:
         x = trap.instantiate(7.0)
         assert x.defuzzify() != 7.0
         vault = Vault((VaultPoint(x, trap.instantiate(3.0)),), 11, 0, 1)
+        assert Vault.from_dict(reference_v1_document(vault)) == vault
         assert Vault.from_dict(vault.to_dict()) == vault
 
 
@@ -1253,6 +1269,138 @@ class TestColumnarLock:
             assert stored != drawn
             return
         assert list(zip(vault.x_cores.tolist(), vault.y_cores.tolist())) == drawn
-        assert vault.to_json() == want.to_json()
+        assert reference_v1_json(vault) == reference_v1_json(want)
         assert vault == want
         assert transcript == want_transcript
+        # whatever its templates, a locked vault saves and loads back
+        text = vault.to_json()
+        loaded = Vault.from_dict(json.loads(text))
+        assert loaded == vault
+        assert loaded.to_json() == text
+
+
+def v2_document(**edits) -> dict:
+    """A valid two-point v2 document with ``edits`` applied to its fields."""
+    doc = {
+        "crc_variant": CRC_VARIANT, "format_version": 2, "n": 1, "q": 11, "r": 2,
+        "templates": [TRI.to_dict(), GAU.to_dict()],
+        "template_ids": [0, 1], "x_cores": [3, 7], "y_cores": [5, 0],
+    }
+    return dict(doc, **edits)
+
+
+class TestFormatV2:
+    @pytest.mark.parametrize("r, seeds", [(300, range(50, 54)), (3000, range(60, 62))])
+    def test_v1_and_v2_files_load_and_unlock_alike(self, field_mfs, tmp_path, r, seeds):
+        for seed in seeds:
+            locking = desk_locking_set(field_mfs, seed=seed)
+            vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=seed, r=r))
+            v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
+            v1.write_text(reference_v1_json(vault))
+            vault.save(v2)
+            from_v1, from_v2 = Vault.load(v1), Vault.load(v2)
+            assert from_v1 == from_v2 == vault
+            # the table read off the v1 columns is the one the lock kept
+            assert from_v1.to_json() == from_v2.to_json() == v2.read_text()
+            assert len(v2.read_bytes()) * 5 < len(v1.read_bytes())
+            # the locking subset and a decoy one: key, matches, subsets, cap
+            for subset, key in ((0, KEY), (1, None)):
+                got = [fuzzy_unlock(v, locking, subset, 0.25, len(KEY))
+                       for v in (from_v1, from_v2)]
+                assert got[0] == got[1]
+                assert got[0].key == key
+
+    @settings(max_examples=200, deadline=None)
+    @given(vault=serialisable_vaults() | match_cases().map(itemgetter(0)))
+    def test_save_round_trips_or_refuses(self, vault, tmp_path_factory):
+        path = tmp_path_factory.mktemp("save") / "vault.json"
+        try:
+            vault.save(path)
+        except ValueError as e:
+            assert re.match(r"vault point \d+", str(e))
+            return
+        loaded = Vault.load(path)
+        assert loaded == vault
+        assert repr(loaded.points) == repr(vault.points)  # repr tells -0.0 from 0.0
+        assert loaded.to_json() == path.read_text()
+
+    def test_spreads_no_core_offset_holds_exactly(self):
+        # c - 0.1 rounds differently at every core, so the spreads read off
+        # the parameters differ between points: a vault built from points
+        # has no table, while the locked one keeps the table it was built from
+        q = 65537
+        tenth = FamilyTemplate("triangular", (0.1, 0.1))
+        field = partition_field(q, [q // 2, q - q // 2], [tenth, GAU])
+        locking = build_locking_set(field, [(tuple(range(1000, 1012)), tenth)])
+        params = LockParams(t=12, k_subset=0, t_mfk=12, r=300, k=8, seed=7)
+        vault, _ = fuzzy_lock(KEY, locking, field, params)
+        doc = vault.to_dict()
+        assert doc["templates"] == [tenth.to_dict(), GAU.to_dict()]
+        assert Vault.from_dict(doc) == vault
+        with pytest.raises(ValueError, match=r"vault point \d+: x and y are not instances"):
+            Vault(vault.points, vault.q, vault.n, vault.r).to_json()
+
+    def test_table_is_canonical(self):
+        wide = FamilyTemplate("gaussian", (2.0, 0.5))
+        narrow = FamilyTemplate("gaussian", (0.5, 3.0))
+        crisp = FamilyTemplate("crisp")
+        table = [crisp, wide, TRI, narrow, SIG, FamilyTemplate("gaussian", (2.0, 0.5))]
+        doc = v2_document(q=100, n=0, r=6, templates=[t.to_dict() for t in table],
+                          template_ids=[0, 1, 2, 3, 4, 5], x_cores=[1, 2, 3, 4, 5, 6],
+                          y_cores=[9, 8, 7, 6, 5, 4])
+        vault = Vault.from_dict(doc)
+        saved = vault.to_dict()
+        # families in FAMILIES order, spreads ascending, equal ones merged
+        assert saved["templates"] == [t.to_dict() for t in (TRI, narrow, wide, SIG, crisp)]
+        assert saved["template_ids"] == [4, 2, 0, 1, 3, 2]
+        assert Vault(vault.points, 100, 0, 6).to_dict() == saved
+
+    def test_field_beyond_int64_products_round_trips(self):
+        # q = 2**31 + 11: a stand-in field, as a partition would not fit
+        field = SimpleNamespace(q=P31, templates=lambda: list(ALL_TEMPLATES))
+        elements = range(P31 - 40, P31, 2)
+        locking = build_locking_set(field, [(tuple(elements), TRI)])
+        params = LockParams(t=20, k_subset=0, t_mfk=20, r=500, k=8, seed=3)
+        poly = encode_key(KEY, FieldParams(P31), 8)
+        vault, _ = lock_polynomial(poly, locking, field, params)
+        loaded = Vault.from_dict(json.loads(vault.to_json()))
+        assert loaded == vault
+        assert Vault.from_dict(reference_v1_document(vault)) == vault
+        results = [fuzzy_unlock(v, locking, 0, 0.25, len(KEY)) for v in (vault, loaded)]
+        assert results[0] == results[1] and results[0].key == KEY
+
+    def test_core_above_float_integers(self):
+        # float64 holds 2**60 exactly, but not 2**53 + 1
+        q, big = 2**62, 2**60
+        vault = Vault.from_dict(v2_document(q=q, x_cores=[3, big], y_cores=[big + 2**10, 0]))
+        assert vault.x_cores.tolist() == [3, big]
+        doc = vault.to_dict()
+        assert doc["x_cores"] == [3, big] and doc["y_cores"] == [big + 2**10, 0]
+        assert Vault.from_dict(doc) == vault
+        with pytest.raises(ValueError, match="float64 holds exactly"):
+            Vault.from_dict(v2_document(q=q, x_cores=[3, 2**53 + 1]))
+
+    @pytest.mark.parametrize("edits, message", [
+        ({"template_ids": [0, 2]}, "index the table"),
+        ({"template_ids": [-1, 0]}, "index the table"),
+        ({"template_ids": [0]}, "r=2 integers"),
+        ({"x_cores": [3, True]}, "integers only"),
+        ({"x_cores": [3, 7.0]}, "integers only"),
+        ({"x_cores": [3, 11]}, r"x-cores must lie in \[0, q=11\)"),
+        ({"y_cores": [5, -1]}, r"y-cores must lie in \[0, q=11\)"),
+        ({"x_cores": [3, 10**400], "q": 10**401}, "float64 holds exactly"),
+        ({"x_cores": [3, 3]}, "pairwise distinct"),
+        ({"templates": {}}, "templates must be an array"),
+        ({"templates": [TRI.to_dict(), {"family": "gaussian", "spreads": [0, 1]}]},
+         "strictly positive"),
+        ({"x_cores": [3, 2**1023], "q": 2**1024,
+          "templates": [TRI.to_dict(), {"family": "triangular", "spreads": [1.0, 2.0**1023]}]},
+         "must be finite"),
+        ({"templates": [{"family": "trapezoidal", "spreads": [1e16, 1.0, 1.0]},
+                        GAU.to_dict()], "x_cores": [3, 7]}, "turns the x-core 3 into "),
+        ({"crc_variant": "CRC-32"}, "CRC variant"),
+        ({"n": 2}, "outside"),
+    ])
+    def test_malformed_v2_rejected(self, edits, message):
+        with pytest.raises(ValueError, match=message):
+            Vault.from_dict(v2_document(**edits))
