@@ -52,58 +52,121 @@ _GAMMA = 0x9E3779B97F4A7C15
 # k-subsets whose constant coefficient search_key computes in one numpy batch
 _SUBSET_CHUNK = 4096
 
-# SplitMix64 outputs computed in one numpy batch
-_DRAW_BLOCK = 1024
+# SplitMix64 outputs computed in one numpy batch: what next_u64 caches, and
+# the least generate_chaff reduces at a time (a few thousand, so its Python
+# int lists stay small)
+_DRAW_BLOCK = 2048
 
 # k-subsets an unlock tries at most, unless its caller sets another cap
 DEFAULT_EFFORT_CAP = 100_000
 
 
-def _splitmix64_outputs(state: int):
-    """The SplitMix64 stream after ``state``, computed a block at a time.
+def _splitmix64_block(state: int, count: int):
+    """The ``count`` SplitMix64 outputs after ``state``, as uint64.
 
     The state after i steps is state + i * gamma (mod 2**64), so a block of
-    outputs is one uint64 expression; numpy wraps it mod 2**64 as the
-    scalar algorithm's masks do.
+    outputs is one uint64 expression; numpy wraps array arithmetic mod 2**64
+    as the scalar algorithm's masks do.
     """
-    # built on the first draw: numpy's uint64 loops cost memory at first use,
-    # which processes that never lock (unlock, the CLI) should not pay
-    steps = np.arange(1, _DRAW_BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    while True:
-        z = steps + np.uint64(state)
-        state = (state + _DRAW_BLOCK * _GAMMA) & _MASK64
-        z = (z ^ (z >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
-        yield from (z ^ (z >> 31)).tolist()
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z += np.uint64(state & _MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _rejection_limit(n: int) -> int:
+    """The largest multiple of n up to 2**64: ``randbelow(n)`` takes an
+    output below it mod n, and draws again otherwise.  Above 2**64 the limit
+    would be 0 and every output rejected, so such an n raises ValueError."""
+    if not 0 < n <= 1 << 64:
+        raise ValueError(f"bound must lie in [1, 2**64], got {n}")
+    return (1 << 64) - (1 << 64) % n
 
 
 class SplitMix64:
-    """Deterministic 64-bit generator; fixed so vaults reproduce per seed."""
+    """Deterministic 64-bit generator; fixed so vaults reproduce per seed.
+
+    ``next_u64`` reads a cached block of outputs.  The bulk draws of
+    ``generate_chaff`` and ``scramble`` read a stretch of the stream ahead
+    with ``_peek`` and then ``_skip`` the outputs they used, so they leave
+    the stream where as many ``randbelow`` calls would.
+    """
 
     def __init__(self, seed: int):
-        self._draw = _splitmix64_outputs(seed & _MASK64).__next__
+        # nothing is computed before the first draw: numpy's uint64 loops
+        # cost memory at first use, which processes that never draw (unlock,
+        # the CLI) should not pay
+        self._state = seed & _MASK64  # the state before _cache[0]
+        self._cache = []
+        self._taken = 0  # outputs of _cache already taken
+
+    def _peek(self, count: int):
+        """The next ``count`` outputs as uint64, without taking them."""
+        return _splitmix64_block(self._state + self._taken * _GAMMA, count)
+
+    def _skip(self, count: int) -> None:
+        """Take the next ``count`` outputs."""
+        self._state = (self._state + (self._taken + count) * _GAMMA) & _MASK64
+        self._cache, self._taken = [], 0
 
     def next_u64(self) -> int:
-        return self._draw()
+        taken = self._taken
+        if taken == len(self._cache):
+            self._skip(0)
+            self._cache = self._peek(_DRAW_BLOCK).tolist()
+            taken = 0
+        self._taken = taken + 1
+        return self._cache[taken]
 
     def randbelow(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("bound must be positive")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % n)
-        draw = self._draw
+        limit = _rejection_limit(n)
         while True:
-            r = draw()
+            r = self.next_u64()
             if r < limit:
                 return r % n
 
 
+def _reduced(block, n: int) -> list:
+    """``randbelow(n)`` of each output of a uint64 block, as a list of ints
+    with None where randbelow rejects the output and draws again."""
+    ceiling = np.uint64(_rejection_limit(n) - 1)
+    values = (block % np.uint64(n) if n <= _MASK64 else block).tolist()
+    for at in np.flatnonzero(block > ceiling).tolist():
+        values[at] = None
+    return values
+
+
+def _randbelow_each(rng: SplitMix64, bounds):
+    """``[rng.randbelow(n) for n in bounds]`` for a uint64 array of bounds,
+    as a uint64 array: one numpy expression over the next outputs, and one
+    more from each output that a bound rejects; every bound is at least 1."""
+    # the largest multiple of n up to 2**64, less one; 2**64 mod n is
+    # (2**64 - n) mod n, which uint64 holds
+    ceilings = np.uint64(_MASK64) - (np.uint64(_MASK64) - bounds + np.uint64(1)) % bounds
+    parts = []
+    while True:
+        block = rng._peek(len(bounds))
+        rejected = np.flatnonzero(block > ceilings)
+        kept = int(rejected[0]) if len(rejected) else len(bounds)
+        parts.append(block[:kept] % bounds[:kept])
+        if kept == len(bounds):
+            rng._skip(kept)
+            return np.concatenate(parts)
+        rng._skip(kept + 1)
+        bounds, ceilings = bounds[kept:], ceilings[kept:]
+
+
 def scramble(points: list, rng: "SplitMix64 | int") -> list:
-    """Fisher-Yates permutation driven by a splitmix64 stream."""
+    """Fisher-Yates permutation driven by a splitmix64 stream: for i from
+    len - 1 down to 1, swap positions i and ``randbelow(i + 1)``.  All the
+    draws are computed in numpy before the swaps."""
     if isinstance(rng, int):
         rng = SplitMix64(rng)
     out = list(points)
-    for i in range(len(out) - 1, 0, -1):
-        j = rng.randbelow(i + 1)
+    n = len(out)
+    draws = _randbelow_each(rng, np.arange(n, 1, -1).astype(np.uint64)).tolist()
+    for i, j in zip(range(n - 1, 0, -1), draws):
         out[i], out[j] = out[j], out[i]
     return out
 
@@ -602,8 +665,9 @@ def _field_dtype(q: int):
     return np.int64 if q < 2**31 else object
 
 
-def _eval_all(p: Polynomial, xs: list[int]) -> list[int]:
-    """[p.eval(x) for x in xs], as one numpy Horner pass."""
+def _eval_all(p: Polynomial, xs: list[int]):
+    """[p.eval(x) for x in xs] as a uint64 array, in one numpy Horner pass;
+    q is at most 2**64."""
     q = p.q
     if xs and not (0 <= min(xs) and max(xs) < q):
         raise ValueError(f"evaluation points must lie in [0, {q})")
@@ -611,7 +675,7 @@ def _eval_all(p: Polynomial, xs: list[int]) -> list[int]:
     acc = np.zeros_like(x)
     for c in reversed(p.coefficients):
         acc = (acc * x + c) % q
-    return acc.tolist()
+    return acc.astype(np.uint64)
 
 
 def generate_chaff(
@@ -622,14 +686,22 @@ def generate_chaff(
     rho: float,
     locking_template: FamilyTemplate,
     rng: SplitMix64,
-) -> list[tuple]:
-    """Chaff points with fresh, pairwise distinct x-cores, as
-    ``(x_core, y_core, template)`` triples of integer cores; the point is
-    ``template.instantiate`` of each core.
+):
+    """Chaff points with fresh, pairwise distinct x-cores, as a (count, 3)
+    uint64 array: each row holds a point's integer x-core, its integer
+    y-core and the index of its template in ``field_mfs.templates()``; the
+    point is that template's ``instantiate`` of each core.
 
     floor(rho * count) points are type (ii): on the polynomial but with a
     family other than the locking one.  The rest are type (i): off the
     polynomial, any family.
+
+    The draws are those of ``rng.randbelow`` calls, in the order that fixes
+    the vault bytes: per point a core in [0, q) until one is unused, then a
+    decoy template for type (ii), or an offset in [0, q - 1) and a template
+    for type (i).  They are read off blocks of SplitMix64 outputs reduced
+    once per bound, with None for an output the bound rejects, at a position
+    index: a redrawn core or a rejected output only moves that index.
     """
     q = field_mfs.q
     if count < 0 or count > q - len(used_x_cores):
@@ -638,35 +710,62 @@ def generate_chaff(
             f"free field elements"
         )
     templates = field_mfs.templates()
-    decoys = [t for t in templates if t.family != locking_template.family]
+    decoys = [i for i, t in enumerate(templates) if t.family != locking_template.family]
     n_on_poly = int(rho * count)
     if n_on_poly > 0 and not decoys:
         raise ValueError("on-polynomial chaff needs at least one non-locking family")
-
+    # the bounds of the core, decoy, offset and template draws; None for a
+    # draw that no point makes
+    off_poly = count > n_on_poly
+    bounds = (q, len(decoys) if n_on_poly else None,
+              q - 1 if off_poly else None, len(templates) if off_poly else None)
     used = set(used_x_cores)
-    draw = rng.randbelow
-
-    def fresh_core() -> int:
-        while True:
-            u = draw(q)
-            if u not in used:
-                used.add(u)
-                return u
-
-    # drawn in the order that fixes the vault bytes; p is evaluated once all
-    # cores are known
-    cores, offsets, chosen = [], [], []
-    for _ in range(n_on_poly):
-        cores.append(fresh_core())
-        chosen.append(decoys[draw(len(decoys))])
-    for _ in range(count - n_on_poly):
-        cores.append(fresh_core())
-        offsets.append(draw(q - 1))
-        chosen.append(templates[draw(len(templates))])
+    used.add(None)  # a rejected core draw is drawn again, as a used core is
+    cores, picks, offsets = [], [], []
+    xs = decoy_draws = offset_draws = template_draws = ()
+    start = i = 0  # the first draw of the point being drawn, and the next draw
+    while len(cores) < count:
+        try:
+            for _ in range(len(cores), n_on_poly):
+                while (x := xs[i]) in used:
+                    i += 1
+                i += 1
+                while (d := decoy_draws[i]) is None:
+                    i += 1
+                i += 1
+                used.add(x)
+                cores.append(x)
+                picks.append(d)
+                start = i
+            for _ in range(len(cores), count):
+                while (x := xs[i]) in used:
+                    i += 1
+                i += 1
+                while (v := offset_draws[i]) is None:
+                    i += 1
+                i += 1
+                while (t := template_draws[i]) is None:
+                    i += 1
+                i += 1
+                used.add(x)
+                cores.append(x)
+                offsets.append(v)
+                picks.append(t)
+                start = i
+        except IndexError:  # the block ended inside a point: draw it again from a new block
+            rng._skip(start)
+            block = rng._peek(max(_DRAW_BLOCK, 2 * (len(xs) - start)))
+            xs, decoy_draws, offset_draws, template_draws = (
+                None if n is None else _reduced(block, n) for n in bounds)
+            start = i = 0
+    rng._skip(i)
     ys = _eval_all(p, cores)
     # an offset v skips the value y on p: uniform over F_q minus y
-    ys[n_on_poly:] = [v + (v >= y) for v, y in zip(offsets, ys[n_on_poly:])]
-    return list(zip(cores, ys, chosen))
+    offsets = np.array(offsets, dtype=np.uint64)
+    ys[n_on_poly:] = offsets + (offsets >= ys[n_on_poly:])
+    picks = np.array(picks, dtype=np.intp)
+    picks[:n_on_poly] = np.array(decoys, dtype=np.intp)[picks[:n_on_poly]]
+    return np.stack((np.array(cores, dtype=np.uint64), ys, picks.astype(np.uint64)), axis=1)
 
 
 def lock_polynomial(
@@ -677,11 +776,12 @@ def lock_polynomial(
 ) -> tuple[Vault, LockTranscript]:
     """Lock an already-encoded polynomial (the key-free core of fuzzy_lock).
 
-    Every point is a pair of integer cores plus a template: the genuine
-    points are the locking subset's elements and their values on p, with
-    the subset's template, and ``generate_chaff`` adds the rest.  The
-    triples are scrambled and the vault's columns built from them a
-    template at a time, so locking builds no object per point.
+    Every point is a pair of integer cores plus a template of the field:
+    the genuine points are the locking subset's elements and their values
+    on p, with the subset's template, and ``generate_chaff`` adds the rest.
+    Both come as rows of x-core, y-core and template index; the rows are
+    scrambled and the vault's columns built from them a template at a time,
+    so locking builds no object per point.
     """
     q = field_mfs.q
     if q > 2**53:
@@ -715,24 +815,26 @@ def lock_polynomial(
             f"locking template {template} is not a template of the field partition"
         )
     rng = SplitMix64(params.seed)
+    templates = field_mfs.templates()
     elements = sorted(subset.elements)
-    triples = [(a, y, template) for a, y in zip(elements, _eval_all(p, elements))]
-    triples += generate_chaff(
+    genuine = np.empty((params.t_mfk, 3), dtype=np.uint64)
+    genuine[:, 0] = elements
+    genuine[:, 1] = _eval_all(p, elements)
+    genuine[:, 2] = templates.index(template)
+    chaff = generate_chaff(
         p, field_mfs, set(elements), params.r - params.t_mfk, params.rho, template, rng
     )
     # scrambling the positions draws what scrambling the points would
-    order = scramble(range(len(triples)), rng)
-    xs, ys, templates = zip(*[triples[i] for i in order])
-    # the points of one template object share an id
-    _, first, template_ids = np.unique(
-        np.fromiter(map(id, templates), np.uint64, len(templates)),
-        return_index=True, return_inverse=True)
-    vault = Vault._from_cores(np.array(xs, np.float64), np.array(ys, np.float64),
-                              template_ids, [templates[i] for i in first.tolist()],
+    order = np.array(scramble(range(params.r), rng))
+    x_cores, y_cores, template_ids = np.concatenate((genuine, chaff))[order].T
+    # only the templates the points use go into the vault's table
+    used, template_ids = np.unique(template_ids, return_inverse=True)
+    vault = Vault._from_cores(x_cores.astype(np.float64), y_cores.astype(np.float64),
+                              template_ids, [templates[i] for i in used.tolist()],
                               q, params.n, params.r, CRC_VARIANT)
     transcript = LockTranscript(
         p,
-        tuple(at for at, i in enumerate(order) if i < params.t_mfk),
+        tuple(np.flatnonzero(order < params.t_mfk).tolist()),
         tuple(elements),
         template,
         params.t_mfk,

@@ -1,5 +1,6 @@
 import collections
 import copy
+import gc
 import hashlib
 import itertools
 import json
@@ -10,6 +11,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -59,6 +61,7 @@ from conftest import (
 )
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d")
+SMALL_FIELD = desk_field(401)
 P31 = 2147483659  # the smallest prime above 2**31, where int64 would overflow
 
 
@@ -106,19 +109,20 @@ class TestChaff:
 
     def test_rho_zero_all_off_polynomial(self):
         pts = generate_chaff(self.poly, self.field, {1, 2}, 40, 0.0, TRI, SplitMix64(4))
-        assert len(pts) == 40
-        assert all(y != self.poly.eval(x) for x, y, _ in pts)
+        assert pts.shape == (40, 3) and pts.dtype == np.uint64
+        assert all(y != self.poly.eval(x) for x, y, _ in pts.tolist())
 
     def test_rho_one_all_on_polynomial_wrong_family(self):
         pts = generate_chaff(self.poly, self.field, {1, 2}, 40, 1.0, TRI, SplitMix64(4))
-        assert all(y == self.poly.eval(x) for x, y, _ in pts)
-        assert all(t.family != "triangular" for _, _, t in pts)
+        templates = self.field.templates()
+        assert all(y == self.poly.eval(x) for x, y, _ in pts.tolist())
+        assert all(templates[t].family != "triangular" for _, _, t in pts.tolist())
 
     def test_exhausts_field(self):
         used = set(range(12))
         pts = generate_chaff(self.poly, self.field, used, self.Q - 12, 0.2, TRI,
                              SplitMix64(0))
-        cores = {x for x, _, _ in pts}
+        cores = set(pts[:, 0].tolist())
         assert cores == set(range(self.Q)) - used
 
     def test_too_many_chaff_rejected(self):
@@ -223,6 +227,24 @@ def reference_lock_polynomial(p, locking_set, field_mfs, params, cores=None):
 
 
 RNG_SEEDS = [0, 2**64 - 1, 0x243F6A8885A308D3, 0x13198A2E03707344]
+HALF_REJECTED = 2**63 + 29  # a prime: randbelow rejects almost half of all outputs
+
+
+def assert_chaff_matches_reference(poly, field, used, count, rho, seed):
+    """generate_chaff gives the oracle's cores and points, and leaves the
+    stream where the oracle's randbelow calls leave it."""
+    rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+    got = generate_chaff(poly, field, used, count, rho, TRI, rng)
+    cores = []
+    want = reference_generate_chaff(poly, field, used, count, rho, TRI, ref_rng, cores)
+    assert got.dtype == np.uint64 and got.shape == (count, 3)
+    rows = got.tolist()
+    assert [(x, y) for x, y, _ in rows] == cores
+    templates = field.templates()
+    points = [VaultPoint(templates[t].instantiate(float(x)), templates[t].instantiate(float(y)))
+              for x, y, t in rows]
+    assert repr(points) == repr(want)  # repr also tells -0.0 from 0.0
+    assert rng.next_u64() == ref_rng.next_u64()
 
 
 class TestBatchedLock:
@@ -245,7 +267,7 @@ class TestBatchedLock:
         assert ([rng.randbelow(n) for n in bounds]
                 == [reference_randbelow(ref, n) for n in bounds])
 
-    @pytest.mark.parametrize("q", [65537, P31])
+    @pytest.mark.parametrize("q", [65537, P31, HALF_REJECTED])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
     def test_generate_chaff_matches_reference(self, field_mfs, q, rho):
         # generate_chaff reads only q and the templates of the field; a
@@ -253,14 +275,68 @@ class TestBatchedLock:
         field = field_mfs if q == field_mfs.q else SimpleNamespace(
             q=q, templates=lambda: list(ALL_TEMPLATES))
         poly = encode_key(bytes(range(12)), FieldParams(q), 8)
-        used = set(random.Random(q).sample(range(q), 12))
-        args = (poly, field, used, 2000, rho, TRI)
-        got = generate_chaff(*args, SplitMix64(q + 1))
-        want = reference_generate_chaff(*args, SplitMix64(q + 1))
-        assert all(type(x) is int and type(y) is int for x, y, _ in got)
-        points = [VaultPoint(t.instantiate(float(x)), t.instantiate(float(y)))
-                  for x, y, t in got]
-        assert repr(points) == repr(want)  # repr also tells -0.0 from 0.0
+        # the len() of a range must fit in an ssize_t
+        used = set(random.Random(q).sample(range(min(q, 2**62)), 12))
+        assert_chaff_matches_reference(poly, field, used, 2000, rho, q + 1)
+
+    @pytest.mark.parametrize("block", [2, 7, 2048])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+    def test_chaff_filling_the_field_matches_reference(self, monkeypatch, block, rho):
+        # most core draws collide, and near the end a redraw runs longer
+        # than a block of outputs
+        monkeypatch.setattr(vault_module, "_DRAW_BLOCK", block)
+        field = desk_field(257)
+        poly = Polynomial((5, 17, 3, 200, 1, 256), 257)
+        used = set(random.Random(5).sample(range(257), 12))
+        assert_chaff_matches_reference(poly, field, used, 257 - len(used), rho, 9)
+
+    @pytest.mark.parametrize("block", [3, 64])
+    def test_blocks_ending_in_rejection_runs_match_reference(self, monkeypatch, block):
+        # half of the outputs are rejected under 2**63 + 29, so small blocks
+        # end inside runs of rejected core and offset draws
+        monkeypatch.setattr(vault_module, "_DRAW_BLOCK", block)
+        field = SimpleNamespace(q=HALF_REJECTED, templates=lambda: list(ALL_TEMPLATES))
+        poly = encode_key(bytes(range(12)), FieldParams(HALF_REJECTED), 8)
+        assert_chaff_matches_reference(poly, field, {5, 6}, 300, 0.3, 17)
+
+    @pytest.mark.parametrize("seed", RNG_SEEDS)
+    def test_randbelow_each_matches_reference(self, seed):
+        # scramble's bulk draws: a rejected output shifts every later draw
+        bounds = [1, 2, 3, HALF_REJECTED, 17, 65537, P31, 2**64 - 1, HALF_REJECTED] * 40
+        rng, ref = SplitMix64(seed), reference_splitmix64(seed)
+        got = vault_module._randbelow_each(rng, np.array(bounds, dtype=np.uint64))
+        assert got.tolist() == [reference_randbelow(ref, n) for n in bounds]
+        assert rng.next_u64() == next(ref)
+
+    def test_scramble_matches_reference(self):
+        def reference_scramble(items, seed):
+            out, ref = list(items), reference_splitmix64(seed)
+            for i in range(len(out) - 1, 0, -1):
+                j = reference_randbelow(ref, i + 1)
+                out[i], out[j] = out[j], out[i]
+            return out
+
+        for n, seed in [(0, 1), (1, 2), (2, 3), (5000, 2**64 - 1)]:
+            assert scramble(range(n), seed) == reference_scramble(range(n), seed)
+
+    def test_bound_beyond_2_64_raises(self, monkeypatch):
+        # above 2**64 the rejection limit is 0: without the check every
+        # output would be rejected, so a stream that runs out fails instead
+        calls, peek_ahead = itertools.count(), SplitMix64._peek
+
+        def peek(rng, count):
+            assert next(calls) < 10, "the draw did not stop"
+            return peek_ahead(rng, count)
+
+        monkeypatch.setattr(SplitMix64, "_peek", peek)
+        for n in (2**64 + 1, 2**65, 0, -3):
+            with pytest.raises(ValueError, match=r"bound must lie in \[1, 2\*\*64\]"):
+                SplitMix64(1).randbelow(n)
+        q = 2**64 + 13  # the smallest prime above 2**64
+        field = SimpleNamespace(q=q, templates=lambda: list(ALL_TEMPLATES))
+        poly = Polynomial((1, 2, 3), q)
+        with pytest.raises(ValueError, match=r"bound must lie in \[1, 2\*\*64\]"):
+            generate_chaff(poly, field, {1}, 5, 0.5, TRI, SplitMix64(1))
 
     def test_desk_vault_golden_bytes(self, field_mfs):
         # the locked vault is fixed per seed across versions: its v1 text,
@@ -407,6 +483,43 @@ class TestLock:
         locking = desk_locking_set(field_mfs, seed=12, k_template=odd)
         with pytest.raises(ValueError, match="not a template of the field"):
             fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=12))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 8), data=st.data())
+    def test_matches_reference_points_in_a_small_field(self, seed, k, data):
+        # at q = 401 a vault of up to 400 points fills the field, so most
+        # late core draws collide
+        r = data.draw(st.integers(k, 400), label="r")
+        rho = data.draw(st.floats(0.0, 1.0), label="rho")
+        elements = random.Random(seed).sample(range(SMALL_FIELD.q), k)
+        locking = build_locking_set(SMALL_FIELD, [(tuple(elements), TRI)])
+        params = LockParams(t=k, k_subset=0, t_mfk=k, r=r, k=k, rho=rho, seed=seed)
+        poly = Polynomial(tuple(random.Random(~seed).randrange(401) for _ in range(k)), 401)
+        vault, transcript = lock_polynomial(poly, locking, SMALL_FIELD, params)
+        points, want = reference_lock_points(poly, locking, SMALL_FIELD, params)
+        assert transcript == want
+        assert repr(vault.points) == repr(points)  # repr tells -0.0 from 0.0
+
+    def test_lock_runs_no_full_collection(self, field_mfs):
+        # the lock holds its points in uint64 columns, not 30 000 tracked
+        # tuples that would pile up in the oldest generation: a lock that
+        # kept such tuples ran 3 full collections in these five locks
+        locking = desk_locking_set(field_mfs, seed=40)
+        params = desk_params(seed=40, r=30000)
+        full = []
+
+        def count_full(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full.append(info)
+
+        gc.collect()
+        gc.callbacks.append(count_full)
+        try:
+            for _ in range(5):
+                fuzzy_lock(KEY, locking, field_mfs, params)
+        finally:
+            gc.callbacks.remove(count_full)
+        assert full == []
 
     def test_subset_smaller_than_k_rejected(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=6, t_mfk=4, extra=(6, 6))
