@@ -80,6 +80,19 @@ def crc16(data: bytes) -> int:
     return crc
 
 
+def check_key_capacity(key_len: int, field: FieldParams, k: int) -> None:
+    """Raise ValueError unless k coefficients of ``field`` hold a key of
+    ``key_len`` bytes plus its CRC-16, the payload of :func:`encode_key`."""
+    if key_len < 1:
+        raise ValueError(f"key length must be at least 1 byte, got {key_len}")
+    bits = field.bits_per_element
+    if k * bits < 8 * key_len + 16:
+        raise ValueError(
+            f"capacity exceeded: {k} chunks of {bits} bits cannot hold "
+            f"{8 * key_len + 16} payload bits"
+        )
+
+
 def encode_key(key: bytes, field: FieldParams, k: int) -> Polynomial:
     """Bind a key (plus its CRC-16) into the coefficients of a polynomial.
 
@@ -88,8 +101,6 @@ def encode_key(key: bytes, field: FieldParams, k: int) -> Polynomial:
     the tail), highest coefficient first.  Inverted exactly by
     :func:`decode_key`.
     """
-    if not key:
-        raise ValueError("key must be nonempty")
     if k < 1:
         raise ValueError("coefficient count must be at least 1")
     bits = field.bits_per_element
@@ -97,12 +108,8 @@ def encode_key(key: bytes, field: FieldParams, k: int) -> Polynomial:
         raise ValueError(
             f"field too small for key binding: chunks hold {bits} < 16 bits"
         )
+    check_key_capacity(len(key), field, k)
     total_bits = 8 * len(key) + 16
-    if k * bits < total_bits:
-        raise ValueError(
-            f"capacity exceeded: {k} chunks of {bits} bits cannot hold "
-            f"{total_bits} payload bits"
-        )
     payload = int.from_bytes(key + crc16(key).to_bytes(2, "big"), "big")
     payload <<= k * bits - total_bits  # zero-pad at the tail
     mask = (1 << bits) - 1

@@ -19,7 +19,7 @@ A family is one entry in each of ``PARAM_COUNT``, ``CORE`` and ``RULES``
 here, plus one in each of ``multi_fuzzy_set``'s template tables.  A core
 and a rule index ``p[i]`` and join comparisons with ``&``, so the same
 entry works on one number's tuple of floats and on the columns
-(``block.T``) of a vault's float64 parameter block.
+(``block.T``) of a float64 block of parameters, one number per row.
 """
 
 from __future__ import annotations

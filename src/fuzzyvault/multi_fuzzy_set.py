@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -35,45 +36,152 @@ FIELD = "field"
 LOCKING = "locking"
 UNLOCKING = "unlocking"
 
-_TEMPLATE_ARITY = {
-    TRIANGULAR: 2,   # (left_spread, right_spread)
-    TRAPEZOIDAL: 3,  # (plateau_halfwidth, sigma, beta)
-    GAUSSIAN: 2,     # (sigma_left, sigma_right)
-    SIGMOID: 4,      # (left_width, right_width, omega, halfwidth)
-    CRISP: 0,
-}
-
-# a template's parameters for a core c and its spreads s, in the family's
-# parameter order; c is a float or a float64 column alike
+# the parameters of a template's number at core c, in the family's order:
+# None for c itself, (j, -1) for c - s[j], (j, 1) for c + s[j], and (j, 0)
+# for the spread s[j] itself
 _LAYOUT = {
-    TRIANGULAR: lambda c, s: (c - s[0], c, c + s[1]),
-    TRAPEZOIDAL: lambda c, s: (c - s[0], c + s[0], s[1], s[2]),
-    GAUSSIAN: lambda c, s: (c, s[0], s[1]),
-    SIGMOID: lambda c, s: (c - s[0], c, c + s[1], s[2], s[3]),
-    CRISP: lambda c, s: (c,),
+    TRIANGULAR: ((0, -1), None, (1, 1)),  # spreads: left, right
+    TRAPEZOIDAL: ((0, -1), (0, 1), (1, 0), (2, 0)),  # plateau half-width, sigma, beta
+    GAUSSIAN: (None, (0, 0), (1, 0)),  # sigma left, sigma right
+    SIGMOID: ((0, -1), None, (1, 1), (2, 0), (3, 0)),  # left, right width, omega, half-width
+    CRISP: (None,),
 }
+_TEMPLATE_ARITY = {family: len({slot[0] for slot in layout if slot})
+                   for family, layout in _LAYOUT.items()}
 
-# the inverse of _LAYOUT: the spreads read off the parameters p of a number
-# at core c; a template of them rebuilds p only where _LAYOUT's float
-# roundings allow, so whoever reads spreads this way checks the rebuild
-_SPREADS = {
-    TRIANGULAR: lambda c, p: (c - p[0], p[2] - c),
-    TRAPEZOIDAL: lambda c, p: (c - p[0], p[2], p[3]),
-    GAUSSIAN: lambda c, p: (p[1], p[2]),
-    SIGMOID: lambda c, p: (c - p[0], p[2] - c, p[3], p[4]),
-    CRISP: lambda c, p: (),
-}
+# floats are in the order of their bit patterns read as int64, from +0.0 to inf
+_INF_BITS = int(np.array(math.inf).view(np.int64))
 
 
-def spread_rows(family: str, cores, block) -> np.ndarray:
-    """``_SPREADS`` of every row of a float64 parameter block of ``family``
-    at the matching core of a float64 column, as a float64 block with one
-    row of spreads per parameter row."""
-    rows = np.empty((len(cores), _TEMPLATE_ARITY[family]))
-    with np.errstate(over="ignore", invalid="ignore"):  # templates check finiteness
-        for i, column in enumerate(_SPREADS[family](cores, block.T)):
-            rows[:, i] = column
-    return rows
+def _layout(family: str, c, s) -> tuple:
+    """The parameters ``_LAYOUT`` gives for the core c and the spreads s;
+    c is a float or a float64 column alike."""
+    return tuple(c if slot is None else s[slot[0]] if slot[1] == 0 else c + slot[1] * s[slot[0]]
+                 for slot in _LAYOUT[family])
+
+
+def _least(holds, lo, hi):
+    """Per element, the least int64 b in [lo, hi) for which ``holds(b)`` is
+    true, or hi: a bisection, for a test that stays true from there on."""
+    while (lo < hi).any():
+        mid = lo + (hi - lo) // 2
+        ok = holds(mid)
+        lo, hi = np.where(ok, lo, mid + 1), np.where(ok, mid, hi)
+    return lo
+
+
+def _spread_intervals(family: str, cores, block):
+    """Per spread j (row) and row i of a float64 parameter block (column),
+    the least and the greatest float s >= 0 that, as spread j of a template
+    of ``family`` at ``cores[i]``, gives every parameter of row i that
+    spread j sets: two int64 blocks of bit patterns, the least above the
+    greatest where no float does.
+
+    A spread that is a parameter itself allows that float alone.  c - s and
+    c + s are monotone in s, so their ends are bisections over the bit
+    patterns, started from a bracket of a few ulps around the spread read
+    off the parameter.
+    """
+    low = np.zeros((_TEMPLATE_ARITY[family], len(cores)), dtype=np.int64)
+    high = np.full(low.shape, _INF_BITS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, slot in zip(block.T, _LAYOUT[family]):
+            if slot is None:
+                continue
+            j, sign = slot
+            # a spread that is a parameter allows that float only; a
+            # negative float's bit pattern is a negative int64 and fits no row
+            ends = p.view(np.int64), p.view(np.int64)
+            if sign:
+                read = sign * (p - cores)
+                width = 4 * (np.spacing(np.abs(read)) + np.spacing(np.abs(p)))
+                width[~np.isfinite(width)] = 0.0  # a read-off beyond the float range fits no row
+                start, stop = (np.where(e > 0, e, 0.0).view(np.int64)
+                               for e in (read - width, read + width))
+                # sign * (c + sign * s) grows with s, and is sign * p where s fits
+                first, past = (_least(lambda b: test(sign * (cores + sign * b.view(np.float64)),
+                                                     sign * p), start, stop + 1)
+                               for test in (np.greater_equal, np.greater))
+                ends = first, past - 1
+            low[j], high[j] = np.maximum(low[j], ends[0]), np.minimum(high[j], ends[1])
+    return low, high
+
+
+def _split(groups, lo, hi):
+    """``groups`` (ids >= 0, -1 for no group) refined so that the intervals
+    [lo, hi] of each new group share a point: a group's rows, taken by
+    ascending lo, stay together until one starts above the least hi yet."""
+    out = np.full(len(groups), -1, dtype=np.intp)
+    order = np.lexsort((lo, groups))
+    new, current, top = -1, -1, 0
+    for i, group, low, high in zip(order.tolist(), groups[order].tolist(),
+                                   lo[order].tolist(), hi[order].tolist()):
+        if group < 0:
+            continue
+        if group != current or low > top:
+            new, current, top = new + 1, group, high
+        top = min(top, high)
+        out[i] = new
+    return out
+
+
+def _least_denominator(a: Fraction, b: Fraction) -> Fraction:
+    """The rational of least denominator in [a, b], for -1 < a <= b."""
+    n = math.ceil(a)
+    if n <= b:
+        return Fraction(n)
+    k = math.floor(a)
+    return k + 1 / _least_denominator(1 / (b - k), 1 / (a - k))
+
+
+def _simplest(lo: float, hi: float) -> float:
+    """The float in [lo, hi], 0 <= lo <= hi, nearest the rational of least
+    denominator that rounds into [lo, hi]: as repr picks the shortest
+    decimal that rounds to a float, 0.1 and 1/3 come back as 0.1 and 1/3
+    from any interval that holds them."""
+    a = Fraction(lo) - Fraction(math.ulp(math.nextafter(lo, 0.0))) / 2
+    b = Fraction(hi) + Fraction(math.ulp(hi)) / 2
+    return min(max(float(_least_denominator(a, b)), lo), hi)
+
+
+def fit_templates(family: str, x_cores, x_block, y_cores, y_block) -> tuple:
+    """Templates of ``family`` that rebuild the rows of two float64
+    parameter blocks at float64 core columns: a list of templates and, per
+    row, the index of the template whose ``instantiate_column`` gives its x
+    and its y row bit for bit, or -1 where no template does.
+
+    Rows share a template while the floats that rebuild them share a value
+    in every spread; that spread is then the ``_simplest`` float they share.
+    """
+    m = len(x_cores)
+    cores, block = np.concatenate((x_cores, y_cores)), np.concatenate((x_block, y_block))
+    low, high = _spread_intervals(family, cores, block)
+    low, high = np.maximum(low[:, :m], low[:, m:]), np.minimum(high[:, :m], high[:, m:])
+    groups = np.where((low <= high).all(axis=0), 0, -1)
+    for lo, hi in zip(low, high):
+        groups = _split(groups, lo, hi)
+    templates, ids = [], np.full(m, -1, dtype=np.intp)
+    # the rows of each group, 0 up, after those of no group
+    order = np.argsort(groups, kind="stable")
+    for rows in np.split(order, np.cumsum(np.bincount(groups + 1)))[1:-1]:
+        lows = low[:, rows].max(axis=1).view(np.float64).tolist()
+        highs = high[:, rows].min(axis=1).view(np.float64).tolist()
+        spreads = list(map(_simplest, lows, highs))
+        try:
+            template = FamilyTemplate(family, spreads)
+        except ValueError:  # 0 where the family needs a positive spread
+            spreads = [_simplest(math.ulp(0.0), h) if s == 0 < h else s
+                       for s, h in zip(spreads, highs)]
+            try:
+                template = FamilyTemplate(family, spreads)
+            except ValueError:
+                continue
+        both = np.concatenate((rows, rows + m))  # the rows' x, then their y
+        same = (template.instantiate_column(cores[both]).view(np.uint64)
+                == block[both].view(np.uint64)).all(axis=1)
+        ids[rows[same[:len(rows)] & same[len(rows):]]] = len(templates)
+        templates.append(template)
+    return templates, ids
 
 
 @dataclass(frozen=True)
@@ -120,7 +228,7 @@ class FamilyTemplate:
         A non-finite parameter raises the constructor's ValueError.
         """
         family = self.family
-        params = tuple(map(float, _LAYOUT[family](core, self.spread_params)))
+        params = tuple(map(float, _layout(family, core, self.spread_params)))
         if not all(map(math.isfinite, params)):
             raise ValueError(f"{family} parameters must be finite: {params}")
         return FuzzyNumber._trusted(family, params)
@@ -137,7 +245,7 @@ class FamilyTemplate:
         cores = np.asarray(cores, dtype=np.float64)
         block = np.empty((len(cores), PARAM_COUNT[family]))
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for i, column in enumerate(_LAYOUT[family](cores, self.spread_params)):
+            for i, column in enumerate(_layout(family, cores, self.spread_params)):
                 block[:, i] = column
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():

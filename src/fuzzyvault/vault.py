@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 from dataclasses import FrozenInstanceError, dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .field_poly import (
     CRC_VARIANT,
     FieldParams,
     Polynomial,
+    check_key_capacity,
     decode_key,
     encode_key,
     lagrange_interpolate,
@@ -32,7 +32,6 @@ from .field_poly import (
 from .fuzzy_number import (
     CORE,
     PARAM_COUNT,
-    RULES,
     FuzzyNumber,
     distance,
     json_fields,
@@ -43,7 +42,7 @@ from .multi_fuzzy_set import (
     UNLOCKING,
     FamilyTemplate,
     MultiFuzzySet,
-    spread_rows,
+    fit_templates,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -191,12 +190,6 @@ class VaultPoint:
     def to_dict(self) -> dict:
         return {"x": self.x.to_dict(), "y": self.y.to_dict()}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "VaultPoint":
-        """Parse ``to_dict`` output; raises ValueError on any malformed input."""
-        x, y = json_fields(d, "x", "y")
-        return cls(FuzzyNumber.from_dict(x), FuzzyNumber.from_dict(y))
-
 
 @dataclass(frozen=True)
 class LockParams:
@@ -235,9 +228,6 @@ class LockParams:
 FAMILIES = tuple(PARAM_COUNT)
 _FAMILY_ID = {family: i for i, family in enumerate(FAMILIES)}
 
-_NOT_A_POINT = "a vault point is a JSON object with x and y"
-_NOT_A_NUMBER = "a fuzzy number is a JSON object with family and params"
-
 
 def _defuzzify_rows(family: str, block):
     """``FuzzyNumber.defuzzify`` of every row of a parameter block."""
@@ -245,112 +235,40 @@ def _defuzzify_rows(family: str, block):
         return CORE[family](block.T)
 
 
-def _rounded_cores(family_ids, blocks):
-    """round() of every point's core on one axis, as integral float64."""
-    core = np.empty(len(family_ids))
-    for f, (family, block) in enumerate(zip(FAMILIES, blocks)):
-        core[family_ids == f] = _defuzzify_rows(family, block)
-    return np.rint(core)
-
-
-def _check_rows(family: str, block) -> None:
-    """The checks ``FuzzyNumber.__post_init__`` makes, on every row of a
-    block of parsed parameters at once."""
-    finite = (lambda p: np.isfinite(p).all(axis=0), f"{family} parameters must be finite")
-    for rule, message in [finite, *RULES[family]]:  # inf passes no order test
-        ok = rule(block.T)
-        if not ok.all():
-            raise ValueError(f"{message}: {tuple(block[np.argmin(ok)].tolist())}")
-
-
-def _block(family: str, rows: list):
-    """``rows``, parameter sequences of ``family``'s length, as a float64
-    block; a number converts as ``float()`` converts it."""
-    arity = PARAM_COUNT[family]
-    flat = itertools.chain.from_iterable(rows)
-    return np.fromiter(flat, np.float64, len(rows) * arity).reshape(len(rows), arity)
-
-
-def _parse_block(family: str, rows: list):
-    """The parsed JSON parameter arrays ``rows`` of one family as a float64
-    block, checked as ``FuzzyNumber.from_dict`` checks each of them."""
-    if not {float, int}.issuperset(map(type, itertools.chain.from_iterable(rows))):
-        raise ValueError(f"{family} parameters must be numbers")
-    arity = PARAM_COUNT[family]
-    if not {arity}.issuperset(map(len, rows)):
-        raise ValueError(f"{family} needs {arity} parameters")
-    try:
-        block = _block(family, rows)
-    except OverflowError:  # a JSON integer beyond the float range
-        raise ValueError(f"{family} parameters must be finite") from None
-    _check_rows(family, block)
-    return block
-
-
-def _parse_points(points: list):
-    """Family ids and per-family x and y parameter blocks of the parsed v1
-    points, accepting exactly what ``VaultPoint.from_dict`` accepts."""
-    if not {dict}.issuperset(map(type, points)):
-        raise ValueError(_NOT_A_POINT)
-    try:
-        coords = [*map(itemgetter("x"), points), *map(itemgetter("y"), points)]
-    except KeyError:
-        raise ValueError(_NOT_A_POINT) from None
-    if not {dict}.issuperset(map(type, coords)):
-        raise ValueError(_NOT_A_NUMBER)
-    try:
-        families = list(map(itemgetter("family"), coords))
-        params = list(map(itemgetter("params"), coords))
-    except KeyError:
-        raise ValueError(_NOT_A_NUMBER) from None
-    try:
-        ids = list(map(_FAMILY_ID.__getitem__, families))
-    except (KeyError, TypeError):  # an array or object is unhashable
-        bad = next(f for f in families if type(f) is not str or f not in _FAMILY_ID)
-        raise ValueError(f"unknown membership family: {bad!r}") from None
+def _fit(points: list) -> tuple:
+    """The x-cores, y-cores, template ids and template table of ``points``:
+    a point's cores are its rounded cores, and ``fit_templates`` finds the
+    templates.  ValueError names a point that no template rebuilds bit for
+    bit at its integer cores."""
     r = len(points)
-    if ids[:r] != ids[r:]:
-        raise ValueError("vault point coordinates must share a family")
-    if not {list}.issuperset(map(type, params)):
-        raise ValueError("fuzzy number parameters must be an array")
-    family_ids = np.array(ids[:r], dtype=np.int8)
-    blocks = ([], [])
-    for f, family in enumerate(FAMILIES):
-        members = np.flatnonzero(family_ids == f).tolist()
-        for offset, axis in zip((0, r), blocks):
-            axis.append(_parse_block(family, [params[offset + i] for i in members]))
-    return family_ids, *blocks
-
-
-def _instantiate(templates, template_ids, x_cores, y_cores):
-    """Family ids and per-family x and y parameter blocks of the points
-    whose point i is ``templates[template_ids[i]].instantiate`` of
-    ``x_cores[i]`` and ``y_cores[i]``, float64 columns, filled a template at
-    a time with ``FamilyTemplate.instantiate_column``."""
-    family_ids = np.array([_FAMILY_ID[t.family] for t in templates],
-                          dtype=np.int8)[template_ids]
-    # each point's row in its family's blocks
-    rows = np.empty(len(family_ids), dtype=np.intp)
-    x_params, y_params = [], []
-    for f, family in enumerate(FAMILIES):
-        members = family_ids == f
-        count = np.count_nonzero(members)
-        rows[members] = np.arange(count)
-        x_params.append(np.empty((count, PARAM_COUNT[family])))
-        y_params.append(np.empty((count, PARAM_COUNT[family])))
-    # the points grouped by template
-    order = np.argsort(template_ids)
-    ends = np.cumsum(np.bincount(template_ids, minlength=len(templates))).tolist()
-    start = 0
-    for template, end in zip(templates, ends):
-        if start == end:
+    x_cores, y_cores = np.empty(r), np.empty(r)
+    template_ids = np.empty(r, dtype=np.intp)
+    table = []
+    for family in FAMILIES:
+        members = [i for i, point in enumerate(points) if point.x.family == family]
+        if not members:
             continue
-        points = order[start:end]
-        start = end
-        f = _FAMILY_ID[template.family]
-        x_params[f][rows[points]] = template.instantiate_column(x_cores[points])
-        y_params[f][rows[points]] = template.instantiate_column(y_cores[points])
-    return family_ids, tuple(x_params), tuple(y_params)
+        x_block, y_block = (
+            np.array([getattr(points[i], axis).params for i in members]).reshape(len(members), -1)
+            for axis in "xy")
+        # + 0.0: a file holds integers, which read back as +0.0, never -0.0
+        x, y = (np.rint(_defuzzify_rows(family, block)) + 0.0 for block in (x_block, y_block))
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise ValueError("vault cores must be finite")
+        templates, ids = fit_templates(family, x, x_block, y, y_block)
+        if (ids < 0).any():
+            raise ValueError(f"vault point {members[np.argmax(ids < 0)]} is no {family} "
+                             f"template's instance at integer cores")
+        x_cores[members], y_cores[members] = x, y
+        template_ids[members] = len(table) + ids
+        table += templates
+    return x_cores, y_cores, template_ids, table
+
+
+def _members(template_ids, count: int) -> list:
+    """Per template id below ``count``, the positions of its points."""
+    order = np.argsort(template_ids, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(template_ids, minlength=count))[:-1])
 
 
 def _int_column(values, r: int, name: str) -> list:
@@ -380,97 +298,75 @@ def _core_column(values, r: int, q: int, axis: str):
 
 
 class Vault:
-    """r fuzzy points over F_q, held as columns.
+    """r fuzzy points over F_q, each an integer x-core and y-core plus a
+    template: the point is that template instantiated at its two cores.
 
-    Point i carries the family ``FAMILIES[family_ids[i]]``.  Per family id
-    f, ``x_params[f]`` and ``y_params[f]`` are float64 blocks with one row
-    of parameters for each point of that family, in vault order;
-    ``x_cores`` and ``y_cores`` hold every point's rounded core, as
-    integral float64.  All of them are read-only.
+    ``templates`` is the template table, in canonical order: the templates
+    some point uses, equal ones merged, families as in FAMILIES, then
+    spreads ascending, so equal vaults write equal files.  Per point,
+    ``template_ids`` (intp) holds its template's index in the table, and
+    ``x_cores`` and ``y_cores`` its cores, as integral float64; all three
+    are read-only.  ``family_ids`` derives each point's family from them.
 
-    ``Vault(points, q, n, r)`` copies ``VaultPoint`` s into the columns and
-    keeps none of them.  ``lock_polynomial`` and the v2 reader build the
-    columns from integer cores and a template per point, a template at a
-    time, and keep that template table; the v1 reader checks a parsed
-    document a family at a time straight into the columns.  So neither
-    locking nor loading builds an object per point.  ``points`` is the
-    same vault as a tuple of ``VaultPoint`` s, built from the columns on
-    first use and kept.  Two vaults are equal when q, n, r, the CRC
-    variant and every point's family and parameters are.
+    Every constructor builds through ``_from_cores``: the lock and the v2
+    reader pass it the cores, ids and table they hold, while
+    ``Vault(points, q, n, r)`` and the v1 reader first map each point to
+    its rounded cores and a template with ``fit_templates``, refusing a
+    point that no template rebuilds bit for bit.  So neither locking nor
+    loading a v2 file builds an object per point.  ``points`` is the same
+    vault as a tuple of ``VaultPoint`` s, built a template at a time on
+    first use and kept.  Two vaults are equal when their header, table and
+    columns are.
     """
 
     def __init__(self, points, q: int, n: int, r: int, crc_variant: str = CRC_VARIANT):
-        ids = []
-        rows = ([[] for _ in FAMILIES], [[] for _ in FAMILIES])
-        for pt in points:
-            f = _FAMILY_ID[pt.x.family]
-            ids.append(f)
-            rows[0][f].append(pt.x.params)
-            rows[1][f].append(pt.y.params)
-        x_params, y_params = (tuple(map(_block, FAMILIES, axis)) for axis in rows)
-        family_ids = np.array(ids, dtype=np.int8)
-        self._set_columns(family_ids, x_params, y_params, _rounded_cores(family_ids, x_params),
-                          _rounded_cores(family_ids, y_params), q, n, r, crc_variant)
+        vault = Vault._from_cores(*_fit(list(points)), q, n, r, crc_variant)
+        vars(self).update(vars(vault))
 
     @classmethod
     def _from_cores(cls, x_cores, y_cores, template_ids, templates, q: int, n: int,
                     r: int, crc_variant: str) -> "Vault":
         """The vault whose point i is ``templates[template_ids[i]]``
         instantiated at ``x_cores[i]`` and ``y_cores[i]``, float64 columns
-        of integers.  The vault keeps the table in canonical order (equal
-        templates merged, families as in FAMILIES, then spreads ascending),
-        so equal tables give equal files.  ValueError names a template
-        under which a rounded core is not the integer core it was built
-        from, as (x0 + y0) / 2 under a plateau of half-width 2**53."""
-        table = sorted(set(templates), key=lambda t: (_FAMILY_ID[t.family], t.spread_params))
-        index = {template: i for i, template in enumerate(table)}
-        template_ids = np.array([index[t] for t in templates], dtype=np.intp)[template_ids]
-        family_ids, x_params, y_params = _instantiate(table, template_ids, x_cores, y_cores)
-        for axis, cores, blocks in (("x", x_cores, x_params), ("y", y_cores, y_params)):
-            derived = _rounded_cores(family_ids, blocks)
-            lost = derived != cores
-            if lost.any():
-                i = np.argmax(lost)
-                raise ValueError(f"template {table[template_ids[i]]} turns the {axis}-core "
-                                 f"{int(cores[i])} into {derived[i]}")
-        vault = object.__new__(cls)
-        vault._set_columns(family_ids, x_params, y_params, x_cores, y_cores, q, n, r,
-                           crc_variant, (tuple(table), template_ids))
-        return vault
-
-    def _set_columns(self, family_ids, x_params, y_params, x_cores, y_cores, q, n, r,
-                     crc_variant, table=None):
-        """Check a vault's columns and the rounded cores its caller derived
-        or checked once, and store them with the template table, if known."""
+        of integers, with the table made canonical.  ValueError names a
+        template under which a rounded core is not the integer core it was
+        built from, as (x0 + y0) / 2 under a plateau of half-width 2**53."""
         if crc_variant != CRC_VARIANT:
             raise ValueError(
                 f"unsupported CRC variant {crc_variant!r}, expected {CRC_VARIANT!r}"
             )
-        if len(family_ids) != r:
-            raise ValueError(f"vault holds {len(family_ids)} points, expected r={r}")
+        if len(template_ids) != r:
+            raise ValueError(f"vault holds {len(template_ids)} points, expected r={r}")
         if not 0 <= n < r:
             raise ValueError(f"polynomial degree n={n} outside [0, r={r})")
-        # a trapezoidal (x0 + y0) / 2 beyond the float range is inf
-        if not (np.isfinite(x_cores).all() and np.isfinite(y_cores).all()):
-            raise ValueError("vault cores must be finite")
         x_sorted = np.sort(x_cores)
         if (x_sorted[1:] == x_sorted[:-1]).any():
             raise ValueError("vault x-cores must be pairwise distinct")
-        # rounded cores only: a trapezoidal core (x0 + y0) / 2 may miss its
-        # integer by an ulp in vaults fuzzy_lock itself writes
-        for axis, axis_cores in (("x", x_sorted), ("y", y_cores)):
-            if not (0 <= axis_cores.min() and int(axis_cores.max()) < q):
+        for axis, cores in (("x", x_sorted), ("y", y_cores)):
+            if not (0 <= cores.min() and int(cores.max()) < q):
                 raise ValueError(f"vault {axis}-cores must lie in [0, q={q})")
-        columns = [family_ids, *x_params, *y_params, x_cores, y_cores]
-        if table is not None:
-            columns.append(table[1])
-        for column in columns:
-            column.flags.writeable = False
+        used = np.flatnonzero(np.bincount(template_ids, minlength=len(templates))).tolist()
+        table = sorted({templates[i] for i in used},
+                       key=lambda t: (_FAMILY_ID[t.family], t.spread_params))
+        index = {template: i for i, template in enumerate(table)}
+        template_ids = np.array([index.get(t, -1) for t in templates], dtype=np.intp)[template_ids]
+        for template, members in zip(table, _members(template_ids, len(table))):
+            for axis, cores in (("x", x_cores[members]), ("y", y_cores[members])):
+                derived = np.rint(_defuzzify_rows(template.family,
+                                                  template.instantiate_column(cores)))
+                lost = derived != cores
+                if lost.any():
+                    i = np.argmax(lost)
+                    raise ValueError(f"template {template} turns the {axis}-core "
+                                     f"{int(cores[i])} into {derived[i]}")
+        vault = object.__new__(cls)
         for name, value in (("q", q), ("n", n), ("r", r), ("crc_variant", crc_variant),
-                            ("family_ids", family_ids), ("x_params", x_params),
-                            ("y_params", y_params), ("x_cores", x_cores),
-                            ("y_cores", y_cores), ("_table", table), ("_points", None)):
-            object.__setattr__(self, name, value)
+                            ("templates", tuple(table)), ("template_ids", template_ids),
+                            ("x_cores", x_cores), ("y_cores", y_cores), ("_points", None)):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(vault, name, value)
+        return vault
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -478,22 +374,29 @@ class Vault:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _in_vault_order(self, per_family: list) -> list:
-        """Merge per-family lists, each in vault order, into one list."""
-        nexts = [iter(items).__next__ for items in per_family]
-        return [nexts[f]() for f in self.family_ids.tolist()]
+    @property
+    def family_ids(self):
+        """Each point's family, as its position in FAMILIES (int8, read-only)."""
+        families = np.array([_FAMILY_ID[t.family] for t in self.templates], dtype=np.int8)
+        ids = families[self.template_ids]
+        ids.flags.writeable = False
+        return ids
 
     @property
     def points(self) -> tuple:
         """The vault as a tuple of ``VaultPoint`` s, built on first use."""
         if self._points is None:
-            coords = [
-                self._in_vault_order([
-                    [FuzzyNumber._trusted(family, tuple(row)) for row in block.tolist()]
-                    for family, block in zip(FAMILIES, blocks)
-                ])
-                for blocks in (self.x_params, self.y_params)
-            ]
+            groups = _members(self.template_ids, len(self.templates))
+            # each axis's numbers a template at a time, then in vault order
+            rank = np.empty(self.r, dtype=np.intp)
+            rank[np.concatenate(groups)] = np.arange(self.r)
+            coords = []
+            for cores in (self.x_cores, self.y_cores):
+                numbers = []
+                for template, members in zip(self.templates, groups):
+                    rows = template.instantiate_column(cores[members]).tolist()
+                    numbers += [FuzzyNumber._trusted(template.family, tuple(row)) for row in rows]
+                coords.append(map(numbers.__getitem__, rank.tolist()))
             object.__setattr__(self, "_points", tuple(map(VaultPoint, *coords)))
         return self._points
 
@@ -501,79 +404,31 @@ class Vault:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (
-            (self.q, self.n, self.r, self.crc_variant)
-            == (other.q, other.n, other.r, other.crc_variant)
-            and np.array_equal(self.family_ids, other.family_ids)
-            and all(map(np.array_equal, self.x_params + self.y_params,
-                        other.x_params + other.y_params))
+            (self.q, self.n, self.r, self.crc_variant, self.templates)
+            == (other.q, other.n, other.r, other.crc_variant, other.templates)
+            and all(map(np.array_equal, (self.template_ids, self.x_cores, self.y_cores),
+                        (other.template_ids, other.x_cores, other.y_cores)))
         )
 
     def __hash__(self):
-        return hash((self.q, self.n, self.r, self.crc_variant, self.family_ids.tobytes()))
+        return hash((self.q, self.n, self.r, self.crc_variant, self.templates,
+                     self.template_ids.tobytes()))
 
     def __repr__(self):
         return (f"Vault(points={self.points!r}, q={self.q!r}, n={self.n!r}, "
                 f"r={self.r!r}, crc_variant={self.crc_variant!r})")
 
-    def _template_table(self) -> tuple:
-        """The canonical template table and every point's id in it: the
-        table the vault was built from, or else one read off its parameter
-        columns with ``spread_rows``.  Only the first is exact for every
-        template: a spread such as 0.1 reads off as another float at almost
-        every core.  ValueError names a point whose x and y need different
-        templates, or which no template rebuilds bit for bit at its integer
-        cores."""
-        if self._table is not None:
-            return self._table
-        # the cores as a file holds them: integers, which read back as +0.0, not -0.0
-        x_cores, y_cores = self.x_cores + 0.0, self.y_cores + 0.0
-        table, template_ids = [], np.empty(self.r, dtype=np.intp)
-        for f, family in enumerate(FAMILIES):
-            members = np.flatnonzero(self.family_ids == f)
-            if not len(members):
-                continue
-            spreads, y_spreads = (spread_rows(family, cores[members], blocks[f])
-                                  for cores, blocks in ((x_cores, self.x_params),
-                                                        (y_cores, self.y_params)))
-            differ = (spreads != y_spreads).any(axis=1)
-            if differ.any():
-                raise ValueError(f"vault point {members[np.argmax(differ)]}: x and y "
-                                 f"are not instances of one {family} template")
-            if spreads.shape[1]:
-                rows, inverse = np.unique(spreads, axis=0, return_inverse=True)
-                inverse = inverse.reshape(-1)  # 2-D in some numpy versions
-            else:  # crisp has one template
-                rows, inverse = spreads[:1], np.zeros(len(members), dtype=np.intp)
-            template_ids[members] = len(table) + inverse
-            for j, row in enumerate(rows.tolist()):
-                try:
-                    table.append(FamilyTemplate(family, row))
-                except ValueError as e:
-                    point = members[np.argmax(inverse == j)]
-                    raise ValueError(f"vault point {point}: {e}") from None
-        _, *rebuilt = _instantiate(table, template_ids, x_cores, y_cores)
-        for blocks, ours in zip(rebuilt, (self.x_params, self.y_params)):
-            for f, (block, own) in enumerate(zip(blocks, ours)):
-                same = (block.view(np.uint64) == own.view(np.uint64)).all(axis=1)
-                if not same.all():
-                    point = np.flatnonzero(self.family_ids == f)[np.argmin(same)]
-                    raise ValueError(f"vault point {point} is no template's instance "
-                                     f"at its integer cores")
-        return tuple(table), template_ids
-
     def to_dict(self) -> dict:
-        """The v2 document: the header, the canonical template table, and
-        per point its template id and integer x- and y-core.  ValueError
-        names a point that no template table expresses."""
-        templates, template_ids = self._template_table()
+        """The v2 document: the header, the template table, and per point
+        its template id and integer x- and y-core."""
         return {
             "crc_variant": self.crc_variant,
             "format_version": 2,
             "n": self.n,
             "q": self.q,
             "r": self.r,
-            "templates": [t.to_dict() for t in templates],
-            "template_ids": template_ids.tolist(),
+            "templates": [t.to_dict() for t in self.templates],
+            "template_ids": self.template_ids.tolist(),
             "x_cores": list(map(int, self.x_cores.tolist())),
             "y_cores": list(map(int, self.y_cores.tolist())),
         }
@@ -585,7 +440,9 @@ class Vault:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vault":
-        """Parse a v1 or v2 document; raises ValueError on any malformed input."""
+        """Parse a v1 or v2 document; raises ValueError on any malformed
+        input, and on a v1 point that no template rebuilds at its integer
+        cores."""
         (version,) = json_fields(d, "format_version")
         if type(version) is not int or version not in (1, 2):
             raise ValueError(f"unsupported vault format: {version!r}")
@@ -596,12 +453,9 @@ class Vault:
         )
         if type(points) is not list:
             raise ValueError(f"points must be an array, got {type(points).__name__}")
-        family_ids, x_params, y_params = _parse_points(points)
-        vault = object.__new__(cls)
-        vault._set_columns(family_ids, x_params, y_params, _rounded_cores(family_ids, x_params),
-                           _rounded_cores(family_ids, y_params), json_int(q), json_int(n),
-                           json_int(r), crc_variant)
-        return vault
+        points = [VaultPoint(*map(FuzzyNumber.from_dict, json_fields(point, "x", "y")))
+                  for point in points]
+        return cls(points, json_int(q), json_int(n), json_int(r), crc_variant)
 
     @classmethod
     def _from_v2(cls, d: dict) -> "Vault":
@@ -780,8 +634,8 @@ def lock_polynomial(
     the genuine points are the locking subset's elements and their values
     on p, with the subset's template, and ``generate_chaff`` adds the rest.
     Both come as rows of x-core, y-core and template index; the rows are
-    scrambled and the vault's columns built from them a template at a time,
-    so locking builds no object per point.
+    scrambled and become the vault's columns, so locking builds no object
+    per point.
     """
     q = field_mfs.q
     if q > 2**53:
@@ -827,10 +681,8 @@ def lock_polynomial(
     # scrambling the positions draws what scrambling the points would
     order = np.array(scramble(range(params.r), rng))
     x_cores, y_cores, template_ids = np.concatenate((genuine, chaff))[order].T
-    # only the templates the points use go into the vault's table
-    used, template_ids = np.unique(template_ids, return_inverse=True)
     vault = Vault._from_cores(x_cores.astype(np.float64), y_cores.astype(np.float64),
-                              template_ids, [templates[i] for i in used.tolist()],
+                              template_ids.astype(np.intp), templates,
                               q, params.n, params.r, CRC_VARIANT)
     transcript = LockTranscript(
         p,
@@ -867,16 +719,17 @@ def match_points(
     in ascending core order, ties broken toward the smaller x-core.  A probe
     matches only within distance delta (family mismatch is infinitely far).
 
-    Only the vault points of the probes' family are indexed, sorted by core,
-    and a probe with core c tests those with a core in [c - w, c + w], where
-    w = delta + 1 plus 2**-50 of |c| + delta.  No match lies outside: the
-    core of every family is a parameter, or for trapezoidal the mean of two,
-    so two cores differ by at most their Chebyshev distance; the margin
-    covers the float rounding of a trapezoidal (x0 + y0) / 2 at any
-    magnitude.  The index is the family's x-parameter block, sorted by its
-    core column; a ``FuzzyNumber`` is built only for a point inside a
-    probe's window, so matching costs a sort of the same-family cores plus
-    O(log r) per probe, instead of O(probes * r) distance calls.
+    Only the vault points of the probes' family are indexed, sorted by
+    their integer x-core, and a probe with core c tests those with an
+    x-core in [c - w, c + w], where w = delta + 1 plus 2**-50 of |c| + delta.
+    No match lies outside: the core of every family is a parameter, or for
+    trapezoidal the mean of two, so two cores differ by at most their
+    Chebyshev distance; a vault point's core rounds to its x-core; and the
+    margin covers the float rounding of a probe's trapezoidal (x0 + y0) / 2
+    at any magnitude.  A point's x is instantiated from its template only
+    when it falls inside a probe's window, so matching costs a sort of the
+    same-family cores plus O(log r) per probe, instead of O(probes * r)
+    distance calls.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"matching tolerance must be positive and finite: {delta}")
@@ -886,12 +739,10 @@ def match_points(
     if not probes:
         return []
     (family,) = families
-    f = _FAMILY_ID[family]
-    block = vault.x_params[f]
-    cores = _defuzzify_rows(family, block)
-    order = np.argsort(cores, kind="stable")
-    cores = cores[order]
-    members = np.flatnonzero(vault.family_ids == f)[order]
+    members = np.flatnonzero(vault.family_ids == _FAMILY_ID[family])
+    order = np.argsort(vault.x_cores[members])
+    members = members[order].tolist()
+    cores = vault.x_cores[members]
     probes = sorted(probes, key=lambda p: p.defuzzify())
     lows, highs = [], []
     for probe in probes:
@@ -916,7 +767,9 @@ def match_points(
                 continue
             x = built.get(i)
             if x is None:
-                x = built[i] = FuzzyNumber._trusted(family, tuple(block[order[i]].tolist()))
+                j = members[i]
+                template = vault.templates[vault.template_ids[j]]
+                x = built[i] = template.instantiate(float(vault.x_cores[j]))
             d = distance(x, probe)
             if d > delta:
                 continue
@@ -1000,16 +853,20 @@ def search_key(
     decode_key rejects every polynomial whose a_0 is at least 2**bits or
     has a set bit in the zero padding at the tail of the payload, so only
     the subsets whose a_0 passes that test are interpolated in full and
-    decoded.  Matched points must have distinct x values mod q.
+    decoded.  Matched points must have distinct x values mod q, and k
+    coefficients of F_q must hold a key of ``key_len`` bytes plus its CRC
+    (``check_key_capacity``): a key length that no search could find
+    raises ValueError instead of reporting a search it did not run.
     """
     if effort_cap <= 0:
         raise ValueError("effort cap must be positive")
     if k < 1:
         raise ValueError("coefficient count must be at least 1")
+    field = FieldParams(q)
+    check_key_capacity(key_len, field, k)
     diagnostics = UnlockDiagnostics(matched=len(matched))
     if len(matched) < k:
         return UnlockResult(None, diagnostics)
-    field = FieldParams(q)
     xs = [x % q for x, _ in matched]
     if len(set(xs)) != len(xs):
         raise ValueError("matched points must have distinct x values")
@@ -1017,17 +874,16 @@ def search_key(
     limit = min(total, effort_cap)
     bits = field.bits_per_element
     pad = k * bits - (8 * key_len + 16)
-    if pad >= 0 and key_len >= 1:  # otherwise decode_key rejects everything
-        # a_0 < q < 2**(bits + 1), so a_0 >= 2**bits exactly when bit `bits`
-        # is set; the low min(pad, bits) bits of a_0 end the zero padding
-        reject = (1 << bits) | ((1 << min(pad, bits)) - 1)
-        ys = [y % q for _, y in matched]
-        for position, subset in _subsets_passing_a0(xs, ys, q, k, reject, limit):
-            candidate = lagrange_interpolate([matched[i] for i in subset], field)
-            material = decode_key(candidate, field, key_len)
-            if material is not None:
-                diagnostics.subsets_tried = position + 1
-                return UnlockResult(material.key_bytes, diagnostics)
+    # a_0 < q < 2**(bits + 1), so a_0 >= 2**bits exactly when bit `bits` is
+    # set; the low min(pad, bits) bits of a_0 end the zero padding
+    reject = (1 << bits) | ((1 << min(pad, bits)) - 1)
+    ys = [y % q for _, y in matched]
+    for position, subset in _subsets_passing_a0(xs, ys, q, k, reject, limit):
+        candidate = lagrange_interpolate([matched[i] for i in subset], field)
+        material = decode_key(candidate, field, key_len)
+        if material is not None:
+            diagnostics.subsets_tried = position + 1
+            return UnlockResult(material.key_bytes, diagnostics)
     diagnostics.subsets_tried = limit
     diagnostics.cap_hit = total > effort_cap
     return UnlockResult(None, diagnostics)

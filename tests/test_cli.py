@@ -410,6 +410,26 @@ class TestMalformedInput:
         path = workdir / "vault.json"
         assert_rejected(path, mutate(json.loads(path.read_text())), unlock_args(workdir), capsys)
 
+    def test_v1_point_off_its_integer_core_rejected(self, workdir, capsys):
+        # no template gives a point at core 100.3 at an integer core
+        assert main(lock_args(workdir)) == EXIT_OK
+        path = workdir / "vault.json"
+        doc = reference_v1_document(Vault.load(path))
+        i = next(i for i, p in enumerate(doc["points"]) if p["x"]["family"] == "triangular")
+        doc["points"][i]["x"]["params"] = [99.3, 100.3, 101.3]
+        assert_rejected(path, json.dumps(doc), unlock_args(workdir), capsys)
+        path.write_text(json.dumps(doc))
+        main(unlock_args(workdir))
+        assert f"vault point {i} is no triangular template's instance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key_len, message", [("0", "at least 1 byte"),
+                                                  ("15", "capacity exceeded")])
+    def test_unlock_rejects_key_length_no_search_finds(self, workdir, capsys, key_len, message):
+        main(lock_args(workdir))
+        capsys.readouterr()
+        assert main(unlock_args(workdir, **{"--key-len": key_len})) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+
     def test_unlock_rejects_non_finite_delta(self, workdir):
         main(lock_args(workdir))
         for delta in ("nan", "inf", "0"):

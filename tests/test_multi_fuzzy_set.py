@@ -293,9 +293,9 @@ class TestTemplates:
         for table in (CORE, RULES, _TEMPLATE_ARITY, _LAYOUT):
             assert table.keys() == PARAM_COUNT.keys()
         for family, layout in _LAYOUT.items():
-            spreads = (0.5,) * _TEMPLATE_ARITY[family]
-            for core in (7.0, np.array([7.0, 9.0])):
-                assert len(layout(core, spreads)) == PARAM_COUNT[family]
+            assert len(layout) == PARAM_COUNT[family]
+            spreads = {slot[0] for slot in layout if slot is not None}
+            assert spreads == set(range(_TEMPLATE_ARITY[family]))
 
     def test_non_finite_spreads_rejected(self):
         for bad in (math.nan, math.inf):
