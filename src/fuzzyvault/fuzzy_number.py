@@ -272,13 +272,29 @@ class FuzzyNumber:
         return omega * min(max(grade, 0.0), 1.0)
 
     def alpha_cut(self, alpha: float) -> AlphaCut:
-        """The interval of points with membership at least ``alpha``.
+        """The interval of points with membership at least ``alpha``; an end
+        that a family's formula rounds outside it moves in, by bisection.
 
         Raises ValueError for ``alpha`` outside [0, 1] and, for sigmoid
         numbers, for ``alpha`` above the peak grade (the cut would be empty).
         """
         if not (0.0 <= alpha <= 1.0):
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        cut = self._formula_cut(alpha)
+        return AlphaCut(alpha, self._inward(cut.lo, alpha), self._inward(cut.hi, alpha))
+
+    def _inward(self, end: float, alpha: float) -> float:
+        """``end``, or the float nearest it toward the peak whose membership
+        is at least ``alpha``; a trapezoid's x0 is a peak that never overflows."""
+        inside = self.params[1 if self.family in (TRIANGULAR, SIGMOID) else 0]
+        while self.membership(end) < alpha:
+            mid = end / 2 + inside / 2
+            if not min(end, inside) < mid < max(end, inside):
+                return inside
+            end, inside = (mid, inside) if self.membership(mid) < alpha else (end, mid)
+        return end
+
+    def _formula_cut(self, alpha: float) -> AlphaCut:
         p = self.params
         if self.family == TRIANGULAR:
             left, core, right = p

@@ -267,34 +267,38 @@ def _fit(points: list) -> tuple:
 
 def _members(template_ids, count: int) -> list:
     """Per template id below ``count``, the positions of its points."""
-    order = np.argsort(template_ids, kind="stable")
+    # numpy radix-sorts keys of 16 bits or fewer
+    order = np.argsort(template_ids.astype(np.min_scalar_type(count)), kind="stable")
     return np.split(order, np.cumsum(np.bincount(template_ids, minlength=count))[:-1])
 
 
-def _int_column(values, r: int, name: str) -> list:
-    """``values`` if it is a parsed JSON array of exactly r integers."""
+def _int_column(values, r: int, name: str, dtype):
+    """``values``, checked to be a parsed JSON array of exactly r integers,
+    as a ``dtype`` array, or None if one lies beyond the dtype's range."""
     if type(values) is not list or len(values) != r:
         raise ValueError(f"{name} must be an array of r={r} integers")
     if not {int}.issuperset(map(type, values)):
         raise ValueError(f"{name} must hold integers only")
-    return values
-
-
-def _core_column(values, r: int, q: int, axis: str):
-    """A v2 core column as float64, checked to hold r integers in [0, q)
-    that float64 holds exactly."""
-    values = _int_column(values, r, f"{axis}_cores")
-    low, high = (min(values), max(values)) if values else (0, 0)
-    if not (0 <= low and high < q):
-        raise ValueError(f"vault {axis}-cores must lie in [0, q={q})")
     try:
-        cores = np.array(values, dtype=np.float64)
-    except OverflowError:  # beyond the float range
-        cores = None
-    # float64 holds every integer up to 2**53
-    if cores is None or (high > 2**53 and list(map(int, cores.tolist())) != values):
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        return None
+
+
+def _core_column(values, r: int, axis: str):
+    """A v2 core column as float64, checked to hold r integers that float64
+    holds exactly; ``_from_cores`` checks that they lie in [0, q)."""
+    cores = _int_column(values, r, f"{axis}_cores", np.float64)
+    # float64 holds every integer up to 2**53, and 2**53 + 1 reads as 2**53
+    if cores is None or (cores.max(initial=0) >= 2**53 and _ints(cores) != values):
         raise ValueError(f"vault {axis}-cores must be integers that float64 holds exactly")
     return cores
+
+
+def _ints(cores) -> list:
+    """An integral float64 column as Python ints, exact beyond int64 too."""
+    in_int64 = -2.0**63 <= cores.min(initial=0) and cores.max(initial=0) < 2.0**63
+    return cores.astype(np.int64).tolist() if in_int64 else list(map(int, cores.tolist()))
 
 
 class Vault:
@@ -313,10 +317,11 @@ class Vault:
     ``Vault(points, q, n, r)`` and the v1 reader first map each point to
     its rounded cores and a template with ``fit_templates``, refusing a
     point that no template rebuilds bit for bit.  So neither locking nor
-    loading a v2 file builds an object per point.  ``points`` is the same
-    vault as a tuple of ``VaultPoint`` s, built a template at a time on
-    first use and kept.  Two vaults are equal when their header, table and
-    columns are.
+    loading a v2 file builds an object per point.  ``_from_cores`` owns the
+    checks every vault needs, such as the [0, q) range of the cores.
+    ``points`` is the same vault as a tuple of ``VaultPoint`` s, built a
+    template at a time on first use and kept.  Two vaults are equal when
+    their header, table and columns are.
     """
 
     def __init__(self, points, q: int, n: int, r: int, crc_variant: str = CRC_VARIANT):
@@ -429,8 +434,8 @@ class Vault:
             "r": self.r,
             "templates": [t.to_dict() for t in self.templates],
             "template_ids": self.template_ids.tolist(),
-            "x_cores": list(map(int, self.x_cores.tolist())),
-            "y_cores": list(map(int, self.y_cores.tolist())),
+            "x_cores": _ints(self.x_cores),
+            "y_cores": _ints(self.y_cores),
         }
 
     def to_json(self) -> str:
@@ -466,11 +471,11 @@ class Vault:
         if type(templates) is not list:
             raise ValueError(f"templates must be an array, got {type(templates).__name__}")
         table = [FamilyTemplate.from_dict(t) for t in templates]
-        ids = _int_column(template_ids, r, "template_ids")
-        if ids and not (0 <= min(ids) and max(ids) < len(table)):
+        ids = _int_column(template_ids, r, "template_ids", np.intp)
+        if ids is None or (r and not (0 <= ids.min() and ids.max() < len(table))):
             raise ValueError(f"template ids must index the table of {len(table)} templates")
-        return cls._from_cores(_core_column(x_cores, r, q, "x"), _core_column(y_cores, r, q, "y"),
-                               np.array(ids, dtype=np.intp), table, q, n, r, crc_variant)
+        return cls._from_cores(_core_column(x_cores, r, "x"), _core_column(y_cores, r, "y"),
+                               ids, table, q, n, r, crc_variant)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -1498,6 +1498,35 @@ def v2_document(**edits) -> dict:
     return dict(doc, **edits)
 
 
+# integers that float64 holds exactly, many of them next to 2**53 and 2**63,
+# where the spacing of floats grows to 2 and 2048
+EXACT_CORES = st.one_of(
+    st.integers(0, 2**66),
+    st.sampled_from([2**53, 2**63]).flatmap(lambda edge: st.integers(edge - 4096, edge + 4096)),
+).map(lambda v: int(float(v)))
+
+
+@st.composite
+def v2_documents(draw) -> dict:
+    """Valid v2 documents: a canonical table of templates that every point
+    uses, pairwise distinct x-cores and cores that float64 holds exactly."""
+    table = draw(st.lists(st.sampled_from(ALL_TEMPLATES + [FamilyTemplate("crisp")]),
+                          min_size=1, unique=True))
+    table.sort(key=lambda t: (vault_module.FAMILIES.index(t.family), t.spread_params))
+    x_cores = draw(st.lists(EXACT_CORES, min_size=len(table), max_size=40, unique=True))
+    r = len(x_cores)
+    y_cores = draw(st.lists(EXACT_CORES, min_size=r, max_size=r))
+    spare = draw(st.lists(st.integers(0, len(table) - 1), min_size=r - len(table),
+                          max_size=r - len(table)))
+    return {
+        "crc_variant": CRC_VARIANT, "format_version": 2, "n": draw(st.integers(0, r - 1)),
+        "q": max(x_cores + y_cores) + 2 + draw(st.integers(0, 2**70)), "r": r,
+        "templates": [t.to_dict() for t in table],
+        "template_ids": draw(st.permutations(list(range(len(table))) + spare)),
+        "x_cores": x_cores, "y_cores": y_cores,
+    }
+
+
 class TestFormatV2:
     @pytest.mark.parametrize("r, seeds", [(300, range(50, 54)), (3000, range(60, 62))])
     def test_v1_and_v2_files_load_and_unlock_alike(self, field_mfs, tmp_path, r, seeds):
@@ -1611,10 +1640,34 @@ class TestFormatV2:
         assert Vault.from_dict(doc) == vault
         with pytest.raises(ValueError, match="float64 holds exactly"):
             Vault.from_dict(v2_document(q=q, x_cores=[3, 2**53 + 1]))
+        # past 2**53 float64 holds the even integers
+        assert Vault.from_dict(v2_document(q=q, x_cores=[3, 2**53 + 2])).to_dict()["x_cores"] \
+            == [3, 2**53 + 2]
+
+    def test_cores_beyond_int64_save_exactly(self):
+        # float64 holds 2**63 and 2**64 + 4096, which int64 does not
+        cores = [2**63, 2**64 + 4096]
+        doc = v2_document(q=2**65, x_cores=cores, y_cores=cores[::-1])
+        vault = Vault.from_dict(doc)
+        assert vault.to_dict() == doc
+        assert Vault.from_dict(json.loads(vault.to_json())) == vault
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=v2_documents(), data=st.data())
+    def test_v2_documents_round_trip(self, doc, data):
+        assert Vault.from_dict(doc).to_dict() == doc
+        # one past an exact core beyond 2**53, where floats are 2 or more apart
+        big = data.draw(EXACT_CORES.filter(lambda c: c >= 2**53), label="big")
+        axis = data.draw(st.sampled_from(["x_cores", "y_cores"]), label="axis")
+        cores = list(doc[axis])
+        cores[data.draw(st.integers(0, doc["r"] - 1), label="i")] = big + 1
+        with pytest.raises(ValueError, match="float64 holds exactly"):
+            Vault.from_dict(dict(doc, q=max(doc["q"], big + 2), **{axis: cores}))
 
     @pytest.mark.parametrize("edits, message", [
         ({"template_ids": [0, 2]}, "index the table"),
         ({"template_ids": [-1, 0]}, "index the table"),
+        ({"template_ids": [0, 2**70]}, "index the table"),
         ({"template_ids": [0]}, "r=2 integers"),
         ({"x_cores": [3, True]}, "integers only"),
         ({"x_cores": [3, 7.0]}, "integers only"),
