@@ -42,6 +42,7 @@ from .multi_fuzzy_set import (
     UNLOCKING,
     FamilyTemplate,
     MultiFuzzySet,
+    _layout,
     fit_templates,
 )
 
@@ -272,6 +273,35 @@ def _members(template_ids, count: int) -> list:
     return np.split(order, np.cumsum(np.bincount(template_ids, minlength=count))[:-1])
 
 
+def _check_cores(table: list, template_ids, x_cores, y_cores) -> None:
+    """Check that each point's template instantiates both of its cores
+    with finite parameters that round back to the core, a family at a time
+    over both axes.  ValueError names the first template in table order
+    that fails, the x-axis before the y-axis, at its first point."""
+    families = [t.family for t in table]
+    for family in dict.fromkeys(families):
+        lo = families.index(family)  # the table holds a family's templates together
+        hi = lo + families.count(family)
+        members = np.flatnonzero((lo <= template_ids) & (template_ids < hi))
+        ids, n = template_ids[members] - lo, len(members)
+        spreads = np.array([t.spread_params for t in table[lo:hi]])[ids].T
+        cores = np.concatenate((x_cores[members], y_cores[members]))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            params = np.array(_layout(family, cores, np.tile(spreads, 2)))
+            derived = np.rint(_defuzzify_rows(family, params.T))
+        finite, kept = np.isfinite(params).all(axis=0), derived == cores
+        passed = np.stack((finite[:n], kept[:n], finite[n:], kept[n:]))  # per check and point
+        if not passed.all():
+            failing = ids == ids[~passed.all(axis=0)].min()
+            check = passed[:, failing].all(axis=1).argmin()
+            i = np.argmin(passed[check] | ~failing) + n * (check >= 2)
+            if check % 2 == 0:
+                raise ValueError(f"{family} parameters must be finite: "
+                                 f"{tuple(params[:, i].tolist())}")
+            raise ValueError(f"template {table[lo + ids[i % n]]} turns the "
+                             f"{'xy'[check // 2]}-core {int(cores[i])} into {derived[i]}")
+
+
 def _int_column(values, r: int, name: str, dtype):
     """``values``, checked to be a parsed JSON array of exactly r integers,
     as a ``dtype`` array, or None if one lies beyond the dtype's range."""
@@ -355,15 +385,7 @@ class Vault:
                        key=lambda t: (_FAMILY_ID[t.family], t.spread_params))
         index = {template: i for i, template in enumerate(table)}
         template_ids = np.array([index.get(t, -1) for t in templates], dtype=np.intp)[template_ids]
-        for template, members in zip(table, _members(template_ids, len(table))):
-            for axis, cores in (("x", x_cores[members]), ("y", y_cores[members])):
-                derived = np.rint(_defuzzify_rows(template.family,
-                                                  template.instantiate_column(cores)))
-                lost = derived != cores
-                if lost.any():
-                    i = np.argmax(lost)
-                    raise ValueError(f"template {template} turns the {axis}-core "
-                                     f"{int(cores[i])} into {derived[i]}")
+        _check_cores(table, template_ids, x_cores, y_cores)
         vault = object.__new__(cls)
         for name, value in (("q", q), ("n", n), ("r", r), ("crc_variant", crc_variant),
                             ("templates", tuple(table)), ("template_ids", template_ids),
@@ -787,61 +809,87 @@ def match_points(
     return matched
 
 
-def _basis_at_zero(xs: list[int], q: int) -> list[list[int]]:
-    """w[a][b] = x_a / (x_a - x_b) mod q for a != b, 0 on the diagonal.
+def _mod(a, q: int):
+    """``a % q``, computed in place in an int64 or object array: numpy
+    floor-divides int64 by a scalar through libdivide, faster than ``%``."""
+    a -= a // q * q
+    return a
 
-    The Lagrange basis polynomial of point b, evaluated at 0, is the product
-    of w[a][b] over the other points a of the subset.  All m * (m - 1)
-    differences share one modular inversion (Montgomery's batch trick).
+
+def _basis_at_zero(xs: list[int], q: int) -> list[list[int]]:
+    """w[a][b] = x_a / (x_a - x_b) mod q for a != b, and 1 on the diagonal.
+
+    The Lagrange basis polynomial of point b of a subset, evaluated at 0,
+    is the product of w[a][b] over the points a of the subset, b included.
+    The differences x_a - x_b with a < b share one modular inversion
+    (Montgomery's batch trick), and 1 / (x_b - x_a) = -1 / (x_a - x_b).
     """
     m = len(xs)
-    pairs = [(a, b) for a in range(m) for b in range(m) if a != b]
-    prefix = []
-    acc = 1
-    for a, b in pairs:
-        prefix.append(acc)
-        acc = acc * (xs[a] - xs[b]) % q
-    inv = pow(acc, -1, q)
-    w = [[0] * m for _ in range(m)]
+    pairs = list(itertools.combinations(range(m), 2))
+    prefix = list(itertools.accumulate((xs[a] - xs[b] for a, b in pairs),
+                                       lambda acc, d: acc * d % q, initial=1))
+    inv = pow(prefix.pop(), -1, q)
+    w = [[1] * m for _ in range(m)]
     for (a, b), before in zip(reversed(pairs), reversed(prefix)):
         # inv is 1 / (product of the differences up to and including (a, b))
-        w[a][b] = xs[a] * inv * before % q
+        d = inv * before % q
+        w[a][b], w[b][a] = xs[a] * d % q, -xs[b] * d % q
         inv = inv * (xs[a] - xs[b]) % q
     return w
 
 
-def _subsets_passing_a0(xs: list[int], ys: list[int], q: int, k: int,
-                        reject: int, limit: int):
-    """Yield (position, subset) for each of the first ``limit`` k-subsets of
-    the points, in lexicographic order, whose interpolating polynomial has a
-    constant term a_0 with ``a_0 & reject == 0``.
+def _unrank(rank: int, m: int, k: int) -> list[int]:
+    """The k-subset of range(m) at ``rank`` in lexicographic order."""
+    subset, e = [], 0
+    for p in range(k):
+        # C(m - e - 1, k - p - 1) subsets continue the prefix with e
+        while rank >= (count := math.comb(m - e - 1, k - p - 1)):
+            rank, e = rank - count, e + 1
+        subset.append(e)
+        e += 1
+    return subset
 
-    a_0 = sum_j y_j prod_{i != j} w[i][j] is evaluated with numpy for
-    _SUBSET_CHUNK subsets at a time.  Operands stay below q, so int64
-    products stay below 2**62 while q < 2**31; larger fields use Python ints.
+
+def _constant_terms(w, y, q: int, k: int, start: int, stop: int) -> tuple:
+    """The k-subsets of the points at positions [start, stop) in
+    lexicographic order, as a (k, stop - start) array of point indices, and
+    the constant term a_0 = sum_{b in S} y_b prod_{a in S} w[a][b] of the
+    polynomial through each, for numpy arrays w and y of ``_field_dtype``.
+
+    The subsets are the leaves of a numpy walk down the lexicographic
+    prefix tree, a level at a time.  A node holds the product of the rows
+    w[a] over its points: a child multiplies its parent's by w[e] for its
+    new point e, and a leaf's a_0 takes k more products.  Operands stay
+    below q, so int64 products stay below 2**62 while q < 2**31.
     """
-    m = len(xs)
-    dtype = _field_dtype(q)
-    w = np.array(_basis_at_zero(xs, q), dtype=dtype).ravel()
-    y = np.array(ys, dtype=dtype)
-    subsets = itertools.islice(itertools.combinations(range(m), k), limit)
-    start = 0
-    while chunk := list(itertools.islice(subsets, _SUBSET_CHUNK)):
-        # cols[j] holds the j-th point index of every subset in the chunk
-        cols = np.fromiter(itertools.chain.from_iterable(chunk), dtype=np.intp,
-                           count=len(chunk) * k).reshape(len(chunk), k).T.copy()
-        rows = cols * m
-        a0 = 0
-        for j in range(k):
-            term = y[cols[j]]
-            for i in range(k):
-                if i != j:
-                    term *= w[rows[i] + cols[j]]
-                    term %= q
-            a0 = a0 + term  # k terms below q: no int64 overflow
-        for s in np.flatnonzero(((a0 % q) & reject) == 0).tolist():
-            yield start + s, chunk[s]
-        start += len(chunk)
+    m = len(y)
+    first, last = _unrank(start, m, k), _unrank(stop - 1, m, k)
+    from_lo = ~np.tri(m + 1, m, -1, dtype=bool)  # row lo marks the points lo, lo + 1, ...
+    # a level's nodes are the prefixes of the subsets, in order: members[j]
+    # holds each one's j-th point, lo its least next point
+    members, lo = np.empty((0, 1), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    prods = np.ones((1, m), dtype=w.dtype)
+    for p in range(k):
+        width = m - k + p + 1  # point m - k + p leaves room for the rest
+        lo[0] = first[p]
+        grid = from_lo[:, :width].take(lo, 0)
+        grid[-1, last[p] + 1:] = False
+        child = np.flatnonzero(grid)
+        parent = child // width
+        e = child - parent * width
+        if p < k - 1:
+            members = np.concatenate((members.take(parent, 1), e[None]))
+            prods = _mod(prods.take(parent, 0) * w.take(e, 0), q)
+            lo = e + 1
+    # a leaf is its parent's points and then e: its a_0 sums y_b times the
+    # parent's product at b times w[e][b] over the parent's points b, and
+    # y_e times the parent's product at e
+    offsets = np.arange(0, members.shape[1] * m, m)  # each parent's row in prods
+    held = _mod(y.take(members) * prods.ravel().take(members + offsets), q)
+    heads = members.take(parent, 1)
+    terms = _mod(held.take(parent, 1) * w.ravel().take(heads + e * m), q)
+    a0 = _mod(terms.sum(0) + y.take(e) * prods.ravel().take(offsets.take(parent) + e), q)
+    return np.concatenate((heads, e[None])), a0
 
 
 def search_key(
@@ -854,11 +902,12 @@ def search_key(
     """Search k-subsets of matched points in lexicographic order, accepting
     the first candidate polynomial whose decoded key passes the CRC check.
 
-    Only the constant term a_0 of each candidate is computed at first.
-    decode_key rejects every polynomial whose a_0 is at least 2**bits or
-    has a set bit in the zero padding at the tail of the payload, so only
-    the subsets whose a_0 passes that test are interpolated in full and
-    decoded.  Matched points must have distinct x values mod q, and k
+    Only the constant term a_0 of each candidate is computed at first,
+    for _SUBSET_CHUNK subsets at a time (``_constant_terms``).  decode_key
+    rejects every polynomial whose a_0 is at least 2**bits or has a set bit
+    in the zero padding at the tail of the payload, so only the subsets
+    whose a_0 passes that test are interpolated in full and decoded.
+    Matched points must have distinct x values mod q, and k
     coefficients of F_q must hold a key of ``key_len`` bytes plus its CRC
     (``check_key_capacity``): a key length that no search could find
     raises ValueError instead of reporting a search it did not run.
@@ -882,13 +931,16 @@ def search_key(
     # a_0 < q < 2**(bits + 1), so a_0 >= 2**bits exactly when bit `bits` is
     # set; the low min(pad, bits) bits of a_0 end the zero padding
     reject = (1 << bits) | ((1 << min(pad, bits)) - 1)
-    ys = [y % q for _, y in matched]
-    for position, subset in _subsets_passing_a0(xs, ys, q, k, reject, limit):
-        candidate = lagrange_interpolate([matched[i] for i in subset], field)
-        material = decode_key(candidate, field, key_len)
-        if material is not None:
-            diagnostics.subsets_tried = position + 1
-            return UnlockResult(material.key_bytes, diagnostics)
+    w = np.array(_basis_at_zero(xs, q), dtype=_field_dtype(q))
+    y = np.array([y % q for _, y in matched], dtype=_field_dtype(q))
+    for start in range(0, limit, _SUBSET_CHUNK):
+        subsets, a0 = _constant_terms(w, y, q, k, start, min(start + _SUBSET_CHUNK, limit))
+        for s in np.flatnonzero((a0 & reject) == 0).tolist():
+            candidate = lagrange_interpolate([matched[i] for i in subsets[:, s].tolist()], field)
+            material = decode_key(candidate, field, key_len)
+            if material is not None:
+                diagnostics.subsets_tried = start + s + 1
+                return UnlockResult(material.key_bytes, diagnostics)
     diagnostics.subsets_tried = limit
     diagnostics.cap_hit = total > effort_cap
     return UnlockResult(None, diagnostics)

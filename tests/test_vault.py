@@ -957,6 +957,97 @@ class TestSearchKey:
         assert (result.diagnostics.subsets_tried, result.diagnostics.cap_hit) == (9, False)
 
 
+def reference_a0(points, q):
+    """The constant term of the polynomial through ``points``, in Python
+    ints: sum_j y_j prod_{i != j} x_i / (x_i - x_j)."""
+    total = 0
+    for j, (xj, yj) in enumerate(points):
+        for i, (xi, _) in enumerate(points):
+            if i != j:
+                yj = yj * xi * pow(xi - xj, -1, q) % q
+        total += yj
+    return total % q
+
+
+# fields on both sides of 2**31, where the walk leaves int64 for Python ints
+WALK_FIELDS = [257, 65537, 2**31 - 1, P31, 2**61 - 1]
+
+
+@st.composite
+def walk_points(draw, q):
+    """m <= 14 points with distinct x, a coefficient count k <= m and a
+    range [start, stop) of at most 300 k-subset positions."""
+    m = draw(st.integers(1, 14))
+    k = draw(st.integers(1, m))
+    start = draw(st.integers(0, math.comb(m, k) - 1))
+    stop = draw(st.integers(start + 1, min(start + 300, math.comb(m, k))))
+    xs = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m, unique=True))
+    ys = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+    return xs, ys, k, start, stop
+
+
+class TestPrefixWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), q=st.sampled_from(WALK_FIELDS))
+    def test_leaves_match_combinations(self, data, q):
+        xs, ys, k, start, stop = data.draw(walk_points(q))
+        dtype = vault_module._field_dtype(q)
+        w = np.array(vault_module._basis_at_zero(xs, q), dtype=dtype)
+        subsets, a0 = vault_module._constant_terms(w, np.array(ys, dtype=dtype), q, k, start, stop)
+        want = list(itertools.islice(itertools.combinations(range(len(xs)), k), start, stop))
+        assert list(map(tuple, subsets.T.tolist())) == want
+        assert list(map(int, a0.tolist())) == [
+            reference_a0([(xs[i], ys[i]) for i in s], q) for s in want]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), q=st.sampled_from(WALK_FIELDS))
+    def test_runs_join_into_the_lexicographic_order(self, chunk, data, q):
+        xs, ys, k, _, stop = data.draw(walk_points(q))
+        dtype = vault_module._field_dtype(q)
+        w = np.array(vault_module._basis_at_zero(xs, q), dtype=dtype)
+        runs = [vault_module._constant_terms(w, np.array(ys, dtype=dtype), q, k,
+                                             start, min(start + chunk, stop))
+                for start in range(0, stop, chunk)]
+        want = list(itertools.islice(itertools.combinations(range(len(xs)), k), stop))
+        assert [tuple(s) for subsets, _ in runs for s in subsets.T.tolist()] == want
+        assert [int(v) for _, a0 in runs for v in a0.tolist()] == [
+            reference_a0([(xs[i], ys[i]) for i in s], q) for s in want]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), q=st.sampled_from(WALK_FIELDS[1:]), k=st.integers(2, 6))
+    def test_chunked_search_matches_reference(self, chunk, data, q, k):
+        # q = 257 is too small to bind a key; one key byte fits two elements
+        # of the others
+        matched = data.draw(matched_sets(q, k, 1))
+        cap = data.draw(st.integers(1, 100))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vault_module, "_SUBSET_CHUNK", chunk)
+            got = search_key(matched, q, k, 1, cap)
+        assert outcome(got) == outcome(reference_search_key(matched, q, k, 1, cap))
+
+    @pytest.mark.parametrize("q", [65537, 2**61 - 1])
+    def test_subset_counts_beyond_int64(self, q):
+        # C(70, 35) ~ 1.1e20 subsets: the walk's positions are Python ints
+        matched = chaff_matches(70, seed=9, q=q)
+        got = search_key(matched, q, 35, 12, effort_cap=50)
+        assert outcome(got) == outcome(reference_search_key(matched, q, 35, 12, 50))
+        assert got.diagnostics.cap_hit
+
+    @pytest.mark.parametrize("q", [2, 65537, 2**31 - 1])
+    def test_floor_division_reduction_matches_mod(self, q):
+        values = np.array([0, 1, q - 1, (q - 1) ** 2, 2**62 - 1], dtype=np.int64)
+        want = [v % q for v in values.tolist()]
+        assert (values % q).tolist() == want
+        assert vault_module._mod(values.copy(), q).tolist() == want
+
+    def test_reduction_of_python_ints(self):
+        q = 2**61 - 1
+        values = np.array([0, 1, q - 1, (q - 1) ** 2, 2**62 - 1, 2**130 + 3], dtype=object)
+        assert vault_module._mod(values.copy(), q).tolist() == [v % q for v in values.tolist()]
+
+
 # numbers whose JSON text is easy to get wrong: integral cores in and beyond
 # exponent notation, and spreads such as the smallest subnormal and 0.1
 CORES = (st.sampled_from([0, 1, 7, 10**16, 10**22, 123456789]) | st.integers(0, 10**6)
@@ -1527,6 +1618,50 @@ def v2_documents(draw) -> dict:
     }
 
 
+def reference_check_cores(table, template_ids, x_cores, y_cores) -> None:
+    """The core check as it ran a template at a time: each template in
+    table order, its x-cores and then its y-cores, raising at the first
+    point it fails."""
+    for t, template in enumerate(table):
+        members = np.flatnonzero(template_ids == t)
+        for axis, cores in (("x", x_cores[members]), ("y", y_cores[members])):
+            with np.errstate(over="ignore"):
+                derived = np.rint(reference_core(template.family,
+                                                 template.instantiate_column(cores).T))
+            lost = derived != cores
+            if lost.any():
+                i = np.argmax(lost)
+                raise ValueError(f"template {template} turns the {axis}-core "
+                                 f"{int(cores[i])} into {derived[i]}")
+
+
+# templates some of whose instances overflow or lose their integer core
+CHECKED_TEMPLATES = ALL_TEMPLATES + [
+    FamilyTemplate("crisp"),
+    FamilyTemplate("triangular", (3.0, 2.0**1023)),
+    FamilyTemplate("triangular", (1e300, 0.25)),
+    FamilyTemplate("trapezoidal", (1e16, 1.0, 1.0)),
+    FamilyTemplate("trapezoidal", (2.0**53, 2.0, 1.0)),
+    FamilyTemplate("sigmoid", (2.0**1023, 1.0, 0.9, 4.0)),
+    FamilyTemplate("sigmoid", (1.0, 1e308, 1.0, 4.0)),
+]
+
+
+@st.composite
+def core_checks(draw) -> tuple:
+    """A canonical table, per point a template id and two float64 cores,
+    small ones or some near 2**53 and the float range."""
+    table = draw(st.lists(st.sampled_from(CHECKED_TEMPLATES), min_size=1, unique=True))
+    table.sort(key=lambda t: (vault_module.FAMILIES.index(t.family), t.spread_params))
+    r = draw(st.integers(len(table), 12))
+    ids = draw(st.permutations(list(range(len(table)))
+                               + draw(st.lists(st.integers(0, len(table) - 1),
+                                               min_size=r - len(table), max_size=r - len(table)))))
+    cores = st.integers(0, 40) | st.sampled_from([2**53 - 2, 2**60, 2**1023, 17 * 2**1000])
+    x, y = (draw(st.lists(cores.map(float), min_size=r, max_size=r)) for _ in "xy")
+    return table, np.array(ids, dtype=np.intp), np.array(x), np.array(y)
+
+
 class TestFormatV2:
     @pytest.mark.parametrize("r, seeds", [(300, range(50, 54)), (3000, range(60, 62))])
     def test_v1_and_v2_files_load_and_unlock_alike(self, field_mfs, tmp_path, r, seeds):
@@ -1689,3 +1824,26 @@ class TestFormatV2:
     def test_malformed_v2_rejected(self, edits, message):
         with pytest.raises(ValueError, match=message):
             Vault.from_dict(v2_document(**edits))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=core_checks())
+    def test_core_check_fails_as_a_template_at_a_time(self, case):
+        errors = []
+        for check in (vault_module._check_cores, reference_check_cores):
+            try:
+                check(*case)
+                errors.append(None)
+            except ValueError as e:
+                errors.append(str(e))
+        assert errors[0] == errors[1]
+
+    def test_core_check_runs_once_per_family(self, monkeypatch):
+        layout, families = vault_module._layout, []
+        monkeypatch.setattr(vault_module, "_layout",
+                            lambda family, *args: families.append(family) or layout(family, *args))
+        spreads = [{"family": "triangular", "spreads": [1 + i / 16, 1.0]} for i in range(300)]
+        doc = v2_document(r=301, templates=spreads + [GAU.to_dict()],
+                          template_ids=list(range(301)), x_cores=list(range(301)),
+                          y_cores=[7 * i % 401 for i in range(301)], q=401)
+        assert len(Vault.from_dict(doc).templates) == 301
+        assert families == ["triangular", "gaussian"]
