@@ -14,7 +14,7 @@ import sys
 
 from . import minutiae_demo, security_analysis
 from .field_poly import FieldParams, crc16, decode_key, encode_key, lagrange_interpolate
-from .multi_fuzzy_set import LOCKING, UNLOCKING, MultiFuzzySet
+from .multi_fuzzy_set import FIELD, LOCKING, UNLOCKING, MultiFuzzySet
 from .vault import DEFAULT_EFFORT_CAP, LockParams, Vault, fuzzy_lock, fuzzy_unlock
 
 EXIT_OK = 0
@@ -26,13 +26,15 @@ EXIT_NULL = 3
 def cmd_lock(args) -> int:
     key = bytes.fromhex(args.key_hex)
     locking_set = MultiFuzzySet.load(args.locking_set, LOCKING)
-    field_mfs = MultiFuzzySet.load(args.field_partition)
+    field_mfs = MultiFuzzySet.load(args.field_partition, FIELD)
+    if locking_set.q != field_mfs.q:  # as lock_polynomial checks, but naming the files
+        raise ValueError(f"{args.locking_set} and {args.field_partition} disagree on q")
     if not (0 <= args.subset_index < locking_set.subset_count):
         raise ValueError(f"subset index {args.subset_index} out of range")
     params = LockParams(
         t=locking_set.total_elements,
         k_subset=args.subset_index,
-        t_mfk=len(locking_set.subsets[args.subset_index]),
+        t_mfk=locking_set.subsets[args.subset_index].size,
         r=args.r,
         k=args.k,
         rho=args.rho,

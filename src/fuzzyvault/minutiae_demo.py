@@ -32,9 +32,6 @@ from .vault import (
 
 GRID_STEP = 22.5
 
-# largest field the demo accepts: partition_field lists every element of F_q
-MAX_DEMO_Q = 2**20
-
 RIDGE_ENDING = "ridge_ending"
 BIFURCATION = "bifurcation"
 
@@ -125,8 +122,6 @@ def minutiae_vault_demo(
     copy of the same minutiae (jitter in core units, applied to probe cores)."""
     if len(minutiae) < k:
         raise ValueError(f"need at least k={k} minutiae, got {len(minutiae)}")
-    if q > MAX_DEMO_Q:
-        raise ValueError(f"demo field order q={q} exceeds {MAX_DEMO_Q}")
     field = FieldParams(q)
     encode_key(key, field, k)  # surface capacity errors before locking
 

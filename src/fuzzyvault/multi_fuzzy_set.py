@@ -273,26 +273,37 @@ def _core(element: int) -> float:
 
 @dataclass(frozen=True)
 class SubsetDescriptor:
-    """One subset of field elements sharing a single membership template."""
+    """One subset of field elements sharing a single membership template:
+    consecutive ascending elements as a ``range`` of any length, others as
+    a tuple, so an explicit list of consecutive elements equals its range."""
 
-    elements: tuple
+    elements: tuple | range
     template: FamilyTemplate
     index: int
 
     def __post_init__(self):
-        elems = tuple(int(e) for e in self.elements)
+        elems = self.elements
+        if type(elems) is not range or elems.step != 1:
+            elems = tuple(int(e) for e in elems)
+            if len(set(elems)) != len(elems):
+                raise ValueError(f"subset {self.index} has repeated elements")
+            if elems and all(b == a + 1 for a, b in itertools.pairwise(elems)):
+                elems = range(elems[0], elems[-1] + 1)
         object.__setattr__(self, "elements", elems)
         if not elems:
             raise ValueError(f"subset {self.index} is empty")
-        if len(set(elems)) != len(elems):
-            raise ValueError(f"subset {self.index} has repeated elements")
 
-    def __len__(self) -> int:
-        return len(self.elements)
+    @property
+    def size(self) -> int:  # a range's len() stops at 2**63 - 1
+        e = self.elements
+        return len(e) if type(e) is tuple else e.stop - e.start
 
 
 @dataclass(frozen=True)
 class MultiFuzzySet:
+    """Disjoint subsets of [0, q), each with one template; a ``FIELD`` set
+    covers [0, q).  The checks run over sorted runs: O(subsets) at any q."""
+
     q: int
     subsets: tuple
     kind: str = FIELD
@@ -306,16 +317,18 @@ class MultiFuzzySet:
         object.__setattr__(self, "subsets", subsets)
         if not subsets:
             raise ValueError("a multi-fuzzy set needs at least one subset")
-        # a subset has no repeated element, so a repeat in the sorted list
-        # is an element of two subsets
-        elements = sorted(itertools.chain.from_iterable(s.elements for s in subsets))
-        for e in (elements[0], elements[-1]):
+        # the runs [a, b) of consecutive elements, sorted: a range is one run
+        # and a tuple element is one, and two runs overlap only if neighbours do
+        runs = sorted(itertools.chain.from_iterable(
+            [(e.start, e.stop)] if type(e) is range else [(x, x + 1) for x in e]
+            for e in (s.elements for s in subsets)))
+        for e in (runs[0][0], max(b for _, b in runs) - 1):
             if not (0 <= e < self.q):
                 raise ValueError(f"element {e} outside field [0, {self.q})")
-        for a, b in itertools.pairwise(elements):
-            if a == b:
-                raise ValueError(f"element {a} appears in more than one subset")
-        if self.kind == FIELD and len(elements) != self.q:
+        for (_, end), (start, _) in itertools.pairwise(runs):
+            if start < end:
+                raise ValueError(f"element {start} appears in more than one subset")
+        if self.kind == FIELD and sum(b - a for a, b in runs) != self.q:
             raise ValueError("field partition must cover every element of [0, q)")
 
     @property
@@ -324,7 +337,7 @@ class MultiFuzzySet:
 
     @property
     def total_elements(self) -> int:
-        return sum(len(s) for s in self.subsets)
+        return sum(s.size for s in self.subsets)
 
     def subset_of(self, a: int) -> SubsetDescriptor:
         """The subset holding element ``a``, found by scanning the subsets."""
@@ -388,14 +401,13 @@ class MultiFuzzySet:
             else:
                 (size,) = json_fields(entry, "size")
                 size = json_int(size)
-                # checked before range() is built: a huge size must not allocate
                 if not 1 <= size <= q - cursor:
                     raise ValueError(
                         f"subset {i} size {size} outside [1, {q - cursor}]"
                     )
                 elements = range(cursor, cursor + size)
                 cursor += size
-            subsets.append(SubsetDescriptor(tuple(elements), template, i))
+            subsets.append(SubsetDescriptor(elements, template, i))
         return cls(q, tuple(subsets), kind or d.get("kind", FIELD))
 
     def save(self, path) -> None:
@@ -425,7 +437,7 @@ def partition_field(q: int, sizes: list[int], templates: list[FamilyTemplate]) -
     subsets = []
     start = 0
     for i, (size, template) in enumerate(zip(sizes, templates)):
-        subsets.append(SubsetDescriptor(tuple(range(start, start + size)), template, i))
+        subsets.append(SubsetDescriptor(range(start, start + size), template, i))
         start += size
     return MultiFuzzySet(q, tuple(subsets), FIELD)
 
@@ -443,7 +455,7 @@ def build_locking_set(
     if not groups:
         raise ValueError("a locking set needs at least one group")
     subsets = [
-        SubsetDescriptor(tuple(elements), template, i)
+        SubsetDescriptor(elements, template, i)
         for i, (elements, template) in enumerate(groups)
     ]
     return MultiFuzzySet(field_mfs.q, tuple(subsets), kind)

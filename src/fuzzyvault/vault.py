@@ -38,6 +38,7 @@ from .fuzzy_number import (
     json_int,
 )
 from .multi_fuzzy_set import (
+    FIELD,
     LOCKING,
     UNLOCKING,
     FamilyTemplate,
@@ -52,9 +53,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 # k-subsets whose constant coefficient search_key computes in one numpy batch
 _SUBSET_CHUNK = 4096
 
-# SplitMix64 outputs computed in one numpy batch: what next_u64 caches, and
-# the least generate_chaff reduces at a time (a few thousand, so its Python
-# int lists stay small)
+# the least SplitMix64 outputs generate_chaff reduces at a time (a few
+# thousand, so its Python int lists stay small)
 _DRAW_BLOCK = 2048
 
 # k-subsets an unlock tries at most, unless its caller sets another cap
@@ -85,39 +85,27 @@ def _rejection_limit(n: int) -> int:
 
 
 class SplitMix64:
-    """Deterministic 64-bit generator; fixed so vaults reproduce per seed.
-
-    ``next_u64`` reads a cached block of outputs.  The bulk draws of
-    ``generate_chaff`` and ``scramble`` read a stretch of the stream ahead
-    with ``_peek`` and then ``_skip`` the outputs they used, so they leave
-    the stream where as many ``randbelow`` calls would.
+    """Deterministic 64-bit generator, its state alone; fixed so vaults
+    reproduce per seed.  The bulk draws of ``generate_chaff`` and
+    ``scramble`` ``_peek`` at the stream ahead and ``_skip`` the outputs
+    they used, so they leave it where as many ``randbelow`` calls would.
     """
 
     def __init__(self, seed: int):
-        # nothing is computed before the first draw: numpy's uint64 loops
-        # cost memory at first use, which processes that never draw (unlock,
-        # the CLI) should not pay
-        self._state = seed & _MASK64  # the state before _cache[0]
-        self._cache = []
-        self._taken = 0  # outputs of _cache already taken
+        self._state = seed & _MASK64
 
     def _peek(self, count: int):
         """The next ``count`` outputs as uint64, without taking them."""
-        return _splitmix64_block(self._state + self._taken * _GAMMA, count)
+        return _splitmix64_block(self._state, count)
 
     def _skip(self, count: int) -> None:
         """Take the next ``count`` outputs."""
-        self._state = (self._state + (self._taken + count) * _GAMMA) & _MASK64
-        self._cache, self._taken = [], 0
+        self._state = (self._state + count * _GAMMA) & _MASK64
 
     def next_u64(self) -> int:
-        taken = self._taken
-        if taken == len(self._cache):
-            self._skip(0)
-            self._cache = self._peek(_DRAW_BLOCK).tolist()
-            taken = 0
-        self._taken = taken + 1
-        return self._cache[taken]
+        value = int(self._peek(1)[0])
+        self._skip(1)
+        return value
 
     def randbelow(self, n: int) -> int:
         limit = _rejection_limit(n)
@@ -669,6 +657,8 @@ def lock_polynomial(
         raise ValueError(f"field size q={q} exceeds 2**53, beyond which float64 "
                          f"cores cannot hold every field element")
     params.validate(q)
+    if field_mfs.kind != FIELD:
+        raise ValueError(f"expected a field partition, got kind={field_mfs.kind!r}")
     if locking_set.kind != LOCKING:
         raise ValueError(f"expected a locking set, got kind={locking_set.kind!r}")
     if locking_set.q != q:
@@ -681,9 +671,9 @@ def lock_polynomial(
     if not (0 <= params.k_subset < locking_set.subset_count):
         raise ValueError(f"locking subset index {params.k_subset} out of range")
     subset = locking_set.subsets[params.k_subset]
-    if len(subset) != params.t_mfk:
+    if subset.size != params.t_mfk:
         raise ValueError(
-            f"locking subset holds {len(subset)} elements, params.t_mfk = {params.t_mfk}"
+            f"locking subset holds {subset.size} elements, params.t_mfk = {params.t_mfk}"
         )
     if len(p.coefficients) != params.k:
         raise ValueError("polynomial length disagrees with params.k")

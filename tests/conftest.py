@@ -23,12 +23,18 @@ TRAP = FamilyTemplate("trapezoidal", (0.5, 1.0, 1.0))
 ALL_TEMPLATES = [TRI, GAU, SIG, TRAP]
 
 
+def split_field(q, templates):
+    """Field partition of contiguous subsets, one per template, all of
+    size q // len(templates) but the last, which takes the rest."""
+    size = q // len(templates)
+    return partition_field(
+        q, [size] * (len(templates) - 1) + [q - size * (len(templates) - 1)], templates
+    )
+
+
 def desk_field(q=Q_DESK):
     """Four-family field partition used across the suite."""
-    quarter = q // 4
-    return partition_field(
-        q, [quarter, quarter, quarter, q - 3 * quarter], ALL_TEMPLATES
-    )
+    return split_field(q, ALL_TEMPLATES)
 
 
 def desk_locking_set(field_mfs, seed, t_mfk=12, extra=(6, 6), k_template=TRI):

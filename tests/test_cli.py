@@ -117,6 +117,19 @@ class TestLock:
         assert "trapezoidal" in err[0] and "-core" in err[0]
         assert not (workdir / "vault.json").exists()
 
+    def test_field_partition_of_another_kind(self, workdir, capsys):
+        # labelled "unlocking", a set covering 41 elements locked with exit 0
+        field = copy.deepcopy(FIELD_DOC)
+        field["kind"] = "unlocking"
+        field["subsets"] = [{"elements": list(range(41)), "family": "triangular",
+                             "spreads": [1.0, 1.0]}]
+        (workdir / "field.json").write_text(json.dumps(field))
+        assert main(lock_args(workdir)) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "must cover every element" in err[0]
+        assert str(workdir / "field.json") in err[0]
+        assert not (workdir / "vault.json").exists()
+
     def test_missing_locking_file(self, workdir):
         argv = lock_args(workdir, **{"--locking-set": str(workdir / "nope.json")})
         assert main(argv) == EXIT_IO
@@ -251,7 +264,7 @@ class TestMinutiaeDemo:
         path.write_text(self.MINUTIAE)
         argv = ["minutiae-demo", "--minutiae", str(path), "--q", str(2**61 - 1)]
         assert main(argv) == EXIT_VALIDATION
-        assert "exceeds" in capsys.readouterr().err
+        assert "exceeds 2**53" in capsys.readouterr().err
 
 
 class TestSelftest:
@@ -281,6 +294,12 @@ def _sized_subset(doc, size):
     del entry["elements"]
     entry["size"] = size
     return json.dumps(doc)
+
+
+def _sized_set(kind, q, size):
+    """A set of one triangular subset of ``size`` elements, as JSON text."""
+    return json.dumps({"q": q, "kind": kind, "subsets": [
+        {"size": size, "family": "triangular", "spreads": [1.0, 1.0]}]})
 
 
 # a JSON integer that no float holds
@@ -335,6 +354,12 @@ MALFORMED = {
     "probe-q-null": ("probe.json", lambda d: _replace(d, ["q"], None)),
     # a size that range() would have tried to allocate
     "probe-size-1e12": ("probe.json", lambda d: _sized_subset(d, 10**12)),
+    # sizes in range for their q, whose element tuples ran out of memory
+    # (2**40) or overflowed len() (2**100)
+    "probe-size-2e40": ("probe.json", lambda d: _sized_set("unlocking", 2**61 - 1, 2**40)),
+    "probe-size-2e100": ("probe.json", lambda d: _sized_set("unlocking", 2**127 - 1, 2**100)),
+    "locking-size-2e100": (
+        "locking.json", lambda d: _sized_set("locking", 2**127 - 1, 2**100)),
     # nesting that made json.load raise RecursionError
     "vault-nested-arrays": ("vault.json", lambda d: "[" * 200_000 + "]" * 200_000),
     "probe-nested-objects": (
@@ -401,7 +426,7 @@ class TestMalformedInput:
             if name == "vault.json":  # the v1 cases: mutations of a v1 file
                 doc = reference_v1_document(Vault.from_dict(doc))
             contents = mutate(doc)
-            argv = unlock_args(workdir)
+            argv = lock_args(workdir) if name == "locking.json" else unlock_args(workdir)
         assert_rejected(path, contents, argv, capsys)
 
     @pytest.mark.parametrize("mutate", MALFORMED_V2.values(), ids=MALFORMED_V2.keys())
@@ -436,11 +461,8 @@ class TestMalformedInput:
             assert main(unlock_args(workdir, **{"--delta": delta})) == EXIT_VALIDATION
 
 
-Q = FIELD_DOC["q"]
-# every integer drawn here is at most q, so no subset size can ask for an
-# unbounded allocation; the HUGE_INT token covers integers beyond floats
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-Q, Q) | st.floats() | st.text(max_size=4),
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=4,

@@ -44,13 +44,14 @@ def reference_element_index(q, subsets, kind) -> dict:
 @st.composite
 def subset_lists(draw):
     """(q, element groups): partitions of [0, q), some broken by an element
-    dropped, repeated or out of range, and free groups of elements near the
-    field's ends, also at q = 10**400."""
+    dropped, repeated or out of range, and free groups of elements or
+    ranges near the field's ends, also at q = 10**400."""
     q = draw(st.sampled_from([2, 3, 5, 8, 13, 10**400]))
     near = st.integers(-2, q + 2) if q < 100 else st.sampled_from(
         [-1, 0, 1, 10**399, q - 1, q, q + 1])
     if q < 100 and draw(st.booleans()):
-        order = draw(st.permutations(range(q)))
+        # in field order, the groups are runs of consecutive elements
+        order = draw(st.permutations(range(q)) | st.just(range(q)))
         cuts = sorted(draw(st.lists(st.integers(1, q - 1), unique=True, max_size=3)))
         groups = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, q])]
         for _ in range(draw(st.integers(0, 2))):
@@ -61,8 +62,9 @@ def subset_lists(draw):
             elif e not in group:
                 group.append(e)  # maybe outside the field or in another group
         return q, groups
-    return q, draw(st.lists(st.lists(near, min_size=1, max_size=4, unique=True),
-                            min_size=1, max_size=4))
+    group = st.lists(near, min_size=1, max_size=4, unique=True) | st.builds(
+        lambda a, n: range(a, a + n), near, st.integers(1, 4))
+    return q, draw(st.lists(group, min_size=1, max_size=4))
 
 
 # FamilyTemplate.instantiate as it was before it skipped the second
@@ -103,13 +105,13 @@ INSTANCE_CORES = st.one_of(
 class TestPartitionField:
     def test_even_split(self):
         mfs = partition_field(8, [4, 4], [TRI, GAU])
-        assert mfs.subsets[0].elements == tuple(range(4))
-        assert mfs.subsets[1].elements == tuple(range(4, 8))
+        assert mfs.subsets[0].elements == range(4)
+        assert mfs.subsets[1].elements == range(4, 8)
 
     def test_uneven_split(self):
         mfs = partition_field(10, [3, 7], [TRI, GAU])
-        assert mfs.subsets[0].elements == (0, 1, 2)
-        assert mfs.subsets[1].elements == tuple(range(3, 10))
+        assert mfs.subsets[0].elements == range(3)
+        assert mfs.subsets[1].elements == range(3, 10)
 
     def test_size_sum_mismatch(self):
         with pytest.raises(ValueError):
@@ -134,7 +136,8 @@ class TestPartitionField:
     @given(case=subset_lists(), kind=st.sampled_from(KINDS))
     def test_checks_match_element_index(self, case, kind):
         q, groups = case
-        subsets = tuple(SubsetDescriptor(tuple(g), TRI, i) for i, g in enumerate(groups))
+        subsets = tuple(SubsetDescriptor(g if type(g) is range else tuple(g), TRI, i)
+                        for i, g in enumerate(groups))
         try:
             lookup = reference_element_index(q, subsets, kind)
         except ValueError as want:
@@ -149,6 +152,23 @@ class TestPartitionField:
         for e in {-1, 0, 1, q - 1, q, q + 1, 10**399} - lookup.keys():
             with pytest.raises(ValueError, match="not covered"):
                 mfs.subset_of(e)
+
+    def test_partition_beyond_ssize_t_holds_ranges(self):
+        q = 2**61 - 1
+        mfs = partition_field(q, [2**60, 2**60 - 1], [TRI, GAU])
+        assert [s.elements for s in mfs.subsets] == [range(2**60), range(2**60, q)]
+        assert mfs.total_elements == q
+        assert mfs.subset_of(2**60 - 1).index == 0 and mfs.subset_of(q - 1).index == 1
+        with pytest.raises(ValueError, match="not covered"):
+            mfs.subset_of(q)
+
+    def test_consecutive_elements_become_a_range(self):
+        assert SubsetDescriptor([4, 5, 6], TRI, 0).elements == range(4, 7)
+        assert SubsetDescriptor((7,), TRI, 0).elements == range(7, 8)
+        assert SubsetDescriptor((6, 5, 4), TRI, 0).elements == (6, 5, 4)
+        assert SubsetDescriptor(range(0, 6, 2), TRI, 0).elements == (0, 2, 4)
+        with pytest.raises(ValueError, match="empty"):
+            SubsetDescriptor(range(3, 3), TRI, 0)
 
     def test_every_element_covered_exactly_once(self):
         q = 101
@@ -265,9 +285,39 @@ class TestSerialization:
             '{"size": 8, "family": "gaussian", "spreads": [0.5, 0.5]}]}'
         )
         loaded = MultiFuzzySet.load(path)
-        assert loaded.subsets[0].elements == tuple(range(8))
-        assert loaded.subsets[1].elements == tuple(range(8, 16))
+        assert loaded.subsets[0].elements == range(8)
+        assert loaded.subsets[1].elements == range(8, 16)
 
+
+    def test_size_beyond_ssize_t(self):
+        # the len() of such a range overflowed, and its tuple never fit
+        mfs = MultiFuzzySet.from_dict({"q": 2**127 - 1, "kind": "locking", "subsets": [
+            {"size": 2**100, "family": "triangular", "spreads": [1, 1]}]})
+        assert mfs.subsets[0].elements == range(2**100)
+        assert mfs.subsets[0].size == mfs.total_elements == 2**100
+
+    @pytest.mark.parametrize("mfs", [
+        partition_field(13, [5, 8], [TRI, GAU]),
+        MultiFuzzySet.from_dict({"q": 13, "kind": "field", "subsets": [
+            {"size": 5, "family": "triangular", "spreads": [1, 1]},
+            {"elements": [7, 9], "family": "gaussian", "spreads": [0.5, 0.5]},
+            {"size": 3, "family": "triangular", "spreads": [1, 1]},
+            {"elements": [5, 6], "family": "gaussian", "spreads": [0.5, 0.5]},
+            {"elements": [8], "family": "crisp"}]}),
+        MultiFuzzySet(13, (SubsetDescriptor((3, 1, 2), TRI, 0),
+                           SubsetDescriptor((4, 5), GAU, 1)), "unlocking"),
+    ], ids=["partition", "sizes-and-elements", "explicit"])
+    def test_round_trip_equal_and_hashed_alike(self, mfs):
+        doc = mfs.to_dict()
+        back = MultiFuzzySet.from_dict(doc)
+        assert back == mfs and hash(back) == hash(mfs)
+        assert back.to_dict() == doc
+
+    def test_to_dict_lists_every_element(self):
+        assert partition_field(5, [2, 3], [TRI, GAU]).to_dict() == {
+            "q": 5, "kind": "field", "subsets": [
+                {"elements": [0, 1], "family": "triangular", "spreads": [1.0, 1.0]},
+                {"elements": [2, 3, 4], "family": "gaussian", "spreads": [0.5, 0.5]}]}
 
     @pytest.mark.parametrize("q, subsets", [
         ("16", [{"elements": [1], "family": "crisp"}]),

@@ -60,6 +60,7 @@ from conftest import (
     reference_v1_document,
     reference_v1_json,
     reference_validate,
+    split_field,
 )
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d")
@@ -271,11 +272,8 @@ class TestBatchedLock:
 
     @pytest.mark.parametrize("q", [65537, P31, HALF_REJECTED])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
-    def test_generate_chaff_matches_reference(self, field_mfs, q, rho):
-        # generate_chaff reads only q and the templates of the field; a
-        # partition of 2**31 elements would not fit in memory
-        field = field_mfs if q == field_mfs.q else SimpleNamespace(
-            q=q, templates=lambda: list(ALL_TEMPLATES))
+    def test_generate_chaff_matches_reference(self, q, rho):
+        field = desk_field(q)
         poly = encode_key(bytes(range(12)), FieldParams(q), 8)
         # the len() of a range must fit in an ssize_t
         used = set(random.Random(q).sample(range(min(q, 2**62)), 12))
@@ -297,7 +295,7 @@ class TestBatchedLock:
         # half of the outputs are rejected under 2**63 + 29, so small blocks
         # end inside runs of rejected core and offset draws
         monkeypatch.setattr(vault_module, "_DRAW_BLOCK", block)
-        field = SimpleNamespace(q=HALF_REJECTED, templates=lambda: list(ALL_TEMPLATES))
+        field = desk_field(HALF_REJECTED)
         poly = encode_key(bytes(range(12)), FieldParams(HALF_REJECTED), 8)
         assert_chaff_matches_reference(poly, field, {5, 6}, 300, 0.3, 17)
 
@@ -335,7 +333,7 @@ class TestBatchedLock:
             with pytest.raises(ValueError, match=r"bound must lie in \[1, 2\*\*64\]"):
                 SplitMix64(1).randbelow(n)
         q = 2**64 + 13  # the smallest prime above 2**64
-        field = SimpleNamespace(q=q, templates=lambda: list(ALL_TEMPLATES))
+        field = desk_field(q)
         poly = Polynomial((1, 2, 3), q)
         with pytest.raises(ValueError, match=r"bound must lie in \[1, 2\*\*64\]"):
             generate_chaff(poly, field, {1}, 5, 0.5, TRI, SplitMix64(1))
@@ -399,9 +397,8 @@ class TestLock:
 
     @pytest.mark.parametrize("q", [2**53 + 1, 2**61 - 1])
     def test_field_beyond_float_cores_rejected(self, q, monkeypatch):
-        # float64 cores hold every integer only up to 2**53; a partition of
-        # such a field cannot be built, so the field is a stand-in
-        field = SimpleNamespace(q=q, templates=lambda: [TRI, GAU])
+        # float64 cores hold every integer only up to 2**53
+        field = split_field(q, [TRI, GAU])
         elements = range(q // 2 + 1, q // 2 + 24, 2)
         locking = build_locking_set(field, [(tuple(elements), TRI)])
         poly = Polynomial(tuple(range(1, 9)), q)
@@ -413,7 +410,7 @@ class TestLock:
 
     def test_field_at_float_bound_locks(self):
         q = 2**53
-        field = SimpleNamespace(q=q, templates=lambda: [TRI, GAU])
+        field = split_field(q, [TRI, GAU])
         elements = range(q - 24, q, 2)
         locking = build_locking_set(field, [(tuple(elements), TRI)])
         poly = Polynomial((q - 1, 2**52 + 3, 5), q)
@@ -422,6 +419,13 @@ class TestLock:
         genuine = sorted((int(vault.x_cores[i]), int(vault.y_cores[i]))
                          for i in transcript.genuine_indices)
         assert genuine == [(a, poly.eval(a)) for a in elements]
+
+    @pytest.mark.parametrize("kind", ["locking", "unlocking"])
+    def test_field_of_another_kind_rejected(self, field_mfs, kind):
+        # a set of another kind need not cover [0, q)
+        field = build_locking_set(field_mfs, [(range(41), TRI), (range(41, 82), GAU)], kind)
+        with pytest.raises(ValueError, match=f"expected a field partition, got kind='{kind}'"):
+            fuzzy_lock(KEY, desk_locking_set(field_mfs, seed=1), field, desk_params(seed=1))
 
     def test_vault_shape_and_transcript(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=1)
@@ -1512,8 +1516,7 @@ def lock_cases(draw):
     templates = [FamilyTemplate(family, draw(spreads))
                  for family, spreads in TEMPLATE_SPREADS.items()]
     templates = draw(st.permutations(templates + draw(st.lists(ANY_TEMPLATE, max_size=3))))
-    # lock_polynomial reads only q and the templates of the field
-    field = SimpleNamespace(q=q, templates=lambda: list(templates))
+    field = split_field(q, templates)
     k = draw(st.integers(1, 8))
     t_mfk = draw(st.integers(k, 16))
     extra = draw(st.lists(st.integers(1, 6), max_size=2))
@@ -1752,8 +1755,7 @@ class TestFormatV2:
         assert Vault(vault.points, 100, 0, 6).to_dict() == saved
 
     def test_field_beyond_int64_products_round_trips(self):
-        # q = 2**31 + 11: a stand-in field, as a partition would not fit
-        field = SimpleNamespace(q=P31, templates=lambda: list(ALL_TEMPLATES))
+        field = desk_field(P31)
         elements = range(P31 - 40, P31, 2)
         locking = build_locking_set(field, [(tuple(elements), TRI)])
         params = LockParams(t=20, k_subset=0, t_mfk=20, r=500, k=8, seed=3)
