@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -340,7 +341,14 @@ class MultiFuzzySet:
         return sum(s.size for s in self.subsets)
 
     def subset_of(self, a: int) -> SubsetDescriptor:
-        """The subset holding element ``a``, found by scanning the subsets."""
+        """The subset holding element ``a``, found by scanning the subsets.
+        ``a`` is taken as its ``operator.index``, so that a numpy integer
+        is a Python int, which a range tests in O(1) instead of comparing
+        with each element; ValueError if ``a`` is not an integer."""
+        try:
+            a = operator.index(a)
+        except TypeError:
+            raise ValueError(f"element {a!r} is not an integer") from None
         for s in self.subsets:
             if a in s.elements:
                 return s

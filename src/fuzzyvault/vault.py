@@ -13,6 +13,7 @@ the polynomial; neither property alone identifies them.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -115,14 +116,33 @@ class SplitMix64:
                 return r % n
 
 
+def _ceiling(n: int):
+    """The largest output ``randbelow(n)`` keeps, as a uint64."""
+    return np.uint64(_rejection_limit(n) - 1)
+
+
+def _below(outputs, n: int):
+    """uint64 outputs mod n, as ``randbelow(n)`` reduces those it keeps;
+    n = 2**64 keeps them whole."""
+    return outputs % np.uint64(n) if n <= _MASK64 else outputs
+
+
 def _reduced(block, n: int) -> list:
     """``randbelow(n)`` of each output of a uint64 block, as a list of ints
     with None where randbelow rejects the output and draws again."""
-    ceiling = np.uint64(_rejection_limit(n) - 1)
-    values = (block % np.uint64(n) if n <= _MASK64 else block).tolist()
+    ceiling = _ceiling(n)
+    values = _below(block, n).tolist()
     for at in np.flatnonzero(block > ceiling).tolist():
         values[at] = None
     return values
+
+
+def _kept(block, at: int, ceiling) -> int:
+    """The first position from ``at`` on whose output a bound with this
+    ``_ceiling`` keeps; IndexError past the end of the block."""
+    while block[at] > ceiling:
+        at += 1
+    return at
 
 
 def _randbelow_each(rng: SplitMix64, bounds):
@@ -313,10 +333,39 @@ def _core_column(values, r: int, axis: str):
     return cores
 
 
+# the integer columns of a v2 document, each an attribute of Vault
+_COLUMNS = ("template_ids", "x_cores", "y_cores")
+
+
+def _in_int64(column) -> bool:
+    """Whether int64 holds every value of an integer column."""
+    return -2.0**63 <= column.min(initial=0) and column.max(initial=0) < 2.0**63
+
+
 def _ints(cores) -> list:
-    """An integral float64 column as Python ints, exact beyond int64 too."""
-    in_int64 = -2.0**63 <= cores.min(initial=0) and cores.max(initial=0) < 2.0**63
-    return cores.astype(np.int64).tolist() if in_int64 else list(map(int, cores.tolist()))
+    """An integer column, intp or integral float64, as Python ints, exact
+    beyond int64 too."""
+    return cores.astype(np.int64).tolist() if _in_int64(cores) else list(map(int, cores.tolist()))
+
+
+def _json_ints(column) -> str:
+    """``json.dumps(_ints(column), separators=(",", ":"))`` for a column of
+    non-negative integers, its digits written in one numpy pass while they
+    fit int64: a row of digit characters per value, from the last digit
+    up, and a comma; each row is kept from its leading digit on."""
+    if not _in_int64(column):
+        return json.dumps(_ints(column), separators=(",", ":"))
+    values = column.astype(np.int64)
+    width = len(str(int(values.max(initial=0))))
+    text = np.full((len(values), width + 1), ord(","), dtype=np.uint8)
+    rest = values
+    for j in range(width - 1, -1, -1):
+        shifted = rest // 10  # by a scalar, which numpy divides fast
+        text[:, j] = rest - shifted * 10 + ord("0")
+        rest = shifted
+    kept = np.ones(text.shape, dtype=bool)
+    kept[:, :width - 1] = values[:, None] >= 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
+    return "[" + text[kept].tobytes().decode("ascii")[:-1] + "]"
 
 
 class Vault:
@@ -433,9 +482,8 @@ class Vault:
         return (f"Vault(points={self.points!r}, q={self.q!r}, n={self.n!r}, "
                 f"r={self.r!r}, crc_variant={self.crc_variant!r})")
 
-    def to_dict(self) -> dict:
-        """The v2 document: the header, the template table, and per point
-        its template id and integer x- and y-core."""
+    def _header(self) -> dict:
+        """The v2 document but its integer columns."""
         return {
             "crc_variant": self.crc_variant,
             "format_version": 2,
@@ -443,15 +491,21 @@ class Vault:
             "q": self.q,
             "r": self.r,
             "templates": [t.to_dict() for t in self.templates],
-            "template_ids": self.template_ids.tolist(),
-            "x_cores": _ints(self.x_cores),
-            "y_cores": _ints(self.y_cores),
         }
+
+    def to_dict(self) -> dict:
+        """The v2 document: the header, the template table, and per point
+        its template id and integer x- and y-core."""
+        return {**self._header(), **{name: _ints(getattr(self, name)) for name in _COLUMNS}}
 
     def to_json(self) -> str:
         """The v2 text, ``json.dumps(self.to_dict(), sort_keys=True,
-        separators=(",", ":")) + "\\n"``."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        separators=(",", ":")) + "\\n"``, with the integer columns written
+        by ``_json_ints``."""
+        fields = {name: _json_ints(getattr(self, name)) for name in _COLUMNS}
+        for key, value in self._header().items():
+            fields[key] = json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return "{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}\n"
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vault":
@@ -534,13 +588,14 @@ def _field_dtype(q: int):
     return np.int64 if q < 2**31 else object
 
 
-def _eval_all(p: Polynomial, xs: list[int]):
+def _eval_all(p: Polynomial, xs):
     """[p.eval(x) for x in xs] as a uint64 array, in one numpy Horner pass;
-    q is at most 2**64."""
+    ``xs`` is an array of ints, of an integer or object dtype, and q is at
+    most 2**64."""
     q = p.q
-    if xs and not (0 <= min(xs) and max(xs) < q):
+    if len(xs) and not (0 <= int(xs.min()) and int(xs.max()) < q):
         raise ValueError(f"evaluation points must lie in [0, {q})")
-    x = np.array(xs, dtype=_field_dtype(q))
+    x = xs.astype(_field_dtype(q))
     acc = np.zeros_like(x)
     for c in reversed(p.coefficients):
         acc = (acc * x + c) % q
@@ -568,9 +623,13 @@ def generate_chaff(
     The draws are those of ``rng.randbelow`` calls, in the order that fixes
     the vault bytes: per point a core in [0, q) until one is unused, then a
     decoy template for type (ii), or an offset in [0, q - 1) and a template
-    for type (i).  They are read off blocks of SplitMix64 outputs reduced
-    once per bound, with None for an output the bound rejects, at a position
-    index: a redrawn core or a rejected output only moves that index.
+    for type (i).  They are read off blocks of SplitMix64 outputs.  Only
+    the core draws become Python ints, reduced mod q with None for an
+    output q rejects; a walk over them finds each point's core, and its
+    other draws are the next one or two outputs, unless numpy found one
+    that its bound rejects ahead, where the walk steps past the rejected
+    outputs one at a time.  The walk keeps each point's core position, and
+    numpy reduces the outputs at those positions after it.
     """
     q = field_mfs.q
     if count < 0 or count > q - len(used_x_cores):
@@ -583,58 +642,78 @@ def generate_chaff(
     n_on_poly = int(rho * count)
     if n_on_poly > 0 and not decoys:
         raise ValueError("on-polynomial chaff needs at least one non-locking family")
-    # the bounds of the core, decoy, offset and template draws; None for a
-    # draw that no point makes
+    # the bounds of the decoy, offset and template draws; None for a draw
+    # that no point makes
     off_poly = count > n_on_poly
-    bounds = (q, len(decoys) if n_on_poly else None,
+    bounds = (len(decoys) if n_on_poly else None,
               q - 1 if off_poly else None, len(templates) if off_poly else None)
     used = set(used_x_cores)
     used.add(None)  # a rejected core draw is drawn again, as a used core is
-    cores, picks, offsets = [], [], []
-    xs = decoy_draws = offset_draws = template_draws = ()
-    start = i = 0  # the first draw of the point being drawn, and the next draw
-    while len(cores) < count:
+    cores = np.empty(count, dtype=np.uint64)
+    # each point's draws after its core: a decoy, or an offset and a template
+    draws = np.empty((2, count), dtype=np.uint64)
+    drawn = start = 0  # the points drawn, and the first draw of the next in the block
+    block = ()
+    while drawn < count:
+        rng._skip(start)
+        block = rng._peek(max(_DRAW_BLOCK, 2 * (len(block) - start)))
+        xs = _reduced(block, q)
+        decoy_ceiling, offset_ceiling, template_ceiling = ceilings = [
+            None if n is None else _ceiling(n) for n in bounds]
+        # the positions where a decoy, offset or template draw is rejected,
+        # then the end of the block
+        stops = np.flatnonzero(np.logical_or.reduce(
+            [block > c for c in ceilings if c is not None])).tolist() + [len(block)]
+        stop = stops[0]
+        # each point's core position, and (point, its other draws) where
+        # those are not the outputs right after its core
+        at, moved = [], []
+        start = i = 0
         try:
-            for _ in range(len(cores), n_on_poly):
+            for _ in range(drawn, n_on_poly):
                 while (x := xs[i]) in used:
                     i += 1
-                i += 1
-                while (d := decoy_draws[i]) is None:
-                    i += 1
-                i += 1
+                d = i + 1
+                if d >= stop:  # a rejected decoy draw ahead, or the end of the block
+                    d = _kept(block, d, decoy_ceiling)
+                    moved.append((len(at), d, d))
+                    stop = stops[bisect.bisect_right(stops, d)]
                 used.add(x)
-                cores.append(x)
-                picks.append(d)
-                start = i
-            for _ in range(len(cores), count):
+                at.append(i)
+                i = start = d + 1
+            for _ in range(drawn + len(at), count):
                 while (x := xs[i]) in used:
                     i += 1
-                i += 1
-                while (v := offset_draws[i]) is None:
-                    i += 1
-                i += 1
-                while (t := template_draws[i]) is None:
-                    i += 1
-                i += 1
+                v, t = i + 1, i + 2
+                if t >= stop:  # a rejected offset or template draw ahead, or the end
+                    v = _kept(block, v, offset_ceiling)
+                    t = _kept(block, v + 1, template_ceiling)
+                    moved.append((len(at), v, t))
+                    stop = stops[bisect.bisect_right(stops, t)]
                 used.add(x)
-                cores.append(x)
-                offsets.append(v)
-                picks.append(t)
-                start = i
+                at.append(i)
+                i = start = t + 1
         except IndexError:  # the block ended inside a point: draw it again from a new block
-            rng._skip(start)
-            block = rng._peek(max(_DRAW_BLOCK, 2 * (len(xs) - start)))
-            xs, decoy_draws, offset_draws, template_draws = (
-                None if n is None else _reduced(block, n) for n in bounds)
-            start = i = 0
-    rng._skip(i)
+            pass
+        at = np.array(at, dtype=np.intp)
+        firsts, seconds = at + 1, at + 2
+        for point, v, t in moved:
+            firsts[point], seconds[point] = v, t
+        done = drawn + len(at)
+        on = min(len(at), max(n_on_poly - drawn, 0))  # this block's type (ii) points
+        cores[drawn:done] = _below(block[at], q)
+        draws[0, drawn:drawn + on] = _below(block[firsts[:on]], len(decoys))
+        draws[0, drawn + on:done] = _below(block[firsts[on:]], q - 1)
+        draws[1, drawn + on:done] = _below(block[seconds[on:]], len(templates))
+        drawn = done
+    rng._skip(start)
     ys = _eval_all(p, cores)
     # an offset v skips the value y on p: uniform over F_q minus y
-    offsets = np.array(offsets, dtype=np.uint64)
+    offsets = draws[0, n_on_poly:]
     ys[n_on_poly:] = offsets + (offsets >= ys[n_on_poly:])
-    picks = np.array(picks, dtype=np.intp)
-    picks[:n_on_poly] = np.array(decoys, dtype=np.intp)[picks[:n_on_poly]]
-    return np.stack((np.array(cores, dtype=np.uint64), ys, picks.astype(np.uint64)), axis=1)
+    picks = np.concatenate((np.array(decoys, dtype=np.uint64)[draws[0, :n_on_poly]],
+                            draws[1, n_on_poly:]))
+    return np.stack((cores, ys, picks), axis=1)
 
 
 def lock_polynomial(
@@ -690,7 +769,7 @@ def lock_polynomial(
     elements = sorted(subset.elements)
     genuine = np.empty((params.t_mfk, 3), dtype=np.uint64)
     genuine[:, 0] = elements
-    genuine[:, 1] = _eval_all(p, elements)
+    genuine[:, 1] = _eval_all(p, genuine[:, 0])
     genuine[:, 2] = templates.index(template)
     chaff = generate_chaff(
         p, field_mfs, set(elements), params.r - params.t_mfk, params.rho, template, rng

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -194,6 +195,20 @@ class TestFuzzify:
         locking = build_locking_set(field, [((1, 2), TRI)])
         with pytest.raises(ValueError):
             locking.fuzzify_element(5)
+
+    def test_numpy_integer_element_found_at_once(self):
+        # a range tests a numpy integer by comparing it with each element:
+        # 1 s for this one, against microseconds for a Python int
+        mfs = partition_field(10**7, [10**7], [TRI])
+        start = time.perf_counter()
+        got = mfs.fuzzify_element(np.int64(10**7 - 1))
+        assert time.perf_counter() - start < 0.25
+        assert got == mfs.fuzzify_element(10**7 - 1)
+
+    def test_non_integral_element_rejected(self):
+        mfs = partition_field(8, [4, 4], [TRI, GAU])
+        with pytest.raises(ValueError, match="not an integer"):
+            mfs.fuzzify_element(2.5)
 
     def test_defuzzify_round_trip(self):
         mfs = partition_field(32, [8, 8, 8, 8], [

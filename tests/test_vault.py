@@ -229,6 +229,11 @@ def reference_lock_polynomial(p, locking_set, field_mfs, params, cores=None):
     return Vault(points, field_mfs.q, params.n, params.r), transcript
 
 
+# the digit counts the column writer must get right, up to the first value
+# past int64, beyond which it hands the column to json
+DIGIT_EDGES = [0, 9, 10, 99, 100, 10**15, 2**53, 2**63 - 1024, 2**63]
+
+
 RNG_SEEDS = [0, 2**64 - 1, 0x243F6A8885A308D3, 0x13198A2E03707344]
 HALF_REJECTED = 2**63 + 29  # a prime: randbelow rejects almost half of all outputs
 
@@ -298,6 +303,21 @@ class TestBatchedLock:
         field = desk_field(HALF_REJECTED)
         poly = encode_key(bytes(range(12)), FieldParams(HALF_REJECTED), 8)
         assert_chaff_matches_reference(poly, field, {5, 6}, 300, 0.3, 17)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           q=st.sampled_from([257, 401, 65537, P31, HALF_REJECTED]),
+           rho=st.floats(0, 1), block=st.sampled_from([2, 7, 2048]), data=st.data())
+    def test_walk_matches_reference(self, seed, q, rho, block, data):
+        # the walk's fast steps, its steps past rejected draws and the ends
+        # of its blocks, from an empty chaff to a field filled up
+        coefficients = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=8))
+        used = data.draw(st.sets(st.integers(0, min(q, 2**62) - 1), max_size=12))
+        count = data.draw(st.integers(0, min(q - len(used), 600)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vault_module, "_DRAW_BLOCK", block)
+            assert_chaff_matches_reference(Polynomial(tuple(coefficients), q), desk_field(q),
+                                           used, count, rho, seed)
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_randbelow_each_matches_reference(self, seed):
@@ -1388,6 +1408,50 @@ class TestSerialization:
         assert repr(loaded.points) == repr(vault.points)  # repr tells -0.0 from 0.0
         text = vault.to_json()
         assert text == json.dumps(vault.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+    # a template id indexes a table of at most r templates, so its edges
+    # stop at 100
+    @pytest.mark.parametrize("column, value", [
+        *[("template_ids", value) for value in DIGIT_EDGES if value <= 100],
+        *[(column, value) for column in ("x_cores", "y_cores") for value in DIGIT_EDGES],
+    ])
+    def test_to_json_digit_edges(self, column, value):
+        # each column holds the edge value among values of fewer digits
+        if column == "template_ids":
+            templates = [FamilyTemplate("triangular", (1.0, 1.0 + i)) for i in range(value + 1)]
+            ids = np.arange(value + 1, dtype=np.intp)[::-1].copy()
+            x_cores = np.arange(value + 1, dtype=np.float64)
+            y_cores = x_cores[::-1].copy()
+        else:
+            templates, ids = [TRI], np.zeros(4, dtype=np.intp)
+            cores = np.array([value, 1, 12345, 0 if value else 2], dtype=np.float64)
+            x_cores, y_cores = (cores, np.full(4, 7.0)) if column == "x_cores" else (
+                np.arange(4, dtype=np.float64), cores)
+        q = int(max(x_cores.max(), y_cores.max())) + 1
+        vault = Vault._from_cores(x_cores, y_cores, ids, templates, q, 0, len(ids), CRC_VARIANT)
+        assert value in vault.to_dict()[column]
+        text = vault.to_json()
+        assert text == json.dumps(vault.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        assert Vault.from_dict(json.loads(text)) == vault
+
+    @pytest.mark.parametrize("dtype, value", [
+        *[(np.intp, value) for value in DIGIT_EDGES if value < 2**63],
+        *[(np.float64, value) for value in DIGIT_EDGES],
+    ])
+    def test_json_ints_digit_edges(self, dtype, value):
+        column = np.array([value, 0, 9, value, 10], dtype=dtype)
+        want = json.dumps([value, 0, 9, value, 10], separators=(",", ":"))
+        assert vault_module._json_ints(column) == want
+
+    @pytest.mark.parametrize("q, xs", [
+        (65537, np.array([3, 65537])),
+        (65537, np.array([-1, 3])),
+        (P31, np.array([3, P31], dtype=object)),
+        (P31, np.array([-1, 3], dtype=object)),
+    ], ids=["int64-q", "int64-negative", "object-q", "object-negative"])
+    def test_eval_all_refuses_points_outside_the_field(self, q, xs):
+        with pytest.raises(ValueError, match=re.escape(f"evaluation points must lie in [0, {q})")):
+            vault_module._eval_all(Polynomial((1, 2, 3), q), xs)
 
     @pytest.mark.parametrize("x, y", [
         (FuzzyNumber.crisp(-0.0), FuzzyNumber.crisp(0.0)),  # a file holds the core as 0
