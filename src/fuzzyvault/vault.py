@@ -45,7 +45,6 @@ from .multi_fuzzy_set import (
     FamilyTemplate,
     MultiFuzzySet,
     _layout,
-    fit_templates,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -244,41 +243,18 @@ def _defuzzify_rows(family: str, block):
         return CORE[family](block.T)
 
 
-def _fit(points: list) -> tuple:
-    """The x-cores, y-cores, template ids and template table of ``points``:
-    a point's cores are its rounded cores, and ``fit_templates`` finds the
-    templates.  ValueError names a point that no template rebuilds bit for
-    bit at its integer cores."""
-    r = len(points)
-    x_cores, y_cores = np.empty(r), np.empty(r)
-    template_ids = np.empty(r, dtype=np.intp)
-    table = []
-    for family in FAMILIES:
-        members = [i for i, point in enumerate(points) if point.x.family == family]
-        if not members:
-            continue
-        x_block, y_block = (
-            np.array([getattr(points[i], axis).params for i in members]).reshape(len(members), -1)
-            for axis in "xy")
-        # + 0.0: a file holds integers, which read back as +0.0, never -0.0
-        x, y = (np.rint(_defuzzify_rows(family, block)) + 0.0 for block in (x_block, y_block))
-        if not (np.isfinite(x).all() and np.isfinite(y).all()):
-            raise ValueError("vault cores must be finite")
-        templates, ids = fit_templates(family, x, x_block, y, y_block)
-        if (ids < 0).any():
-            raise ValueError(f"vault point {members[np.argmax(ids < 0)]} is no {family} "
-                             f"template's instance at integer cores")
-        x_cores[members], y_cores[members] = x, y
-        template_ids[members] = len(table) + ids
-        table += templates
-    return x_cores, y_cores, template_ids, table
-
-
 def _members(template_ids, count: int) -> list:
     """Per template id below ``count``, the positions of its points."""
     # numpy radix-sorts keys of 16 bits or fewer
     order = np.argsort(template_ids.astype(np.min_scalar_type(count)), kind="stable")
     return np.split(order, np.cumsum(np.bincount(template_ids, minlength=count))[:-1])
+
+
+def _check_field_size(q: int) -> None:
+    """ValueError if F_q holds an element that float64 cores cannot."""
+    if q > 2**53:
+        raise ValueError(f"field size q={q} exceeds 2**53, beyond which float64 "
+                         f"cores cannot hold every field element")
 
 
 def _check_cores(table: list, template_ids, x_cores, y_cores) -> None:
@@ -325,7 +301,7 @@ def _int_column(values, r: int, name: str, dtype):
 
 def _core_column(values, r: int, axis: str):
     """A v2 core column as float64, checked to hold r integers that float64
-    holds exactly; ``_from_cores`` checks that they lie in [0, q)."""
+    holds exactly; the vault checks that they lie in [0, q)."""
     cores = _int_column(values, r, f"{axis}_cores", np.float64)
     # float64 holds every integer up to 2**53, and 2**53 + 1 reads as 2**53
     if cores is None or (cores.max(initial=0) >= 2**53 and _ints(cores) != values):
@@ -379,30 +355,22 @@ class Vault:
     ``x_cores`` and ``y_cores`` its cores, as integral float64; all three
     are read-only.  ``family_ids`` derives each point's family from them.
 
-    Every constructor builds through ``_from_cores``: the lock and the v2
-    reader pass it the cores, ids and table they hold, while
-    ``Vault(points, q, n, r)`` and the v1 reader first map each point to
-    its rounded cores and a template with ``fit_templates``, refusing a
-    point that no template rebuilds bit for bit.  So neither locking nor
-    loading a v2 file builds an object per point.  ``_from_cores`` owns the
-    checks every vault needs, such as the [0, q) range of the cores.
-    ``points`` is the same vault as a tuple of ``VaultPoint`` s, built a
-    template at a time on first use and kept.  Two vaults are equal when
-    their header, table and columns are.
+    A vault is built one way, from those columns and a table: the lock
+    and the v2 reader hold them already, so neither builds an object per
+    point.  ``points`` is the same vault as a tuple of ``VaultPoint`` s,
+    built a template at a time on first use and kept.  Two vaults are
+    equal when their header, table and columns are.
     """
 
-    def __init__(self, points, q: int, n: int, r: int, crc_variant: str = CRC_VARIANT):
-        vault = Vault._from_cores(*_fit(list(points)), q, n, r, crc_variant)
-        vars(self).update(vars(vault))
-
-    @classmethod
-    def _from_cores(cls, x_cores, y_cores, template_ids, templates, q: int, n: int,
-                    r: int, crc_variant: str) -> "Vault":
+    def __init__(self, x_cores, y_cores, template_ids, templates, q: int, n: int, r: int,
+                 crc_variant: str = CRC_VARIANT):
         """The vault whose point i is ``templates[template_ids[i]]``
         instantiated at ``x_cores[i]`` and ``y_cores[i]``, float64 columns
-        of integers, with the table made canonical.  ValueError names a
-        template under which a rounded core is not the integer core it was
-        built from, as (x0 + y0) / 2 under a plateau of half-width 2**53."""
+        of integers that the vault keeps, read-only, with the table made
+        canonical.  ValueError names a template under which a rounded core
+        is not the integer core it was built from, as (x0 + y0) / 2 under a
+        plateau of half-width 2**53.  A field beyond 2**53 is checked last,
+        so a vault refused for another fault keeps that fault's message."""
         if crc_variant != CRC_VARIANT:
             raise ValueError(
                 f"unsupported CRC variant {crc_variant!r}, expected {CRC_VARIANT!r}"
@@ -423,14 +391,13 @@ class Vault:
         index = {template: i for i, template in enumerate(table)}
         template_ids = np.array([index.get(t, -1) for t in templates], dtype=np.intp)[template_ids]
         _check_cores(table, template_ids, x_cores, y_cores)
-        vault = object.__new__(cls)
+        _check_field_size(q)
         for name, value in (("q", q), ("n", n), ("r", r), ("crc_variant", crc_variant),
                             ("templates", tuple(table)), ("template_ids", template_ids),
                             ("x_cores", x_cores), ("y_cores", y_cores), ("_points", None)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-            object.__setattr__(vault, name, value)
-        return vault
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -479,8 +446,8 @@ class Vault:
                      self.template_ids.tobytes()))
 
     def __repr__(self):
-        return (f"Vault(points={self.points!r}, q={self.q!r}, n={self.n!r}, "
-                f"r={self.r!r}, crc_variant={self.crc_variant!r})")
+        return (f"Vault(q={self.q!r}, n={self.n!r}, r={self.r!r}, "
+                f"crc_variant={self.crc_variant!r}, templates={self.templates!r})")
 
     def _header(self) -> dict:
         """The v2 document but its integer columns."""
@@ -509,22 +476,15 @@ class Vault:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vault":
-        """Parse a v1 or v2 document; raises ValueError on any malformed
-        input, and on a v1 point that no template rebuilds at its integer
-        cores."""
+        """Parse a v2 document; raises ValueError on any malformed input,
+        and on a v1 document, which is no longer read."""
         (version,) = json_fields(d, "format_version")
         if type(version) is not int or version not in (1, 2):
             raise ValueError(f"unsupported vault format: {version!r}")
-        if version == 2:
-            return cls._from_v2(d)
-        points, q, n, r, crc_variant = json_fields(
-            d, "points", "q", "n", "r", "crc_variant"
-        )
-        if type(points) is not list:
-            raise ValueError(f"points must be an array, got {type(points).__name__}")
-        points = [VaultPoint(*map(FuzzyNumber.from_dict, json_fields(point, "x", "y")))
-                  for point in points]
-        return cls(points, json_int(q), json_int(n), json_int(r), crc_variant)
+        if version == 1:
+            raise ValueError("vault format 1 is no longer read: "
+                             "lock the key again to write a format 2 file")
+        return cls._from_v2(d)
 
     @classmethod
     def _from_v2(cls, d: dict) -> "Vault":
@@ -538,8 +498,8 @@ class Vault:
         ids = _int_column(template_ids, r, "template_ids", np.intp)
         if ids is None or (r and not (0 <= ids.min() and ids.max() < len(table))):
             raise ValueError(f"template ids must index the table of {len(table)} templates")
-        return cls._from_cores(_core_column(x_cores, r, "x"), _core_column(y_cores, r, "y"),
-                               ids, table, q, n, r, crc_variant)
+        return cls(_core_column(x_cores, r, "x"), _core_column(y_cores, r, "y"),
+                   ids, table, q, n, r, crc_variant)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -732,9 +692,7 @@ def lock_polynomial(
     per point.
     """
     q = field_mfs.q
-    if q > 2**53:
-        raise ValueError(f"field size q={q} exceeds 2**53, beyond which float64 "
-                         f"cores cannot hold every field element")
+    _check_field_size(q)
     params.validate(q)
     if field_mfs.kind != FIELD:
         raise ValueError(f"expected a field partition, got kind={field_mfs.kind!r}")
@@ -777,9 +735,8 @@ def lock_polynomial(
     # scrambling the positions draws what scrambling the points would
     order = np.array(scramble(range(params.r), rng))
     x_cores, y_cores, template_ids = np.concatenate((genuine, chaff))[order].T
-    vault = Vault._from_cores(x_cores.astype(np.float64), y_cores.astype(np.float64),
-                              template_ids.astype(np.intp), templates,
-                              q, params.n, params.r, CRC_VARIANT)
+    vault = Vault(x_cores.astype(np.float64), y_cores.astype(np.float64),
+                  template_ids.astype(np.intp), templates, q, params.n, params.r)
     transcript = LockTranscript(
         p,
         tuple(np.flatnonzero(order < params.t_mfk).tolist()),

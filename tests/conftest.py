@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fuzzyvault import (
@@ -9,6 +10,7 @@ from fuzzyvault import (
     LockParams,
     MultiFuzzySet,
     SubsetDescriptor,
+    Vault,
     build_locking_set,
     partition_field,
 )
@@ -53,6 +55,15 @@ def desk_locking_set(field_mfs, seed, t_mfk=12, extra=(6, 6), k_template=TRI):
 def desk_params(seed, t=24, t_mfk=12, r=300, k=8, rho=0.2, delta=0.25):
     return LockParams(t=t, k_subset=0, t_mfk=t_mfk, r=r, k=k,
                       rho=rho, delta=delta, seed=seed)
+
+
+def vault_of(rows, q, n=0) -> Vault:
+    """The vault whose points are ``(template, x_core, y_core)`` rows, in
+    order, built through ``Vault``'s constructor; r is the number of rows."""
+    templates = list(dict.fromkeys(template for template, _, _ in rows))
+    ids = np.array([templates.index(template) for template, _, _ in rows], dtype=np.intp)
+    x_cores, y_cores = (np.array([row[axis] for row in rows], dtype=np.float64) for axis in (1, 2))
+    return Vault(x_cores, y_cores, ids, templates, q, n, len(rows))
 
 
 @pytest.fixture(scope="session")
@@ -116,7 +127,7 @@ def reference_core(family: str, p: tuple) -> float:
     return p[0]
 
 
-# The v1 vault document, which the library reads but no longer writes, kept
+# The v1 vault document, which the library no longer reads or writes, kept
 # as the oracle of the v1 bytes: every point as two {"family", "params"}
 # objects.
 def reference_v1_document(vault) -> dict:

@@ -284,9 +284,17 @@ def _replace(doc, path, value):
     return json.dumps(doc)
 
 
-def _first(doc, family):
-    """Index of the first vault point of ``family``."""
-    return next(i for i, p in enumerate(doc["points"]) if p["x"]["family"] == family)
+def _template(doc, family):
+    """Index of the first template of ``family`` in a v2 vault document."""
+    return next(i for i, t in enumerate(doc["templates"]) if t["family"] == family)
+
+
+def _v2_core(doc, axis, family, value):
+    """``doc`` with the ``axis`` core of its first point of ``family`` set
+    to ``value``, as JSON text."""
+    ids = [i for i, t in enumerate(doc["templates"]) if t["family"] == family]
+    point = next(i for i, t in enumerate(doc["template_ids"]) if t in ids)
+    return _replace(doc, [f"{axis}_cores", point], value)
 
 
 def _sized_subset(doc, size):
@@ -307,37 +315,38 @@ HUGE_INT = 10**400
 
 # (file, mutation of its parsed document or text -> new file contents)
 MALFORMED = {
-    # vault files that crashed with TypeError or AttributeError
-    "vault-points-int": ("vault.json", lambda d: _replace(d, ["points"], 5)),
-    "vault-params-null": (
-        "vault.json", lambda d: _replace(d, ["points", 0, "x", "params"], None)),
+    # vault files that crashed the v1 reader with TypeError or
+    # AttributeError, their faults carried by the v2 file
+    "vault-points-int": ("vault.json", lambda d: _replace(d, ["x_cores"], 5)),
+    "vault-params-null": ("vault.json", lambda d: _replace(d, ["templates", 0, "spreads"], None)),
     "vault-top-level-array": ("vault.json", lambda d: json.dumps([d])),
-    "vault-point-int": ("vault.json", lambda d: _replace(d, ["points", 0], 7)),
+    "vault-point-int": ("vault.json", lambda d: _replace(d, ["templates", 0], 7)),
     "vault-family-array": (
-        "vault.json", lambda d: _replace(d, ["points", 0, "x", "family"], ["x"])),
-    # vault files that unlocked with exit 0
+        "vault.json", lambda d: _replace(d, ["templates", 0, "family"], ["x"])),
+    # vault files that the v1 reader unlocked with exit 0
     "vault-param-nan": ("vault.json", lambda d: _replace(
-        d, ["points", _first(d, "gaussian"), "x", "params", 1], math.nan)),
-    "vault-params-1e300": ("vault.json", lambda d: _replace(
-        d, ["points", _first(d, "triangular"), "x", "params"], [1e300] * 3)),
-    "vault-core-beyond-q": ("vault.json", lambda d: _replace(
-        d, ["points", _first(d, "triangular"), "x", "params"],
-        [69999.0, 70000.0, 70001.0])),
-    "vault-y-core-negative": ("vault.json", lambda d: _replace(
-        d, ["points", _first(d, "triangular"), "y", "params"], [-6.0, -5.0, -4.0])),
+        d, ["templates", _template(d, "gaussian"), "spreads", 1], math.nan)),
+    "vault-params-1e300": ("vault.json", lambda d: _v2_core(d, "x", "triangular", int(1e300))),
+    "vault-core-beyond-q": ("vault.json", lambda d: _v2_core(d, "x", "triangular", 70000)),
+    "vault-y-core-negative": ("vault.json", lambda d: _v2_core(d, "y", "triangular", -5)),
     "vault-param-1e400": ("vault.json", lambda d: _replace(
-        d, ["points", _first(d, "gaussian"), "x", "params", 1], "BIG"
+        d, ["templates", _template(d, "gaussian"), "spreads", 1], "BIG"
     ).replace('"BIG"', "1e400")),
     "vault-crc-variant": (
         "vault.json", lambda d: _replace(d, ["crc_variant"], "CRC-32")),
-    # a trapezoidal core (x0 + y0) / 2 beyond the float range: a traceback
-    "vault-core-overflow": ("vault.json", lambda d: _replace(d, ["points", 0], {
-        "x": {"family": "trapezoidal", "params": [1e308, 1.5e308, 1.0, 1.0]},
-        "y": {"family": "trapezoidal", "params": [3.0, 3.0, 1.0, 1.0]},
-    })),
+    # a trapezoidal core (x0 + y0) / 2 beyond the float range: a traceback;
+    # x0 and y0 round to the core 1e308 under a plateau of half-width 2**52
+    "vault-core-overflow": ("vault.json", lambda d: _v2_core(
+        {**d, "q": 2**1024, "templates": [
+            {"family": "trapezoidal", "spreads": [2.0**52, 1.0, 1.0]}
+            if t["family"] == "gaussian" else t for t in d["templates"]]},
+        "x", "trapezoidal", int(1e308))),
     # integers beyond the float range: float() raised OverflowError
     "vault-param-huge-int": ("vault.json", lambda d: _replace(
-        d, ["points", _first(d, "gaussian"), "x", "params", 1], HUGE_INT)),
+        d, ["templates", _template(d, "gaussian"), "spreads", 1], HUGE_INT)),
+    # a file of format 1, which is no longer read
+    "vault-format-v1": (
+        "vault.json", lambda d: json.dumps(reference_v1_document(Vault.from_dict(d)))),
     "probe-spread-huge-int": (
         "probe.json", lambda d: _replace(d, ["subsets", 0, "spreads", 0], HUGE_INT)),
     # a q beyond the float range: float() of an element raised OverflowError
@@ -384,14 +393,6 @@ def assert_rejected(path, contents, argv, capsys):
     assert str(path) in err[0]
 
 
-def _v2_core(doc, axis, family, value):
-    """``doc`` with the ``axis`` core of its first point of ``family`` set
-    to ``value``, as JSON text."""
-    ids = [i for i, t in enumerate(doc["templates"]) if t["family"] == family]
-    point = next(i for i, t in enumerate(doc["template_ids"]) if t in ids)
-    return _replace(doc, [f"{axis}_cores", point], value)
-
-
 # hostile v2 vault files, mutations of the file lock writes
 MALFORMED_V2 = {
     "id-outside-table": lambda d: _replace(d, ["template_ids", 0], len(d["templates"])),
@@ -410,6 +411,8 @@ MALFORMED_V2 = {
             for t in d["templates"]]},
         "x", "triangular", 2**1023),
     "crc-variant": lambda d: _replace(d, ["crc_variant"], "CRC-32"),
+    # a field beyond float64 cores, which no lock writes: it loaded with exit 0
+    "q-beyond-float-cores": lambda d: _replace(d, ["q"], 2**61 - 1),
 }
 
 
@@ -422,10 +425,7 @@ class TestMalformedInput:
             argv = ["minutiae-demo", "--minutiae", str(path)]
         else:
             assert main(lock_args(workdir)) == EXIT_OK
-            doc = json.loads(path.read_text())
-            if name == "vault.json":  # the v1 cases: mutations of a v1 file
-                doc = reference_v1_document(Vault.from_dict(doc))
-            contents = mutate(doc)
+            contents = mutate(json.loads(path.read_text()))
             argv = lock_args(workdir) if name == "locking.json" else unlock_args(workdir)
         assert_rejected(path, contents, argv, capsys)
 
@@ -435,17 +435,18 @@ class TestMalformedInput:
         path = workdir / "vault.json"
         assert_rejected(path, mutate(json.loads(path.read_text())), unlock_args(workdir), capsys)
 
-    def test_v1_point_off_its_integer_core_rejected(self, workdir, capsys):
-        # no template gives a point at core 100.3 at an integer core
+    @pytest.mark.parametrize("mutate, cause", [
+        (MALFORMED["vault-format-v1"][1],
+         "vault format 1 is no longer read: lock the key again to write a format 2 file"),
+        (MALFORMED_V2["q-beyond-float-cores"], "field size q=2305843009213693951 exceeds "
+         "2**53, beyond which float64 cores cannot hold every field element"),
+    ], ids=["format-v1", "q-beyond-float-cores"])
+    def test_vault_refusal_names_its_cause(self, workdir, capsys, mutate, cause):
         assert main(lock_args(workdir)) == EXIT_OK
         path = workdir / "vault.json"
-        doc = reference_v1_document(Vault.load(path))
-        i = next(i for i, p in enumerate(doc["points"]) if p["x"]["family"] == "triangular")
-        doc["points"][i]["x"]["params"] = [99.3, 100.3, 101.3]
-        assert_rejected(path, json.dumps(doc), unlock_args(workdir), capsys)
-        path.write_text(json.dumps(doc))
+        assert_rejected(path, mutate(json.loads(path.read_text())), unlock_args(workdir), capsys)
         main(unlock_args(workdir))
-        assert f"vault point {i} is no triangular template's instance" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: bad vault file {path}: {cause}\n"
 
     @pytest.mark.parametrize("key_len, message", [("0", "at least 1 byte"),
                                                   ("15", "capacity exceeded")])

@@ -7,10 +7,7 @@ import json
 import math
 import random
 import re
-import struct
-from fractions import Fraction
 from operator import itemgetter
-from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -45,7 +42,6 @@ from fuzzyvault import (
     search_key,
 )
 from fuzzyvault.field_poly import CRC_VARIANT
-from fuzzyvault.fuzzy_number import PARAM_COUNT, json_fields, json_int, json_numbers
 from fuzzyvault.vault import LockTranscript, UnlockDiagnostics
 from conftest import (
     ALL_TEMPLATES,
@@ -56,11 +52,12 @@ from conftest import (
     desk_field,
     desk_locking_set,
     desk_params,
+    REFERENCE_ARITY,
     reference_core,
-    reference_v1_document,
     reference_v1_json,
     reference_validate,
     split_field,
+    vault_of,
 )
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d")
@@ -224,14 +221,10 @@ def reference_lock_points(p, locking_set, field_mfs, params, cores=None):
     return tuple(pt for pt, _ in tagged), transcript
 
 
-def reference_lock_polynomial(p, locking_set, field_mfs, params, cores=None):
-    points, transcript = reference_lock_points(p, locking_set, field_mfs, params, cores)
-    return Vault(points, field_mfs.q, params.n, params.r), transcript
-
-
 # the digit counts the column writer must get right, up to the first value
-# past int64, beyond which it hands the column to json
-DIGIT_EDGES = [0, 9, 10, 99, 100, 10**15, 2**53, 2**63 - 1024, 2**63]
+# past int64, beyond which it hands the column to json; 2**53 - 1 is the
+# largest core a vault holds
+DIGIT_EDGES = [0, 9, 10, 99, 100, 10**15, 2**53 - 1, 2**53, 2**63 - 1024, 2**63]
 
 
 RNG_SEEDS = [0, 2**64 - 1, 0x243F6A8885A308D3, 0x13198A2E03707344]
@@ -620,11 +613,8 @@ def match_cases(draw):
                               unique=True)))
     # most points carry the probes' family
     point_family = st.sampled_from([family] * 12 + families)
-    points = []
-    for x in xs:
-        template = draw(shapes[draw(point_family)])
-        y = draw(st.integers(0, MATCH_Q - 1))
-        points.append(VaultPoint(template.instantiate(x), template.instantiate(y)))
+    rows = [(draw(shapes[draw(point_family)]), x, draw(st.integers(0, MATCH_Q - 1)))
+            for x in xs]
     delta = draw(st.sampled_from([0.01, 0.25, 0.5, 1.0, 3.0, 50.0])
                  | st.floats(0.01, 50.0))
     jitter = (st.just(0.0) | st.sampled_from([0.5, -0.5, delta, -delta])
@@ -634,12 +624,11 @@ def match_cases(draw):
         i = draw(st.integers(0, len(xs) - 1))
         centre = xs[i] if draw(st.booleans()) else (xs[i] + xs[i - 1]) / 2
         probes.append(draw(shapes[family]).instantiate(centre + draw(jitter)))
-    return Vault(tuple(points), MATCH_Q, 0, len(points)), probes, delta
+    return vault_of(rows, MATCH_Q), probes, delta
 
 
 def tri_vault(*cores):
-    return Vault(tuple(VaultPoint(TRI.instantiate(float(c)), TRI.instantiate(0.0))
-                       for c in cores), 100, 0, len(cores))
+    return vault_of([(TRI, c, 0) for c in cores], 100)
 
 
 class NoPoints:
@@ -727,7 +716,7 @@ class TestMatch:
 
     def test_trapezoid_exactly_delta_away_matched(self):
         x = TRAP.instantiate(10.0)
-        vault = Vault((VaultPoint(x, TRAP.instantiate(4.0)),), 100, 0, 1)
+        vault = vault_of([(TRAP, 10, 4)], 100)
         probe = TRAP.instantiate(10.25)
         assert distance(x, probe) == 0.25
         assert match_points(vault, [probe], 0.25) == [(10, 4)]
@@ -742,25 +731,25 @@ class TestMatch:
             match_points(NoPoints(), probes, delta)
 
     def test_window_covers_rounding_at_large_cores(self):
-        # the probe's x0 + y0 = 2**61 - 384 rounds to even, 2**61 - 512: its
-        # core is 256 from the vault point's x-core 2**60 while the
-        # Chebyshev distance is 128, more than one unit beyond delta
-        q, big = 2**62, 2.0**60
-        wide = FamilyTemplate("trapezoidal", (100.0, 1.0, 1.0))
-        x = wide.instantiate(big)
-        assert x.params == (big - 128, big, 1.0, 1.0)
-        probe = FuzzyNumber.trapezoidal(big - 256, big - 128, 1.0, 1.0)
-        assert big - probe.defuzzify() == 256 and distance(x, probe) == 128
-        vault = Vault((VaultPoint(x, wide.instantiate(3.0)),), q, 0, 1)
-        assert reference_match_points(vault, [probe], 128.0) == [(2**60, 3)]
-        assert match_points(vault, [probe], 128.0) == [(2**60, 3)]
+        # the probe's core c = 2**60 + 256 lies 2**60 + 56 from the vault
+        # point's x-core 200, but their distance rounds to 2**60, the
+        # tolerance: c - (delta + 1) rounds to 256, so a window of delta + 1
+        # alone would miss the point
+        big = 2.0**60
+        flat = FamilyTemplate("trapezoidal", (0.0, 1.0, 1.0))
+        probe = FuzzyNumber.trapezoidal(big + 256, big + 256, 1.0, 1.0)
+        assert distance(flat.instantiate(200.0), probe) == big
+        assert probe.defuzzify() - (big + 1.0) > 200
+        vault = vault_of([(flat, 200, 3)], 2**53)
+        assert reference_match_points(vault, [probe], big) == [(200, 3)]
+        assert match_points(vault, [probe], big) == [(200, 3)]
 
     def test_probe_core_beyond_float_range(self):
         # (x0 + y0) / 2 overflows to inf, yet the probe is 1e308 from (0, 0)
         probe = FuzzyNumber.trapezoidal(1e308, 1e308, 1.0, 1.0)
         assert probe.defuzzify() == math.inf
         flat = FamilyTemplate("trapezoidal", (0.0, 1.0, 1.0))
-        vault = Vault((VaultPoint(flat.instantiate(0.0), flat.instantiate(3.0)),), 11, 0, 1)
+        vault = vault_of([(flat, 0, 3)], 11)
         assert reference_match_points(vault, [probe], 1.5e308) == [(0, 3)]
         assert match_points(vault, [probe], 1.5e308) == [(0, 3)]
 
@@ -1072,10 +1061,11 @@ class TestPrefixWalk:
         assert vault_module._mod(values.copy(), q).tolist() == [v % q for v in values.tolist()]
 
 
-# numbers whose JSON text is easy to get wrong: integral cores in and beyond
-# exponent notation, and spreads such as the smallest subnormal and 0.1
-CORES = (st.sampled_from([0, 1, 7, 10**16, 10**22, 123456789]) | st.integers(0, 10**6)
-         | st.floats(0, 1e22).map(round))
+# numbers whose JSON text is easy to get wrong: integral cores up to the
+# largest a vault holds, 2**53 - 1, and spreads such as the smallest
+# subnormal, 0.1 and values in exponent notation
+CORES = (st.sampled_from([0, 1, 7, 10**15, 2**53 - 1, 123456789]) | st.integers(0, 10**6)
+         | st.integers(0, 2**53 - 1))
 SPREADS = (st.sampled_from([5e-324, 0.1, 0.5, 1.0, 3.0, 1e16, 1e22])
            | st.floats(5e-324, 1e22))
 GRADES = st.sampled_from([5e-324, 0.1, 0.5, 1.0]) | st.floats(5e-324, 1.0)
@@ -1085,38 +1075,16 @@ GRADES = st.sampled_from([5e-324, 0.1, 0.5, 1.0]) | st.floats(5e-324, 1.0)
 def serialisable_vaults(draw):
     """Vaults of one to eight points of any families, each a template's
     instance at integer cores, with awkward spreads and cores."""
-    points = {}
+    rows = {}
     for _ in range(draw(st.integers(1, 8))):
         template = draw(ANY_TEMPLATE)
         cores = draw(CORES), draw(CORES)
-        point = VaultPoint(*(template.instantiate(float(c)) for c in cores))
-        if (point.x_core, point.y_core) != cores:  # a plateau too wide for its cores
-            continue
-        points.setdefault(point.x_core, point)  # x-cores must be distinct
-    assume(points)
-    q = 1 + max(max(p.x_core, p.y_core) for p in points.values())
-    return Vault(tuple(points.values()), q, draw(st.integers(0, len(points) - 1)),
-                 len(points))
-
-
-def reference_fuzzy_number(d: dict) -> FuzzyNumber:
-    """``FuzzyNumber.from_dict``, checked by ``reference_validate``."""
-    family, params = json_fields(d, "family", "params")
-    return FuzzyNumber._trusted(family, reference_validate(family, json_numbers(params)))
-
-
-def reference_rounds_to(p: float):
-    """(low, high, closed): the reals x that round to ``p`` bit for bit, for
-    x a sum of an integral core and a signed spread, or None if none does.
-    A tie goes to the even significand; an exact zero sum is +0.0, and no
-    such sum rounds to -0.0."""
-    if p == 0:
-        return (Fraction(0), Fraction(math.ulp(0.0)) / 2, True) if str(p) == "0.0" else None
-    inward = Fraction(math.ulp(math.nextafter(p, 0.0))) / 2  # half the gap toward zero
-    outward = Fraction(math.ulp(p)) / 2
-    low, high = (Fraction(p) - inward, Fraction(p) + outward) if p > 0 else (
-        Fraction(p) - outward, Fraction(p) + inward)
-    return low, high, struct.unpack("<q", struct.pack("<d", p))[0] % 2 == 0
+        if any(round(template.instantiate(float(c)).defuzzify()) != c for c in cores):
+            continue  # a plateau too wide for its cores
+        rows.setdefault(cores[0], (template, *cores))  # x-cores must be distinct
+    assume(rows)
+    q = 1 + max(max(x, y) for _, x, y in rows.values())
+    return vault_of(list(rows.values()), q, draw(st.integers(0, len(rows) - 1)))
 
 
 # per family, the parameter that is the core (None for trapezoidal, whose
@@ -1131,83 +1099,83 @@ REFERENCE_SLOTS = {
 }
 
 
-def reference_is_instance(family, x_core: int, x: tuple, y_core: int, y: tuple) -> bool:
-    """Whether one template of ``family`` gives the parameters ``x`` at the
-    integer core ``x_core`` and ``y`` at ``y_core`` bit for bit, worked out
-    in exact rationals: per spread, the reals that give every parameter it
-    sets, intersected over both points, must hold a float."""
-    at, spreads = REFERENCE_SLOTS[family]
-    if at is not None and (str(x[at]), str(y[at])) != (str(float(x_core)), str(float(y_core))):
-        return False
-    for j, slots in enumerate(spreads):
-        # (low, low closed, high, high closed); only a plateau may be 0 wide
-        low, low_closed, high, high_closed = (0, family == "trapezoidal" and j == 0,
-                                              Fraction(2) ** 1100, True)
-        for core, params in ((x_core, x), (y_core, y)):
-            for k, sign in slots:
-                if sign == 0:
-                    ends = (Fraction(params[k]), True, Fraction(params[k]), True)
-                else:
-                    rounds = reference_rounds_to(params[k])
-                    if rounds is None:
-                        return False
-                    a, b, closed = rounds
-                    ends = (a - core, closed, b - core, closed) if sign > 0 else (
-                        core - b, closed, core - a, closed)
-                # the larger low and the smaller high, the open one on a tie
-                low, low_open = max((low, not low_closed), (ends[0], not ends[1]))
-                low_closed = not low_open
-                high, high_closed = min((high, high_closed), (ends[2], ends[3]))
-        try:
-            s = float(low)
-        except OverflowError:
-            return False
-        if Fraction(s) < low or (Fraction(s) == low and not low_closed):
-            s = math.nextafter(s, math.inf)
-        if not math.isfinite(s) or Fraction(s) > high or (Fraction(s) == high and not high_closed):
-            return False
-    return True
-
-
-# Vault.from_dict as it was before the columns, kept as the oracle: a
-# VaultPoint and two FuzzyNumbers per point, checked by the reference
-# family rules, then the checks the vault made on them one point at a time,
-# and that each point is a template's instance at its integer cores
-def reference_vault_from_dict(d: dict) -> Vault:
-    (version,) = json_fields(d, "format_version")
-    if type(version) is not int or version != 1:
-        raise ValueError(f"unsupported vault format: {version!r}")
-    points, q, n, r, crc_variant = json_fields(
-        d, "points", "q", "n", "r", "crc_variant"
-    )
-    if type(points) is not list:
-        raise ValueError(f"points must be an array, got {type(points).__name__}")
-    points = tuple(VaultPoint(*map(reference_fuzzy_number, json_fields(pt, "x", "y")))
-                   for pt in points)
-    q, n, r = json_int(q), json_int(n), json_int(r)
-    if crc_variant != CRC_VARIANT:
-        raise ValueError(f"unsupported CRC variant {crc_variant!r}")
-    if len(points) != r:
-        raise ValueError(f"vault holds {len(points)} points, expected r={r}")
-    if not 0 <= n < r:
-        raise ValueError(f"polynomial degree n={n} outside [0, r={r})")
+def reference_template(entry) -> tuple:
+    """(family, spreads) of a template table entry, or ValueError: every
+    spread finite and positive, but a plateau half-width that may be 0 and
+    a sigmoid peak grade (its third spread) at most 1."""
+    if type(entry) is not dict or "family" not in entry:
+        raise ValueError("a template is an object with a family")
+    family, spreads = entry["family"], entry.get("spreads", [])
+    if type(family) is not str or family not in REFERENCE_SLOTS:
+        raise ValueError(f"unknown family {family!r}")
+    if type(spreads) is not list or not all(type(s) in (int, float) for s in spreads):
+        raise ValueError("spreads are an array of numbers")
+    if len(spreads) != len(REFERENCE_SLOTS[family][1]):
+        raise ValueError("wrong spread count")
     try:
-        cores = [round(reference_core(p.x.family, p.x.params)) for p in points]
-        y_cores = [round(reference_core(p.y.family, p.y.params)) for p in points]
+        spreads = [float(s) for s in spreads]
     except OverflowError:
-        raise ValueError("vault cores must be finite") from None
-    if len(set(cores)) != len(cores):
-        raise ValueError("vault x-cores must be pairwise distinct")
-    for axis_cores in (cores, y_cores):
-        if not (0 <= min(axis_cores) and max(axis_cores) < q):
-            raise ValueError("vault cores must lie in [0, q)")
-    for i, (p, x_core, y_core) in enumerate(zip(points, cores, y_cores)):
-        if not reference_is_instance(p.x.family, x_core, p.x.params, y_core, p.y.params):
-            raise ValueError(f"vault point {i} is no template's instance at integer cores")
-    try:
-        return Vault(points, q, n, r, crc_variant)
-    except ValueError as e:  # a library check stricter than the ones above
-        raise AssertionError(f"Vault rejects what the reference accepts: {e}") from e
+        raise ValueError("template spreads must be finite") from None
+    if not all(map(math.isfinite, spreads)):
+        raise ValueError("template spreads must be finite")
+    for j, s in enumerate(spreads):
+        if s < 0 or (s == 0 and (family, j) != ("trapezoidal", 0)):
+            raise ValueError("template spreads must be positive")
+    if family == "sigmoid" and spreads[2] > 1:
+        raise ValueError("sigmoid peak grade above 1")
+    return family, spreads
+
+
+def reference_instance(family: str, spreads: list, core: int) -> FuzzyNumber:
+    """The template's number at an integer core, or ValueError if a
+    parameter is not finite or the number's core does not round to it."""
+    at, slots = REFERENCE_SLOTS[family]
+    params = [0.0] * REFERENCE_ARITY[family]
+    if at is not None:
+        params[at] = float(core)
+    for s, targets in zip(spreads, slots):
+        for k, sign in targets:
+            params[k] = s if sign == 0 else float(core) + sign * s
+    p = reference_validate(family, params)
+    c = reference_core(family, p)
+    if not math.isfinite(c) or round(c) != core:
+        raise ValueError(f"core {core} comes back as {c}")
+    return FuzzyNumber._trusted(family, p)
+
+
+# Vault.from_dict of a v2 document written out point by point in plain
+# Python, kept as the oracle of the reader's checks: the JSON types, the
+# template rules, and per point the parameters its template gives at its
+# integer cores, which must be finite and round back to them
+V2_KEYS = ("crc_variant", "format_version", "n", "q", "r", "templates", "template_ids",
+           "x_cores", "y_cores")
+
+
+def reference_vault_from_v2(d) -> tuple:
+    """(q, n, r, points) of a v2 document, or ValueError."""
+    if type(d) is not dict or not all(key in d for key in V2_KEYS):
+        raise ValueError("not a v2 document")
+    if type(d["format_version"]) is not int or d["format_version"] != 2:
+        raise ValueError("not format 2")
+    q, n, r = d["q"], d["n"], d["r"]
+    if not all(type(v) is int for v in (q, n, r)):
+        raise ValueError("q, n and r are integers")
+    if d["crc_variant"] != CRC_VARIANT or type(d["templates"]) is not list:
+        raise ValueError("bad CRC variant or template table")
+    table = [reference_template(t) for t in d["templates"]]
+    columns = ids, xs, ys = [d[key] for key in ("template_ids", "x_cores", "y_cores")]
+    if not all(type(c) is list and len(c) == r and all(type(v) is int for v in c)
+               for c in columns):
+        raise ValueError("columns are arrays of r integers")
+    if not all(0 <= i < len(table) for i in ids):
+        raise ValueError("an id outside the table")
+    if not 0 <= n < r or len(set(xs)) != r or not all(0 <= v < q for v in xs + ys):
+        raise ValueError("bad degree, repeated x-cores or cores outside [0, q)")
+    points = tuple(VaultPoint(*(reference_instance(*table[i], core) for core in (x, y)))
+                   for i, x, y in zip(ids, xs, ys))
+    if q > 2**53:
+        raise ValueError("a field beyond float64 cores")
+    return q, n, r, points
 
 
 def json_nodes(node, path=()):
@@ -1219,58 +1187,72 @@ def json_nodes(node, path=()):
         yield from json_nodes(child, path + (key,))
 
 
-# values a mutation puts in place of a node: the edges of the parameter
-# rules, and JSON values of the wrong type or beyond the float range
+# values a mutation puts in place of a node: the edges of the spread rules,
+# and JSON values of the wrong type or beyond the float range
 EDGES = [-1.0, -5e-324, -0.0, 0, 0.0, 5e-324, 0.5, 1, 1.0, 1.5, 2, 1e308,
          10**400, math.inf, math.nan]
 ODD_JSON = [True, False, None, "1", [], {}, [1.0], "triangular"]
 
 
+def _intact(doc) -> bool:
+    """Whether the mutations below still find their targets in ``doc``."""
+    return (type(doc.get("templates")) is list and bool(doc["templates"])
+            and all(type(t) is dict and type(t.get("spreads")) is list for t in doc["templates"])
+            and all(type(doc.get(key)) is list and doc[key]
+                    for key in ("template_ids", "x_cores", "y_cores")))
+
+
 @st.composite
 def vault_documents(draw):
-    """Parsed v1 documents: a valid vault's, with some integral parameters
+    """Parsed v2 documents: a valid vault's, with some integral spreads
     written as JSON ints, and mostly one or two mutations."""
     vault = draw(serialisable_vaults())
-    doc = reference_v1_document(vault)
-    for point in doc["points"]:
-        for axis in ("x", "y"):
-            params = point[axis]["params"]
-            for i, v in enumerate(params):
-                if v == int(v) and draw(st.booleans()):
-                    params[i] = int(v)
-    points = doc["points"]
+    doc = vault.to_dict()
+    for template in doc["templates"]:
+        spreads = template["spreads"]
+        for i, v in enumerate(spreads):
+            if v == int(v) and draw(st.booleans()):
+                spreads[i] = int(v)
     for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
-        where = draw(st.sampled_from(["param"] * 4 + ["family", "header", "point", "node"]))
-        if where == "param":
-            params = draw(st.sampled_from(points))[draw(st.sampled_from("xy"))].get("params")
-            if type(params) is not list or not params:
+        where = draw(st.sampled_from(["spread"] * 3 + ["core"] * 2
+                                     + ["family", "id", "header", "node"]))
+        templates = doc["templates"]
+        if where == "spread":
+            spreads = draw(st.sampled_from(templates))["spreads"]
+            if not spreads:
                 continue
-            i = draw(st.integers(0, len(params) - 1))
+            i = draw(st.integers(0, len(spreads) - 1))
             # an earlier mutation may have put an int beyond the float range here
-            row = st.sampled_from([v for v in params if type(v) is float
+            row = st.sampled_from([v for v in spreads if type(v) is float
                                    or (type(v) is int and abs(v) <= 1e308)] or [0.0])
-            params[i] = draw(st.one_of(
+            spreads[i] = draw(st.one_of(
                 st.sampled_from(EDGES), st.sampled_from(ODD_JSON), st.floats(),
                 row,  # ties with a neighbour, or the same value as an int
                 st.tuples(row, st.sampled_from([-math.inf, math.inf])).map(
                     lambda a: math.nextafter(*a)),
             ))
+        elif where == "core":
+            column = doc[draw(st.sampled_from(["x_cores", "y_cores"]))]
+            top = max(int(vault.x_cores.max()), int(vault.y_cores.max()))
+            column[draw(st.integers(0, len(column) - 1))] = draw(st.sampled_from(
+                [-1, 0, top, top + 1, vault.q, 2**53 - 1, 2**53, 2**53 + 1, 10**400, 3.0,
+                 *ODD_JSON, *doc["x_cores"]]))  # an x-core twice
         elif where == "family":
-            coord = draw(st.sampled_from(points))[draw(st.sampled_from("xy"))]
-            coord["family"] = draw(st.sampled_from([*MATCH_TEMPLATES, "Crisp", 3]))
-            if draw(st.booleans()):  # a parameter count that fits the new family
-                arity = PARAM_COUNT.get(coord["family"], 1)
-                params = coord.get("params")
-                coord["params"] = ((params if type(params) is list else [0.0]) * 5)[:arity]
+            template = draw(st.sampled_from(templates))
+            template["family"] = draw(st.sampled_from([*MATCH_TEMPLATES, "Crisp", 3]))
+            if draw(st.booleans()):  # a spread count that fits the new family
+                slots = REFERENCE_SLOTS.get(template["family"], (None, [()]))[1]
+                template["spreads"] = (template["spreads"] * 4 + [1.0] * 4)[:len(slots)]
+        elif where == "id":
+            ids = doc["template_ids"]
+            ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from(
+                [-1, 0, len(templates) - 1, len(templates), 2**70, 1.0, True]))
         elif where == "header":
             top = max(int(vault.x_cores.max()), int(vault.y_cores.max()))
             key = draw(st.sampled_from(["q", "n", "r", "format_version", "crc_variant"]))
             doc[key] = draw(st.sampled_from(
                 [top, top + 1, vault.r - 1, vault.r, vault.r + 1, -1, 0, 1, 2, 1.0,
-                 True, "CRC-16/ARC", "CRC-32", 10**400]))
-        elif where == "point":  # another point's x: its x-core twice
-            a, b = draw(st.sampled_from(points)), draw(st.sampled_from(points))
-            b["x"] = copy.deepcopy(a["x"])
+                 True, "CRC-16/ARC", "CRC-32", 2**53, 2**53 + 1, 10**400]))
         else:
             nodes = list(json_nodes(doc))[1:]
             path = draw(st.sampled_from(nodes))[0]
@@ -1282,30 +1264,24 @@ def vault_documents(draw):
             else:
                 parent[path[-1]] = draw(st.sampled_from(EDGES + ODD_JSON)
                                         | st.sampled_from(nodes).map(lambda n: copy.deepcopy(n[1])))
-        if type(doc.get("points")) is not list or not doc["points"] or not all(
-                type(p) is dict and type(p.get("x")) is dict and type(p.get("y")) is dict
-                for p in doc["points"]):
-            break  # later mutations expect the points intact
-        points = doc["points"]
+        if not _intact(doc):
+            break  # later mutations expect the table and the columns intact
     return doc
 
 
 def assert_parses_like_reference(doc: dict) -> None:
     """Vault.from_dict rejects ``doc`` where the oracle does, and otherwise
-    returns the oracle's vault, bytes and cores."""
+    returns the oracle's header, points and cores."""
     try:
-        want = reference_vault_from_dict(copy.deepcopy(doc))
+        q, n, r, points = reference_vault_from_v2(copy.deepcopy(doc))
     except ValueError:
         with pytest.raises(ValueError):
             Vault.from_dict(doc)
         return
     got = Vault.from_dict(doc)
-    assert got == want
-    assert reference_v1_json(got) == reference_v1_json(want)
-    assert repr(got.points) == repr(want.points)  # repr tells -0.0 from 0.0
-    for axis, cores in (("x", got.x_cores), ("y", got.y_cores)):
-        coords = [getattr(p, axis) for p in want.points]
-        assert cores.tolist() == [round(reference_core(c.family, c.params)) for c in coords]
+    assert (got.q, got.n, got.r, got.crc_variant) == (q, n, r, CRC_VARIANT)
+    assert repr(got.points) == repr(points)  # repr tells -0.0 from 0.0
+    assert got.x_cores.tolist() == doc["x_cores"] and got.y_cores.tolist() == doc["y_cores"]
 
 
 class TestSerialization:
@@ -1316,30 +1292,31 @@ class TestSerialization:
 
     @pytest.mark.parametrize("family", sorted(MATCH_TEMPLATES))
     def test_from_dict_matches_reference_at_parameter_edges(self, family):
-        # every parameter of a one-point vault set to each edge of the
-        # family's rules: a neighbour's value, one ulp either side of it,
-        # a half-integer core, signed zeros, subnormals, 1 and values of
-        # the wrong type
+        # every spread of a one-point vault's template set to each edge of
+        # the family's rules: a neighbour's value, one ulp either side of
+        # it, signed zeros, subnormals, 1 and values of the wrong type; and
+        # each core set to the edges of [0, q) and of the float integers
         template = MATCH_TEMPLATES[family][0]
-        point = VaultPoint(template.instantiate(3.0), template.instantiate(5.0))
-        base = reference_v1_document(Vault((point,), 11, 0, 1))
-        for axis in ("x", "y"):
-            row = base["points"][0][axis]["params"]
-            edges = [-5e-324, -0.0, 0, 5e-324, 1, 1.0, math.nextafter(1.0, 2.0), -1.0,
-                     2.5, 3.5, 5.5, 10**400, math.inf, math.nan, True, None, "1"]
-            for v in row:
-                edges += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
-            for i, value in itertools.product(range(len(row)), edges):
-                doc = copy.deepcopy(base)
-                doc["points"][0][axis]["params"][i] = value
-                assert_parses_like_reference(doc)
+        base = vault_of([(template, 3, 5)], 11).to_dict()
+        spreads = base["templates"][0]["spreads"]
+        edges = [-5e-324, -0.0, 0, 5e-324, 1, 1.0, math.nextafter(1.0, 2.0), -1.0,
+                 2.5, 3.5, 5.5, 10**400, math.inf, math.nan, True, None, "1"]
+        for v in spreads:
+            edges += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+        for i, value in itertools.product(range(len(spreads)), edges):
+            doc = copy.deepcopy(base)
+            doc["templates"][0]["spreads"][i] = value
+            assert_parses_like_reference(doc)
+        for axis, value in itertools.product(("x_cores", "y_cores"), [
+                -1, 0, 10, 11, 2**53 - 1, 2**53, 2**53 + 1, 10**400, 3.0, True, None, "3"]):
+            doc = copy.deepcopy(base)
+            doc[axis][0] = value
+            assert_parses_like_reference(doc)
 
     def test_from_dict_matches_reference_at_header_edges(self):
-        points = (VaultPoint(TRI.instantiate(3.0), TRI.instantiate(5.0)),
-                  VaultPoint(GAU.instantiate(7.0), GAU.instantiate(0.0)))
-        base = reference_v1_document(Vault(points, 8, 1, 2))
+        base = vault_of([(TRI, 3, 5), (GAU, 7, 0)], 8, 1).to_dict()
         for key, values in {
-            "q": [0, 5, 6, 7, 8, 2**64, 10**400, 8.0, True, None],
+            "q": [0, 5, 6, 7, 8, 2**53, 2**53 + 1, 2**64, 10**400, 8.0, True, None],
             "n": [-1, 0, 1, 2, 1.0, False],
             "r": [0, 1, 2, 3, 2.0],
             "format_version": [0, 1, 2, 1.0, True, "1"],
@@ -1349,10 +1326,9 @@ class TestSerialization:
                 assert_parses_like_reference(dict(base, **{key: value}))
 
     def test_huge_integer_parameter_rejected(self):
-        point = VaultPoint(GAU.instantiate(3.0), GAU.instantiate(5.0))
-        doc = reference_v1_document(Vault((point,), 11, 0, 1))
-        doc["points"][0]["x"]["params"][1] = 10**400
-        for parse in (Vault.from_dict, reference_vault_from_dict):
+        doc = vault_of([(GAU, 3, 5)], 11).to_dict()
+        doc["templates"][0]["spreads"][1] = 10**400
+        for parse in (Vault.from_dict, reference_vault_from_v2):
             with pytest.raises(ValueError, match="finite"):
                 parse(doc)
 
@@ -1380,8 +1356,11 @@ class TestSerialization:
                             classmethod(counting(FuzzyNumber._trusted.__func__)))
         loaded = Vault.load(path)
         result = fuzzy_unlock(loaded, locking, 0, 0.25, len(KEY))
+        text = repr(loaded)
         monkeypatch.undo()
         assert result.key == KEY
+        assert text == (f"Vault(q=65537, n=7, r=3000, crc_variant='CRC-16/ARC', "
+                        f"templates={loaded.templates!r})")
         probes = locking.select_subset(0)
         # the points match_points may test: same family, core within its window
         window = {
@@ -1398,16 +1377,15 @@ class TestSerialization:
             assert rebuilt == locked[0]
             assert repr(rebuilt) == repr(locked[0])
 
-
     @settings(max_examples=200, deadline=None)
     @given(vault=serialisable_vaults())
     def test_to_json_matches_json_dumps(self, vault):
-        # the v1 text of awkward floats reads back bit for bit
-        loaded = Vault.from_dict(json.loads(reference_v1_json(vault)))
-        assert loaded == vault
-        assert repr(loaded.points) == repr(vault.points)  # repr tells -0.0 from 0.0
+        # the v2 text of awkward spreads and cores reads back bit for bit
         text = vault.to_json()
         assert text == json.dumps(vault.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        loaded = Vault.from_dict(json.loads(text))
+        assert loaded == vault
+        assert repr(loaded.points) == repr(vault.points)  # repr tells -0.0 from 0.0
 
     # a template id indexes a table of at most r templates, so its edges
     # stop at 100
@@ -1416,7 +1394,8 @@ class TestSerialization:
         *[(column, value) for column in ("x_cores", "y_cores") for value in DIGIT_EDGES],
     ])
     def test_to_json_digit_edges(self, column, value):
-        # each column holds the edge value among values of fewer digits
+        # each column holds the edge value among values of fewer digits; a
+        # core of 2**53 or more needs a field that no vault holds
         if column == "template_ids":
             templates = [FamilyTemplate("triangular", (1.0, 1.0 + i)) for i in range(value + 1)]
             ids = np.arange(value + 1, dtype=np.intp)[::-1].copy()
@@ -1428,7 +1407,11 @@ class TestSerialization:
             x_cores, y_cores = (cores, np.full(4, 7.0)) if column == "x_cores" else (
                 np.arange(4, dtype=np.float64), cores)
         q = int(max(x_cores.max(), y_cores.max())) + 1
-        vault = Vault._from_cores(x_cores, y_cores, ids, templates, q, 0, len(ids), CRC_VARIANT)
+        if q > 2**53:
+            with pytest.raises(ValueError, match=re.escape(f"field size q={q} exceeds 2**53")):
+                Vault(x_cores, y_cores, ids, templates, q, 0, len(ids))
+            return
+        vault = Vault(x_cores, y_cores, ids, templates, q, 0, len(ids))
         assert value in vault.to_dict()[column]
         text = vault.to_json()
         assert text == json.dumps(vault.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
@@ -1452,22 +1435,6 @@ class TestSerialization:
     def test_eval_all_refuses_points_outside_the_field(self, q, xs):
         with pytest.raises(ValueError, match=re.escape(f"evaluation points must lie in [0, {q})")):
             vault_module._eval_all(Polynomial((1, 2, 3), q), xs)
-
-    @pytest.mark.parametrize("x, y", [
-        (FuzzyNumber.crisp(-0.0), FuzzyNumber.crisp(0.0)),  # a file holds the core as 0
-        (TRI.instantiate(100.3), TRI.instantiate(4.0)),  # off its integer core
-        (TRI.instantiate(5.0), FamilyTemplate("triangular", (0.5, 2.0)).instantiate(4.0)),
-        (FuzzyNumber.triangular(0.0, 0.0, 1.0), TRI.instantiate(4.0)),  # no positive spread
-    ], ids=["negative-zero", "off-core", "two-shapes", "zero-spread"])
-    def test_point_no_template_rebuilds_refused(self, x, y):
-        points = (VaultPoint(TRI.instantiate(2.0), TRI.instantiate(3.0)), VaultPoint(x, y))
-        doc = reference_v1_document(SimpleNamespace(q=200, n=0, r=2, crc_variant=CRC_VARIANT,
-                                                    points=points))
-        for build in (lambda: Vault(points, 200, 0, 2), lambda: Vault.from_dict(doc)):
-            with pytest.raises(ValueError, match=r"vault point 1 is no \w+ template's instance"):
-                build()
-        with pytest.raises(ValueError, match="vault point 1 is no template's instance"):
-            reference_vault_from_dict(doc)
 
     def test_deterministic_bytes(self, field_mfs, tmp_path):
         locking = desk_locking_set(field_mfs, seed=30)
@@ -1498,50 +1465,52 @@ class TestSerialization:
         for c in transcript.polynomial.coefficients:
             assert f'"{c}"' not in text
 
-    def test_bad_format_version(self):
-        with pytest.raises(ValueError):
-            Vault.from_dict({"format_version": 3, "points": [], "q": 7, "n": 1, "r": 0})
+    def test_bad_format_version(self, field_mfs):
+        for version in (0, 3, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="unsupported vault format"):
+                Vault.from_dict(v2_document(format_version=version))
+        # the v1 text of a locked vault, one object per coordinate
+        vault, _ = fuzzy_lock(KEY, desk_locking_set(field_mfs, seed=7), field_mfs,
+                              desk_params(seed=7))
+        with pytest.raises(ValueError, match="vault format 1 is no longer read: lock the key"):
+            Vault.from_dict(json.loads(reference_v1_json(vault)))
 
     @pytest.mark.parametrize("edit", [
         {"format_version": True},
         {"q": "11"},
         {"r": 1.0},
-        {"n": 1},
+        {"n": 2},
         {"n": -1},
         {"crc_variant": "CRC-16/XMODEM"},
-        {"points": {}},
+        {"x_cores": {}},
     ])
     def test_from_dict_rejects_malformed(self, edit):
-        point = VaultPoint(TRI.instantiate(3.0), TRI.instantiate(5.0))
-        doc = dict(reference_v1_document(Vault((point,), 11, 0, 1)), **edit)
         with pytest.raises(ValueError):
-            Vault.from_dict(doc)
+            Vault.from_dict(v2_document(**edit))
 
     def test_missing_crc_variant_rejected(self):
-        point = VaultPoint(TRI.instantiate(3.0), TRI.instantiate(5.0))
-        vault = Vault((point,), 11, 0, 1)
-        for doc in (reference_v1_document(vault), vault.to_dict()):
-            del doc["crc_variant"]
-            with pytest.raises(ValueError):
-                Vault.from_dict(doc)
+        doc = v2_document()
+        del doc["crc_variant"]
+        with pytest.raises(ValueError, match="missing key 'crc_variant'"):
+            Vault.from_dict(doc)
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_core_beyond_float_range_rejected(self, axis):
-        # (x0 + y0) / 2 overflows to inf, which round() cannot convert
-        point = VaultPoint(TRAP.instantiate(3.0), TRAP.instantiate(5.0))
-        doc = reference_v1_document(Vault((point,), 11, 0, 1))
-        doc["points"][0][axis]["params"] = [1e308, 1.5e308, 1.0, 1.0]
-        with pytest.raises(ValueError, match="finite"):
+        # x0 and y0 round to the core 1e308 under a plateau of half-width
+        # 2**52, so (x0 + y0) / 2 overflows to inf
+        big = int(1e308)
+        wide = FamilyTemplate("trapezoidal", (2.0**52, 1.0, 1.0))
+        doc = v2_document(q=2**1024, templates=[wide.to_dict(), GAU.to_dict()],
+                          **{f"{axis}_cores": [big, 7 if axis == "x" else 0]})
+        with pytest.raises(ValueError, match=re.escape(f"turns the {axis}-core {big} into inf")):
             Vault.from_dict(doc)
 
     def test_core_an_ulp_off_its_integer_loads(self):
         # for this plateau half-width (x0 + y0) / 2 misses the core 7 by an
-        # ulp; cores are range-checked after rounding, so the vault loads
+        # ulp; the core check rounds it first, so the vault loads
         trap = FamilyTemplate("trapezoidal", (9.128388452964652, 1.0, 1.0))
-        x = trap.instantiate(7.0)
-        assert x.defuzzify() != 7.0
-        vault = Vault((VaultPoint(x, trap.instantiate(3.0)),), 11, 0, 1)
-        assert Vault.from_dict(reference_v1_document(vault)) == vault
+        vault = vault_of([(trap, 7, 3)], 11)
+        assert vault.points[0].x.defuzzify() != 7.0
         assert Vault.from_dict(vault.to_dict()) == vault
 
 
@@ -1551,12 +1520,8 @@ class TestVaultPoint:
             VaultPoint(TRI.instantiate(1.0), GAU.instantiate(2.0))
 
     def test_duplicate_cores_rejected(self):
-        pts = (
-            VaultPoint(TRI.instantiate(1.0), TRI.instantiate(2.0)),
-            VaultPoint(TRI.instantiate(1.0), TRI.instantiate(3.0)),
-        )
-        with pytest.raises(ValueError):
-            Vault(pts, 7, 1, 2)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            vault_of([(TRI, 1, 2), (TRI, 1, 3)], 7, 1)
 
 
 SMALL_PRIME = 2003
@@ -1609,41 +1574,24 @@ class TestColumnarLock:
     @given(case=lock_cases())
     def test_matches_reference_lock(self, case):
         # a trapezoidal plateau of half-width 2**53 or more loses cores in
-        # (x0 + y0) / 2: the old lock then raised, or stored other cores
-        # than it drew, where the lock refuses the template
+        # (x0 + y0) / 2: the old lock then stored other cores than it drew,
+        # where the lock refuses the template
         drawn = []
-        try:
-            want, want_transcript = reference_lock_polynomial(*case, drawn)
-        except ValueError as e:  # cores that collide after rounding
-            with pytest.raises(ValueError) as got:
-                lock_polynomial(*case)
-            if not LOST_CORE.search(str(got.value)):
-                assert str(e) in str(got.value)
-            return
+        points, want_transcript = reference_lock_points(*case, drawn)
         try:
             vault, transcript = lock_polynomial(*case)
         except ValueError as e:
             assert LOST_CORE.search(str(e))
-            stored = list(zip(want.x_cores.tolist(), want.y_cores.tolist()))
-            assert stored != drawn
+            assert [(p.x_core, p.y_core) for p in points] != drawn
             return
         assert list(zip(vault.x_cores.tolist(), vault.y_cores.tolist())) == drawn
-        # the same points: want fits its own table to them, which may pick
-        # other floats for spreads that no point pins down
-        assert reference_v1_json(vault) == reference_v1_json(want)
+        assert repr(vault.points) == repr(points)  # repr tells -0.0 from 0.0
         assert transcript == want_transcript
-        # whatever its templates, a locked vault saves and loads back, and
-        # so does one read from its v1 file
-        for locked in (vault, want):
-            text = locked.to_json()
-            loaded = Vault.from_dict(json.loads(text))
-            assert loaded == locked
-            assert loaded.to_json() == text
-
-
-# spreads a field may well use, 0.1, 0.3 and 1/3 among them
-SIMPLE_SPREADS = (st.sampled_from([0.1, 0.3, 1 / 3, 0.5, 1.0, 2.5])
-                  | st.fractions(Fraction(1, 12), 20, max_denominator=12).map(float))
+        # whatever its templates, a locked vault saves and loads back
+        text = vault.to_json()
+        loaded = Vault.from_dict(json.loads(text))
+        assert loaded == vault
+        assert loaded.to_json() == text
 
 
 def v2_document(**edits) -> dict:
@@ -1656,18 +1604,20 @@ def v2_document(**edits) -> dict:
     return dict(doc, **edits)
 
 
-# integers that float64 holds exactly, many of them next to 2**53 and 2**63,
-# where the spacing of floats grows to 2 and 2048
-EXACT_CORES = st.one_of(
-    st.integers(0, 2**66),
-    st.sampled_from([2**53, 2**63]).flatmap(lambda edge: st.integers(edge - 4096, edge + 4096)),
+# cores a vault holds, many of them just below 2**53, the largest field
+EXACT_CORES = st.integers(0, 2**53 - 1) | st.integers(2**53 - 4096, 2**53 - 1)
+# integers beyond 2**53 that float64 holds exactly, many of them next to
+# 2**53 and 2**63, where the spacing of floats grows to 2 and 2048
+BEYOND_CORES = st.one_of(
+    st.integers(2**53, 2**66),
+    st.sampled_from([2**53, 2**63]).flatmap(lambda edge: st.integers(edge, edge + 4096)),
 ).map(lambda v: int(float(v)))
 
 
 @st.composite
 def v2_documents(draw) -> dict:
     """Valid v2 documents: a canonical table of templates that every point
-    uses, pairwise distinct x-cores and cores that float64 holds exactly."""
+    uses, pairwise distinct x-cores and cores in [0, q), q at most 2**53."""
     table = draw(st.lists(st.sampled_from(ALL_TEMPLATES + [FamilyTemplate("crisp")]),
                           min_size=1, unique=True))
     table.sort(key=lambda t: (vault_module.FAMILIES.index(t.family), t.spread_params))
@@ -1678,7 +1628,7 @@ def v2_documents(draw) -> dict:
                           max_size=r - len(table)))
     return {
         "crc_variant": CRC_VARIANT, "format_version": 2, "n": draw(st.integers(0, r - 1)),
-        "q": max(x_cores + y_cores) + 2 + draw(st.integers(0, 2**70)), "r": r,
+        "q": draw(st.integers(max(x_cores + y_cores) + 1, 2**53)), "r": r,
         "templates": [t.to_dict() for t in table],
         "template_ids": draw(st.permutations(list(range(len(table))) + spare)),
         "x_cores": x_cores, "y_cores": y_cores,
@@ -1730,26 +1680,6 @@ def core_checks(draw) -> tuple:
 
 
 class TestFormatV2:
-    @pytest.mark.parametrize("r, seeds", [(300, range(50, 54)), (3000, range(60, 62))])
-    def test_v1_and_v2_files_load_and_unlock_alike(self, field_mfs, tmp_path, r, seeds):
-        for seed in seeds:
-            locking = desk_locking_set(field_mfs, seed=seed)
-            vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=seed, r=r))
-            v1, v2 = tmp_path / "v1.json", tmp_path / "v2.json"
-            v1.write_text(reference_v1_json(vault))
-            vault.save(v2)
-            from_v1, from_v2 = Vault.load(v1), Vault.load(v2)
-            assert from_v1 == from_v2 == vault
-            # the table fitted to the v1 points is the one the lock kept
-            assert from_v1.to_json() == from_v2.to_json() == v2.read_text()
-            assert len(v2.read_bytes()) * 5 < len(v1.read_bytes())
-            # the locking subset and a decoy one: key, matches, subsets, cap
-            for subset, key in ((0, KEY), (1, None)):
-                got = [fuzzy_unlock(v, locking, subset, 0.25, len(KEY))
-                       for v in (from_v1, from_v2)]
-                assert got[0] == got[1]
-                assert got[0].key == key
-
     @settings(max_examples=200, deadline=None)
     @given(vault=serialisable_vaults() | match_cases().map(itemgetter(0)))
     def test_save_round_trips_or_refuses(self, vault, tmp_path_factory):
@@ -1763,9 +1693,8 @@ class TestFormatV2:
         assert loaded.to_json() == path.read_text()
 
     def test_spreads_no_core_offset_holds_exactly(self):
-        # c - 0.1 rounds differently at every core, so the spreads read off
-        # the parameters differ between points; the floats that rebuild
-        # every point of the template share 0.1, the simplest of them
+        # c - 0.1 rounds differently at every core, so the parameters give
+        # no spread back exactly; the vault keeps the field's template
         q = 65537
         tenth = FamilyTemplate("triangular", (0.1, 0.1))
         field = partition_field(q, [q // 2, q - q // 2], [tenth, GAU])
@@ -1775,33 +1704,6 @@ class TestFormatV2:
         doc = vault.to_dict()
         assert doc["templates"] == [tenth.to_dict(), GAU.to_dict()]
         assert Vault.from_dict(doc) == vault
-        assert Vault(vault.points, vault.q, vault.n, vault.r).to_json() == vault.to_json()
-        assert Vault.from_dict(reference_v1_document(vault)) == vault
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_lock_v1_files_save_as_the_lock_table(self, data):
-        # spreads such as 0.1, 0.3 and 1/3 are no exact offsets at most
-        # cores, yet the table fitted to a v1 file is the one the lock used
-        pair = st.tuples(SIMPLE_SPREADS, SIMPLE_SPREADS)
-        omega = st.sampled_from([0.3, 1 / 3, 1.0])
-        templates = [
-            FamilyTemplate("triangular", data.draw(pair)),
-            FamilyTemplate("gaussian", data.draw(pair)),
-            FamilyTemplate("sigmoid", (*data.draw(pair), data.draw(omega),
-                                       data.draw(SIMPLE_SPREADS))),
-            FamilyTemplate("trapezoidal", (data.draw(st.just(0.0) | SIMPLE_SPREADS),
-                                           *data.draw(pair))),
-        ]
-        q = 65537
-        field = partition_field(q, [q // 4] * 3 + [q - 3 * (q // 4)], templates)
-        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
-        locking = desk_locking_set(field, seed, k_template=data.draw(st.sampled_from(templates)))
-        params = desk_params(seed, r=data.draw(st.integers(24, 400), label="r"))
-        vault, _ = fuzzy_lock(KEY, locking, field, params)
-        loaded = Vault.from_dict(reference_v1_document(vault))
-        assert loaded.to_json() == vault.to_json()
-        assert loaded == vault
 
     def test_table_is_canonical(self):
         wide = FamilyTemplate("gaussian", (2.0, 0.5))
@@ -1816,7 +1718,7 @@ class TestFormatV2:
         # families in FAMILIES order, spreads ascending, equal ones merged
         assert saved["templates"] == [t.to_dict() for t in (TRI, narrow, wide, SIG, crisp)]
         assert saved["template_ids"] == [4, 2, 0, 1, 3, 2]
-        assert Vault(vault.points, 100, 0, 6).to_dict() == saved
+        assert vault_of(list(zip(table, range(1, 7), range(9, 3, -1))), 100).to_dict() == saved
 
     def test_field_beyond_int64_products_round_trips(self):
         field = desk_field(P31)
@@ -1827,38 +1729,44 @@ class TestFormatV2:
         vault, _ = lock_polynomial(poly, locking, field, params)
         loaded = Vault.from_dict(json.loads(vault.to_json()))
         assert loaded == vault
-        assert Vault.from_dict(reference_v1_document(vault)) == vault
         results = [fuzzy_unlock(v, locking, 0, 0.25, len(KEY)) for v in (vault, loaded)]
         assert results[0] == results[1] and results[0].key == KEY
 
     def test_core_above_float_integers(self):
-        # float64 holds 2**60 exactly, but not 2**53 + 1
-        q, big = 2**62, 2**60
-        vault = Vault.from_dict(v2_document(q=q, x_cores=[3, big], y_cores=[big + 2**10, 0]))
-        assert vault.x_cores.tolist() == [3, big]
+        # float64 holds every integer up to 2**53, the largest field
+        top = 2**53 - 1
+        vault = Vault.from_dict(v2_document(q=2**53, x_cores=[3, top], y_cores=[top - 1, 0]))
+        assert vault.x_cores.tolist() == [3, top]
         doc = vault.to_dict()
-        assert doc["x_cores"] == [3, big] and doc["y_cores"] == [big + 2**10, 0]
+        assert doc["x_cores"] == [3, top] and doc["y_cores"] == [top - 1, 0]
         assert Vault.from_dict(doc) == vault
+        # 2**53 + 1 reads as 2**53; past 2**53 float64 holds the even integers,
+        # which no field that a vault holds reaches
         with pytest.raises(ValueError, match="float64 holds exactly"):
-            Vault.from_dict(v2_document(q=q, x_cores=[3, 2**53 + 1]))
-        # past 2**53 float64 holds the even integers
-        assert Vault.from_dict(v2_document(q=q, x_cores=[3, 2**53 + 2])).to_dict()["x_cores"] \
-            == [3, 2**53 + 2]
+            Vault.from_dict(v2_document(q=2**62, x_cores=[3, 2**53 + 1]))
+        with pytest.raises(ValueError, match=re.escape("q=4611686018427387904 exceeds 2**53")):
+            Vault.from_dict(v2_document(q=2**62, x_cores=[3, 2**53 + 2]))
 
-    def test_cores_beyond_int64_save_exactly(self):
+    def test_field_beyond_float_cores_refused(self, field_mfs):
+        # float64 cores cannot hold every element of such a field, which
+        # no lock writes
+        vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field_mfs, seed=7),
+                              field_mfs, desk_params(seed=7))
+        for q in (2**53 + 1, 2**61 - 1, 2**65):
+            with pytest.raises(ValueError, match=re.escape(f"field size q={q} exceeds 2**53")):
+                Vault.from_dict(dict(vault.to_dict(), q=q))
         # float64 holds 2**63 and 2**64 + 4096, which int64 does not
         cores = [2**63, 2**64 + 4096]
-        doc = v2_document(q=2**65, x_cores=cores, y_cores=cores[::-1])
-        vault = Vault.from_dict(doc)
-        assert vault.to_dict() == doc
-        assert Vault.from_dict(json.loads(vault.to_json())) == vault
+        with pytest.raises(ValueError, match=re.escape("exceeds 2**53")):
+            Vault.from_dict(v2_document(q=2**65, x_cores=cores, y_cores=cores[::-1]))
+        assert Vault.from_dict(dict(vault.to_dict(), q=2**53)).q == 2**53
 
     @settings(max_examples=150, deadline=None)
     @given(doc=v2_documents(), data=st.data())
     def test_v2_documents_round_trip(self, doc, data):
         assert Vault.from_dict(doc).to_dict() == doc
         # one past an exact core beyond 2**53, where floats are 2 or more apart
-        big = data.draw(EXACT_CORES.filter(lambda c: c >= 2**53), label="big")
+        big = data.draw(BEYOND_CORES, label="big")
         axis = data.draw(st.sampled_from(["x_cores", "y_cores"]), label="axis")
         cores = list(doc[axis])
         cores[data.draw(st.integers(0, doc["r"] - 1), label="i")] = big + 1
@@ -1886,6 +1794,7 @@ class TestFormatV2:
         ({"crc_variant": "CRC-32"}, "CRC variant"),
         ({"n": 2}, "outside"),
         ({"template_ids": [0, 2**70]}, "index the table"),
+        ({"q": 2**61 - 1}, re.escape("field size q=2305843009213693951 exceeds 2**53")),
     ])
     def test_malformed_v2_rejected(self, edits, message):
         with pytest.raises(ValueError, match=message):
