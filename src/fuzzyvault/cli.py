@@ -157,7 +157,7 @@ def _selftest_checks():
         key = b"selftest-key!"
         vault, _ = lock(key, locking, field_mfs, params)
         # through the file format, as lock and unlock pass a vault
-        loaded = Vault.from_dict(json.loads(vault.to_json()))
+        loaded = Vault.from_json(vault.to_json())
         assert loaded == vault, "vault file round trip changed the vault"
         result = fuzzy_unlock(loaded, locking, 0, 0.25, len(key))
         assert result.key == key, "vault round trip failed"

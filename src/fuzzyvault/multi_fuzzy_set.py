@@ -230,11 +230,15 @@ class MultiFuzzySet:
         """Fuzzify a field element with its subset's template."""
         return self.subset_of(a).template.instantiate(_core(a))
 
-    def select_subset(self, k: int) -> list[FuzzyNumber]:
-        """All fuzzified elements of subset ``k``, ascending by core."""
+    def subset(self, k: int) -> SubsetDescriptor:
+        """Subset ``k``; ValueError if there is none."""
         if not (0 <= k < len(self.subsets)):
             raise ValueError(f"subset index {k} out of range")
-        s = self.subsets[k]
+        return self.subsets[k]
+
+    def select_subset(self, k: int) -> list[FuzzyNumber]:
+        """All fuzzified elements of subset ``k``, ascending by core."""
+        s = self.subset(k)
         return [s.template.instantiate(_core(e)) for e in sorted(s.elements)]
 
     def templates(self) -> list[FamilyTemplate]:

@@ -33,6 +33,7 @@ from .field_poly import (
 from .fuzzy_number import (
     CORE,
     PARAM_COUNT,
+    TRAPEZOIDAL,
     FuzzyNumber,
     distance,
     json_fields,
@@ -312,6 +313,13 @@ def _core_column(values, r: int, axis: str):
 # the integer columns of a v2 document, each an attribute of Vault
 _COLUMNS = ("template_ids", "x_cores", "y_cores")
 
+# the keys of a v2 document, in the order to_json writes them
+_V2_KEYS = ("crc_variant", "format_version", "n", "q", "r", "template_ids", "templates",
+            "x_cores", "y_cores")
+
+# where the canonical v2 text opens and closes its integer columns
+_IDS_OPEN, _X_OPEN, _Y_OPEN, _END = ',"template_ids":[', '],"x_cores":[', '],"y_cores":[', "]}\n"
+
 
 def _in_int64(column) -> bool:
     """Whether int64 holds every value of an integer column."""
@@ -342,6 +350,59 @@ def _json_ints(column) -> str:
     kept = np.ones(text.shape, dtype=bool)
     kept[:, :width - 1] = values[:, None] >= 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
     return "[" + text[kept].tobytes().decode("ascii")[:-1] + "]"
+
+
+def _digit_columns(texts: list) -> list:
+    """Columns of canonical v2 text, each decimal integers joined by
+    commas, as int64 arrays, in one numpy parse of them all.  ValueError
+    unless every field is digits, none empty and none with a leading zero,
+    checked first, as numpy warns on a field it cannot read; or if one is
+    2**53 or more, which covers a field that numpy saturates at the int64
+    bound."""
+    text = ",".join(texts)
+    # a comma on either side, so that each field lies between two commas
+    chars = np.frombuffer(f",{text},".encode("ascii"), dtype=np.uint8)
+    digit = chars - np.uint8(ord("0")) < 10  # wraps below "0"
+    comma = chars == ord(",")
+    if (np.count_nonzero(digit) + np.count_nonzero(comma) != len(chars)
+            or (comma[1:] & comma[:-1]).any()
+            or (comma[:-2] & (chars[1:-1] == ord("0")) & digit[2:]).any()):
+        raise ValueError("not a column of canonical v2 text")
+    values = np.fromstring(text, dtype=np.int64, sep=",")
+    if values.max() >= 2**53:
+        raise ValueError("a column of canonical v2 text holds 2**53 or more")
+    return np.split(values, np.cumsum([t.count(",") + 1 for t in texts])[:-1])
+
+
+def _canonical_parts(text: str) -> tuple:
+    """Text exactly as ``Vault.to_json`` writes it, as its document with
+    the integer columns empty and those columns as int64 arrays, in
+    ``_COLUMNS`` order; ValueError for any other text.
+
+    The template ids are cut after the first ``,"template_ids":[`` up to
+    the next ``]``, the cores as the last two arrays.  The rest must be
+    ``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`` of
+    its own parse, with the v2 keys alone, so that whitespace, another key
+    order or a repeated key is not canonical.  Such text holds no ``,"``
+    inside a string, so each cut is at a key: at the top level for the
+    cores, which end the text, and for the template ids too unless a value
+    before them is an array or object, which the checks refuse.
+    """
+    if not text.endswith(_END):
+        raise ValueError("not canonical v2 text")
+    ids = text.find(_IDS_OPEN) + len(_IDS_OPEN)
+    ids_end = text.find("]", ids)
+    y = text.rfind(_Y_OPEN)
+    x = text.rfind(_X_OPEN, 0, y)
+    if not len(_IDS_OPEN) <= ids <= ids_end <= x < x + len(_X_OPEN) <= y:
+        raise ValueError("not canonical v2 text")
+    rest = text[:ids] + text[ids_end:x + len(_X_OPEN)] + _Y_OPEN + _END
+    doc = json.loads(rest)
+    if (type(doc) is not dict or tuple(doc) != _V2_KEYS
+            or json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" != rest):
+        raise ValueError("not canonical v2 text")
+    spans = ((ids, ids_end), (x + len(_X_OPEN), y), (y + len(_Y_OPEN), len(text) - len(_END)))
+    return doc, _digit_columns([text[start:stop] for start, stop in spans])
 
 
 class Vault:
@@ -394,7 +455,8 @@ class Vault:
         _check_field_size(q)
         for name, value in (("q", q), ("n", n), ("r", r), ("crc_variant", crc_variant),
                             ("templates", tuple(table)), ("template_ids", template_ids),
-                            ("x_cores", x_cores), ("y_cores", y_cores), ("_points", None)):
+                            ("x_cores", x_cores), ("y_cores", y_cores), ("_points", None),
+                            ("_by_family", {})):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -412,6 +474,17 @@ class Vault:
         ids = families[self.template_ids]
         ids.flags.writeable = False
         return ids
+
+    def _family_points(self, family: str) -> tuple:
+        """The points of ``family`` by ascending x-core, as a list of
+        their positions and a float64 array of their x-cores; built on
+        first use and kept, so that an unlock's ``_probes`` and
+        ``match_points`` sort them once."""
+        if family not in self._by_family:
+            members = np.flatnonzero(self.family_ids == _FAMILY_ID[family])
+            members = members[np.argsort(self.x_cores[members])].tolist()
+            self._by_family[family] = members, self.x_cores[members]
+        return self._by_family[family]
 
     @property
     def points(self) -> tuple:
@@ -466,40 +539,66 @@ class Vault:
         return {**self._header(), **{name: _ints(getattr(self, name)) for name in _COLUMNS}}
 
     def to_json(self) -> str:
-        """The v2 text, ``json.dumps(self.to_dict(), sort_keys=True,
-        separators=(",", ":")) + "\\n"``, with the integer columns written
-        by ``_json_ints``."""
+        """The canonical v2 text, ``json.dumps(self.to_dict(),
+        sort_keys=True, separators=(",", ":")) + "\\n"``, with the integer
+        columns written by ``_json_ints``.  ``from_json`` reads this text,
+        and only this, without parsing the columns through ``json``."""
         fields = {name: _json_ints(getattr(self, name)) for name in _COLUMNS}
         for key, value in self._header().items():
             fields[key] = json.dumps(value, sort_keys=True, separators=(",", ":"))
         return "{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}\n"
 
     @classmethod
+    def from_json(cls, text: str) -> "Vault":
+        """The vault of v2 text, the inverse of ``to_json``: for any text,
+        the vault or the ValueError of ``from_dict(json.loads(text))``.
+
+        Text exactly as ``to_json`` writes it, canonical and with every
+        integer below 2**53, has its columns parsed straight into numpy
+        and only the rest by ``json.loads``; they then run the checks of
+        ``from_dict``.  Any other text, and canonical text those checks
+        refuse, is parsed whole by ``json.loads``.
+        """
+        try:
+            return cls._from_v2(*_canonical_parts(text))
+        except (ValueError, RecursionError):  # not canonical, or refused: as json reads it
+            return cls.from_dict(json.loads(text))
+
+    @classmethod
     def from_dict(cls, d: dict) -> "Vault":
         """Parse a v2 document; raises ValueError on any malformed input,
         and on a v1 document, which is no longer read."""
+        return cls._from_v2(d)
+
+    @classmethod
+    def _from_v2(cls, d: dict, columns=None) -> "Vault":
+        """Check a parsed v2 document and build its vault as the lock does.
+        ``columns``, if given, are its integer columns as int64 arrays of
+        integers below 2**53, in ``_COLUMNS`` order, in place of its own."""
         (version,) = json_fields(d, "format_version")
         if type(version) is not int or version not in (1, 2):
             raise ValueError(f"unsupported vault format: {version!r}")
         if version == 1:
             raise ValueError("vault format 1 is no longer read: "
                              "lock the key again to write a format 2 file")
-        return cls._from_v2(d)
-
-    @classmethod
-    def _from_v2(cls, d: dict) -> "Vault":
-        """Check a parsed v2 document and build its vault as the lock does."""
         q, n, r, crc_variant, templates, template_ids, x_cores, y_cores = json_fields(
             d, "q", "n", "r", "crc_variant", "templates", "template_ids", "x_cores", "y_cores")
         q, n, r = json_int(q), json_int(n), json_int(r)
         if type(templates) is not list:
             raise ValueError(f"templates must be an array, got {type(templates).__name__}")
         table = [FamilyTemplate.from_dict(t) for t in templates]
-        ids = _int_column(template_ids, r, "template_ids", np.intp)
+        if columns is None:
+            ids = _int_column(template_ids, r, "template_ids", np.intp)
+        elif any(len(column) != r for column in columns):
+            raise ValueError(f"each column must hold r={r} integers")
+        else:
+            ids, x_cores, y_cores = (column.astype(dtype) for column, dtype
+                                     in zip(columns, (np.intp, np.float64, np.float64)))
         if ids is None or (r and not (0 <= ids.min() and ids.max() < len(table))):
             raise ValueError(f"template ids must index the table of {len(table)} templates")
-        return cls(_core_column(x_cores, r, "x"), _core_column(y_cores, r, "y"),
-                   ids, table, q, n, r, crc_variant)
+        if columns is None:
+            x_cores, y_cores = _core_column(x_cores, r, "x"), _core_column(y_cores, r, "y")
+        return cls(x_cores, y_cores, ids, table, q, n, r, crc_variant)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -507,11 +606,13 @@ class Vault:
 
     @classmethod
     def load(cls, path) -> "Vault":
-        """Read a vault file; OSError passes through, and a malformed
-        document raises ValueError naming the file."""
+        """Read a vault file, as text in UTF-8 with universal newlines,
+        through ``from_json``: the files ``save`` writes are canonical.
+        OSError passes through, and a malformed document raises ValueError
+        naming the file."""
         with open(path, encoding="utf-8") as fh:
             try:
-                return cls.from_dict(json.load(fh))
+                return cls.from_json(fh.read())
             except (ValueError, RecursionError) as e:  # deep nesting recurses
                 raise ValueError(f"bad vault file {path}: {e}") from e
 
@@ -761,6 +862,12 @@ def fuzzy_lock(
     return lock_polynomial(p, locking_set, field_mfs, params)
 
 
+def _check_tolerance(delta: float) -> None:
+    """ValueError unless the matching tolerance is positive and finite."""
+    if not 0 < delta < math.inf:
+        raise ValueError(f"matching tolerance must be positive and finite: {delta}")
+
+
 def match_points(
     vault: Vault,
     probes: list[FuzzyNumber],
@@ -784,18 +891,14 @@ def match_points(
     same-family cores plus O(log r) per probe, instead of O(probes * r)
     distance calls.
     """
-    if not 0 < delta < math.inf:
-        raise ValueError(f"matching tolerance must be positive and finite: {delta}")
+    _check_tolerance(delta)
     families = {p.family for p in probes}
     if len(families) > 1:
         raise ValueError("probes must share a single membership family")
     if not probes:
         return []
     (family,) = families
-    members = np.flatnonzero(vault.family_ids == _FAMILY_ID[family])
-    order = np.argsort(vault.x_cores[members])
-    members = members[order].tolist()
-    cores = vault.x_cores[members]
+    members, cores = vault._family_points(family)
     probes = sorted(probes, key=lambda p: p.defuzzify())
     lows, highs = [], []
     for probe in probes:
@@ -833,6 +936,49 @@ def match_points(
             j = members[best]
             matched.append((int(vault.x_cores[j]), int(vault.y_cores[j])))
     return matched
+
+
+def _probes(vault: Vault, subset, delta: float) -> list[FuzzyNumber]:
+    """The elements of ``subset`` that ``match_points`` may match in
+    ``vault``, fuzzified with the subset's template, ascending.
+
+    A probe with core c claims only a point of its family whose x-core
+    lies within c's window w, so dropping the probes with no such point
+    matches the rest alike.  An element e is kept if such an x-core lies
+    within W of it: W = delta + 2 plus 2**-48 of hi + delta + s, for hi
+    the greatest element, bounds w plus |c - e|, where s is a trapezoidal
+    template's plateau half-width, whose (x0 + y0) / 2 rounds c at most
+    2**-51 of e + s from e (s = 0 and c = e for the other families).  A
+    range is cut to the runs around the family's x-cores, so it is never
+    walked, and each element of a tuple is searched among them.  The least
+    and greatest element are instantiated first, so that a template that
+    cannot fuzzify them raises as ``select_subset`` would.
+    """
+    template, elements = subset.template, subset.elements
+    if type(elements) is not range:
+        elements = sorted(elements)
+    lo, hi = elements[0], elements[-1]
+    ends = {e: template.instantiate(float(e)) for e in (lo, hi)}
+    _check_tolerance(delta)
+    plateau = template.spread_params[0] if template.family == TRAPEZOIDAL else 0.0
+    w = delta + 2.0 + (hi + delta + plateau) * 2**-48
+    half = math.ceil(w) if w < vault.q else vault.q  # no wider than the field
+    cores = vault._family_points(template.family)[1]
+    if type(elements) is range:
+        cores = cores[(lo - half <= cores) & (cores <= hi + half)].astype(np.int64)
+        if not len(cores):
+            return []
+        lows, highs = np.maximum(cores - half, lo), np.minimum(cores + half, hi)
+        # the windows in runs that overlap, each run as one range
+        first = np.flatnonzero(np.concatenate(([True], lows[1:] > highs[:-1])))
+        last = np.append(first[1:] - 1, len(cores) - 1)
+        kept = itertools.chain.from_iterable(
+            map(range, lows[first].tolist(), (highs[last] + 1).tolist()))
+    else:
+        cores = cores.tolist()
+        kept = [e for e in elements if (at := bisect.bisect_left(cores, e - half)) < len(cores)
+                and cores[at] <= e + half]
+    return [ends[e] if e in ends else template.instantiate(float(e)) for e in kept]
 
 
 def _mod(a, q: int):
@@ -982,14 +1128,15 @@ def fuzzy_unlock(
 ) -> UnlockResult:
     """Attempt to recover the key from the vault with an unlocking set.
 
-    Fuzzifies the chosen unlocking subset, matches against the vault, then
-    runs the k-subset search over the matches.  An unlocking set whose q
-    differs from the vault's raises ValueError.
+    Fuzzifies the elements of the chosen unlocking subset that lie near a
+    vault point of its family (``_probes``), matches them against the
+    vault, then runs the k-subset search over the matches.  An unlocking
+    set whose q differs from the vault's raises ValueError.
     """
     if unlocking_set.kind not in (UNLOCKING, LOCKING):
         raise ValueError(f"expected an unlocking set, got kind={unlocking_set.kind!r}")
     if unlocking_set.q != vault.q:
         raise ValueError("unlocking set and vault disagree on q")
-    probes = unlocking_set.select_subset(k_subset)
+    probes = _probes(vault, unlocking_set.subset(k_subset), delta)
     matched = match_points(vault, probes, delta)
     return search_key(matched, vault.q, vault.n + 1, key_len, effort_cap)

@@ -3,11 +3,15 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import fuzzyvault
 from conftest import reference_v1_document
 from fuzzyvault import Vault
 from fuzzyvault.cli import EXIT_IO, EXIT_NULL, EXIT_OK, EXIT_VALIDATION, main
@@ -179,6 +183,26 @@ class TestUnlock:
         assert captured.out.strip() == "null"
         assert captured.err.strip() == f"matched=12 {tail}"
 
+    def test_probe_subset_of_2e40_elements(self, tmp_path):
+        # q = 2**41 + 27, the next prime after 2**41: unlocking fuzzifies
+        # only the elements near a vault point, where it built all 2**40
+        # and ran out of memory.  The child's address space is capped, so
+        # that such a build fails the test and not the machine.
+        q = 2**41 + 27
+        (tmp_path / "field.json").write_text(json.dumps(dict(FIELD_DOC, q=q, subsets=[
+            {"size": 2**40, "family": "triangular", "spreads": [1.0, 1.0]},
+            {"size": q - 2**40, "family": "gaussian", "spreads": [0.5, 0.5]}])))
+        (tmp_path / "locking.json").write_text(json.dumps(dict(LOCKING_DOC, q=q)))
+        (tmp_path / "probe.json").write_text(_sized_set("unlocking", q, 2**40))
+        assert main(lock_args(tmp_path)) == EXIT_OK
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+                "from fuzzyvault.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fuzzyvault.__file__)))
+        child = subprocess.run([sys.executable, "-c", code, *unlock_args(tmp_path)],
+                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                               text=True, timeout=30)
+        assert child.returncode in (EXIT_OK, EXIT_NULL), child.stderr
+
     def test_missing_vault(self, workdir):
         assert main(unlock_args(workdir)) == EXIT_IO
 
@@ -297,6 +321,11 @@ def _v2_core(doc, axis, family, value):
     return _replace(doc, [f"{axis}_cores", point], value)
 
 
+def _canonical(doc):
+    """``doc`` as the lock writes it: sorted keys, no spaces, a newline."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _sized_subset(doc, size):
     entry = doc["subsets"][0]
     del entry["elements"]
@@ -413,6 +442,24 @@ MALFORMED_V2 = {
     "crc-variant": lambda d: _replace(d, ["crc_variant"], "CRC-32"),
     # a field beyond float64 cores, which no lock writes: it loaded with exit 0
     "q-beyond-float-cores": lambda d: _replace(d, ["q"], 2**61 - 1),
+    # look-alikes of the canonical text that the lock writes
+    "core-leading-zero": lambda d: _canonical(d).replace(',"x_cores":[', ',"x_cores":[0', 1),
+    "id-19-digits": lambda d: _canonical({**d, "template_ids": [10**18, *d["template_ids"][1:]]}),
+    # the json reader keeps the last x_cores, one core repeated
+    "x-cores-twice": lambda d: _canonical(d)[:-2] + ',"x_cores":'
+    + json.dumps([d["x_cores"][0]] * d["r"], separators=(",", ":")) + "}\n",
+    "marker-in-crc-variant": lambda d: _canonical({**d, "crc_variant": 'CRC-16/ARC],"y_cores":['}),
+    "marker-in-family": lambda d: _canonical({**d, "templates": [
+        {**d["templates"][0], "family": 'triangular],"x_cores":['}, *d["templates"][1:]]}),
+}
+
+# look-alikes of the canonical text that read as the vault the lock wrote
+LOOK_ALIKE_V2 = {
+    # the json reader keeps the last x_cores, the real one
+    "x-cores-twice": lambda d: _canonical(d).replace(
+        ',"x_cores":[', ',"x_cores":[1,1],"x_cores":['),
+    "keys-reversed": lambda d: json.dumps(dict(reversed(d.items())), separators=(",", ":")) + "\n",
+    "no-final-newline": lambda d: _canonical(d)[:-1],
 }
 
 
@@ -434,6 +481,15 @@ class TestMalformedInput:
         assert main(lock_args(workdir)) == EXIT_OK
         path = workdir / "vault.json"
         assert_rejected(path, mutate(json.loads(path.read_text())), unlock_args(workdir), capsys)
+
+    @pytest.mark.parametrize("mutate", LOOK_ALIKE_V2.values(), ids=LOOK_ALIKE_V2.keys())
+    def test_look_alike_v2_vault_unlocks(self, workdir, capsys, mutate):
+        assert main(lock_args(workdir)) == EXIT_OK
+        path = workdir / "vault.json"
+        path.write_text(mutate(json.loads(path.read_text())))
+        capsys.readouterr()
+        assert main(unlock_args(workdir)) == EXIT_OK
+        assert capsys.readouterr().out.strip() == KEY_HEX
 
     @pytest.mark.parametrize("mutate, cause", [
         (MALFORMED["vault-format-v1"][1],

@@ -631,6 +631,28 @@ def tri_vault(*cores):
     return vault_of([(TRI, c, 0) for c in cores], 100)
 
 
+# a plateau so wide that a probe's core (x0 + y0) / 2 rounds off its element
+WIDE_TRAP = FamilyTemplate("trapezoidal", (1e17, 1.0, 1.0))
+# probe templates of every family, most often the first triangular one
+PROBE_TEMPLATES = st.sampled_from(
+    [TRI] * 4 + [t for shapes in MATCH_TEMPLATES.values() for t in shapes] + [WIDE_TRAP])
+
+
+def runs(q, starts, longest):
+    """Runs of up to ``longest`` consecutive elements of [0, q) from ``starts``."""
+    return st.tuples(starts, st.integers(1, longest)).map(
+        lambda run: range(run[0], min(q, run[0] + run[1])))
+
+
+def probe_subsets(elements):
+    """Subsets of the drawn elements, a run held as its range, each with
+    one of the ``PROBE_TEMPLATES``."""
+    return st.builds(
+        lambda chosen, template: SubsetDescriptor(
+            chosen if type(chosen) is range else tuple(dict.fromkeys(chosen)), template, 0),
+        elements, PROBE_TEMPLATES)
+
+
 class NoPoints:
     """A vault stand-in that fails the test if matching reads its points."""
 
@@ -811,6 +833,47 @@ class TestUnlock:
         vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=24))
         with pytest.raises(ValueError):
             fuzzy_unlock(vault, locking, 9, 0.25, len(KEY))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=match_cases(), subset=probe_subsets(
+        runs(MATCH_Q, st.integers(0, MATCH_Q - 1), MATCH_Q)
+        | st.lists(st.integers(0, MATCH_Q - 1), min_size=1, max_size=40)))
+    def test_probes_match_as_the_whole_subset(self, case, subset):
+        # the elements near no vault point of the family claim nothing
+        vault, _, delta = case
+        whole = match_points(vault, [subset.template.instantiate(float(e))
+                                     for e in sorted(subset.elements)], delta)
+        assert match_points(vault, vault_module._probes(vault, subset, delta), delta) == whole
+
+    def test_probe_core_rounded_off_its_element_matches(self):
+        # under a plateau of half-width 1e17, x0 and y0 round to multiples
+        # of 16, so the elements 4 to 7 all have the core 0
+        vault = vault_of([(WIDE_TRAP, 0, 0)], MATCH_Q)
+        probe_set = build_locking_set(desk_field(MATCH_Q), [(range(4, 8), WIDE_TRAP)], "unlocking")
+        assert {p.defuzzify() for p in probe_set.select_subset(0)} == {0.0}
+        probes = vault_module._probes(vault, probe_set.subset(0), 0.25)
+        assert match_points(vault, probes, 0.25) == [(0, 0)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), data=st.data())
+    def test_unlock_matches_the_whole_subset(self, field_mfs, seed, data):
+        # the genuine elements among others, runs of elements around one of
+        # them, or any elements of the field
+        key, q = bytes(range(12)), field_mfs.q
+        locking = desk_locking_set(field_mfs, seed=seed)
+        vault, transcript = fuzzy_lock(key, locking, field_mfs, desk_params(seed=seed, r=3000))
+        near = st.tuples(st.sampled_from(transcript.genuine_cores), st.integers(-50, 50)).map(
+            lambda at: min(max(at[0] + at[1], 0), q - 1))
+        subset = data.draw(probe_subsets(
+            st.lists(st.integers(0, q - 1), max_size=20).map(
+                lambda extra: transcript.genuine_cores + tuple(extra))
+            | runs(q, near, 3000) | st.lists(st.integers(0, q - 1), min_size=1, max_size=40)))
+        probe_set = MultiFuzzySet(q, (subset,), "unlocking")
+        delta = data.draw(st.sampled_from([0.25, 0.5, 1.0, 3.0]) | st.floats(0.01, 50.0))
+        matched = match_points(vault, probe_set.select_subset(0), delta)
+        want = search_key(matched, vault.q, vault.n + 1, len(key), 200)
+        assert fuzzy_unlock(vault, probe_set, 0, delta, len(key), 200) == want
+        assert match_points(vault, vault_module._probes(vault, subset, delta), delta) == matched
 
 
 # search_key as it was before the constant-term filter, kept as the oracle:
@@ -1635,6 +1698,87 @@ def v2_documents(draw) -> dict:
     }
 
 
+def compact(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(doc) -> str:
+    return compact(doc) + "\n"
+
+
+def assert_reads_as_json(text: str) -> None:
+    """``Vault.from_json(text)`` is the vault of ``from_dict(json.loads(text))``,
+    or raises its error with the same message."""
+    try:
+        want = Vault.from_dict(json.loads(text))
+    except (ValueError, RecursionError) as e:
+        with pytest.raises(type(e)) as got:
+            Vault.from_json(text)
+        assert str(got.value) == str(e)
+        return
+    got = Vault.from_json(text)
+    assert got == want and got.to_json() == want.to_json()
+    assert [c.dtype for c in (got.template_ids, got.x_cores, got.y_cores)] == [
+        c.dtype for c in (want.template_ids, want.x_cores, want.y_cores)]
+
+
+def _with_token(doc, data, token: str) -> str:
+    """The canonical text of ``doc`` with one integer of a column written as ``token``."""
+    column = data.draw(st.sampled_from(vault_module._COLUMNS), label="column")
+    values = list(doc[column])
+    values[data.draw(st.integers(0, len(values) - 1), label="at")] = "\0"
+    return canonical_json(dict(doc, **{column: values})).replace(json.dumps("\0"), token)
+
+
+def _inserted(text, data, piece: str) -> str:
+    at = data.draw(st.integers(0, len(text)), label="at")
+    return text[:at] + piece + text[at:]
+
+
+# the column openers of the canonical text, which a string may imitate
+MARKERS = ['],"y_cores":[', '],"x_cores":[', ',"template_ids":[', ']}\n']
+
+# edits of a document's canonical text: (doc, text, data) -> text
+TEXT_EDITS = {
+    "whitespace": lambda doc, text, data: _inserted(
+        text, data, data.draw(st.sampled_from([" ", "\n", "\t", "\r\n"]))),
+    "keys-reordered": lambda doc, text, data: json.dumps(
+        {key: doc[key] for key in data.draw(st.permutations(sorted(doc)))},
+        separators=(",", ":")) + "\n",
+    # a key the reader ignores, holding a look-alike column
+    "extra-key": lambda doc, text, data: canonical_json(dict(doc, **{
+        data.draw(st.sampled_from(["m", "x", "zz"])):
+            {"a": 0, "template_ids": doc["template_ids"][::-1]}})),
+    # the json reader keeps the last of a repeated key
+    "ids-twice": lambda doc, text, data: text.replace(
+        ',"template_ids":[',
+        ',"template_ids":' + compact(doc["template_ids"][::-1]) + ',"template_ids":['),
+    "x-cores-twice": lambda doc, text, data: data.draw(st.sampled_from([
+        text.replace(',"x_cores":[', ',"x_cores":[1,1],"x_cores":['),
+        text.replace('],"y_cores":[', '],"x_cores":[1,1],"y_cores":['),
+        text[:-2] + ',"x_cores":' + compact(doc["x_cores"][::-1]) + "}\n",
+        text[:-2] + ',"x_cores":[' + ",".join(["7"] * doc["r"]) + "]}\n",
+    ])),
+    "field": lambda doc, text, data: _with_token(doc, data, data.draw(st.sampled_from([
+        "00", "01", "007", "-0", "-1", "1.0", "1e3", "1E3", "+1", " 1", "0x1", "", "1,",
+        str(10**18), str(2**53 - 1), str(2**53), str(2**63), str(10**19), "9" * 40]))),
+    "trailing-comma": lambda doc, text, data: data.draw(st.sampled_from([
+        text.replace('],"templates":[', ',],"templates":['),
+        text.replace('],"y_cores":[', ',],"y_cores":['), text[:-3] + ",]}\n"])),
+    "marker-in-string": lambda doc, text, data: data.draw(st.sampled_from([
+        canonical_json(dict(doc, crc_variant=CRC_VARIANT + data.draw(st.sampled_from(MARKERS)))),
+        canonical_json(dict(doc, templates=[
+            dict(doc["templates"][0], family="triangular" + data.draw(st.sampled_from(MARKERS))),
+            *doc["templates"][1:]])),
+        text.replace(f'"{CRC_VARIANT}"', f'"{CRC_VARIANT}{data.draw(st.sampled_from(MARKERS))}"'),
+        text.replace('"family":"', '"family":"' + data.draw(st.sampled_from(MARKERS)), 1),
+    ])),
+    "line-ends": lambda doc, text, data: data.draw(st.sampled_from([
+        text[:-1], text.replace("\n", "\r\n"), text + "\n", "\ufeff" + text, " " + text])),
+    "cut": lambda doc, text, data: text[:data.draw(st.integers(0, len(text) - 1))],
+}
+
+
 def reference_check_cores(table, template_ids, x_cores, y_cores) -> None:
     """The core check as it ran a template at a time: each template in
     table order, its x-cores and then its y-cores, raising at the first
@@ -1772,6 +1916,28 @@ class TestFormatV2:
         cores[data.draw(st.integers(0, doc["r"] - 1), label="i")] = big + 1
         with pytest.raises(ValueError, match="float64 holds exactly"):
             Vault.from_dict(dict(doc, q=max(doc["q"], big + 2), **{axis: cores}))
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=v2_documents(), data=st.data())
+    def test_from_json_reads_as_json(self, doc, data):
+        # the canonical text, then a byte-level edit that a reader cutting
+        # the columns out of the text might take for the canonical layout
+        text = canonical_json(doc)
+        vault_module._canonical_parts(text)  # the fast path reads it
+        assert Vault.from_json(text) == Vault.from_dict(doc)
+        edit = data.draw(st.sampled_from(sorted(TEXT_EDITS)), label="edit")
+        assert_reads_as_json(TEXT_EDITS[edit](doc, text, data))
+
+    def test_load_parses_no_column_through_json(self, field_mfs, tmp_path, monkeypatch):
+        vault, _ = fuzzy_lock(KEY, desk_locking_set(field_mfs, seed=7), field_mfs,
+                              desk_params(seed=7, r=3000))
+        path = tmp_path / "vault.json"
+        vault.save(path)
+        parsed, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kw: parsed.append(s) or loads(s, **kw))
+        assert Vault.load(path) == vault
+        assert len(parsed) == 1 and len(parsed[0]) < 500
+        assert len(path.read_text()) > 30_000
 
     @pytest.mark.parametrize("edits, message", [
         ({"template_ids": [0, 2]}, "index the table"),
