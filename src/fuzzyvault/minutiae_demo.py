@@ -149,7 +149,7 @@ def minutiae_vault_demo(
     # probe cores are perturbed by an offset of magnitude in [jitter/2, jitter],
     # random sign, so a jitter beyond 2*delta can never cross the tolerance
     rng = SplitMix64(seed ^ 0xD6E8FEB86659FD93)
-    probes = []
+    cores = []
     for e in sorted(elements):
         if jitter:
             u = rng.next_u64() / 2.0**64
@@ -157,9 +157,9 @@ def minutiae_vault_demo(
             offset = sign * (jitter / 2 + u * jitter / 2)
         else:
             offset = 0.0
-        probes.append(template.instantiate(float(e) + offset))
+        cores.append(float(e) + offset)
 
-    matched = match_points(vault, probes, delta)
+    matched = match_points(vault, template, cores, delta)
     unlock = search_key(matched, q, k, len(key))
     return DemoResult(vault, unlock, tuple(elements))
 

@@ -200,6 +200,12 @@ class VaultPoint:
         return {"x": self.x.to_dict(), "y": self.y.to_dict()}
 
 
+def _check_tolerance(delta: float) -> None:
+    """ValueError unless the matching tolerance is positive and finite."""
+    if not 0 < delta < math.inf:
+        raise ValueError(f"matching tolerance delta must be positive and finite: {delta}")
+
+
 @dataclass(frozen=True)
 class LockParams:
     t: int              # total genuine elements across the locking set
@@ -227,10 +233,7 @@ class LockParams:
             )
         if not (0.0 <= self.rho <= 1.0):
             raise ValueError(f"rho must lie in [0, 1], got {self.rho}")
-        if not 0 < self.delta < math.inf:
-            raise ValueError(
-                f"matching tolerance delta must be positive and finite: {self.delta}"
-            )
+        _check_tolerance(self.delta)
 
 
 # a vault point's family id is its family's position in FAMILIES
@@ -455,8 +458,7 @@ class Vault:
         _check_field_size(q)
         for name, value in (("q", q), ("n", n), ("r", r), ("crc_variant", crc_variant),
                             ("templates", tuple(table)), ("template_ids", template_ids),
-                            ("x_cores", x_cores), ("y_cores", y_cores), ("_points", None),
-                            ("_by_family", {})):
+                            ("x_cores", x_cores), ("y_cores", y_cores), ("_points", None)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -474,17 +476,6 @@ class Vault:
         ids = families[self.template_ids]
         ids.flags.writeable = False
         return ids
-
-    def _family_points(self, family: str) -> tuple:
-        """The points of ``family`` by ascending x-core, as a list of
-        their positions and a float64 array of their x-cores; built on
-        first use and kept, so that an unlock's ``_probes`` and
-        ``match_points`` sort them once."""
-        if family not in self._by_family:
-            members = np.flatnonzero(self.family_ids == _FAMILY_ID[family])
-            members = members[np.argsort(self.x_cores[members])].tolist()
-            self._by_family[family] = members, self.x_cores[members]
-        return self._by_family[family]
 
     @property
     def points(self) -> tuple:
@@ -862,123 +853,77 @@ def fuzzy_lock(
     return lock_polynomial(p, locking_set, field_mfs, params)
 
 
-def _check_tolerance(delta: float) -> None:
-    """ValueError unless the matching tolerance is positive and finite."""
-    if not 0 < delta < math.inf:
-        raise ValueError(f"matching tolerance must be positive and finite: {delta}")
-
-
 def match_points(
     vault: Vault,
-    probes: list[FuzzyNumber],
+    template: FamilyTemplate,
+    cores,
     delta: float,
 ) -> list[tuple[int, int]]:
-    """Nearest-neighbor fuzzy matching of probe abscissae against the vault.
+    """Nearest-neighbor fuzzy matching of the probes
+    ``template.instantiate(c)``, for each c in ``cores``, against the
+    vault's abscissae; ``cores`` is a range, such as a subset's elements,
+    or any collection of numbers.
 
     One-to-one: each vault point is claimed at most once, probes processed
     in ascending core order, ties broken toward the smaller x-core.  A probe
     matches only within distance delta (family mismatch is infinitely far).
 
-    Only the vault points of the probes' family are indexed, sorted by
-    their integer x-core, and a probe with core c tests those with an
-    x-core in [c - w, c + w], where w = delta + 1 plus 2**-50 of |c| + delta.
-    No match lies outside: the core of every family is a parameter, or for
-    trapezoidal the mean of two, so two cores differ by at most their
-    Chebyshev distance; a vault point's core rounds to its x-core; and the
-    margin covers the float rounding of a probe's trapezoidal (x0 + y0) / 2
-    at any magnitude.  A point's x is instantiated from its template only
-    when it falls inside a probe's window, so matching costs a sort of the
-    same-family cores plus O(log r) per probe, instead of O(probes * r)
-    distance calls.
+    Only the vault points of the template's family are indexed, sorted by
+    their integer x-core, and a probe with core c tests the unclaimed ones
+    with an x-core in [c - W, c + W]: W = delta + 2 plus 2**-48 of
+    max|c| + delta + s, where s is a trapezoidal template's plateau
+    half-width (0 for the other families).  No match lies outside: the core
+    of every family is a parameter, or for trapezoidal the mean of two, so
+    two cores differ by at most their Chebyshev distance; a vault point's
+    core rounds to its x-core; and a probe's trapezoidal (x0 + y0) / 2
+    rounds at most 2**-51 of |c| + s off c.  When no unclaimed point lies
+    within W of a probe, the walk bisects ``cores`` to the first probe that
+    reaches the next unclaimed point, so a range is never walked.  The
+    least and greatest core are instantiated first, so that a template
+    that cannot fuzzify one raises as ``select_subset`` would.
     """
+    if type(cores) is not range or cores.step < 0:
+        cores = sorted(cores)
+    ends = {c: template.instantiate(float(c)) for c in ((cores[0], cores[-1]) if cores else ())}
     _check_tolerance(delta)
-    families = {p.family for p in probes}
-    if len(families) > 1:
-        raise ValueError("probes must share a single membership family")
-    if not probes:
-        return []
-    (family,) = families
-    members, cores = vault._family_points(family)
-    probes = sorted(probes, key=lambda p: p.defuzzify())
-    lows, highs = [], []
-    for probe in probes:
-        c = probe.defuzzify()
-        if math.isfinite(c):
-            w = delta + 1.0 + (abs(c) + delta) * 2**-50
-            lows.append(c - w)
-            highs.append(c + w)
-        else:  # a trapezoidal (x0 + y0) / 2 overflowed and bounds nothing
-            lows.append(-math.inf)
-            highs.append(math.inf)
-    starts = cores.searchsorted(lows, "left").tolist()
-    ends = cores.searchsorted(highs, "right").tolist()
-    built = {}  # window position -> the point's x, built once
+    plateau = template.spread_params[0] if template.family == TRAPEZOIDAL else 0.0
+    w = delta + 2.0 + (max(map(abs, ends), default=0.0) + delta + plateau) * 2**-48
+    members = np.flatnonzero(vault.family_ids == _FAMILY_ID[template.family])
+    members = members[np.argsort(vault.x_cores[members])]
+    xs = vault.x_cores[members].tolist()
+    built = {}  # position -> the point's x, built once
     claimed = set()
     matched = []
-    for probe, start, end in zip(probes, starts, ends):
+    i = 0
+    while i < len(cores):
+        c = cores[i]
+        j = bisect.bisect_left(xs, c - w)
+        while j in claimed:
+            j += 1
+        if j == len(xs):
+            break
+        if xs[j] > c + w:  # on to the first probe within W of point j
+            i = max(i + 1, bisect.bisect_left(cores, xs[j] - w))
+            continue
+        probe = ends[c] if c in ends else template.instantiate(float(c))
         best = None
         best_dist = None
-        for i in range(start, end):  # ascending cores, so a tie keeps the smaller x-core
-            if i in claimed:
+        for j in range(j, bisect.bisect_right(xs, c + w)):  # a tie keeps the smaller x-core
+            if j in claimed:
                 continue
-            x = built.get(i)
+            x = built.get(j)
             if x is None:
-                j = members[i]
-                template = vault.templates[vault.template_ids[j]]
-                x = built[i] = template.instantiate(float(vault.x_cores[j]))
+                x = built[j] = vault.templates[vault.template_ids[members[j]]].instantiate(xs[j])
             d = distance(x, probe)
             if d > delta:
                 continue
             if best is None or d < best_dist:
-                best, best_dist = i, d
+                best, best_dist = j, d
         if best is not None:
             claimed.add(best)
-            j = members[best]
-            matched.append((int(vault.x_cores[j]), int(vault.y_cores[j])))
+            matched.append((int(xs[best]), int(vault.y_cores[members[best]])))
+        i += 1
     return matched
-
-
-def _probes(vault: Vault, subset, delta: float) -> list[FuzzyNumber]:
-    """The elements of ``subset`` that ``match_points`` may match in
-    ``vault``, fuzzified with the subset's template, ascending.
-
-    A probe with core c claims only a point of its family whose x-core
-    lies within c's window w, so dropping the probes with no such point
-    matches the rest alike.  An element e is kept if such an x-core lies
-    within W of it: W = delta + 2 plus 2**-48 of hi + delta + s, for hi
-    the greatest element, bounds w plus |c - e|, where s is a trapezoidal
-    template's plateau half-width, whose (x0 + y0) / 2 rounds c at most
-    2**-51 of e + s from e (s = 0 and c = e for the other families).  A
-    range is cut to the runs around the family's x-cores, so it is never
-    walked, and each element of a tuple is searched among them.  The least
-    and greatest element are instantiated first, so that a template that
-    cannot fuzzify them raises as ``select_subset`` would.
-    """
-    template, elements = subset.template, subset.elements
-    if type(elements) is not range:
-        elements = sorted(elements)
-    lo, hi = elements[0], elements[-1]
-    ends = {e: template.instantiate(float(e)) for e in (lo, hi)}
-    _check_tolerance(delta)
-    plateau = template.spread_params[0] if template.family == TRAPEZOIDAL else 0.0
-    w = delta + 2.0 + (hi + delta + plateau) * 2**-48
-    half = math.ceil(w) if w < vault.q else vault.q  # no wider than the field
-    cores = vault._family_points(template.family)[1]
-    if type(elements) is range:
-        cores = cores[(lo - half <= cores) & (cores <= hi + half)].astype(np.int64)
-        if not len(cores):
-            return []
-        lows, highs = np.maximum(cores - half, lo), np.minimum(cores + half, hi)
-        # the windows in runs that overlap, each run as one range
-        first = np.flatnonzero(np.concatenate(([True], lows[1:] > highs[:-1])))
-        last = np.append(first[1:] - 1, len(cores) - 1)
-        kept = itertools.chain.from_iterable(
-            map(range, lows[first].tolist(), (highs[last] + 1).tolist()))
-    else:
-        cores = cores.tolist()
-        kept = [e for e in elements if (at := bisect.bisect_left(cores, e - half)) < len(cores)
-                and cores[at] <= e + half]
-    return [ends[e] if e in ends else template.instantiate(float(e)) for e in kept]
 
 
 def _mod(a, q: int):
@@ -1128,15 +1073,14 @@ def fuzzy_unlock(
 ) -> UnlockResult:
     """Attempt to recover the key from the vault with an unlocking set.
 
-    Fuzzifies the elements of the chosen unlocking subset that lie near a
-    vault point of its family (``_probes``), matches them against the
-    vault, then runs the k-subset search over the matches.  An unlocking
-    set whose q differs from the vault's raises ValueError.
+    Matches the chosen unlocking subset, as its template and elements,
+    against the vault, then runs the k-subset search over the matches.  An
+    unlocking set whose q differs from the vault's raises ValueError.
     """
     if unlocking_set.kind not in (UNLOCKING, LOCKING):
         raise ValueError(f"expected an unlocking set, got kind={unlocking_set.kind!r}")
     if unlocking_set.q != vault.q:
         raise ValueError("unlocking set and vault disagree on q")
-    probes = _probes(vault, unlocking_set.subset(k_subset), delta)
-    matched = match_points(vault, probes, delta)
+    subset = unlocking_set.subset(k_subset)
+    matched = match_points(vault, subset.template, subset.elements, delta)
     return search_key(matched, vault.q, vault.n + 1, key_len, effort_cap)

@@ -183,9 +183,11 @@ class TestUnlock:
         assert captured.out.strip() == "null"
         assert captured.err.strip() == f"matched=12 {tail}"
 
-    def test_probe_subset_of_2e40_elements(self, tmp_path):
+    @pytest.mark.parametrize("delta", [{}, {"--delta": "1e12"}], ids=["default", "1e12"])
+    def test_probe_subset_of_2e40_elements(self, tmp_path, delta):
         # q = 2**41 + 27, the next prime after 2**41: unlocking fuzzifies
-        # only the elements near a vault point, where it built all 2**40
+        # only the probes that reach an unclaimed vault point, where it
+        # built all 2**40, or at a tolerance of 1e12 all those within it,
         # and ran out of memory.  The child's address space is capped, so
         # that such a build fails the test and not the machine.
         q = 2**41 + 27
@@ -198,7 +200,7 @@ class TestUnlock:
         code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
                 "from fuzzyvault.cli import main; sys.exit(main(sys.argv[1:]))")
         src = os.path.dirname(os.path.dirname(os.path.abspath(fuzzyvault.__file__)))
-        child = subprocess.run([sys.executable, "-c", code, *unlock_args(tmp_path)],
+        child = subprocess.run([sys.executable, "-c", code, *unlock_args(tmp_path, **delta)],
                                env=dict(os.environ, PYTHONPATH=src), capture_output=True,
                                text=True, timeout=30)
         assert child.returncode in (EXIT_OK, EXIT_NULL), child.stderr

@@ -598,17 +598,24 @@ MATCH_TEMPLATES = {
 MATCH_Q = 64
 
 
+# a plateau so wide that a probe's core (x0 + y0) / 2 rounds off its element
+WIDE_TRAP = FamilyTemplate("trapezoidal", (1e17, 1.0, 1.0))
+
+
 @st.composite
 def match_cases(draw):
-    """A vault of all families on a dense core range, probes of one family
-    jittered around its cores or around the midpoint of two neighbours, and
-    a tolerance.  Probes often share a target, so later ones fall through
-    to their second-best point, and a midpoint ties the distances to two
+    """A vault of all families on a dense core range, a probe template, its
+    cores as a range, a tuple of elements, or floats jittered around the
+    vault's cores or around the midpoint of two neighbours, and a
+    tolerance.  Probes often share a target, so later ones fall through to
+    their second-best point, and a midpoint ties the distances to two
     points of the same shape."""
     families = sorted(MATCH_TEMPLATES)
     family = draw(st.sampled_from(families))
     # the first shape of a family is the common one, so ties are common
     shapes = {f: st.sampled_from(t[:1] * 3 + t[1:]) for f, t in MATCH_TEMPLATES.items()}
+    template = draw(shapes[family] | st.just(WIDE_TRAP) if family == TRAP.family
+                    else shapes[family])
     xs = sorted(draw(st.lists(st.integers(0, MATCH_Q - 1), min_size=1, max_size=40,
                               unique=True)))
     # most points carry the probes' family
@@ -619,20 +626,50 @@ def match_cases(draw):
                  | st.floats(0.01, 50.0))
     jitter = (st.just(0.0) | st.sampled_from([0.5, -0.5, delta, -delta])
               | st.floats(-2 * delta, 2 * delta))
-    probes = []
+    jittered = []
     for _ in range(draw(st.integers(0, 12))):
         i = draw(st.integers(0, len(xs) - 1))
         centre = xs[i] if draw(st.booleans()) else (xs[i] + xs[i - 1]) / 2
-        probes.append(draw(shapes[family]).instantiate(centre + draw(jitter)))
-    return vault_of(rows, MATCH_Q), probes, delta
+        jittered.append(centre + draw(jitter))
+    cores = draw(st.sampled_from([
+        jittered,
+        draw(runs(MATCH_Q, st.integers(0, MATCH_Q - 1), MATCH_Q)),
+        tuple(draw(st.lists(st.integers(0, MATCH_Q - 1), max_size=40))),
+    ]))
+    return vault_of(rows, MATCH_Q), template, cores, delta
+
+
+def fuzzified(template, cores) -> list:
+    """The probes of ``cores`` under ``template``, by ascending core."""
+    return [template.instantiate(float(c)) for c in sorted(cores)]
+
+
+def columnar_match_points(vault: Vault, probes: list, delta: float) -> list[tuple[int, int]]:
+    """``reference_match_points`` for probes of one family, each probe's
+    distances to every vault point of that family taken at once in numpy,
+    so that a subset of thousands of elements takes seconds, not hours."""
+    family = {p.family for p in probes}
+    points = sorted((pt for pt in vault.points if {pt.x.family} == family),
+                    key=lambda pt: pt.x_core)
+    if not points:
+        return []
+    params = np.array([pt.x.params for pt in points])
+    free = np.ones(len(points), dtype=bool)
+    matched = []
+    for probe in sorted(probes, key=lambda f: f.defuzzify()):
+        dists = np.abs(params - probe.params).max(axis=1)
+        near = np.flatnonzero(free & (dists <= delta))
+        if len(near):  # argmin takes the first least distance: the smaller x-core
+            best = near[np.argmin(dists[near])]
+            free[best] = False
+            matched.append((points[best].x_core, points[best].y_core))
+    return matched
 
 
 def tri_vault(*cores):
     return vault_of([(TRI, c, 0) for c in cores], 100)
 
 
-# a plateau so wide that a probe's core (x0 + y0) / 2 rounds off its element
-WIDE_TRAP = FamilyTemplate("trapezoidal", (1e17, 1.0, 1.0))
 # probe templates of every family, most often the first triangular one
 PROBE_TEMPLATES = st.sampled_from(
     [TRI] * 4 + [t for shapes in MATCH_TEMPLATES.values() for t in shapes] + [WIDE_TRAP])
@@ -654,38 +691,36 @@ def probe_subsets(elements):
 
 
 class NoPoints:
-    """A vault stand-in that fails the test if matching reads its points."""
+    """A vault stand-in that fails the test if matching reads any of it."""
 
-    @property
-    def points(self):
-        raise AssertionError("the vault was read before the arguments were checked")
+    def __getattr__(self, name):
+        raise AssertionError(f"the vault's {name} was read before the arguments were checked")
 
 
 class TestMatch:
     def test_exact_probes_match_all_genuine(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=7)
         vault, transcript = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=7))
-        probes = locking.select_subset(0)
-        matched = match_points(vault, probes, 0.25)
+        subset = locking.subset(0)
+        matched = match_points(vault, subset.template, subset.elements, 0.25)
         assert sorted(x for x, _ in matched) == list(transcript.genuine_cores)
 
     def test_wrong_family_matches_nothing(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=8)
         vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=8))
-        wrong = [GAU.instantiate(f.defuzzify()) for f in locking.select_subset(0)]
-        assert match_points(vault, wrong, 0.25) == []
+        assert match_points(vault, GAU, locking.subset(0).elements, 0.25) == []
 
     def test_offset_beyond_delta_unmatched(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=9)
         vault, transcript = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=9))
-        probes = [TRI.instantiate(c + 0.3) for c in transcript.genuine_cores]
-        assert match_points(vault, probes, 0.25) == []
+        cores = [c + 0.3 for c in transcript.genuine_cores]
+        assert match_points(vault, TRI, cores, 0.25) == []
 
     def test_offset_within_delta_matched(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=10)
         vault, transcript = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=10))
-        probes = [TRI.instantiate(c + 0.2) for c in transcript.genuine_cores]
-        matched = match_points(vault, probes, 0.25)
+        cores = [c + 0.2 for c in transcript.genuine_cores]
+        matched = match_points(vault, TRI, cores, 0.25)
         assert sorted(x for x, _ in matched) == list(transcript.genuine_cores)
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
@@ -693,15 +728,9 @@ class TestMatch:
         # a NaN or infinite tolerance would match across families
         locking = desk_locking_set(field_mfs, seed=15)
         vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=15))
-        with pytest.raises(ValueError):
-            match_points(vault, locking.select_subset(0), delta)
-
-    def test_mixed_family_probes_rejected(self, field_mfs):
-        locking = desk_locking_set(field_mfs, seed=11)
-        vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=11))
-        probes = [TRI.instantiate(1.0), GAU.instantiate(2.0)]
-        with pytest.raises(ValueError):
-            match_points(vault, probes, 0.25)
+        subset = locking.subset(0)
+        with pytest.raises(ValueError, match="delta"):
+            match_points(vault, subset.template, subset.elements, delta)
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_lock_params_tolerance_must_be_positive_and_finite(self, delta):
@@ -712,68 +741,66 @@ class TestMatch:
     @settings(max_examples=300, deadline=None)
     @given(case=match_cases())
     def test_matches_reference_matching(self, case):
-        vault, probes, delta = case
-        assert match_points(vault, probes, delta) == reference_match_points(
-            vault, probes, delta)
+        vault, template, cores, delta = case
+        probes = fuzzified(template, cores)
+        want = reference_match_points(vault, probes, delta)
+        assert match_points(vault, template, cores, delta) == want
+        assert columnar_match_points(vault, probes, delta) == want
 
     def test_contended_point_falls_to_second_best(self):
         vault = tri_vault(13, 11, 10)
-        probes = [TRI.instantiate(10.4), TRI.instantiate(10.2)]
         # 10.2 comes first and claims 10; 10.4 then takes 11, at 0.6
-        assert match_points(vault, probes, 1.0) == [(10, 0), (11, 0)]
-        assert reference_match_points(vault, probes, 1.0) == [(10, 0), (11, 0)]
+        assert match_points(vault, TRI, [10.4, 10.2], 1.0) == [(10, 0), (11, 0)]
+        assert reference_match_points(vault, fuzzified(TRI, [10.4, 10.2]), 1.0) == [
+            (10, 0), (11, 0)]
 
     def test_distance_tie_goes_to_smaller_core(self):
         vault = tri_vault(11, 10)
-        probes = [TRI.instantiate(10.5)]
-        assert match_points(vault, probes, 1.0) == [(10, 0)]
-        assert match_points(vault, probes * 2, 1.0) == [(10, 0), (11, 0)]
+        assert match_points(vault, TRI, [10.5], 1.0) == [(10, 0)]
+        assert match_points(vault, TRI, [10.5] * 2, 1.0) == [(10, 0), (11, 0)]
 
     def test_no_probes_match_nothing(self):
-        assert match_points(tri_vault(1, 2, 3), [], 0.25) == []
+        assert match_points(tri_vault(1, 2, 3), TRI, [], 0.25) == []
 
     def test_family_absent_from_vault_matches_nothing(self):
-        probes = [GAU.instantiate(float(c)) for c in (1, 2, 3)]
-        assert match_points(tri_vault(1, 2, 3), probes, 50.0) == []
+        assert match_points(tri_vault(1, 2, 3), GAU, (1, 2, 3), 50.0) == []
 
     def test_trapezoid_exactly_delta_away_matched(self):
         x = TRAP.instantiate(10.0)
         vault = vault_of([(TRAP, 10, 4)], 100)
         probe = TRAP.instantiate(10.25)
         assert distance(x, probe) == 0.25
-        assert match_points(vault, [probe], 0.25) == [(10, 4)]
+        assert match_points(vault, TRAP, [10.25], 0.25) == [(10, 4)]
 
-    @pytest.mark.parametrize("probes, delta", [
-        ([TRI.instantiate(1.0), GAU.instantiate(2.0)], 0.25),
-        ([TRI.instantiate(1.0)], math.nan),
-        ([TRI.instantiate(1.0)], math.inf),
-    ], ids=["mixed-families", "nan", "inf"])
-    def test_bad_arguments_rejected_before_indexing(self, probes, delta):
+    @pytest.mark.parametrize("delta", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_bad_arguments_rejected_before_indexing(self, delta):
         with pytest.raises(ValueError):
-            match_points(NoPoints(), probes, delta)
+            match_points(NoPoints(), TRI, [1.0], delta)
 
     def test_window_covers_rounding_at_large_cores(self):
         # the probe's core c = 2**60 + 256 lies 2**60 + 56 from the vault
         # point's x-core 200, but their distance rounds to 2**60, the
-        # tolerance: c - (delta + 1) rounds to 256, so a window of delta + 1
+        # tolerance: c - (delta + 2) rounds to 256, so a window of delta + 2
         # alone would miss the point
         big = 2.0**60
         flat = FamilyTemplate("trapezoidal", (0.0, 1.0, 1.0))
         probe = FuzzyNumber.trapezoidal(big + 256, big + 256, 1.0, 1.0)
+        assert flat.instantiate(big + 256) == probe
         assert distance(flat.instantiate(200.0), probe) == big
-        assert probe.defuzzify() - (big + 1.0) > 200
+        assert probe.defuzzify() - (big + 2.0) > 200
         vault = vault_of([(flat, 200, 3)], 2**53)
         assert reference_match_points(vault, [probe], big) == [(200, 3)]
-        assert match_points(vault, [probe], big) == [(200, 3)]
+        assert match_points(vault, flat, [big + 256], big) == [(200, 3)]
 
     def test_probe_core_beyond_float_range(self):
         # (x0 + y0) / 2 overflows to inf, yet the probe is 1e308 from (0, 0)
         probe = FuzzyNumber.trapezoidal(1e308, 1e308, 1.0, 1.0)
         assert probe.defuzzify() == math.inf
         flat = FamilyTemplate("trapezoidal", (0.0, 1.0, 1.0))
+        assert flat.instantiate(1e308) == probe
         vault = vault_of([(flat, 0, 3)], 11)
         assert reference_match_points(vault, [probe], 1.5e308) == [(0, 3)]
-        assert match_points(vault, [probe], 1.5e308) == [(0, 3)]
+        assert match_points(vault, flat, [1e308], 1.5e308) == [(0, 3)]
 
 
 class TestUnlock:
@@ -839,11 +866,10 @@ class TestUnlock:
         runs(MATCH_Q, st.integers(0, MATCH_Q - 1), MATCH_Q)
         | st.lists(st.integers(0, MATCH_Q - 1), min_size=1, max_size=40)))
     def test_probes_match_as_the_whole_subset(self, case, subset):
-        # the elements near no vault point of the family claim nothing
-        vault, _, delta = case
-        whole = match_points(vault, [subset.template.instantiate(float(e))
-                                     for e in sorted(subset.elements)], delta)
-        assert match_points(vault, vault_module._probes(vault, subset, delta), delta) == whole
+        # a subset's range or tuple matches as all of its elements fuzzified
+        vault, _, _, delta = case
+        whole = reference_match_points(vault, fuzzified(subset.template, subset.elements), delta)
+        assert match_points(vault, subset.template, subset.elements, delta) == whole
 
     def test_probe_core_rounded_off_its_element_matches(self):
         # under a plateau of half-width 1e17, x0 and y0 round to multiples
@@ -851,8 +877,7 @@ class TestUnlock:
         vault = vault_of([(WIDE_TRAP, 0, 0)], MATCH_Q)
         probe_set = build_locking_set(desk_field(MATCH_Q), [(range(4, 8), WIDE_TRAP)], "unlocking")
         assert {p.defuzzify() for p in probe_set.select_subset(0)} == {0.0}
-        probes = vault_module._probes(vault, probe_set.subset(0), 0.25)
-        assert match_points(vault, probes, 0.25) == [(0, 0)]
+        assert match_points(vault, WIDE_TRAP, probe_set.subset(0).elements, 0.25) == [(0, 0)]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32), data=st.data())
@@ -870,10 +895,10 @@ class TestUnlock:
             | runs(q, near, 3000) | st.lists(st.integers(0, q - 1), min_size=1, max_size=40)))
         probe_set = MultiFuzzySet(q, (subset,), "unlocking")
         delta = data.draw(st.sampled_from([0.25, 0.5, 1.0, 3.0]) | st.floats(0.01, 50.0))
-        matched = match_points(vault, probe_set.select_subset(0), delta)
+        matched = columnar_match_points(vault, probe_set.select_subset(0), delta)
         want = search_key(matched, vault.q, vault.n + 1, len(key), 200)
         assert fuzzy_unlock(vault, probe_set, 0, delta, len(key), 200) == want
-        assert match_points(vault, vault_module._probes(vault, subset, delta), delta) == matched
+        assert match_points(vault, subset.template, subset.elements, delta) == matched
 
 
 # search_key as it was before the constant-term filter, kept as the oracle:
@@ -1424,13 +1449,13 @@ class TestSerialization:
         assert result.key == KEY
         assert text == (f"Vault(q=65537, n=7, r=3000, crc_variant='CRC-16/ARC', "
                         f"templates={loaded.templates!r})")
-        probes = locking.select_subset(0)
-        # the points match_points may test: same family, core within its window
+        probes = locking.subset(0).elements
+        # the points match_points may test: same family, x-core within W of
+        # a probe's core
+        w = 0.25 + 2 + (max(probes) + 0.25) * 2**-48
         window = {
             i for i, pt in enumerate(loaded.points)
-            if pt.x.family == TRI.family and any(
-                abs(pt.x.defuzzify() - c) <= 1.25 + (abs(c) + 0.25) * 2**-50
-                for c in (p.defuzzify() for p in probes))
+            if pt.x.family == TRI.family and any(abs(pt.x_core - c) <= w for c in probes)
         }
         assert len(window) < 3 * len(probes)
         assert len(built) <= len(probes) + len(window)
