@@ -631,11 +631,8 @@ def match_cases(draw):
         i = draw(st.integers(0, len(xs) - 1))
         centre = xs[i] if draw(st.booleans()) else (xs[i] + xs[i - 1]) / 2
         jittered.append(centre + draw(jitter))
-    cores = draw(st.sampled_from([
-        jittered,
-        draw(runs(MATCH_Q, st.integers(0, MATCH_Q - 1), MATCH_Q)),
-        tuple(draw(st.lists(st.integers(0, MATCH_Q - 1), max_size=40))),
-    ]))
+    cores = draw(st.just(jittered) | runs(MATCH_Q, st.integers(0, MATCH_Q - 1), MATCH_Q)
+                 | st.lists(st.integers(0, MATCH_Q - 1), max_size=40).map(tuple))
     return vault_of(rows, MATCH_Q), template, cores, delta
 
 
