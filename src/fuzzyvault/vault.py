@@ -261,16 +261,43 @@ def _check_field_size(q: int) -> None:
                          f"cores cannot hold every field element")
 
 
+def _keeps_cores(template: FamilyTemplate, cmax: float) -> bool:
+    """Whether the template instantiates every integral core in [0, cmax]
+    with finite parameters that round back to the core.
+
+    Each parameter is the core c, a spread s, c - s or c + s, and rounding
+    is monotone, so c - s >= -s is finite and c + s is if cmax + s is; the
+    core itself is a parameter in every family but trapezoidal.  There the
+    core is the plateau midpoint ((c - s) + (c + s)) / 2, which is c when
+    c - s and c + s are exact.  They are when c and s are multiples of
+    u = ulp(cmax + s), as every integer c is while u <= 1: both then lie
+    below 2**53 u, where every multiple of u is a float.  Python floats,
+    as numpy would warn on overflow."""
+    spreads = template.spread_params
+    if template.family != TRAPEZOIDAL:
+        return math.isfinite(cmax + max(spreads, default=0.0))
+    ulp = math.ulp(cmax + spreads[0])
+    return ulp <= 1 and spreads[0] % ulp == 0
+
+
 def _check_cores(table: list, template_ids, x_cores, y_cores) -> None:
     """Check that each point's template instantiates both of its cores
     with finite parameters that round back to the core, a family at a time
-    over both axes.  ValueError names the first template in table order
-    that fails, the x-axis before the y-axis, at its first point."""
+    over both axes, skipping the templates ``_keeps_cores`` clears when
+    every core is integral.  ValueError names the first template in table
+    order that fails, the x-axis before the y-axis, at its first point."""
     families = [t.family for t in table]
+    cmax = float(max(x_cores.max(), y_cores.max()))
+    integral = all((np.rint(cores) == cores).all() for cores in (x_cores, y_cores))
+    checked = [not (integral and _keeps_cores(t, cmax)) for t in table]
     for family in dict.fromkeys(families):
         lo = families.index(family)  # the table holds a family's templates together
         hi = lo + families.count(family)
-        members = np.flatnonzero((lo <= template_ids) & (template_ids < hi))
+        if not any(checked[lo:hi]):
+            continue
+        wanted = np.zeros(len(table), dtype=bool)
+        wanted[lo:hi] = checked[lo:hi]
+        members = np.flatnonzero(wanted[template_ids])
         ids, n = template_ids[members] - lo, len(members)
         spreads = np.array([t.spread_params for t in table[lo:hi]])[ids].T
         cores = np.concatenate((x_cores[members], y_cores[members]))
@@ -359,9 +386,11 @@ def _digit_columns(texts: list) -> list:
     """Columns of canonical v2 text, each decimal integers joined by
     commas, as int64 arrays, in one numpy parse of them all.  ValueError
     unless every field is digits, none empty and none with a leading zero,
-    checked first, as numpy warns on a field it cannot read; or if one is
-    2**53 or more, which covers a field that numpy saturates at the int64
-    bound."""
+    checked first, as numpy warns on a field it cannot read.  numpy reads a
+    field past the int64 range as its bound, 2**63 - 1; the vault refuses
+    that value and every other one of 2**53 or more, as a core beyond a
+    field it accepts or a template id beyond its table, so ``from_json``
+    then reads the text through json."""
     text = ",".join(texts)
     # a comma on either side, so that each field lies between two commas
     chars = np.frombuffer(f",{text},".encode("ascii"), dtype=np.uint8)
@@ -371,10 +400,10 @@ def _digit_columns(texts: list) -> list:
             or (comma[1:] & comma[:-1]).any()
             or (comma[:-2] & (chars[1:-1] == ord("0")) & digit[2:]).any()):
         raise ValueError("not a column of canonical v2 text")
-    values = np.fromstring(text, dtype=np.int64, sep=",")
-    if values.max() >= 2**53:
-        raise ValueError("a column of canonical v2 text holds 2**53 or more")
-    return np.split(values, np.cumsum([t.count(",") + 1 for t in texts])[:-1])
+    # text i lies between the comma before it and the one after it
+    ends = np.cumsum([len(t) + 1 for t in texts])
+    counts = [np.count_nonzero(comma[end - len(t):end]) + 1 for t, end in zip(texts, ends)]
+    return np.split(np.fromstring(text, dtype=np.int64, sep=","), np.cumsum(counts)[:-1])
 
 
 def _canonical_parts(text: str) -> tuple:
@@ -544,11 +573,10 @@ class Vault:
         """The vault of v2 text, the inverse of ``to_json``: for any text,
         the vault or the ValueError of ``from_dict(json.loads(text))``.
 
-        Text exactly as ``to_json`` writes it, canonical and with every
-        integer below 2**53, has its columns parsed straight into numpy
-        and only the rest by ``json.loads``; they then run the checks of
-        ``from_dict``.  Any other text, and canonical text those checks
-        refuse, is parsed whole by ``json.loads``.
+        Text exactly as ``to_json`` writes it has its columns parsed
+        straight into numpy and only the rest by ``json.loads``; they then
+        run the checks of ``from_dict``.  Any other text, and canonical
+        text those checks refuse, is parsed whole by ``json.loads``.
         """
         try:
             return cls._from_v2(*_canonical_parts(text))
@@ -565,7 +593,9 @@ class Vault:
     def _from_v2(cls, d: dict, columns=None) -> "Vault":
         """Check a parsed v2 document and build its vault as the lock does.
         ``columns``, if given, are its integer columns as int64 arrays of
-        integers below 2**53, in ``_COLUMNS`` order, in place of its own."""
+        non-negative integers, in ``_COLUMNS`` order, in place of its own;
+        the vault refuses every value of 2**53 or more, so also one that
+        numpy read past int64 as 2**63 - 1."""
         (version,) = json_fields(d, "format_version")
         if type(version) is not int or version not in (1, 2):
             raise ValueError(f"unsupported vault format: {version!r}")

@@ -1818,30 +1818,49 @@ def reference_check_cores(table, template_ids, x_cores, y_cores) -> None:
                                  f"{int(cores[i])} into {derived[i]}")
 
 
-# templates some of whose instances overflow or lose their integer core
+# templates some of whose instances overflow or lose their integer core;
+# trapezoidal plateaus on the grid of ulp(c + plateau) below 2**52 (0, 0.5),
+# off it (0.1, and 2**-60 unless every core is 0) or so wide that the grid
+# reaches 1, or 2 and more (2**52, 1e16)
 CHECKED_TEMPLATES = ALL_TEMPLATES + [
     FamilyTemplate("crisp"),
     FamilyTemplate("triangular", (3.0, 2.0**1023)),
     FamilyTemplate("triangular", (1e300, 0.25)),
+    FamilyTemplate("gaussian", (2.0**1023, 1.0)),
+    FamilyTemplate("trapezoidal", (0.0, 1.0, 1.0)),
+    FamilyTemplate("trapezoidal", (0.1, 1.0, 1.0)),
+    FamilyTemplate("trapezoidal", (2.0**-60, 1.0, 1.0)),
+    FamilyTemplate("trapezoidal", (2.0**52, 1.0, 1.0)),
     FamilyTemplate("trapezoidal", (1e16, 1.0, 1.0)),
     FamilyTemplate("trapezoidal", (2.0**53, 2.0, 1.0)),
     FamilyTemplate("sigmoid", (2.0**1023, 1.0, 0.9, 4.0)),
     FamilyTemplate("sigmoid", (1.0, 1e308, 1.0, 4.0)),
 ]
 
+# cores that are not integers: 2**52 + 0.5 rounds to 2**52, and 2**52 - 0.5
+# is the largest float that is not an integer
+FRACTIONAL_CORES = [2.5, 2.0**52 - 0.5]
+
+# cores about 2**52 and 2**53, where ulp(c + 0.5) reaches 1 and then 2, and
+# about the float range, where c + s overflows
+EDGE_CORES = [2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53, 2**60, 2**1023, 17 * 2**1000]
+
 
 @st.composite
 def core_checks(draw) -> tuple:
     """A canonical table, per point a template id and two float64 cores,
-    small ones or some near 2**53 and the float range."""
+    small ones or some at the edges of ``_keeps_cores``: about 2**52, 2**53
+    and the float range, and now and then one that is not an integer."""
     table = draw(st.lists(st.sampled_from(CHECKED_TEMPLATES), min_size=1, unique=True))
     table.sort(key=lambda t: (vault_module.FAMILIES.index(t.family), t.spread_params))
-    r = draw(st.integers(len(table), 12))
+    r = draw(st.integers(len(table), len(table) + 8))
     ids = draw(st.permutations(list(range(len(table)))
                                + draw(st.lists(st.integers(0, len(table) - 1),
                                                min_size=r - len(table), max_size=r - len(table)))))
-    cores = st.integers(0, 40) | st.sampled_from([2**53 - 2, 2**60, 2**1023, 17 * 2**1000])
-    x, y = (draw(st.lists(cores.map(float), min_size=r, max_size=r)) for _ in "xy")
+    cores = st.integers(0, 40).map(float) | st.sampled_from(EDGE_CORES).map(float)
+    if draw(st.integers(0, 3)) == 0:
+        cores |= st.sampled_from(FRACTIONAL_CORES)
+    x, y = (draw(st.lists(cores, min_size=r, max_size=r)) for _ in "xy")
     return table, np.array(ids, dtype=np.intp), np.array(x), np.array(y)
 
 
@@ -1950,6 +1969,19 @@ class TestFormatV2:
         edit = data.draw(st.sampled_from(sorted(TEXT_EDITS)), label="edit")
         assert_reads_as_json(TEXT_EDITS[edit](doc, text, data))
 
+    @pytest.mark.parametrize("column", vault_module._COLUMNS)
+    @pytest.mark.parametrize("value", [2**53 - 1, 2**53, 2**63, 10**20])
+    def test_canonical_columns_past_2_53_read_as_json(self, column, value):
+        # numpy reads a field past int64, as 2**63 and 10**20, as 2**63 - 1;
+        # the vault refuses every core or template id of 2**53 or more, so
+        # the text then reads as json reads it; a core of 2**53 - 1 loads
+        for q in (11, 2**53, value + 1):
+            doc = v2_document(q=q)
+            doc[column] = [doc[column][0], value]
+            text = canonical_json(doc)
+            vault_module._canonical_parts(text)  # the fast path parses it
+            assert_reads_as_json(text)
+
     def test_load_parses_no_column_through_json(self, field_mfs, tmp_path, monkeypatch):
         vault, _ = fuzzy_lock(KEY, desk_locking_set(field_mfs, seed=7), field_mfs,
                               desk_params(seed=7, r=3000))
@@ -2004,9 +2036,48 @@ class TestFormatV2:
         layout, families = vault_module._layout, []
         monkeypatch.setattr(vault_module, "_layout",
                             lambda family, *args: families.append(family) or layout(family, *args))
-        spreads = [{"family": "triangular", "spreads": [1 + i / 16, 1.0]} for i in range(300)]
-        doc = v2_document(r=301, templates=spreads + [GAU.to_dict()],
+        # plateaus off the grid of ulp(c + plateau), so each template is
+        # checked point by point; the gaussian one is cleared
+        spreads = [{"family": "trapezoidal", "spreads": [0.1 + i / 16, 1.0, 1.0]}
+                   for i in range(300)]
+        doc = v2_document(r=301, templates=[GAU.to_dict()] + spreads,
                           template_ids=list(range(301)), x_cores=list(range(301)),
                           y_cores=[7 * i % 401 for i in range(301)], q=401)
         assert len(Vault.from_dict(doc).templates) == 301
-        assert families == ["triangular", "gaussian"]
+        assert families == ["trapezoidal"]
+
+    def test_desk_load_instantiates_no_core(self, field_mfs, tmp_path, monkeypatch):
+        # every desk template keeps each integral core below q, so loading
+        # the vault checks no point one by one
+        vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field_mfs, seed=1), field_mfs,
+                              desk_params(seed=1, r=10_000))
+        path = tmp_path / "vault.json"
+        vault.save(path)
+        layout, families = vault_module._layout, []
+        monkeypatch.setattr(vault_module, "_layout",
+                            lambda family, *args: families.append(family) or layout(family, *args))
+        assert Vault.load(path) == vault
+        assert families == []
+
+    @pytest.mark.parametrize("core", FRACTIONAL_CORES)
+    def test_fractional_core_refused(self, core):
+        # the constructor takes float64 columns, which a caller may fill
+        # with a core that is not an integer
+        x_cores, y_cores = np.array([3.0, core]), np.array([1.0, 2.0])
+        for axis, (x, y) in (("x", (x_cores, y_cores)), ("y", (y_cores, x_cores))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"template {TRI} turns the {axis}-core {int(core)} into {round(core)}.0")):
+                Vault(x, y, np.array([0, 0], dtype=np.intp), [TRI], 2**53, 0, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(template=st.sampled_from(CHECKED_TEMPLATES) | st.builds(
+               lambda plateau: FamilyTemplate("trapezoidal", (plateau, 1.0, 1.0)),
+               st.floats(0, 2.0**60) | st.sampled_from([0.5, 0.1, 2.0**-60, 2.0**52, 1e16])),
+           cmax=st.integers(0, 2**54) | st.sampled_from(EDGE_CORES), data=st.data())
+    def test_cleared_templates_keep_every_core(self, template, cmax, data):
+        # a template that _keeps_cores clears passes the point-by-point
+        # check at every integral core up to cmax
+        assume(vault_module._keeps_cores(template, float(cmax)))
+        cores = [float(cmax), float(data.draw(st.integers(0, cmax), label="core"))]
+        reference_check_cores([template], np.zeros(2, dtype=np.intp),
+                              np.array(cores), np.array(cores[::-1]))
