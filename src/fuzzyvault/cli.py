@@ -1,7 +1,8 @@
 """Command-line front end: lock, unlock, analyze, minutiae-demo, selftest.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 unlock
-returned null.  Commands raise OSError or ValueError; :func:`main` alone
+returned null.  Commands raise OSError, ValueError or MemoryError (an
+argument too large to hold, such as a huge ``--r``); :func:`main` alone
 maps them to exit codes.  All commands are deterministic functions of their
 arguments, input files and seed.
 """
@@ -256,6 +257,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as e:
+        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -2,15 +2,19 @@
 Lagrange interpolation -- both the exact modular version and a real-valued
 fuzzy evaluator built on alpha-cut interval arithmetic.
 
-Cryptographic math (evaluation, interpolation, CRC) is exact mod q; the
-fuzzy evaluator is a standalone real-valued realization for fuzzy inputs.
+Cryptographic math (evaluation, interpolation, CRC) is exact mod q, as
+scalar Python and as batched numpy kernels over many points or subsets;
+the fuzzy evaluator is a standalone real-valued realization for fuzzy
+inputs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import sympy
 
 from .fuzzy_number import CRISP, TRIANGULAR, AlphaCut, FuzzyNumber
@@ -80,9 +84,10 @@ def crc16(data: bytes) -> int:
     return crc
 
 
-def check_key_capacity(key_len: int, field: FieldParams, k: int) -> None:
+def check_key_capacity(key_len: int, field: FieldParams, k: int) -> int:
     """Raise ValueError unless k coefficients of ``field`` hold a key of
-    ``key_len`` bytes plus its CRC-16, the payload of :func:`encode_key`."""
+    ``key_len`` bytes plus its CRC-16, the payload of :func:`encode_key`;
+    return the number of zero bits that pad the payload at its tail."""
     if key_len < 1:
         raise ValueError(f"key length must be at least 1 byte, got {key_len}")
     bits = field.bits_per_element
@@ -91,6 +96,7 @@ def check_key_capacity(key_len: int, field: FieldParams, k: int) -> None:
             f"capacity exceeded: {k} chunks of {bits} bits cannot hold "
             f"{8 * key_len + 16} payload bits"
         )
+    return k * bits - (8 * key_len + 16)
 
 
 def encode_key(key: bytes, field: FieldParams, k: int) -> Polynomial:
@@ -108,10 +114,9 @@ def encode_key(key: bytes, field: FieldParams, k: int) -> Polynomial:
         raise ValueError(
             f"field too small for key binding: chunks hold {bits} < 16 bits"
         )
-    check_key_capacity(len(key), field, k)
-    total_bits = 8 * len(key) + 16
+    pad = check_key_capacity(len(key), field, k)
     payload = int.from_bytes(key + crc16(key).to_bytes(2, "big"), "big")
-    payload <<= k * bits - total_bits  # zero-pad at the tail
+    payload <<= pad  # zero-pad at the tail
     mask = (1 << bits) - 1
     chunks = [(payload >> (bits * i)) & mask for i in reversed(range(k))]
     # first chunk is the highest coefficient
@@ -125,17 +130,16 @@ def decode_key(p: Polynomial, field: FieldParams, key_len: int) -> KeyMaterial |
     cannot have come from the chunking); the null result is a value, not an
     exception, because unlock treats it as "keep searching".
     """
-    bits = field.bits_per_element
-    k = len(p.coefficients)
-    total_bits = 8 * key_len + 16
-    if k * bits < total_bits or key_len < 1:
+    try:
+        pad = check_key_capacity(key_len, field, len(p.coefficients))
+    except ValueError:  # no key of this length fits: nothing to recover
         return None
+    bits = field.bits_per_element
     payload = 0
     for c in reversed(p.coefficients):  # highest coefficient first
         if c >> bits:
             return None
         payload = (payload << bits) | c
-    pad = k * bits - total_bits
     if payload & ((1 << pad) - 1):
         return None
     payload >>= pad
@@ -144,6 +148,17 @@ def decode_key(p: Polynomial, field: FieldParams, key_len: int) -> KeyMaterial |
     if crc16(key) != crc:
         return None
     return KeyMaterial(key, crc)
+
+
+def constant_term_mask(key_len: int, field: FieldParams, k: int) -> int:
+    """The bits that the constant term a_0 of every polynomial that
+    ``decode_key`` accepts for a key of ``key_len`` bytes has clear: bit
+    ``bits``, as a chunk lies below 2**bits and a_0 < q < 2**(bits + 1),
+    and the low min(pad, bits) bits, which end the zero padding at the
+    tail of the payload.  ValueError as ``check_key_capacity``."""
+    pad = check_key_capacity(key_len, field, k)
+    bits = field.bits_per_element
+    return (1 << bits) | ((1 << min(pad, bits)) - 1)
 
 
 def lagrange_interpolate(points: list[tuple[int, int]], field: FieldParams) -> Polynomial:
@@ -172,6 +187,113 @@ def lagrange_interpolate(points: list[tuple[int, int]], field: FieldParams) -> P
         for i, c in enumerate(num):
             coeffs[i] = (coeffs[i] + scale * c) % q
     return Polynomial(tuple(coeffs), q)
+
+
+# ----------------------------------------------------------------------
+# batched arithmetic over F_q in numpy
+
+
+def _field_dtype(q: int):
+    """numpy int64 while a product of two residues fits (q < 2**31), else
+    Python ints in an object array."""
+    return np.int64 if q < 2**31 else object
+
+
+def _mod(a, q: int):
+    """``a % q``, computed in place in an int64 or object array: numpy
+    floor-divides int64 by a scalar through libdivide, faster than ``%``."""
+    a -= a // q * q
+    return a
+
+
+def _eval_all(p: Polynomial, xs):
+    """[p.eval(x) for x in xs] as a uint64 array, in one numpy Horner pass;
+    ``xs`` is an array of ints, of an integer or object dtype, and q is at
+    most 2**64."""
+    q = p.q
+    if len(xs) and not (0 <= int(xs.min()) and int(xs.max()) < q):
+        raise ValueError(f"evaluation points must lie in [0, {q})")
+    x = xs.astype(_field_dtype(q))
+    acc = np.zeros_like(x)
+    for c in reversed(p.coefficients):
+        acc = (acc * x + c) % q
+    return acc.astype(np.uint64)
+
+
+def _basis_at_zero(xs: list[int], q: int) -> list[list[int]]:
+    """w[a][b] = x_a / (x_a - x_b) mod q for a != b, and 1 on the diagonal.
+
+    The Lagrange basis polynomial of point b of a subset, evaluated at 0,
+    is the product of w[a][b] over the points a of the subset, b included.
+    The differences x_a - x_b with a < b share one modular inversion
+    (Montgomery's batch trick), and 1 / (x_b - x_a) = -1 / (x_a - x_b).
+    """
+    m = len(xs)
+    pairs = list(itertools.combinations(range(m), 2))
+    prefix = list(itertools.accumulate((xs[a] - xs[b] for a, b in pairs),
+                                       lambda acc, d: acc * d % q, initial=1))
+    inv = pow(prefix.pop(), -1, q)
+    w = [[1] * m for _ in range(m)]
+    for (a, b), before in zip(reversed(pairs), reversed(prefix)):
+        # inv is 1 / (product of the differences up to and including (a, b))
+        d = inv * before % q
+        w[a][b], w[b][a] = xs[a] * d % q, -xs[b] * d % q
+        inv = inv * (xs[a] - xs[b]) % q
+    return w
+
+
+def _unrank(rank: int, m: int, k: int) -> list[int]:
+    """The k-subset of range(m) at ``rank`` in lexicographic order."""
+    subset, e = [], 0
+    for p in range(k):
+        # C(m - e - 1, k - p - 1) subsets continue the prefix with e
+        while rank >= (count := math.comb(m - e - 1, k - p - 1)):
+            rank, e = rank - count, e + 1
+        subset.append(e)
+        e += 1
+    return subset
+
+
+def _constant_terms(w, y, q: int, k: int, start: int, stop: int) -> tuple:
+    """The k-subsets of the points at positions [start, stop) in
+    lexicographic order, as a (k, stop - start) array of point indices, and
+    the constant term a_0 = sum_{b in S} y_b prod_{a in S} w[a][b] of the
+    polynomial through each, for numpy arrays w and y of ``_field_dtype``.
+
+    The subsets are the leaves of a numpy walk down the lexicographic
+    prefix tree, a level at a time.  A node holds the product of the rows
+    w[a] over its points: a child multiplies its parent's by w[e] for its
+    new point e, and a leaf's a_0 takes k more products.  Operands stay
+    below q, so int64 products stay below 2**62 while q < 2**31.
+    """
+    m = len(y)
+    first, last = _unrank(start, m, k), _unrank(stop - 1, m, k)
+    from_lo = ~np.tri(m + 1, m, -1, dtype=bool)  # row lo marks the points lo, lo + 1, ...
+    # a level's nodes are the prefixes of the subsets, in order: members[j]
+    # holds each one's j-th point, lo its least next point
+    members, lo = np.empty((0, 1), dtype=np.intp), np.zeros(1, dtype=np.intp)
+    prods = np.ones((1, m), dtype=w.dtype)
+    for p in range(k):
+        width = m - k + p + 1  # point m - k + p leaves room for the rest
+        lo[0] = first[p]
+        grid = from_lo[:, :width].take(lo, 0)
+        grid[-1, last[p] + 1:] = False
+        child = np.flatnonzero(grid)
+        parent = child // width
+        e = child - parent * width
+        if p < k - 1:
+            members = np.concatenate((members.take(parent, 1), e[None]))
+            prods = _mod(prods.take(parent, 0) * w.take(e, 0), q)
+            lo = e + 1
+    # a leaf is its parent's points and then e: its a_0 sums y_b times the
+    # parent's product at b times w[e][b] over the parent's points b, and
+    # y_e times the parent's product at e
+    offsets = np.arange(0, members.shape[1] * m, m)  # each parent's row in prods
+    held = _mod(y.take(members) * prods.ravel().take(members + offsets), q)
+    heads = members.take(parent, 1)
+    terms = _mod(held.take(parent, 1) * w.ravel().take(heads + e * m), q)
+    a0 = _mod(terms.sum(0) + y.take(e) * prods.ravel().take(offsets.take(parent) + e), q)
+    return np.concatenate((heads, e[None])), a0
 
 
 # ----------------------------------------------------------------------

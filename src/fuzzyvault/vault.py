@@ -14,10 +14,10 @@ the polynomial; neither property alone identifies them.
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import math
 from dataclasses import FrozenInstanceError, dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -25,7 +25,11 @@ from .field_poly import (
     CRC_VARIANT,
     FieldParams,
     Polynomial,
-    check_key_capacity,
+    _basis_at_zero,
+    _constant_terms,
+    _eval_all,
+    _field_dtype,
+    constant_term_mask,
     decode_key,
     encode_key,
     lagrange_interpolate,
@@ -135,14 +139,6 @@ def _reduced(block, n: int) -> list:
     for at in np.flatnonzero(block > ceiling).tolist():
         values[at] = None
     return values
-
-
-def _kept(block, at: int, ceiling) -> int:
-    """The first position from ``at`` on whose output a bound with this
-    ``_ceiling`` keeps; IndexError past the end of the block."""
-    while block[at] > ceiling:
-        at += 1
-    return at
 
 
 def _randbelow_each(rng: SplitMix64, bounds):
@@ -351,24 +347,20 @@ _V2_KEYS = ("crc_variant", "format_version", "n", "q", "r", "template_ids", "tem
 _IDS_OPEN, _X_OPEN, _Y_OPEN, _END = ',"template_ids":[', '],"x_cores":[', '],"y_cores":[', "]}\n"
 
 
-def _in_int64(column) -> bool:
-    """Whether int64 holds every value of an integer column."""
-    return -2.0**63 <= column.min(initial=0) and column.max(initial=0) < 2.0**63
-
-
 def _ints(cores) -> list:
     """An integer column, intp or integral float64, as Python ints, exact
     beyond int64 too."""
-    return cores.astype(np.int64).tolist() if _in_int64(cores) else list(map(int, cores.tolist()))
+    if -2.0**63 <= cores.min(initial=0) and cores.max(initial=0) < 2.0**63:
+        return cores.astype(np.int64).tolist()
+    return list(map(int, cores.tolist()))
 
 
 def _json_ints(column) -> str:
     """``json.dumps(_ints(column), separators=(",", ":"))`` for a column of
-    non-negative integers, its digits written in one numpy pass while they
-    fit int64: a row of digit characters per value, from the last digit
-    up, and a comma; each row is kept from its leading digit on."""
-    if not _in_int64(column):
-        return json.dumps(_ints(column), separators=(",", ":"))
+    non-negative integers that int64 holds, as a vault's columns, all below
+    2**53, are; its digits written in one numpy pass: a row of digit
+    characters per value, from the last digit up, and a comma; each row is
+    kept from its leading digit on."""
     values = column.astype(np.int64)
     width = len(str(int(values.max(initial=0))))
     text = np.full((len(values), width + 1), ord(","), dtype=np.uint8)
@@ -455,21 +447,17 @@ class Vault:
     equal when their header, table and columns are.
     """
 
-    def __init__(self, x_cores, y_cores, template_ids, templates, q: int, n: int, r: int,
-                 crc_variant: str = CRC_VARIANT):
+    def __init__(self, x_cores, y_cores, template_ids, templates, q: int, n: int):
         """The vault whose point i is ``templates[template_ids[i]]``
         instantiated at ``x_cores[i]`` and ``y_cores[i]``, float64 columns
         of integers that the vault keeps, read-only, with the table made
-        canonical.  ValueError names a template under which a rounded core
-        is not the integer core it was built from, as (x0 + y0) / 2 under a
-        plateau of half-width 2**53.  A field beyond 2**53 is checked last,
-        so a vault refused for another fault keeps that fault's message."""
-        if crc_variant != CRC_VARIANT:
-            raise ValueError(
-                f"unsupported CRC variant {crc_variant!r}, expected {CRC_VARIANT!r}"
-            )
-        if len(template_ids) != r:
-            raise ValueError(f"vault holds {len(template_ids)} points, expected r={r}")
+        canonical; r is the number of points, and the CRC variant is
+        ``CRC_VARIANT``.  ValueError names a template under which a rounded
+        core is not the integer core it was built from, as (x0 + y0) / 2
+        under a plateau of half-width 2**53.  A field beyond 2**53 is
+        checked last, so a vault refused for another fault keeps that
+        fault's message."""
+        r = len(template_ids)
         if not 0 <= n < r:
             raise ValueError(f"polynomial degree n={n} outside [0, r={r})")
         x_sorted = np.sort(x_cores)
@@ -485,7 +473,7 @@ class Vault:
         template_ids = np.array([index.get(t, -1) for t in templates], dtype=np.intp)[template_ids]
         _check_cores(table, template_ids, x_cores, y_cores)
         _check_field_size(q)
-        for name, value in (("q", q), ("n", n), ("r", r), ("crc_variant", crc_variant),
+        for name, value in (("q", q), ("n", n), ("r", r), ("crc_variant", CRC_VARIANT),
                             ("templates", tuple(table)), ("template_ids", template_ids),
                             ("x_cores", x_cores), ("y_cores", y_cores), ("_points", None)):
             if isinstance(value, np.ndarray):
@@ -619,7 +607,9 @@ class Vault:
             raise ValueError(f"template ids must index the table of {len(table)} templates")
         if columns is None:
             x_cores, y_cores = _core_column(x_cores, r, "x"), _core_column(y_cores, r, "y")
-        return cls(x_cores, y_cores, ids, table, q, n, r, crc_variant)
+        if crc_variant != CRC_VARIANT:
+            raise ValueError(f"unsupported CRC variant {crc_variant!r}, expected {CRC_VARIANT!r}")
+        return cls(x_cores, y_cores, ids, table, q, n)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -664,26 +654,6 @@ class UnlockResult:
     diagnostics: UnlockDiagnostics
 
 
-def _field_dtype(q: int):
-    """numpy int64 while a product of two residues fits (q < 2**31), else
-    Python ints in an object array."""
-    return np.int64 if q < 2**31 else object
-
-
-def _eval_all(p: Polynomial, xs):
-    """[p.eval(x) for x in xs] as a uint64 array, in one numpy Horner pass;
-    ``xs`` is an array of ints, of an integer or object dtype, and q is at
-    most 2**64."""
-    q = p.q
-    if len(xs) and not (0 <= int(xs.min()) and int(xs.max()) < q):
-        raise ValueError(f"evaluation points must lie in [0, {q})")
-    x = xs.astype(_field_dtype(q))
-    acc = np.zeros_like(x)
-    for c in reversed(p.coefficients):
-        acc = (acc * x + c) % q
-    return acc.astype(np.uint64)
-
-
 def generate_chaff(
     p: Polynomial,
     field_mfs: MultiFuzzySet,
@@ -708,10 +678,13 @@ def generate_chaff(
     for type (i).  They are read off blocks of SplitMix64 outputs.  Only
     the core draws become Python ints, reduced mod q with None for an
     output q rejects; a walk over them finds each point's core, and its
-    other draws are the next one or two outputs, unless numpy found one
-    that its bound rejects ahead, where the walk steps past the rejected
-    outputs one at a time.  The walk keeps each point's core position, and
-    numpy reduces the outputs at those positions after it.
+    other draws are the next one or two outputs, which the block holds two
+    more of.  The walk ends the block at the first point whose other draws
+    reach the first output that a decoy, offset or template bound rejects:
+    that point's other draws are plain ``randbelow`` calls.  A block that
+    ends inside a core search is drawn again from that point.  numpy
+    reduces the outputs at the core positions the walk kept, and at the one
+    or two after each.
     """
     q = field_mfs.q
     if count < 0 or count > q - len(used_x_cores):
@@ -724,71 +697,58 @@ def generate_chaff(
     n_on_poly = int(rho * count)
     if n_on_poly > 0 and not decoys:
         raise ValueError("on-polynomial chaff needs at least one non-locking family")
-    # the bounds of the decoy, offset and template draws; None for a draw
-    # that no point makes
-    off_poly = count > n_on_poly
-    bounds = (len(decoys) if n_on_poly else None,
-              q - 1 if off_poly else None, len(templates) if off_poly else None)
+    # the bounds of the decoy, offset and template draws that some point makes
+    bounds = [len(decoys)] * (n_on_poly > 0) + [q - 1, len(templates)] * (count > n_on_poly)
     used = set(used_x_cores)
     used.add(None)  # a rejected core draw is drawn again, as a used core is
     cores = np.empty(count, dtype=np.uint64)
     # each point's draws after its core: a decoy, or an offset and a template
     draws = np.empty((2, count), dtype=np.uint64)
-    drawn = start = 0  # the points drawn, and the first draw of the next in the block
-    block = ()
+    drawn, size = 0, _DRAW_BLOCK  # the points drawn, and the core draws of the next block
     while drawn < count:
-        rng._skip(start)
-        block = rng._peek(max(_DRAW_BLOCK, 2 * (len(block) - start)))
-        xs = _reduced(block, q)
-        decoy_ceiling, offset_ceiling, template_ceiling = ceilings = [
-            None if n is None else _ceiling(n) for n in bounds]
-        # the positions where a decoy, offset or template draw is rejected,
-        # then the end of the block
-        stops = np.flatnonzero(np.logical_or.reduce(
-            [block > c for c in ceilings if c is not None])).tolist() + [len(block)]
-        stop = stops[0]
-        # each point's core position, and (point, its other draws) where
-        # those are not the outputs right after its core
-        at, moved = [], []
-        start = i = 0
+        # two outputs past the block's last core draw, so that a point's
+        # other draws lie in the block whenever its core does
+        block = rng._peek(size + 2)
+        xs = _reduced(block[:size], q)
+        rejected = np.logical_or.reduce([block > _ceiling(n) for n in bounds])
+        stop = int(rejected.argmax()) if rejected.any() else len(block)
+        # the core positions of the points drawn from the block, and of the
+        # point whose other draws are randbelow calls
+        at, tail = [], None
+        start = i = 0  # the next point's first output, and the core draw the walk is at
+        # per point left, its draws after its core: 1 for type (ii), 2 for type (i)
+        widths = chain(repeat(1, n_on_poly - drawn), repeat(2, count - max(drawn, n_on_poly)))
         try:
-            for _ in range(drawn, n_on_poly):
+            for width in widths:
                 while (x := xs[i]) in used:
                     i += 1
-                d = i + 1
-                if d >= stop:  # a rejected decoy draw ahead, or the end of the block
-                    d = _kept(block, d, decoy_ceiling)
-                    moved.append((len(at), d, d))
-                    stop = stops[bisect.bisect_right(stops, d)]
                 used.add(x)
+                if i + width >= stop:  # a draw that its bound rejects lies ahead
+                    tail = i
+                    break
                 at.append(i)
-                i = start = d + 1
-            for _ in range(drawn + len(at), count):
-                while (x := xs[i]) in used:
-                    i += 1
-                v, t = i + 1, i + 2
-                if t >= stop:  # a rejected offset or template draw ahead, or the end
-                    v = _kept(block, v, offset_ceiling)
-                    t = _kept(block, v + 1, template_ceiling)
-                    moved.append((len(at), v, t))
-                    stop = stops[bisect.bisect_right(stops, t)]
-                used.add(x)
-                at.append(i)
-                i = start = t + 1
-        except IndexError:  # the block ended inside a point: draw it again from a new block
+                i = start = i + width + 1
+        except IndexError:  # the block ended inside a core search
             pass
         at = np.array(at, dtype=np.intp)
-        firsts, seconds = at + 1, at + 2
-        for point, v, t in moved:
-            firsts[point], seconds[point] = v, t
         done = drawn + len(at)
         on = min(len(at), max(n_on_poly - drawn, 0))  # this block's type (ii) points
         cores[drawn:done] = _below(block[at], q)
-        draws[0, drawn:drawn + on] = _below(block[firsts[:on]], len(decoys))
-        draws[0, drawn + on:done] = _below(block[firsts[on:]], q - 1)
-        draws[1, drawn + on:done] = _below(block[seconds[on:]], len(templates))
+        draws[0, drawn:drawn + on] = _below(block[at[:on] + 1], len(decoys))
+        draws[0, drawn + on:done] = _below(block[at[on:] + 1], q - 1)
+        draws[1, drawn + on:done] = _below(block[at[on:] + 2], len(templates))
         drawn = done
-    rng._skip(start)
+        if tail is None:  # all drawn, or a core search to draw again from a longer block
+            rng._skip(start)
+            size = max(_DRAW_BLOCK, 2 * (size - start))
+        else:
+            rng._skip(tail + 1)
+            cores[drawn] = xs[tail]
+            if drawn < n_on_poly:
+                draws[0, drawn] = rng.randbelow(len(decoys))
+            else:
+                draws[:, drawn] = rng.randbelow(q - 1), rng.randbelow(len(templates))
+            drawn += 1
     ys = _eval_all(p, cores)
     # an offset v skips the value y on p: uniform over F_q minus y
     offsets = draws[0, n_on_poly:]
@@ -858,7 +818,7 @@ def lock_polynomial(
     order = np.array(scramble(range(params.r), rng))
     x_cores, y_cores, template_ids = np.concatenate((genuine, chaff))[order].T
     vault = Vault(x_cores.astype(np.float64), y_cores.astype(np.float64),
-                  template_ids.astype(np.intp), templates, q, params.n, params.r)
+                  template_ids.astype(np.intp), templates, q, params.n)
     transcript = LockTranscript(
         p,
         tuple(np.flatnonzero(order < params.t_mfk).tolist()),
@@ -956,89 +916,6 @@ def match_points(
     return matched
 
 
-def _mod(a, q: int):
-    """``a % q``, computed in place in an int64 or object array: numpy
-    floor-divides int64 by a scalar through libdivide, faster than ``%``."""
-    a -= a // q * q
-    return a
-
-
-def _basis_at_zero(xs: list[int], q: int) -> list[list[int]]:
-    """w[a][b] = x_a / (x_a - x_b) mod q for a != b, and 1 on the diagonal.
-
-    The Lagrange basis polynomial of point b of a subset, evaluated at 0,
-    is the product of w[a][b] over the points a of the subset, b included.
-    The differences x_a - x_b with a < b share one modular inversion
-    (Montgomery's batch trick), and 1 / (x_b - x_a) = -1 / (x_a - x_b).
-    """
-    m = len(xs)
-    pairs = list(itertools.combinations(range(m), 2))
-    prefix = list(itertools.accumulate((xs[a] - xs[b] for a, b in pairs),
-                                       lambda acc, d: acc * d % q, initial=1))
-    inv = pow(prefix.pop(), -1, q)
-    w = [[1] * m for _ in range(m)]
-    for (a, b), before in zip(reversed(pairs), reversed(prefix)):
-        # inv is 1 / (product of the differences up to and including (a, b))
-        d = inv * before % q
-        w[a][b], w[b][a] = xs[a] * d % q, -xs[b] * d % q
-        inv = inv * (xs[a] - xs[b]) % q
-    return w
-
-
-def _unrank(rank: int, m: int, k: int) -> list[int]:
-    """The k-subset of range(m) at ``rank`` in lexicographic order."""
-    subset, e = [], 0
-    for p in range(k):
-        # C(m - e - 1, k - p - 1) subsets continue the prefix with e
-        while rank >= (count := math.comb(m - e - 1, k - p - 1)):
-            rank, e = rank - count, e + 1
-        subset.append(e)
-        e += 1
-    return subset
-
-
-def _constant_terms(w, y, q: int, k: int, start: int, stop: int) -> tuple:
-    """The k-subsets of the points at positions [start, stop) in
-    lexicographic order, as a (k, stop - start) array of point indices, and
-    the constant term a_0 = sum_{b in S} y_b prod_{a in S} w[a][b] of the
-    polynomial through each, for numpy arrays w and y of ``_field_dtype``.
-
-    The subsets are the leaves of a numpy walk down the lexicographic
-    prefix tree, a level at a time.  A node holds the product of the rows
-    w[a] over its points: a child multiplies its parent's by w[e] for its
-    new point e, and a leaf's a_0 takes k more products.  Operands stay
-    below q, so int64 products stay below 2**62 while q < 2**31.
-    """
-    m = len(y)
-    first, last = _unrank(start, m, k), _unrank(stop - 1, m, k)
-    from_lo = ~np.tri(m + 1, m, -1, dtype=bool)  # row lo marks the points lo, lo + 1, ...
-    # a level's nodes are the prefixes of the subsets, in order: members[j]
-    # holds each one's j-th point, lo its least next point
-    members, lo = np.empty((0, 1), dtype=np.intp), np.zeros(1, dtype=np.intp)
-    prods = np.ones((1, m), dtype=w.dtype)
-    for p in range(k):
-        width = m - k + p + 1  # point m - k + p leaves room for the rest
-        lo[0] = first[p]
-        grid = from_lo[:, :width].take(lo, 0)
-        grid[-1, last[p] + 1:] = False
-        child = np.flatnonzero(grid)
-        parent = child // width
-        e = child - parent * width
-        if p < k - 1:
-            members = np.concatenate((members.take(parent, 1), e[None]))
-            prods = _mod(prods.take(parent, 0) * w.take(e, 0), q)
-            lo = e + 1
-    # a leaf is its parent's points and then e: its a_0 sums y_b times the
-    # parent's product at b times w[e][b] over the parent's points b, and
-    # y_e times the parent's product at e
-    offsets = np.arange(0, members.shape[1] * m, m)  # each parent's row in prods
-    held = _mod(y.take(members) * prods.ravel().take(members + offsets), q)
-    heads = members.take(parent, 1)
-    terms = _mod(held.take(parent, 1) * w.ravel().take(heads + e * m), q)
-    a0 = _mod(terms.sum(0) + y.take(e) * prods.ravel().take(offsets.take(parent) + e), q)
-    return np.concatenate((heads, e[None])), a0
-
-
 def search_key(
     matched: list[tuple[int, int]],
     q: int,
@@ -1051,12 +928,11 @@ def search_key(
 
     Only the constant term a_0 of each candidate is computed at first,
     for _SUBSET_CHUNK subsets at a time (``_constant_terms``).  decode_key
-    rejects every polynomial whose a_0 is at least 2**bits or has a set bit
-    in the zero padding at the tail of the payload, so only the subsets
-    whose a_0 passes that test are interpolated in full and decoded.
-    Matched points must have distinct x values mod q, and k
-    coefficients of F_q must hold a key of ``key_len`` bytes plus its CRC
-    (``check_key_capacity``): a key length that no search could find
+    rejects every polynomial whose a_0 has a bit of ``constant_term_mask``
+    set, so only the subsets whose a_0 has them clear are interpolated in
+    full and decoded.  Matched points must have distinct x values mod q,
+    and k coefficients of F_q must hold a key of ``key_len`` bytes plus its
+    CRC (``check_key_capacity``): a key length that no search could find
     raises ValueError instead of reporting a search it did not run.
     """
     if effort_cap <= 0:
@@ -1064,7 +940,7 @@ def search_key(
     if k < 1:
         raise ValueError("coefficient count must be at least 1")
     field = FieldParams(q)
-    check_key_capacity(key_len, field, k)
+    reject = constant_term_mask(key_len, field, k)
     diagnostics = UnlockDiagnostics(matched=len(matched))
     if len(matched) < k:
         return UnlockResult(None, diagnostics)
@@ -1073,11 +949,6 @@ def search_key(
         raise ValueError("matched points must have distinct x values")
     total = math.comb(len(matched), k)
     limit = min(total, effort_cap)
-    bits = field.bits_per_element
-    pad = k * bits - (8 * key_len + 16)
-    # a_0 < q < 2**(bits + 1), so a_0 >= 2**bits exactly when bit `bits` is
-    # set; the low min(pad, bits) bits of a_0 end the zero padding
-    reject = (1 << bits) | ((1 << min(pad, bits)) - 1)
     w = np.array(_basis_at_zero(xs, q), dtype=_field_dtype(q))
     y = np.array([y % q for _, y in matched], dtype=_field_dtype(q))
     for start in range(0, limit, _SUBSET_CHUNK):

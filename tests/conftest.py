@@ -59,11 +59,11 @@ def desk_params(seed, t=24, t_mfk=12, r=300, k=8, rho=0.2, delta=0.25):
 
 def vault_of(rows, q, n=0) -> Vault:
     """The vault whose points are ``(template, x_core, y_core)`` rows, in
-    order, built through ``Vault``'s constructor; r is the number of rows."""
+    order, built through ``Vault``'s constructor."""
     templates = list(dict.fromkeys(template for template, _, _ in rows))
     ids = np.array([templates.index(template) for template, _, _ in rows], dtype=np.intp)
     x_cores, y_cores = (np.array([row[axis] for row in rows], dtype=np.float64) for axis in (1, 2))
-    return Vault(x_cores, y_cores, ids, templates, q, n, len(rows))
+    return Vault(x_cores, y_cores, ids, templates, q, n)
 
 
 @pytest.fixture(scope="session")

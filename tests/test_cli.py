@@ -65,6 +65,28 @@ def lock_args(d, **overrides):
     return ["lock"] + [s for kv in args.items() for s in kv]
 
 
+def write_huge_field(d) -> int:
+    """A field at q = 2**41 + 27, the next prime after 2**41, of two
+    ``size`` subsets, and the 12-element locking set in it; returns q."""
+    q = 2**41 + 27
+    (d / "field.json").write_text(json.dumps(dict(FIELD_DOC, q=q, subsets=[
+        {"size": 2**40, "family": "triangular", "spreads": [1.0, 1.0]},
+        {"size": q - 2**40, "family": "gaussian", "spreads": [0.5, 0.5]}])))
+    (d / "locking.json").write_text(json.dumps(dict(LOCKING_DOC, q=q)))
+    return q
+
+
+def run_capped(argv):
+    """``main(argv)`` in a child process whose address space is capped at
+    2 GB, so that a build too large to hold fails there and not the machine."""
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+            "from fuzzyvault.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fuzzyvault.__file__)))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=30)
+
+
 class TestLock:
     def test_writes_vault(self, workdir, capsys):
         assert main(lock_args(workdir)) == EXIT_OK
@@ -92,6 +114,16 @@ class TestLock:
 
     def test_r_beyond_field(self, workdir):
         assert main(lock_args(workdir, **{"--r": "70000"})) == EXIT_VALIDATION
+
+    def test_r_too_large_to_hold(self, tmp_path):
+        # 2**40 points fit the field but not memory: one error line and
+        # exit 2, where numpy's MemoryError ended in a traceback and exit 1
+        write_huge_field(tmp_path)
+        child = run_capped(lock_args(tmp_path, **{"--r": str(2**40)}))
+        assert child.returncode == EXIT_VALIDATION, child.stderr
+        assert child.stderr.startswith("error: out of memory: ")
+        assert child.stderr.count("\n") == 1 and "Traceback" not in child.stderr
+        assert not (tmp_path / "vault.json").exists()
 
     def test_bad_subset_index(self, workdir):
         assert main(lock_args(workdir, **{"--subset-index": "3"})) == EXIT_VALIDATION
@@ -185,24 +217,13 @@ class TestUnlock:
 
     @pytest.mark.parametrize("delta", [{}, {"--delta": "1e12"}], ids=["default", "1e12"])
     def test_probe_subset_of_2e40_elements(self, tmp_path, delta):
-        # q = 2**41 + 27, the next prime after 2**41: unlocking fuzzifies
-        # only the probes that reach an unclaimed vault point, where it
-        # built all 2**40, or at a tolerance of 1e12 all those within it,
-        # and ran out of memory.  The child's address space is capped, so
-        # that such a build fails the test and not the machine.
-        q = 2**41 + 27
-        (tmp_path / "field.json").write_text(json.dumps(dict(FIELD_DOC, q=q, subsets=[
-            {"size": 2**40, "family": "triangular", "spreads": [1.0, 1.0]},
-            {"size": q - 2**40, "family": "gaussian", "spreads": [0.5, 0.5]}])))
-        (tmp_path / "locking.json").write_text(json.dumps(dict(LOCKING_DOC, q=q)))
+        # unlocking fuzzifies only the probes that reach an unclaimed vault
+        # point, where it built all 2**40, or at a tolerance of 1e12 all
+        # those within it, and ran out of memory
+        q = write_huge_field(tmp_path)
         (tmp_path / "probe.json").write_text(_sized_set("unlocking", q, 2**40))
         assert main(lock_args(tmp_path)) == EXIT_OK
-        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
-                "from fuzzyvault.cli import main; sys.exit(main(sys.argv[1:]))")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(fuzzyvault.__file__)))
-        child = subprocess.run([sys.executable, "-c", code, *unlock_args(tmp_path, **delta)],
-                               env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-                               text=True, timeout=30)
+        child = run_capped(unlock_args(tmp_path, **delta))
         assert child.returncode in (EXIT_OK, EXIT_NULL), child.stderr
 
     def test_missing_vault(self, workdir):

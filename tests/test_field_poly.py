@@ -15,6 +15,7 @@ from fuzzyvault import (
     fuzzy_lagrange_real,
     lagrange_interpolate,
 )
+from fuzzyvault.field_poly import constant_term_mask
 
 
 def crc16_bitwise_oracle(data: bytes) -> int:
@@ -127,6 +128,24 @@ class TestKeyCodec:
         p = encode_key(key, field, k)
         material = decode_key(p, field, len(key))
         assert material is not None and material.key_bytes == key
+
+    @given(key=st.binary(min_size=1, max_size=20),
+           q=st.sampled_from([65537, 2**31 - 1, 2**61 - 1]), extra=st.integers(0, 3))
+    @settings(max_examples=100)
+    def test_constant_term_mask_clears_encoded_keys(self, key, q, extra):
+        # the key search drops a subset whose a_0 has a masked bit set, so
+        # every encoded key must have them clear
+        field = FieldParams(q)
+        k = -(-(8 * len(key) + 16) // field.bits_per_element) + extra
+        mask = constant_term_mask(len(key), field, k)
+        assert encode_key(key, field, k).coefficients[0] & mask == 0
+        assert mask >> field.bits_per_element == 1
+
+    @pytest.mark.parametrize("key_len, k, message", [
+        (0, 8, "at least 1 byte"), (15, 8, "capacity exceeded")])
+    def test_constant_term_mask_refuses_as_capacity_check(self, key_len, k, message):
+        with pytest.raises(ValueError, match=message):
+            constant_term_mask(key_len, FieldParams(65537), k)
 
 
 class TestPolyEval:

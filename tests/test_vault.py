@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
+import fuzzyvault.field_poly as field_poly
 import fuzzyvault.vault as vault_module
 from fuzzyvault import (
     FamilyTemplate,
@@ -221,9 +222,9 @@ def reference_lock_points(p, locking_set, field_mfs, params, cores=None):
     return tuple(pt for pt, _ in tagged), transcript
 
 
-# the digit counts the column writer must get right, up to the first value
-# past int64, beyond which it hands the column to json; 2**53 - 1 is the
-# largest core a vault holds
+# the digit counts the column writer must get right, up to the largest
+# float64 in int64, and 2**63, the first value past it; 2**53 - 1 is the
+# largest core a vault holds, so no vault column reaches 2**63
 DIGIT_EDGES = [0, 9, 10, 99, 100, 10**15, 2**53 - 1, 2**53, 2**63 - 1024, 2**63]
 
 
@@ -1089,9 +1090,9 @@ class TestPrefixWalk:
     @given(data=st.data(), q=st.sampled_from(WALK_FIELDS))
     def test_leaves_match_combinations(self, data, q):
         xs, ys, k, start, stop = data.draw(walk_points(q))
-        dtype = vault_module._field_dtype(q)
-        w = np.array(vault_module._basis_at_zero(xs, q), dtype=dtype)
-        subsets, a0 = vault_module._constant_terms(w, np.array(ys, dtype=dtype), q, k, start, stop)
+        dtype = field_poly._field_dtype(q)
+        w = np.array(field_poly._basis_at_zero(xs, q), dtype=dtype)
+        subsets, a0 = field_poly._constant_terms(w, np.array(ys, dtype=dtype), q, k, start, stop)
         want = list(itertools.islice(itertools.combinations(range(len(xs)), k), start, stop))
         assert list(map(tuple, subsets.T.tolist())) == want
         assert list(map(int, a0.tolist())) == [
@@ -1102,10 +1103,10 @@ class TestPrefixWalk:
     @given(data=st.data(), q=st.sampled_from(WALK_FIELDS))
     def test_runs_join_into_the_lexicographic_order(self, chunk, data, q):
         xs, ys, k, _, stop = data.draw(walk_points(q))
-        dtype = vault_module._field_dtype(q)
-        w = np.array(vault_module._basis_at_zero(xs, q), dtype=dtype)
-        runs = [vault_module._constant_terms(w, np.array(ys, dtype=dtype), q, k,
-                                             start, min(start + chunk, stop))
+        dtype = field_poly._field_dtype(q)
+        w = np.array(field_poly._basis_at_zero(xs, q), dtype=dtype)
+        runs = [field_poly._constant_terms(w, np.array(ys, dtype=dtype), q, k,
+                                           start, min(start + chunk, stop))
                 for start in range(0, stop, chunk)]
         want = list(itertools.islice(itertools.combinations(range(len(xs)), k), stop))
         assert [tuple(s) for subsets, _ in runs for s in subsets.T.tolist()] == want
@@ -1138,12 +1139,12 @@ class TestPrefixWalk:
         values = np.array([0, 1, q - 1, (q - 1) ** 2, 2**62 - 1], dtype=np.int64)
         want = [v % q for v in values.tolist()]
         assert (values % q).tolist() == want
-        assert vault_module._mod(values.copy(), q).tolist() == want
+        assert field_poly._mod(values.copy(), q).tolist() == want
 
     def test_reduction_of_python_ints(self):
         q = 2**61 - 1
         values = np.array([0, 1, q - 1, (q - 1) ** 2, 2**62 - 1, 2**130 + 3], dtype=object)
-        assert vault_module._mod(values.copy(), q).tolist() == [v % q for v in values.tolist()]
+        assert field_poly._mod(values.copy(), q).tolist() == [v % q for v in values.tolist()]
 
 
 # numbers whose JSON text is easy to get wrong: integral cores up to the
@@ -1494,17 +1495,18 @@ class TestSerialization:
         q = int(max(x_cores.max(), y_cores.max())) + 1
         if q > 2**53:
             with pytest.raises(ValueError, match=re.escape(f"field size q={q} exceeds 2**53")):
-                Vault(x_cores, y_cores, ids, templates, q, 0, len(ids))
+                Vault(x_cores, y_cores, ids, templates, q, 0)
             return
-        vault = Vault(x_cores, y_cores, ids, templates, q, 0, len(ids))
+        vault = Vault(x_cores, y_cores, ids, templates, q, 0)
         assert value in vault.to_dict()[column]
         text = vault.to_json()
         assert text == json.dumps(vault.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
         assert Vault.from_dict(json.loads(text)) == vault
 
+    # the writer takes columns that int64 holds, as a vault's are
     @pytest.mark.parametrize("dtype, value", [
         *[(np.intp, value) for value in DIGIT_EDGES if value < 2**63],
-        *[(np.float64, value) for value in DIGIT_EDGES],
+        *[(np.float64, value) for value in DIGIT_EDGES if value < 2**63],
     ])
     def test_json_ints_digit_edges(self, dtype, value):
         column = np.array([value, 0, 9, value, 10], dtype=dtype)
@@ -1519,7 +1521,7 @@ class TestSerialization:
     ], ids=["int64-q", "int64-negative", "object-q", "object-negative"])
     def test_eval_all_refuses_points_outside_the_field(self, q, xs):
         with pytest.raises(ValueError, match=re.escape(f"evaluation points must lie in [0, {q})")):
-            vault_module._eval_all(Polynomial((1, 2, 3), q), xs)
+            field_poly._eval_all(Polynomial((1, 2, 3), q), xs)
 
     def test_deterministic_bytes(self, field_mfs, tmp_path):
         locking = desk_locking_set(field_mfs, seed=30)
@@ -2067,7 +2069,7 @@ class TestFormatV2:
         for axis, (x, y) in (("x", (x_cores, y_cores)), ("y", (y_cores, x_cores))):
             with pytest.raises(ValueError, match=re.escape(
                     f"template {TRI} turns the {axis}-core {int(core)} into {round(core)}.0")):
-                Vault(x, y, np.array([0, 0], dtype=np.intp), [TRI], 2**53, 0, 2)
+                Vault(x, y, np.array([0, 0], dtype=np.intp), [TRI], 2**53, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(template=st.sampled_from(CHECKED_TEMPLATES) | st.builds(
