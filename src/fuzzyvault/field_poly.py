@@ -201,8 +201,13 @@ def _field_dtype(q: int):
 
 def _mod(a, q: int):
     """``a % q``, computed in place in an int64 or object array: numpy
-    floor-divides int64 by a scalar through libdivide, faster than ``%``."""
-    a -= a // q * q
+    floor-divides int64 by a scalar through libdivide, faster than ``%``,
+    while an object array takes one Python ``%`` per element, not three
+    operations."""
+    if a.dtype == object:
+        a %= q
+    else:
+        a -= a // q * q
     return a
 
 
@@ -216,7 +221,9 @@ def _eval_all(p: Polynomial, xs):
     x = xs.astype(_field_dtype(q))
     acc = np.zeros_like(x)
     for c in reversed(p.coefficients):
-        acc = (acc * x + c) % q
+        acc *= x
+        acc += c
+        _mod(acc, q)
     return acc.astype(np.uint64)
 
 

@@ -58,9 +58,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 # k-subsets whose constant coefficient search_key computes in one numpy batch
 _SUBSET_CHUNK = 4096
 
-# the least SplitMix64 outputs generate_chaff reduces at a time (a few
-# thousand, so its Python int lists stay small)
-_DRAW_BLOCK = 2048
+# the most core draws generate_chaff reads off one block of SplitMix64
+# outputs, unless one core search runs longer; the chaff of an r = 10 000
+# desk lock takes about 30 000 outputs
+_DRAW_BLOCK = 1 << 15
 
 # k-subsets an unlock tries at most, unless its caller sets another cap
 DEFAULT_EFFORT_CAP = 100_000
@@ -108,9 +109,12 @@ class SplitMix64:
         self._state = (self._state + count * _GAMMA) & _MASK64
 
     def next_u64(self) -> int:
-        value = int(self._peek(1)[0])
-        self._skip(1)
-        return value
+        """The next output, one step in Python ints; ``_splitmix64_block``
+        is the same expression for a block."""
+        self._state = z = (self._state + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
 
     def randbelow(self, n: int) -> int:
         limit = _rejection_limit(n)
@@ -129,16 +133,6 @@ def _below(outputs, n: int):
     """uint64 outputs mod n, as ``randbelow(n)`` reduces those it keeps;
     n = 2**64 keeps them whole."""
     return outputs % np.uint64(n) if n <= _MASK64 else outputs
-
-
-def _reduced(block, n: int) -> list:
-    """``randbelow(n)`` of each output of a uint64 block, as a list of ints
-    with None where randbelow rejects the output and draws again."""
-    ceiling = _ceiling(n)
-    values = _below(block, n).tolist()
-    for at in np.flatnonzero(block > ceiling).tolist():
-        values[at] = None
-    return values
 
 
 def _randbelow_each(rng: SplitMix64, bounds):
@@ -161,18 +155,53 @@ def _randbelow_each(rng: SplitMix64, bounds):
         bounds, ceilings = bounds[kept:], ceilings[kept:]
 
 
+def _permutation(n: int, rng: SplitMix64):
+    """The order of ``scramble(range(n), rng)`` as an intp array, from the
+    same draws, with no Python pass per position.
+
+    Step i of the Fisher-Yates loop swaps positions i and j_i <= i, and no
+    later step touches position i, so it ends holding what position j_i
+    held just before step i: what the last earlier step to write there
+    moved in, or the item j_i itself if none did.  Steps run from n - 1
+    down, so that writer is the least s > i with j_s = j_i, which moved in
+    what position s held just before step s; in turn, that is what the
+    least step t > s with j_t = s moved in, or the item s itself.  One
+    stable sort of the steps by j lists, per position, the steps that swap
+    with it in ascending order: the step after i in the list of j_i is the
+    first link, and the head of the list of s the second.  That head is s
+    itself when j_s = s, but then no other link leads to s, as j_i <= i < s
+    for every step i < s.  Pointer jumping follows the second link to the
+    end of each chain.
+    """
+    if n < 2:
+        return np.arange(n, dtype=np.intp)
+    j = np.zeros(n, dtype=np.intp)  # j[s]: the position step s swaps with s
+    j[:0:-1] = _randbelow_each(rng, np.arange(n, 1, -1, dtype=np.uint64))
+    # numpy radix-sorts keys of 16 bits or fewer
+    steps = np.argsort(j[1:].astype(np.min_scalar_type(n - 1)), kind="stable") + 1
+    key = j[steps]
+    same = key[1:] == key[:-1]
+    later = np.full(n, -1, dtype=np.intp)  # the next step with the same j, by step
+    later[steps[:-1][same]] = steps[1:][same]
+    first = np.full(n, -1, dtype=np.intp)  # the least step with j = s, by position s
+    heads = np.flatnonzero(np.concatenate(([True], ~same)))
+    first[key[heads]] = steps[heads]
+    ends = np.where(first < 0, np.arange(n), first)
+    while not np.array_equal(hop := ends[ends], ends):
+        ends = hop
+    order = np.where(later < 0, j, ends[later])
+    order[0] = ends[0]  # what position 0 holds after the last step
+    return order
+
+
 def scramble(points: list, rng: "SplitMix64 | int") -> list:
     """Fisher-Yates permutation driven by a splitmix64 stream: for i from
-    len - 1 down to 1, swap positions i and ``randbelow(i + 1)``.  All the
-    draws are computed in numpy before the swaps."""
+    len - 1 down to 1, swap positions i and ``randbelow(i + 1)``, as
+    ``_permutation`` computes it in numpy."""
     if isinstance(rng, int):
         rng = SplitMix64(rng)
-    out = list(points)
-    n = len(out)
-    draws = _randbelow_each(rng, np.arange(n, 1, -1).astype(np.uint64)).tolist()
-    for i, j in zip(range(n - 1, 0, -1), draws):
-        out[i], out[j] = out[j], out[i]
-    return out
+    items = list(points)
+    return list(map(items.__getitem__, _permutation(len(items), rng).tolist()))
 
 
 @dataclass(frozen=True)
@@ -675,16 +704,19 @@ def generate_chaff(
     The draws are those of ``rng.randbelow`` calls, in the order that fixes
     the vault bytes: per point a core in [0, q) until one is unused, then a
     decoy template for type (ii), or an offset in [0, q - 1) and a template
-    for type (i).  They are read off blocks of SplitMix64 outputs.  Only
-    the core draws become Python ints, reduced mod q with None for an
-    output q rejects; a walk over them finds each point's core, and its
-    other draws are the next one or two outputs, which the block holds two
-    more of.  The walk ends the block at the first point whose other draws
-    reach the first output that a decoy, offset or template bound rejects:
-    that point's other draws are plain ``randbelow`` calls.  A block that
-    ends inside a core search is drawn again from that point.  numpy
-    reduces the outputs at the core positions the walk kept, and at the one
-    or two after each.
+    for type (i).  They are read off blocks of SplitMix64 outputs, each about
+    as long as the points left use, at most ``_DRAW_BLOCK`` unless a core
+    search needs more.  numpy reduces the block mod q, with q itself, which
+    no core equals, for an output q rejects; a walk over them, read as
+    Python ints one at a time, finds each point's core, and its other draws
+    are the next one or two outputs, which the block holds two more of.
+    The walk ends the block at the first point whose other draws reach the
+    first output that a decoy, offset or template bound rejects: that
+    point's other draws are plain ``randbelow`` calls, and the next block
+    is at most twice as long as the part of this one used.  A block that
+    ends inside a core search is drawn again, twice as long, from that
+    point.  numpy reduces the outputs at the one or two draws after each
+    core the walk kept.
     """
     q = field_mfs.q
     if count < 0 or count > q - len(used_x_cores):
@@ -699,25 +731,42 @@ def generate_chaff(
         raise ValueError("on-polynomial chaff needs at least one non-locking family")
     # the bounds of the decoy, offset and template draws that some point makes
     bounds = [len(decoys)] * (n_on_poly > 0) + [q - 1, len(templates)] * (count > n_on_poly)
+    if not count:
+        return np.empty((0, 3), dtype=np.uint64)
+    # randbelow(q) keeps the outputs up to core_ceiling, a share kept of
+    # them all; the bounds of the other draws keep those up to ceiling
+    core_ceiling, ceiling = _ceiling(q), min(map(_ceiling, bounds))
+    kept = _rejection_limit(q) / 2**64
     used = set(used_x_cores)
-    used.add(None)  # a rejected core draw is drawn again, as a used core is
+    used.add(q)  # a rejected core draw is drawn again, as a used core is
     cores = np.empty(count, dtype=np.uint64)
     # each point's draws after its core: a decoy, or an offset and a template
     draws = np.empty((2, count), dtype=np.uint64)
-    drawn, size = 0, _DRAW_BLOCK  # the points drawn, and the core draws of the next block
+    drawn, least, most = 0, 1, _DRAW_BLOCK  # the points drawn, and the next block's bounds
     while drawn < count:
+        # the type (ii) and all points left
+        on_left, left = max(n_on_poly - drawn, 0), count - drawn
+        # the outputs they use: one or two draws after each core, and core
+        # draws until one is fresh, at most q / fresh of those randbelow(q)
+        # keeps on average, with fresh the cores still free for the last
+        # point (used holds q as well)
+        fresh = q + 2 - len(used) - left
+        planned = min(_DRAW_BLOCK, math.ceil(left * q / fresh / kept) + 2 * left - on_left)
+        size = max(least, min(most, planned))  # the core draws of the block
         # two outputs past the block's last core draw, so that a point's
         # other draws lie in the block whenever its core does
         block = rng._peek(size + 2)
-        xs = _reduced(block[:size], q)
-        rejected = np.logical_or.reduce([block > _ceiling(n) for n in bounds])
+        reduced = _below(block[:size], q)
+        reduced[block[:size] > core_ceiling] = q & _MASK64  # q = 2**64 rejects none
+        xs = memoryview(reduced)
+        rejected = block > ceiling
         stop = int(rejected.argmax()) if rejected.any() else len(block)
         # the core positions of the points drawn from the block, and of the
         # point whose other draws are randbelow calls
         at, tail = [], None
         start = i = 0  # the next point's first output, and the core draw the walk is at
         # per point left, its draws after its core: 1 for type (ii), 2 for type (i)
-        widths = chain(repeat(1, n_on_poly - drawn), repeat(2, count - max(drawn, n_on_poly)))
+        widths = chain(repeat(1, on_left), repeat(2, left - on_left))
         try:
             for width in widths:
                 while (x := xs[i]) in used:
@@ -732,17 +781,18 @@ def generate_chaff(
             pass
         at = np.array(at, dtype=np.intp)
         done = drawn + len(at)
-        on = min(len(at), max(n_on_poly - drawn, 0))  # this block's type (ii) points
-        cores[drawn:done] = _below(block[at], q)
+        on = min(len(at), on_left)  # this block's type (ii) points
+        cores[drawn:done] = reduced[at]
         draws[0, drawn:drawn + on] = _below(block[at[:on] + 1], len(decoys))
         draws[0, drawn + on:done] = _below(block[at[on:] + 1], q - 1)
         draws[1, drawn + on:done] = _below(block[at[on:] + 2], len(templates))
         drawn = done
         if tail is None:  # all drawn, or a core search to draw again from a longer block
             rng._skip(start)
-            size = max(_DRAW_BLOCK, 2 * (size - start))
+            least, most = 2 * (size - start), 2 * size
         else:
             rng._skip(tail + 1)
+            least, most = 1, 2 * (tail + 1)
             cores[drawn] = xs[tail]
             if drawn < n_on_poly:
                 draws[0, drawn] = rng.randbelow(len(decoys))
@@ -815,7 +865,7 @@ def lock_polynomial(
         p, field_mfs, set(elements), params.r - params.t_mfk, params.rho, template, rng
     )
     # scrambling the positions draws what scrambling the points would
-    order = np.array(scramble(range(params.r), rng))
+    order = _permutation(params.r, rng)
     x_cores, y_cores, template_ids = np.concatenate((genuine, chaff))[order].T
     vault = Vault(x_cores.astype(np.float64), y_cores.astype(np.float64),
                   template_ids.astype(np.intp), templates, q, params.n)

@@ -232,6 +232,18 @@ RNG_SEEDS = [0, 2**64 - 1, 0x243F6A8885A308D3, 0x13198A2E03707344]
 HALF_REJECTED = 2**63 + 29  # a prime: randbelow rejects almost half of all outputs
 
 
+def count_peeks(patch) -> list:
+    """The counts of every ``SplitMix64._peek`` call from here on."""
+    calls, peek_ahead = [], SplitMix64._peek
+
+    def peek(rng, count):
+        calls.append(count)
+        return peek_ahead(rng, count)
+
+    patch.setattr(SplitMix64, "_peek", peek)
+    return calls
+
+
 def assert_chaff_matches_reference(poly, field, used, count, rho, seed):
     """generate_chaff gives the oracle's cores and points, and leaves the
     stream where the oracle's randbelow calls leave it."""
@@ -284,23 +296,28 @@ class TestBatchedLock:
         # most core draws collide, and near the end a redraw runs longer
         # than a block of outputs
         monkeypatch.setattr(vault_module, "_DRAW_BLOCK", block)
+        peeks = count_peeks(monkeypatch)
         field = desk_field(257)
         poly = Polynomial((5, 17, 3, 200, 1, 256), 257)
         used = set(random.Random(5).sample(range(257), 12))
         assert_chaff_matches_reference(poly, field, used, 257 - len(used), rho, 9)
+        # a block holds at most ``block`` points, so the small ones take turns
+        assert len(peeks) > 1 or block == 2048
 
     @pytest.mark.parametrize("block", [3, 64])
     def test_blocks_ending_in_rejection_runs_match_reference(self, monkeypatch, block):
         # half of the outputs are rejected under 2**63 + 29, so small blocks
         # end inside runs of rejected core and offset draws
         monkeypatch.setattr(vault_module, "_DRAW_BLOCK", block)
+        peeks = count_peeks(monkeypatch)
         field = desk_field(HALF_REJECTED)
         poly = encode_key(bytes(range(12)), FieldParams(HALF_REJECTED), 8)
         assert_chaff_matches_reference(poly, field, {5, 6}, 300, 0.3, 17)
+        assert len(peeks) > 1
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1),
-           q=st.sampled_from([257, 401, 65537, P31, HALF_REJECTED]),
+           q=st.sampled_from([257, 401, 65537, P31, HALF_REJECTED, 2**64]),
            rho=st.floats(0, 1), block=st.sampled_from([2, 7, 2048]), data=st.data())
     def test_walk_matches_reference(self, seed, q, rho, block, data):
         # the walk's fast steps, its steps past rejected draws and the ends
@@ -310,8 +327,11 @@ class TestBatchedLock:
         count = data.draw(st.integers(0, min(q - len(used), 600)))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(vault_module, "_DRAW_BLOCK", block)
+            peeks = count_peeks(patch)
             assert_chaff_matches_reference(Polynomial(tuple(coefficients), q), desk_field(q),
                                            used, count, rho, seed)
+        # a block holds at most ``block`` points, so more take more blocks
+        assert len(peeks) > 1 or count <= block
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_randbelow_each_matches_reference(self, seed):
@@ -330,8 +350,10 @@ class TestBatchedLock:
                 out[i], out[j] = out[j], out[i]
             return out
 
-        for n, seed in [(0, 1), (1, 2), (2, 3), (5000, 2**64 - 1)]:
-            assert scramble(range(n), seed) == reference_scramble(range(n), seed)
+        # every length up to 64, and lengths around a 16-bit sort key's last
+        for n in [*range(65), 2999, 5000, 65535, 65536, 65537]:
+            for seed in RNG_SEEDS:
+                assert scramble(range(n), seed) == reference_scramble(range(n), seed)
 
     def test_bound_beyond_2_64_raises(self, monkeypatch):
         # above 2**64 the rejection limit is 0: without the check every
@@ -365,6 +387,14 @@ class TestBatchedLock:
         assert len(text) == 4412
         assert hashlib.sha256(text).hexdigest() == (
             "4dd5e8156d99767ef3adfbf81d74b1d3d2b7c96d7e95021858306bc1aea52a61")
+        # and at r = 10 000, as the benchmark locks, where the chaff takes
+        # about 30 000 outputs
+        vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field_mfs, seed=7),
+                              field_mfs, desk_params(seed=7, r=10_000))
+        text = vault.to_json().encode()
+        assert len(text) == 136944
+        assert hashlib.sha256(text).hexdigest() == (
+            "89e6ccf59eafbffbeeee01c224d1b4f6ec4e28c77401572c2a69fc80368a4e24")
 
 
 class TestLock:
