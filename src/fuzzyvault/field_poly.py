@@ -71,16 +71,23 @@ class KeyMaterial:
     crc: int
 
 
+def _crc16_table() -> tuple:
+    """The CRC-16/ARC register after shifting out each byte value alone."""
+    table = range(256)
+    for _ in range(8):
+        table = [(crc >> 1) ^ 0xA001 if crc & 1 else crc >> 1 for crc in table]
+    return tuple(table)
+
+
+_CRC16_TABLE = _crc16_table()
+
+
 def crc16(data: bytes) -> int:
-    """CRC-16/ARC: reflected polynomial 0x8005, zero init, no final xor."""
+    """CRC-16/ARC: reflected polynomial 0x8005, zero init, no final xor;
+    one table lookup per byte."""
     crc = 0x0000
     for byte in data:
-        crc ^= byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ 0xA001
-            else:
-                crc >>= 1
+        crc = (crc >> 8) ^ _CRC16_TABLE[(crc ^ byte) & 0xFF]
     return crc
 
 
@@ -170,19 +177,20 @@ def lagrange_interpolate(points: list[tuple[int, int]], field: FieldParams) -> P
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation points must have distinct x values")
     n = len(points)
+    master = [1]  # prod_j (x - x_j), low-order first
+    for xj in xs:
+        master = [(lo - xj * hi) % q for lo, hi in zip([0] + master, master + [0])]
     coeffs = [0] * n
-    for j, (xj, yj) in enumerate(points):
-        # numerator polynomial prod_{k != j} (x - x_k), low-order first
-        num = [1]
-        denom = 1
-        for k, (xk, _) in enumerate(points):
-            if k == j:
-                continue
-            num = [
-                (num[i - 1] if i > 0 else 0) - (num[i] * xk if i < len(num) else 0)
-                for i in range(len(num) + 1)
-            ]
-            denom = denom * (xj - xk) % q
+    num = [0] * n
+    for xj, (_, yj) in zip(xs, points):
+        # synthetic division gives num = master / (x - x_j), highest
+        # coefficient first, and Horner alongside gives num(x_j), which is
+        # prod_{k != j} (x_j - x_k)
+        acc = denom = 0
+        for i in range(n, 0, -1):
+            acc = (master[i] + xj * acc) % q
+            num[i - 1] = acc
+            denom = (denom * xj + acc) % q
         scale = yj * pow(denom, -1, q) % q
         for i, c in enumerate(num):
             coeffs[i] = (coeffs[i] + scale * c) % q

@@ -976,11 +976,13 @@ def search_key(
     """Search k-subsets of matched points in lexicographic order, accepting
     the first candidate polynomial whose decoded key passes the CRC check.
 
-    Only the constant term a_0 of each candidate is computed at first,
-    for _SUBSET_CHUNK subsets at a time (``_constant_terms``).  decode_key
-    rejects every polynomial whose a_0 has a bit of ``constant_term_mask``
-    set, so only the subsets whose a_0 has them clear are interpolated in
-    full and decoded.  Matched points must have distinct x values mod q,
+    Only the constant term a_0 of each candidate is computed at first:
+    decode_key rejects every polynomial whose a_0 has a bit of
+    ``constant_term_mask`` set, so only the subsets whose a_0 has them
+    clear are interpolated in full and decoded.  The first subset, which
+    carries the key when the first k matches are genuine, is tried alone in
+    Python ints; the rest follow _SUBSET_CHUNK at a time
+    (``_constant_terms``).  Matched points must have distinct x values mod q,
     and k coefficients of F_q must hold a key of ``key_len`` bytes plus its
     CRC (``check_key_capacity``): a key length that no search could find
     raises ValueError instead of reporting a search it did not run.
@@ -999,9 +1001,17 @@ def search_key(
         raise ValueError("matched points must have distinct x values")
     total = math.comb(len(matched), k)
     limit = min(total, effort_cap)
-    w = np.array(_basis_at_zero(xs, q), dtype=_field_dtype(q))
-    y = np.array([y % q for _, y in matched], dtype=_field_dtype(q))
-    for start in range(0, limit, _SUBSET_CHUNK):
+    w = _basis_at_zero(xs, q)
+    ys = [y % q for _, y in matched]
+    a0 = sum(ys[b] * math.prod(w[a][b] for a in range(k)) for b in range(k)) % q
+    if not a0 & reject:
+        material = decode_key(lagrange_interpolate(matched[:k], field), field, key_len)
+        if material is not None:
+            diagnostics.subsets_tried = 1
+            return UnlockResult(material.key_bytes, diagnostics)
+    w = np.array(w, dtype=_field_dtype(q))
+    y = np.array(ys, dtype=_field_dtype(q))
+    for start in range(1, limit, _SUBSET_CHUNK):
         subsets, a0 = _constant_terms(w, y, q, k, start, min(start + _SUBSET_CHUNK, limit))
         for s in np.flatnonzero((a0 & reject) == 0).tolist():
             candidate = lagrange_interpolate([matched[i] for i in subsets[:, s].tolist()], field)

@@ -40,19 +40,33 @@ def crc16_bitwise_oracle(data: bytes) -> int:
     return reflect(crc, 16)
 
 
+def reference_crc16(data: bytes) -> int:
+    """CRC-16/ARC a bit at a time: the reflected register shifts right and
+    takes the reflected polynomial 0xA001 when a one falls out."""
+    crc = 0x0000
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            if crc & 1:
+                crc = (crc >> 1) ^ 0xA001
+            else:
+                crc >>= 1
+    return crc
+
+
 class TestCrc16:
     def test_empty(self):
         assert crc16(b"") == 0x0000
 
     def test_check_string(self):
-        assert crc16(b"123456789") == 0xBB3D
+        assert crc16(b"123456789") == reference_crc16(b"123456789") == 0xBB3D
 
     def test_single_zero_byte(self):
         assert crc16(b"\x00") == 0x0000
 
     @given(st.binary(max_size=64))
     def test_matches_bitwise_oracle(self, data):
-        assert crc16(data) == crc16_bitwise_oracle(data)
+        assert crc16(data) == reference_crc16(data) == crc16_bitwise_oracle(data)
 
     def test_oracle_equivalence_bulk(self):
         rnd = random.Random(0xC0FFEE)

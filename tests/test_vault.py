@@ -244,6 +244,18 @@ def count_peeks(patch) -> list:
     return calls
 
 
+def count_calls(patch, module, name) -> list:
+    """The arguments of every call of ``module.name`` from here on."""
+    calls, function = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    patch.setattr(module, name, counted)
+    return calls
+
+
 def assert_chaff_matches_reference(poly, field, used, count, rho, seed):
     """generate_chaff gives the oracle's cores and points, and leaves the
     stream where the oracle's randbelow calls leave it."""
@@ -832,13 +844,17 @@ class TestMatch:
 
 
 class TestUnlock:
-    def test_round_trip(self, field_mfs):
+    def test_round_trip(self, field_mfs, monkeypatch):
+        # the first k of the 12 genuine matches carry the key, so the
+        # search decides it without the batched walk
+        batches = count_calls(monkeypatch, vault_module, "_constant_terms")
         for seed in range(10):
             locking = desk_locking_set(field_mfs, seed=seed)
             vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=seed))
             result = fuzzy_unlock(vault, locking, 0, 0.25, len(KEY))
             assert result.key == KEY
-            assert result.diagnostics.matched == 12
+            assert (result.diagnostics.matched, result.diagnostics.subsets_tried) == (12, 1)
+        assert batches == []
 
     def test_disjoint_unlocking_set(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=20)
@@ -929,6 +945,35 @@ class TestUnlock:
         assert match_points(vault, subset.template, subset.elements, delta) == matched
 
 
+def reference_lagrange(points: list[tuple[int, int]], field: FieldParams) -> Polynomial:
+    """The polynomial through ``points``, rebuilding each numerator
+    product prod_{k != j} (x - x_k) in O(k**2), so O(k**3) in all."""
+    if not points:
+        raise ValueError("interpolation needs at least one point")
+    q = field.q
+    xs = [x % q for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation points must have distinct x values")
+    n = len(points)
+    coeffs = [0] * n
+    for j, (xj, yj) in enumerate(points):
+        # numerator polynomial prod_{k != j} (x - x_k), low-order first
+        num = [1]
+        denom = 1
+        for k, (xk, _) in enumerate(points):
+            if k == j:
+                continue
+            num = [
+                (num[i - 1] if i > 0 else 0) - (num[i] * xk if i < len(num) else 0)
+                for i in range(len(num) + 1)
+            ]
+            denom = denom * (xj - xk) % q
+        scale = yj * pow(denom, -1, q) % q
+        for i, c in enumerate(num):
+            coeffs[i] = (coeffs[i] + scale * c) % q
+    return Polynomial(tuple(coeffs), q)
+
+
 # search_key as it was before the constant-term filter, kept as the oracle:
 # one full interpolation and decode per subset
 def reference_search_key(
@@ -952,7 +997,7 @@ def reference_search_key(
         if diagnostics.subsets_tried >= effort_cap:
             break
         diagnostics.subsets_tried += 1
-        candidate = lagrange_interpolate(list(combo), field)
+        candidate = reference_lagrange(list(combo), field)
         material = decode_key(candidate, field, key_len)
         if material is not None:
             return UnlockResult(material.key_bytes, diagnostics)
@@ -966,6 +1011,10 @@ def outcome(result):
 
 def pad_bits(q, k, key_len):
     return k * (q.bit_length() - 1) - (8 * key_len + 16)
+
+
+# fields on both sides of 2**31, where the walk leaves int64 for Python ints
+WALK_FIELDS = [257, 65537, 2**31 - 1, P31, 2**61 - 1]
 
 
 # (q, k, key_len) with pad < 0, pad = 0, 0 < pad < bits, pad = bits
@@ -1027,13 +1076,47 @@ class TestSearchKey:
         monkeypatch.setattr(vault_module, "_SUBSET_CHUNK", chunk)
         q, key = 65537, b"\x5a\xa5"
         poly = encode_key(key, FieldParams(q), 3)
-        matched = chaff_matches(28, seed=chunk) + [(x, poly.eval(x)) for x in (1, 2, 3)]
+        chaff, genuine = chaff_matches(28, seed=chunk), [(x, poly.eval(x)) for x in (1, 2, 3)]
+        matched = chaff + genuine
         got = search_key(matched, q, 3, len(key))
         assert outcome(got) == outcome(reference_search_key(matched, q, 3, len(key)))
         assert outcome(got) == (key, 31, 4495)
-        for cap in (4494, 500):
+        for cap in (4494, 500, 1):
             got = search_key(matched, q, 3, len(key), cap)
             assert (*outcome(got), got.diagnostics.cap_hit) == (None, 31, cap, True)
+        # genuine points first: the key is subset 0, at any cap
+        for cap in (100_000, 1):
+            got = search_key(genuine + chaff, q, 3, len(key), cap)
+            assert (*outcome(got), got.diagnostics.cap_hit) == (key, 31, 1, False)
+
+    def test_first_subset_failing_the_crc_is_tried_once(self, monkeypatch):
+        # a 14-byte key fills k = 8 coefficients (pad = 0): subset 0, the
+        # chaff point and 7 genuine ones, passes the a_0 filter and fails
+        # the CRC; the key is the ninth subset, after the C(8, 7) = 8 that
+        # hold the chaff point
+        q, k = 65537, 8
+        poly = encode_key(KEY, FieldParams(q), k)
+        matched = chaff_matches(1, seed=5) + [(x, poly.eval(x)) for x in range(1, 9)]
+        reject = field_poly.constant_term_mask(len(KEY), FieldParams(q), k)
+        firsts = list(itertools.islice(itertools.combinations(matched, k), 9))
+        assert reference_a0(firsts[0], q) & reject == 0
+        decodes = count_calls(monkeypatch, vault_module, "decode_key")
+        got = search_key(matched, q, k, len(KEY))
+        assert outcome(got) == outcome(reference_search_key(matched, q, k, len(KEY)))
+        assert outcome(got) == (KEY, 9, 9)
+        assert len(decodes) == sum(reference_a0(s, q) & reject == 0 for s in firsts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), q=st.sampled_from(WALK_FIELDS))
+    def test_interpolation_matches_reference(self, data, q):
+        # x and y beyond q, which both reduce mod q
+        n = data.draw(st.integers(1, 14))
+        xs = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n, unique=True))
+        wraps = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        ys = data.draw(st.lists(st.integers(0, 3 * q), min_size=n, max_size=n))
+        points = [(x + wrap * q, y) for x, wrap, y in zip(xs, wraps, ys)]
+        field = FieldParams(q)
+        assert lagrange_interpolate(points, field) == reference_lagrange(points, field)
 
     @pytest.mark.parametrize("repeat", [1, 1 + 65537])
     def test_repeated_x_rejected_up_front(self, repeat):
@@ -1096,10 +1179,6 @@ def reference_a0(points, q):
                 yj = yj * xi * pow(xi - xj, -1, q) % q
         total += yj
     return total % q
-
-
-# fields on both sides of 2**31, where the walk leaves int64 for Python ints
-WALK_FIELDS = [257, 65537, 2**31 - 1, P31, 2**61 - 1]
 
 
 @st.composite
