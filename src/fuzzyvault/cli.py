@@ -163,6 +163,21 @@ def _selftest_checks():
         result = fuzzy_unlock(loaded, locking, 0, 0.25, len(key))
         assert result.key == key, "vault round trip failed"
 
+    def check_capped_search():
+        # 12 points on no key's polynomial: subset 0 fails, and the
+        # batched walk runs to the cap
+        import random
+
+        from .vault import search_key
+
+        q = 65537
+        rnd = random.Random(7)
+        chaff = [(x, rnd.randrange(q)) for x in rnd.sample(range(q), 12)]
+        result = search_key(chaff, q, 8, 12, effort_cap=50)
+        d = result.diagnostics
+        assert result.key is None, "chaff unlocked a key"
+        assert (d.subsets_tried, d.cap_hit) == (50, True), "capped search miscounted"
+
     def check_alpha_cut():
         f = FuzzyNumber.triangular(1, 2, 5)
         cut = f.alpha_cut(0.5)
@@ -173,6 +188,7 @@ def _selftest_checks():
         ("key encode/decode round trip", check_codec),
         ("exact lagrange interpolation", check_interpolation),
         ("vault lock/unlock round trip", check_vault_roundtrip),
+        ("capped search of chaff", check_capped_search),
         ("triangular alpha cut", check_alpha_cut),
     ]
 

@@ -10,6 +10,7 @@ inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,6 +23,12 @@ from .fuzzy_number import CRISP, TRIANGULAR, AlphaCut, FuzzyNumber
 CRC_VARIANT = "CRC-16/ARC"
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _is_prime(q: int) -> bool:
+    """``sympy.isprime``, tested once per q (and type) of the fields in use."""
+    return sympy.isprime(q)
+
+
 @dataclass(frozen=True)
 class FieldParams:
     """A prime field F_q; primality is verified at construction."""
@@ -29,7 +36,7 @@ class FieldParams:
     q: int
 
     def __post_init__(self):
-        if self.q < 2 or not sympy.isprime(self.q):
+        if self.q < 2 or not _is_prime(self.q):
             raise ValueError(f"field modulus must be prime, got {self.q}")
 
     @property
@@ -235,20 +242,22 @@ def _eval_all(p: Polynomial, xs):
     return acc.astype(np.uint64)
 
 
-def _basis_at_zero(xs: list[int], q: int) -> list[list[int]]:
+def _basis_at_zero(xs: list[int], q: int, head: list[list[int]] = ()) -> list[list[int]]:
     """w[a][b] = x_a / (x_a - x_b) mod q for a != b, and 1 on the diagonal.
 
     The Lagrange basis polynomial of point b of a subset, evaluated at 0,
     is the product of w[a][b] over the points a of the subset, b included.
-    The differences x_a - x_b with a < b share one modular inversion
-    (Montgomery's batch trick), and 1 / (x_b - x_a) = -1 / (x_a - x_b).
+    ``head``, the table of the first len(head) points, is extended to all
+    of ``xs`` without inverting its differences again.  The differences
+    x_a - x_b with a < b left share one modular inversion (Montgomery's
+    batch trick), and 1 / (x_b - x_a) = -1 / (x_a - x_b).
     """
-    m = len(xs)
-    pairs = list(itertools.combinations(range(m), 2))
+    m, h = len(xs), len(head)
+    pairs = [(a, b) for b in range(h, m) for a in range(b)]
     prefix = list(itertools.accumulate((xs[a] - xs[b] for a, b in pairs),
                                        lambda acc, d: acc * d % q, initial=1))
     inv = pow(prefix.pop(), -1, q)
-    w = [[1] * m for _ in range(m)]
+    w = [row + [1] * (m - h) for row in head] + [[1] * m for _ in range(h, m)]
     for (a, b), before in zip(reversed(pairs), reversed(prefix)):
         # inv is 1 / (product of the differences up to and including (a, b))
         d = inv * before % q
@@ -269,25 +278,30 @@ def _unrank(rank: int, m: int, k: int) -> list[int]:
     return subset
 
 
-def _constant_terms(w, y, q: int, k: int, start: int, stop: int) -> tuple:
-    """The k-subsets of the points at positions [start, stop) in
-    lexicographic order, as a (k, stop - start) array of point indices, and
-    the constant term a_0 = sum_{b in S} y_b prod_{a in S} w[a][b] of the
-    polynomial through each, for numpy arrays w and y of ``_field_dtype``.
+# the most windows whose tables ``_walk_tables`` keeps, each under 1 MB
+# for a window of 4 096 subsets at k <= 12 and m <= 30
+_WALK_MEMO = 8
 
-    The subsets are the leaves of a numpy walk down the lexicographic
-    prefix tree, a level at a time.  A node holds the product of the rows
-    w[a] over its points: a child multiplies its parent's by w[e] for its
-    new point e, and a leaf's a_0 takes k more products.  Operands stay
-    below q, so int64 products stay below 2**62 while q < 2**31.
+
+@functools.lru_cache(maxsize=_WALK_MEMO)
+def _walk_tables(m: int, k: int, start: int, stop: int) -> tuple:
+    """The index tables of ``_constant_terms``' walk over the k-subsets of
+    range(m) at positions [start, stop), which depend on nothing else:
+    ``levels``, the (parent, e) arrays that extend each prefix of fewer
+    than k - 1 points by its next point e; ``members``, the points of the
+    leaves' parents; ``parent`` and ``e`` of the leaves; the flat gather
+    positions ``held_at`` (each parent's product at its own points),
+    ``basis_at`` (w[e][b] for each leaf's e and parent point b) and
+    ``own_at`` (each leaf's parent's product at e); and ``subsets``, the
+    (k, stop - start) table of the leaves' points.  Every array is
+    read-only, as the memo hands the same ones to every caller.
     """
-    m = len(y)
     first, last = _unrank(start, m, k), _unrank(stop - 1, m, k)
     from_lo = ~np.tri(m + 1, m, -1, dtype=bool)  # row lo marks the points lo, lo + 1, ...
     # a level's nodes are the prefixes of the subsets, in order: members[j]
     # holds each one's j-th point, lo its least next point
     members, lo = np.empty((0, 1), dtype=np.intp), np.zeros(1, dtype=np.intp)
-    prods = np.ones((1, m), dtype=w.dtype)
+    levels = []
     for p in range(k):
         width = m - k + p + 1  # point m - k + p leaves room for the rest
         lo[0] = first[p]
@@ -298,17 +312,44 @@ def _constant_terms(w, y, q: int, k: int, start: int, stop: int) -> tuple:
         e = child - parent * width
         if p < k - 1:
             members = np.concatenate((members.take(parent, 1), e[None]))
-            prods = _mod(prods.take(parent, 0) * w.take(e, 0), q)
+            levels.append((parent, e))
             lo = e + 1
+    offsets = np.arange(0, members.shape[1] * m, m)  # each parent's row in the products
+    heads = members.take(parent, 1)
+    tables = (members, parent, e, members + offsets, heads + e * m,
+              offsets.take(parent) + e, np.concatenate((heads, e[None])))
+    for table in itertools.chain(*levels, tables):
+        table.flags.writeable = False
+    return (tuple(levels), *tables)
+
+
+def _constant_terms(w, y, q: int, k: int, start: int, stop: int) -> tuple:
+    """The k-subsets of the points at positions [start, stop) in
+    lexicographic order, as a read-only (k, stop - start) array of point
+    indices, and the constant term a_0 = sum_{b in S} y_b prod_{a in S}
+    w[a][b] of the polynomial through each, for numpy arrays w and y of
+    ``_field_dtype``.
+
+    The subsets are the leaves of a numpy walk down the lexicographic
+    prefix tree, a level at a time, whose index tables ``_walk_tables``
+    keeps per (m, k, start, stop).  A node holds the product of the rows
+    w[a] over its points: a child multiplies its parent's by w[e] for its
+    new point e, and a leaf's a_0 takes k more products.  Operands stay
+    below q, so int64 products stay below 2**62 while q < 2**31.
+    """
+    levels, members, parent, e, held_at, basis_at, own_at, subsets = _walk_tables(
+        len(y), k, start, stop)
+    prods = np.ones((1, len(y)), dtype=w.dtype)
+    for above, point in levels:
+        prods = _mod(prods.take(above, 0) * w.take(point, 0), q)
     # a leaf is its parent's points and then e: its a_0 sums y_b times the
     # parent's product at b times w[e][b] over the parent's points b, and
     # y_e times the parent's product at e
-    offsets = np.arange(0, members.shape[1] * m, m)  # each parent's row in prods
-    held = _mod(y.take(members) * prods.ravel().take(members + offsets), q)
-    heads = members.take(parent, 1)
-    terms = _mod(held.take(parent, 1) * w.ravel().take(heads + e * m), q)
-    a0 = _mod(terms.sum(0) + y.take(e) * prods.ravel().take(offsets.take(parent) + e), q)
-    return np.concatenate((heads, e[None])), a0
+    prods = prods.ravel()
+    held = _mod(y.take(members) * prods.take(held_at), q)
+    terms = _mod(held.take(parent, 1) * w.ravel().take(basis_at), q)
+    a0 = _mod(terms.sum(0) + y.take(e) * prods.take(own_at), q)
+    return subsets, a0
 
 
 # ----------------------------------------------------------------------

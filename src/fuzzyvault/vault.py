@@ -981,11 +981,13 @@ def search_key(
     ``constant_term_mask`` set, so only the subsets whose a_0 has them
     clear are interpolated in full and decoded.  The first subset, which
     carries the key when the first k matches are genuine, is tried alone in
-    Python ints; the rest follow _SUBSET_CHUNK at a time
-    (``_constant_terms``).  Matched points must have distinct x values mod q,
-    and k coefficients of F_q must hold a key of ``key_len`` bytes plus its
-    CRC (``check_key_capacity``): a key length that no search could find
-    raises ValueError instead of reporting a search it did not run.
+    Python ints from the basis factors among its own points; the factors
+    of the other points are computed only if it fails, and the rest follow
+    _SUBSET_CHUNK at a time (``_constant_terms``).  Matched points must
+    have distinct x values mod q, and k coefficients of F_q must hold a key
+    of ``key_len`` bytes plus its CRC (``check_key_capacity``): a key length
+    that no search could find raises ValueError instead of reporting a
+    search it did not run.
     """
     if effort_cap <= 0:
         raise ValueError("effort cap must be positive")
@@ -1001,15 +1003,15 @@ def search_key(
         raise ValueError("matched points must have distinct x values")
     total = math.comb(len(matched), k)
     limit = min(total, effort_cap)
-    w = _basis_at_zero(xs, q)
+    head = _basis_at_zero(xs[:k], q)
     ys = [y % q for _, y in matched]
-    a0 = sum(ys[b] * math.prod(w[a][b] for a in range(k)) for b in range(k)) % q
+    a0 = sum(ys[b] * math.prod(row[b] for row in head) for b in range(k)) % q
     if not a0 & reject:
         material = decode_key(lagrange_interpolate(matched[:k], field), field, key_len)
         if material is not None:
             diagnostics.subsets_tried = 1
             return UnlockResult(material.key_bytes, diagnostics)
-    w = np.array(w, dtype=_field_dtype(q))
+    w = np.array(_basis_at_zero(xs, q, head), dtype=_field_dtype(q))
     y = np.array(ys, dtype=_field_dtype(q))
     for start in range(1, limit, _SUBSET_CHUNK):
         subsets, a0 = _constant_terms(w, y, q, k, start, min(start + _SUBSET_CHUNK, limit))

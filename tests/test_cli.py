@@ -318,7 +318,7 @@ class TestSelftest:
     def test_all_checks_pass(self, capsys):
         assert main(["selftest"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("ok   ") == 5
+        assert out.count("ok   ") == 6
         assert "FAIL" not in out
 
 

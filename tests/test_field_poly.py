@@ -15,6 +15,7 @@ from fuzzyvault import (
     fuzzy_lagrange_real,
     lagrange_interpolate,
 )
+from fuzzyvault import field_poly
 from fuzzyvault.field_poly import constant_term_mask
 
 
@@ -284,9 +285,19 @@ class TestFuzzyLagrange:
 
 
 class TestFieldParams:
-    def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            FieldParams(65536)
+    def test_rejects_composite(self, monkeypatch):
+        # each modulus is tested once, and a cached verdict raises as the
+        # first did
+        calls, isprime = [], sympy.isprime
+        monkeypatch.setattr(sympy, "isprime", lambda q: calls.append(q) or isprime(q))
+        field_poly._is_prime.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="must be prime, got 65536$"):
+                FieldParams(65536)
+            with pytest.raises(ValueError, match="must be prime, got 1$"):
+                FieldParams(1)
+            assert FieldParams(65537).q == 65537
+        assert calls == [65536, 65537]
 
     def test_bits_per_element(self):
         assert FieldParams(65537).bits_per_element == 16

@@ -846,8 +846,10 @@ class TestMatch:
 class TestUnlock:
     def test_round_trip(self, field_mfs, monkeypatch):
         # the first k of the 12 genuine matches carry the key, so the
-        # search decides it without the batched walk
+        # search decides it without the batched walk, from the basis
+        # factors among those k alone
         batches = count_calls(monkeypatch, vault_module, "_constant_terms")
+        bases = count_calls(monkeypatch, vault_module, "_basis_at_zero")
         for seed in range(10):
             locking = desk_locking_set(field_mfs, seed=seed)
             vault, _ = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=seed))
@@ -855,6 +857,7 @@ class TestUnlock:
             assert result.key == KEY
             assert (result.diagnostics.matched, result.diagnostics.subsets_tried) == (12, 1)
         assert batches == []
+        assert [len(xs) for xs, _ in bases] == [8] * 10
 
     def test_disjoint_unlocking_set(self, field_mfs):
         locking = desk_locking_set(field_mfs, seed=20)
@@ -1138,6 +1141,9 @@ class TestSearchKey:
         d = result.diagnostics
         assert result.key is None
         assert (d.matched, d.subsets_tried, d.cap_hit) == (20, 100_000, True)
+        # 25 windows of walk tables, of which the memo keeps at most its bound
+        memo = field_poly._walk_tables.cache_info()
+        assert memo.currsize <= memo.maxsize == field_poly._WALK_MEMO < 25
 
     @pytest.mark.parametrize("key_len, message", [
         (0, "at least 1 byte"), (-3, "at least 1 byte"),
@@ -1198,14 +1204,42 @@ class TestPrefixWalk:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), q=st.sampled_from(WALK_FIELDS))
     def test_leaves_match_combinations(self, data, q):
+        # the window again with fresh points, whose walk tables are the
+        # memo's, in either dtype as WALK_FIELDS crosses 2**31
         xs, ys, k, start, stop = data.draw(walk_points(q))
-        dtype = field_poly._field_dtype(q)
-        w = np.array(field_poly._basis_at_zero(xs, q), dtype=dtype)
-        subsets, a0 = field_poly._constant_terms(w, np.array(ys, dtype=dtype), q, k, start, stop)
-        want = list(itertools.islice(itertools.combinations(range(len(xs)), k), start, stop))
-        assert list(map(tuple, subsets.T.tolist())) == want
-        assert list(map(int, a0.tolist())) == [
-            reference_a0([(xs[i], ys[i]) for i in s], q) for s in want]
+        m, dtype = len(xs), field_poly._field_dtype(q)
+        want = list(itertools.islice(itertools.combinations(range(m), k), start, stop))
+        for _ in range(2):
+            w = np.array(field_poly._basis_at_zero(xs, q), dtype=dtype)
+            subsets, a0 = field_poly._constant_terms(w, np.array(ys, dtype=dtype), q, k, start, stop)
+            assert list(map(tuple, subsets.T.tolist())) == want
+            assert list(map(int, a0.tolist())) == [
+                reference_a0([(xs[i], ys[i]) for i in s], q) for s in want]
+            with pytest.raises(ValueError, match="read-only"):
+                subsets[0, 0] = 0
+            xs = data.draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m, unique=True))
+            ys = data.draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
+
+    def test_basis_extends_a_head(self):
+        # the first k points' table, extended, is the table of all points
+        q = 65537
+        xs = [x for x, _ in chaff_matches(16, seed=8)]
+        for h in (0, 1, 8, 16):
+            head = field_poly._basis_at_zero(xs[:h], q)
+            assert field_poly._basis_at_zero(xs, q, head) == field_poly._basis_at_zero(xs, q)
+
+    def test_repeated_search_shape_builds_no_tables(self, monkeypatch):
+        # the shape of a rejected probe, 16 chaff matches at cap 2 000:
+        # once its window is walked, a search of fresh points of the same
+        # shape takes its tables from the memo
+        q = 65537
+        search_key(chaff_matches(16, seed=10), q, 8, 12, 2000)
+        hits = field_poly._walk_tables.cache_info().hits
+        unranks = count_calls(monkeypatch, field_poly, "_unrank")
+        d = search_key(chaff_matches(16, seed=11), q, 8, 12, 2000).diagnostics
+        assert (d.subsets_tried, d.cap_hit) == (2000, True)
+        assert unranks == []
+        assert field_poly._walk_tables.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     @settings(max_examples=25, deadline=None)
