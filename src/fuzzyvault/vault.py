@@ -405,13 +405,16 @@ def _json_ints(column) -> str:
 
 def _digit_columns(texts: list) -> list:
     """Columns of canonical v2 text, each decimal integers joined by
-    commas, as int64 arrays, in one numpy parse of them all.  ValueError
-    unless every field is digits, none empty and none with a leading zero,
-    checked first, as numpy warns on a field it cannot read.  numpy reads a
-    field past the int64 range as its bound, 2**63 - 1; the vault refuses
-    that value and every other one of 2**53 or more, as a core beyond a
-    field it accepts or a template id beyond its table, so ``from_json``
-    then reads the text through json."""
+    commas, as int64 arrays.  ValueError unless every field is digits, none
+    empty and none with a leading zero, checked first, as numpy warns on a
+    field it cannot read.  A column of n fields in 2n - 1 characters holds
+    one digit per field, as the template ids of a table of at most 10
+    templates do, and is read by a strided slice of its characters; each
+    other column is parsed by ``np.fromstring``.  numpy reads a field past
+    the int64 range as its bound, 2**63 - 1; the vault refuses that value
+    and every other one of 2**53 or more, as a core beyond a field it
+    accepts or a template id beyond its table, so ``from_json`` then reads
+    the text through json."""
     text = ",".join(texts)
     # a comma on either side, so that each field lies between two commas
     chars = np.frombuffer(f",{text},".encode("ascii"), dtype=np.uint8)
@@ -421,10 +424,16 @@ def _digit_columns(texts: list) -> list:
             or (comma[1:] & comma[:-1]).any()
             or (comma[:-2] & (chars[1:-1] == ord("0")) & digit[2:]).any()):
         raise ValueError("not a column of canonical v2 text")
-    # text i lies between the comma before it and the one after it
-    ends = np.cumsum([len(t) + 1 for t in texts])
-    counts = [np.count_nonzero(comma[end - len(t):end]) + 1 for t, end in zip(texts, ends)]
-    return np.split(np.fromstring(text, dtype=np.int64, sep=","), np.cumsum(counts)[:-1])
+    columns = []
+    start = 1  # each text is chars[start:stop], a comma on either side
+    for t in texts:
+        stop = start + len(t)
+        if len(t) == 2 * np.count_nonzero(comma[start:stop]) + 1:  # one digit per field
+            columns.append(chars[start:stop:2].astype(np.int64) - ord("0"))
+        else:
+            columns.append(np.fromstring(t, dtype=np.int64, sep=","))
+        start = stop + 1
+    return columns
 
 
 def _canonical_parts(text: str) -> tuple:
@@ -433,20 +442,22 @@ def _canonical_parts(text: str) -> tuple:
     ``_COLUMNS`` order; ValueError for any other text.
 
     The template ids are cut after the first ``,"template_ids":[`` up to
-    the next ``]``, the cores as the last two arrays.  The rest must be
+    the next ``]``, and the cores after the next ``],"x_cores":[`` and the
+    ``],"y_cores":[`` after that, found forward from the ids, so that the
+    search passes over the x-cores alone.  The rest must be
     ``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`` of
     its own parse, with the v2 keys alone, so that whitespace, another key
     order or a repeated key is not canonical.  Such text holds no ``,"``
     inside a string, so each cut is at a key: at the top level for the
-    cores, which end the text, and for the template ids too unless a value
-    before them is an array or object, which the checks refuse.
+    cores, as the rest ends with them, and for the template ids too unless
+    a value before them is an array or object, which the checks refuse.
     """
     if not text.endswith(_END):
         raise ValueError("not canonical v2 text")
     ids = text.find(_IDS_OPEN) + len(_IDS_OPEN)
     ids_end = text.find("]", ids)
-    y = text.rfind(_Y_OPEN)
-    x = text.rfind(_X_OPEN, 0, y)
+    x = text.find(_X_OPEN, ids_end)
+    y = text.find(_Y_OPEN, x + len(_X_OPEN))
     if not len(_IDS_OPEN) <= ids <= ids_end <= x < x + len(_X_OPEN) <= y:
         raise ValueError("not canonical v2 text")
     rest = text[:ids] + text[ids_end:x + len(_X_OPEN)] + _Y_OPEN + _END
@@ -588,7 +599,9 @@ class Vault:
     @classmethod
     def from_json(cls, text: str) -> "Vault":
         """The vault of v2 text, the inverse of ``to_json``: for any text,
-        the vault or the ValueError of ``from_dict(json.loads(text))``.
+        the vault or the error of ``from_dict(json.loads(text))``, a
+        ValueError, or the RecursionError ``json.loads`` raises on deeply
+        nested text, which ``load`` turns into a ValueError.
 
         Text exactly as ``to_json`` writes it has its columns parsed
         straight into numpy and only the rest by ``json.loads``; they then
@@ -911,12 +924,19 @@ def match_points(
     Only the vault points of the template's family are indexed, sorted by
     their integer x-core, and a probe with core c tests the unclaimed ones
     with an x-core in [c - W, c + W]: W = delta + 2 plus 2**-48 of
-    max|c| + delta + s, where s is a trapezoidal template's plateau
-    half-width (0 for the other families).  No match lies outside: the core
-    of every family is a parameter, or for trapezoidal the mean of two, so
-    two cores differ by at most their Chebyshev distance; a vault point's
-    core rounds to its x-core; and a probe's trapezoidal (x0 + y0) / 2
-    rounds at most 2**-51 of |c| + s off c.  When no unclaimed point lies
+    delta + s, where s is a trapezoidal template's plateau half-width (0
+    for the other families).  No match lies outside.  Take a = float(c),
+    which the window is compared in too, and x an x-core, an integer below
+    q <= 2**53.  Where the core is a parameter, |a - x| is at most the
+    distance, which rounds down by at most 2**-52 of itself.  A trapezoidal
+    probe has x0 = a - s and y0 = a + s, the point x - s' and x + s' with
+    s' within about delta of s, each rounded by half an ulp at most; the
+    two differences add up to 2(a - x) plus the four rounding errors.
+    While s and delta stay below 2**51, x - s' lies within 2**53 of 0 and
+    rounds by at most 1/2, and a - s, a + s and x + s' lie below 2**54 and
+    round by at most 1, so |a - x| <= delta(1 + 2**-52) + 7/4.  Past that,
+    each error is at most 2**-53 of a value below 2**53 + 2(delta + s),
+    which 2 + 2**-48 (delta + s) covers.  When no unclaimed point lies
     within W of a probe, the walk bisects ``cores`` to the first probe that
     reaches the next unclaimed point, so a range is never walked.  The
     least and greatest core are instantiated first, so that a template
@@ -927,7 +947,7 @@ def match_points(
     ends = {c: template.instantiate(float(c)) for c in ((cores[0], cores[-1]) if cores else ())}
     _check_tolerance(delta)
     plateau = template.spread_params[0] if template.family == TRAPEZOIDAL else 0.0
-    w = delta + 2.0 + (max(map(abs, ends), default=0.0) + delta + plateau) * 2**-48
+    w = delta + 2.0 + (delta + plateau) * 2**-48
     members = np.flatnonzero(vault.family_ids == _FAMILY_ID[template.family])
     members = members[np.argsort(vault.x_cores[members])]
     xs = vault.x_cores[members].tolist()

@@ -832,6 +832,25 @@ class TestMatch:
         assert reference_match_points(vault, [probe], big) == [(200, 3)]
         assert match_points(vault, flat, [big + 256], big) == [(200, 3)]
 
+    @pytest.mark.parametrize("plateau", [0.0, 0.3, 0.5, 1.5, 2.0, 3.0, 7.7])
+    def test_window_holds_every_match_below_2_53(self, plateau):
+        # W has no term in the probe's core: the x-cores lie below
+        # q <= 2**53, where rounding puts a match at most delta + 7/4 from
+        # the probe's core.  Points about 2**52 and 2**53, where the float
+        # spacing grows to 1 and to 2, probed on and off that grid, each
+        # probe at delta its distance to the one point, all match it; the
+        # point 2**52 - 1 of plateau 2.5 lies at distance 0 from the probe
+        # of plateau 3 at c = x + 0.5, so a window without the 2 misses it
+        probe_t = FamilyTemplate("trapezoidal", (plateau, 1.0, 1.0))
+        for top, spread in ((2**52, 2.5), (2**53, 0.0), (2**53, 1.0)):
+            vault_t = FamilyTemplate("trapezoidal", (spread, 1.0, 1.0))
+            for x in range(top - 4, min(top + 4, 2**53)):
+                vault = vault_of([(vault_t, x, 5)], 2**53)
+                for c in [x + d / 4 for d in range(-48, 48)] + list(range(2**53, 2**53 + 12)):
+                    delta = max(distance(vault_t.instantiate(float(x)),
+                                         probe_t.instantiate(float(c))), 2.0**-60)
+                    assert match_points(vault, probe_t, [c], delta) == [(x, 5)]
+
     def test_probe_core_beyond_float_range(self):
         # (x0 + y0) / 2 overflows to inf, yet the probe is 1e308 from (0, 0)
         probe = FuzzyNumber.trapezoidal(1e308, 1e308, 1.0, 1.0)
@@ -1593,7 +1612,7 @@ class TestSerialization:
         probes = locking.subset(0).elements
         # the points match_points may test: same family, x-core within W of
         # a probe's core
-        w = 0.25 + 2 + (max(probes) + 0.25) * 2**-48
+        w = 0.25 + 2 + 0.25 * 2**-48
         window = {
             i for i, pt in enumerate(loaded.points)
             if pt.x.family == TRI.family and any(abs(pt.x_core - c) <= w for c in probes)
@@ -1844,16 +1863,26 @@ BEYOND_CORES = st.one_of(
 ).map(lambda v: int(float(v)))
 
 
+# templates for tables of up to 14, whose template ids then reach two digits
+TABLE_TEMPLATES = st.sampled_from(ALL_TEMPLATES + [FamilyTemplate("crisp")]) | st.builds(
+    lambda left, right: FamilyTemplate("triangular", (left, right)),
+    st.integers(1, 4).map(float), st.integers(1, 4).map(float))
+
+
 @st.composite
 def v2_documents(draw) -> dict:
     """Valid v2 documents: a canonical table of templates that every point
-    uses, pairwise distinct x-cores and cores in [0, q), q at most 2**53."""
-    table = draw(st.lists(st.sampled_from(ALL_TEMPLATES + [FamilyTemplate("crisp")]),
-                          min_size=1, unique=True))
+    uses, pairwise distinct x-cores and cores in [0, q), q at most 2**53.
+    Tables of up to 14 templates and, in some documents, cores below 10
+    give columns of one digit per field and columns of longer fields."""
+    one_digit = draw(st.booleans())
+    size = draw(st.integers(1, 10 if one_digit else 14))
+    table = draw(st.lists(TABLE_TEMPLATES, min_size=size, max_size=size, unique=True))
     table.sort(key=lambda t: (vault_module.FAMILIES.index(t.family), t.spread_params))
-    x_cores = draw(st.lists(EXACT_CORES, min_size=len(table), max_size=40, unique=True))
+    cores = st.integers(0, 9) if one_digit else EXACT_CORES
+    x_cores = draw(st.lists(cores, min_size=len(table), max_size=40, unique=True))
     r = len(x_cores)
-    y_cores = draw(st.lists(EXACT_CORES, min_size=r, max_size=r))
+    y_cores = draw(st.lists(cores, min_size=r, max_size=r))
     spare = draw(st.lists(st.integers(0, len(table) - 1), min_size=r - len(table),
                           max_size=r - len(table)))
     return {
@@ -2137,6 +2166,21 @@ class TestFormatV2:
         assert Vault.load(path) == vault
         assert len(parsed) == 1 and len(parsed[0]) < 500
         assert len(path.read_text()) > 30_000
+
+    def test_load_slices_one_digit_ids(self, field_mfs, tmp_path, monkeypatch):
+        # the template ids of a table of at most 10 templates are one digit
+        # each and are sliced out of the text: numpy parses the cores alone
+        vault, _ = fuzzy_lock(KEY, desk_locking_set(field_mfs, seed=7), field_mfs,
+                              desk_params(seed=7, r=3000))
+        path = tmp_path / "vault.json"
+        vault.save(path)
+        parsed, fromstring = [], np.fromstring
+        monkeypatch.setattr(np, "fromstring",
+                            lambda s, *args, **kw: parsed.append(s) or fromstring(s, *args, **kw))
+        assert Vault.load(path) == vault
+        doc = vault.to_dict()
+        assert len(doc["templates"]) <= 10
+        assert parsed == [",".join(map(str, doc[axis])) for axis in ("x_cores", "y_cores")]
 
     @pytest.mark.parametrize("edits, message", [
         ({"template_ids": [0, 2]}, "index the table"),
