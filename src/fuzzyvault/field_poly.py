@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,19 +24,31 @@ from .fuzzy_number import CRISP, TRIANGULAR, AlphaCut, FuzzyNumber
 CRC_VARIANT = "CRC-16/ARC"
 
 
-@functools.lru_cache(maxsize=16, typed=True)
+@functools.lru_cache(maxsize=16)
 def _is_prime(q: int) -> bool:
-    """``sympy.isprime``, tested once per q (and type) of the fields in use."""
+    """``sympy.isprime``, tested once per q of the fields in use."""
     return sympy.isprime(q)
+
+
+def _check_field_size(q: int) -> None:
+    """ValueError if F_q holds an element that float64 cores cannot."""
+    if q > 2**53:
+        raise ValueError(f"field size q={q} exceeds 2**53, beyond which float64 "
+                         f"cores cannot hold every field element")
 
 
 @dataclass(frozen=True)
 class FieldParams:
-    """A prime field F_q; primality is verified at construction."""
+    """A prime field F_q, q <= 2**53 kept as an int, checked at construction."""
 
     q: int
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "q", operator.index(self.q))
+        except TypeError:
+            raise ValueError(f"field modulus must be an integer, got {self.q!r}") from None
+        _check_field_size(self.q)
         if self.q < 2 or not _is_prime(self.q):
             raise ValueError(f"field modulus must be prime, got {self.q}")
 
@@ -208,37 +221,36 @@ def lagrange_interpolate(points: list[tuple[int, int]], field: FieldParams) -> P
 # batched arithmetic over F_q in numpy
 
 
-def _field_dtype(q: int):
-    """numpy int64 while a product of two residues fits (q < 2**31), else
-    Python ints in an object array."""
-    return np.int64 if q < 2**31 else object
-
-
 def _mod(a, q: int):
-    """``a % q``, computed in place in an int64 or object array: numpy
-    floor-divides int64 by a scalar through libdivide, faster than ``%``,
-    while an object array takes one Python ``%`` per element, not three
-    operations."""
-    if a.dtype == object:
-        a %= q
-    else:
-        a -= a // q * q
+    """``a % q`` in place in an int64 array, by libdivide's floor division."""
+    a -= a // q * q
     return a
+
+
+def _mulmod(a, b, q: int, c=None):
+    """(a * b + c) mod q for int64 arrays a and b of residues mod q <= 2**53,
+    and c, if given, an int or int64 array in [0, 2**62).  Below 2**31 the sum
+    fits int64; above, the float64 quotient lies within 2 of a * b / q, so
+    r = a * b + c - floor(quotient) q, in int64 that wraps, is exact:
+    -2q < r < 3q + c < 2**63."""
+    r = a * b
+    if c is not None:
+        r += c
+    if q >= 2**31:  # the quotient is not negative, so astype floors it
+        r -= (a.astype(np.float64) * b / q).astype(np.int64) * q
+    return _mod(r, q)
 
 
 def _eval_all(p: Polynomial, xs):
     """[p.eval(x) for x in xs] as a uint64 array, in one numpy Horner pass;
-    ``xs`` is an array of ints, of an integer or object dtype, and q is at
-    most 2**64."""
+    ``xs`` is an array of an integer dtype, and q is at most 2**53."""
     q = p.q
     if len(xs) and not (0 <= int(xs.min()) and int(xs.max()) < q):
         raise ValueError(f"evaluation points must lie in [0, {q})")
-    x = xs.astype(_field_dtype(q))
+    x = xs.astype(np.int64)
     acc = np.zeros_like(x)
     for c in reversed(p.coefficients):
-        acc *= x
-        acc += c
-        _mod(acc, q)
+        acc = _mulmod(acc, x, q, c)
     return acc.astype(np.uint64)
 
 
@@ -327,28 +339,31 @@ def _constant_terms(w, y, q: int, k: int, start: int, stop: int) -> tuple:
     """The k-subsets of the points at positions [start, stop) in
     lexicographic order, as a read-only (k, stop - start) array of point
     indices, and the constant term a_0 = sum_{b in S} y_b prod_{a in S}
-    w[a][b] of the polynomial through each, for numpy arrays w and y of
-    ``_field_dtype``.
+    w[a][b] of the polynomial through each, for int64 arrays w and y of
+    residues mod q <= 2**53.
 
     The subsets are the leaves of a numpy walk down the lexicographic
     prefix tree, a level at a time, whose index tables ``_walk_tables``
     keeps per (m, k, start, stop).  A node holds the product of the rows
     w[a] over its points: a child multiplies its parent's by w[e] for its
-    new point e, and a leaf's a_0 takes k more products.  Operands stay
-    below q, so int64 products stay below 2**62 while q < 2**31.
+    new point e, and a leaf's a_0 takes k more products.
     """
     levels, members, parent, e, held_at, basis_at, own_at, subsets = _walk_tables(
         len(y), k, start, stop)
-    prods = np.ones((1, len(y)), dtype=w.dtype)
+    prods = np.ones((1, len(y)), dtype=np.int64)
     for above, point in levels:
-        prods = _mod(prods.take(above, 0) * w.take(point, 0), q)
+        prods = _mulmod(prods.take(above, 0), w.take(point, 0), q)
     # a leaf is its parent's points and then e: its a_0 sums y_b times the
     # parent's product at b times w[e][b] over the parent's points b, and
     # y_e times the parent's product at e
     prods = prods.ravel()
-    held = _mod(y.take(members) * prods.take(held_at), q)
-    terms = _mod(held.take(parent, 1) * w.ravel().take(basis_at), q)
-    a0 = _mod(terms.sum(0) + y.take(e) * prods.take(own_at), q)
+    held = _mulmod(y.take(members), prods.take(held_at), q)
+    terms = _mulmod(held.take(parent, 1), w.ravel().take(basis_at), q)
+    step = 2**62 // q  # terms whose sum stays below 2**62: all k - 1 while q < 2**31
+    a0 = _mulmod(y.take(e), prods.take(own_at), q, terms[:step].sum(0))
+    for row in range(step, k - 1, step):
+        a0 += terms[row:row + step].sum(0)
+        _mod(a0, q)
     return subsets, a0
 
 

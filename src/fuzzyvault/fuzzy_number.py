@@ -362,9 +362,17 @@ class FuzzyNumber:
             f"arithmetic is defined for triangular/crisp numbers, not {self.family}"
         )
 
+    def _is_point(self) -> bool:
+        return self.family == CRISP
+
+    # A result is crisp when its operands are crisp, never because float
+    # rounding happened to close a triangular spread: (0, 0, 1e-16) + 1
+    # rounds to (1, 1, 1), but scaling each operand first keeps a spread,
+    # and x * (a + b) must land in the same family as x * a + x * b.
     @staticmethod
-    def _from_triple(left: float, core: float, right: float) -> "FuzzyNumber":
-        if left == core == right:
+    def _from_triple(left: float, core: float, right: float,
+                     point: bool) -> "FuzzyNumber":
+        if point:
             return FuzzyNumber.crisp(core)
         return FuzzyNumber.triangular(left, core, right)
 
@@ -373,23 +381,26 @@ class FuzzyNumber:
             return NotImplemented
         al, ac, ar = self._as_triple()
         bl, bc, br = other._as_triple()
-        return self._from_triple(al + bl, ac + bc, ar + br)
+        return self._from_triple(al + bl, ac + bc, ar + br,
+                                 self._is_point() and other._is_point())
 
     def __sub__(self, other: "FuzzyNumber") -> "FuzzyNumber":
         if not isinstance(other, FuzzyNumber):
             return NotImplemented
         al, ac, ar = self._as_triple()
         bl, bc, br = other._as_triple()
-        return self._from_triple(al - br, ac - bc, ar - bl)
+        return self._from_triple(al - br, ac - bc, ar - bl,
+                                 self._is_point() and other._is_point())
 
     def scale(self, x: float) -> "FuzzyNumber":
         """Scalar multiple; a negative scalar swaps the endpoints."""
         if x == 0:
             return FuzzyNumber.crisp(0.0)
         left, core, right = self._as_triple()
+        point = self._is_point()
         if x > 0:
-            return self._from_triple(x * left, x * core, x * right)
-        return self._from_triple(x * right, x * core, x * left)
+            return self._from_triple(x * left, x * core, x * right, point)
+        return self._from_triple(x * right, x * core, x * left, point)
 
     def __mul__(self, x: float) -> "FuzzyNumber":
         if isinstance(x, (int, float)):

@@ -26,9 +26,9 @@ from .field_poly import (
     FieldParams,
     Polynomial,
     _basis_at_zero,
+    _check_field_size,
     _constant_terms,
     _eval_all,
-    _field_dtype,
     constant_term_mask,
     decode_key,
     encode_key,
@@ -122,17 +122,6 @@ class SplitMix64:
             r = self.next_u64()
             if r < limit:
                 return r % n
-
-
-def _ceiling(n: int):
-    """The largest output ``randbelow(n)`` keeps, as a uint64."""
-    return np.uint64(_rejection_limit(n) - 1)
-
-
-def _below(outputs, n: int):
-    """uint64 outputs mod n, as ``randbelow(n)`` reduces those it keeps;
-    n = 2**64 keeps them whole."""
-    return outputs % np.uint64(n) if n <= _MASK64 else outputs
 
 
 def _randbelow_each(rng: SplitMix64, bounds):
@@ -277,13 +266,6 @@ def _members(template_ids, count: int) -> list:
     # numpy radix-sorts keys of 16 bits or fewer
     order = np.argsort(template_ids.astype(np.min_scalar_type(count)), kind="stable")
     return np.split(order, np.cumsum(np.bincount(template_ids, minlength=count))[:-1])
-
-
-def _check_field_size(q: int) -> None:
-    """ValueError if F_q holds an element that float64 cores cannot."""
-    if q > 2**53:
-        raise ValueError(f"field size q={q} exceeds 2**53, beyond which float64 "
-                         f"cores cannot hold every field element")
 
 
 def _keeps_cores(template: FamilyTemplate, cmax: float) -> bool:
@@ -712,7 +694,7 @@ def generate_chaff(
 
     floor(rho * count) points are type (ii): on the polynomial but with a
     family other than the locking one.  The rest are type (i): off the
-    polynomial, any family.
+    polynomial, any family.  A field beyond 2**53 raises ValueError.
 
     The draws are those of ``rng.randbelow`` calls, in the order that fixes
     the vault bytes: per point a core in [0, q) until one is unused, then a
@@ -732,6 +714,7 @@ def generate_chaff(
     core the walk kept.
     """
     q = field_mfs.q
+    _check_field_size(q)
     if count < 0 or count > q - len(used_x_cores):
         raise ValueError(
             f"cannot place {count} chaff points among {q - len(used_x_cores)} "
@@ -748,7 +731,8 @@ def generate_chaff(
         return np.empty((0, 3), dtype=np.uint64)
     # randbelow(q) keeps the outputs up to core_ceiling, a share kept of
     # them all; the bounds of the other draws keep those up to ceiling
-    core_ceiling, ceiling = _ceiling(q), min(map(_ceiling, bounds))
+    core_ceiling = np.uint64(_rejection_limit(q) - 1)
+    ceiling = np.uint64(min(map(_rejection_limit, bounds)) - 1)
     kept = _rejection_limit(q) / 2**64
     used = set(used_x_cores)
     used.add(q)  # a rejected core draw is drawn again, as a used core is
@@ -769,8 +753,8 @@ def generate_chaff(
         # two outputs past the block's last core draw, so that a point's
         # other draws lie in the block whenever its core does
         block = rng._peek(size + 2)
-        reduced = _below(block[:size], q)
-        reduced[block[:size] > core_ceiling] = q & _MASK64  # q = 2**64 rejects none
+        reduced = block[:size] % np.uint64(q)
+        reduced[block[:size] > core_ceiling] = q
         xs = memoryview(reduced)
         rejected = block > ceiling
         stop = int(rejected.argmax()) if rejected.any() else len(block)
@@ -796,9 +780,9 @@ def generate_chaff(
         done = drawn + len(at)
         on = min(len(at), on_left)  # this block's type (ii) points
         cores[drawn:done] = reduced[at]
-        draws[0, drawn:drawn + on] = _below(block[at[:on] + 1], len(decoys))
-        draws[0, drawn + on:done] = _below(block[at[on:] + 1], q - 1)
-        draws[1, drawn + on:done] = _below(block[at[on:] + 2], len(templates))
+        draws[0, drawn:drawn + on] = block[at[:on] + 1] % np.uint64(len(decoys))
+        draws[0, drawn + on:done] = block[at[on:] + 1] % np.uint64(q - 1)
+        draws[1, drawn + on:done] = block[at[on:] + 2] % np.uint64(len(templates))
         drawn = done
         if tail is None:  # all drawn, or a core search to draw again from a longer block
             rng._skip(start)
@@ -1014,6 +998,7 @@ def search_key(
     if k < 1:
         raise ValueError("coefficient count must be at least 1")
     field = FieldParams(q)
+    q = field.q
     reject = constant_term_mask(key_len, field, k)
     diagnostics = UnlockDiagnostics(matched=len(matched))
     if len(matched) < k:
@@ -1031,8 +1016,8 @@ def search_key(
         if material is not None:
             diagnostics.subsets_tried = 1
             return UnlockResult(material.key_bytes, diagnostics)
-    w = np.array(_basis_at_zero(xs, q, head), dtype=_field_dtype(q))
-    y = np.array(ys, dtype=_field_dtype(q))
+    w = np.array(_basis_at_zero(xs, q, head), dtype=np.int64)
+    y = np.array(ys, dtype=np.int64)
     for start in range(1, limit, _SUBSET_CHUNK):
         subsets, a0 = _constant_terms(w, y, q, k, start, min(start + _SUBSET_CHUNK, limit))
         for s in np.flatnonzero((a0 & reject) == 0).tolist():

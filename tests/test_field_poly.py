@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -145,7 +146,7 @@ class TestKeyCodec:
         assert material is not None and material.key_bytes == key
 
     @given(key=st.binary(min_size=1, max_size=20),
-           q=st.sampled_from([65537, 2**31 - 1, 2**61 - 1]), extra=st.integers(0, 3))
+           q=st.sampled_from([65537, 2**31 - 1, 2**53 - 111]), extra=st.integers(0, 3))
     @settings(max_examples=100)
     def test_constant_term_mask_clears_encoded_keys(self, key, q, extra):
         # the key search drops a subset whose a_0 has a masked bit set, so
@@ -302,6 +303,17 @@ class TestFieldParams:
     def test_bits_per_element(self):
         assert FieldParams(65537).bits_per_element == 16
         assert FieldParams(7).bits_per_element == 2
+
+    def test_any_integer_type_and_only_integers(self):
+        field = FieldParams(np.int64(65537))
+        assert type(field.q) is int and field == FieldParams(65537)
+        assert field.bits_per_element == 16
+        for q in (65537.0, "65537", None):
+            with pytest.raises(ValueError, match="must be an integer, got "):
+                FieldParams(q)
+        # a bool is an int, and True is 1, which is not prime
+        with pytest.raises(ValueError, match="must be prime, got 1$"):
+            FieldParams(True)
 
 
 def prod(items):

@@ -182,6 +182,8 @@ class TestArithmetic:
         assert hi == a.support()[1] + b.support()[1]
 
     @given(triangulars(), triangulars(), st.floats(-10, 10))
+    @example(FuzzyNumber.triangular(0.0, 0.0, 1e-16),
+             FuzzyNumber.triangular(1.0, 1.0, 1.0), 3.0)
     def test_scalar_distributes_over_add(self, a, b, x):
         lhs = ((a + b) * x).params
         rhs = ((a * x) + (b * x)).params

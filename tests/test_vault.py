@@ -1,5 +1,6 @@
 import collections
 import copy
+import functools
 import gc
 import hashlib
 import itertools
@@ -7,6 +8,7 @@ import json
 import math
 import random
 import re
+import warnings
 from operator import itemgetter
 
 import hypothesis.strategies as st
@@ -230,18 +232,13 @@ DIGIT_EDGES = [0, 9, 10, 99, 100, 10**15, 2**53 - 1, 2**53, 2**63 - 1024, 2**63]
 
 RNG_SEEDS = [0, 2**64 - 1, 0x243F6A8885A308D3, 0x13198A2E03707344]
 HALF_REJECTED = 2**63 + 29  # a prime: randbelow rejects almost half of all outputs
-
-
-def count_peeks(patch) -> list:
-    """The counts of every ``SplitMix64._peek`` call from here on."""
-    calls, peek_ahead = [], SplitMix64._peek
-
-    def peek(rng, count):
-        calls.append(count)
-        return peek_ahead(rng, count)
-
-    patch.setattr(SplitMix64, "_peek", peek)
-    return calls
+# the least prime above 2**64 / 2049 but one, below 2**53: randbelow(q) and
+# randbelow(q - 1) each reject almost 1 in 2049 outputs, the most a field
+# that a vault holds rejects
+Q_REJECTS = 9002803354665481
+# an output that randbelow rejects under Q_REJECTS, Q_REJECTS - 1 and
+# 2**53 - 111, and keeps under the template and decoy bounds 4 and 3
+REJECTED_OUTPUT = 2**64 - 2
 
 
 def count_calls(patch, module, name) -> list:
@@ -256,10 +253,66 @@ def count_calls(patch, module, name) -> list:
     return calls
 
 
-def assert_chaff_matches_reference(poly, field, used, count, rho, seed):
+class CraftedStream(SplitMix64):
+    """The outputs of ``SplitMix64(seed)``, but REJECTED_OUTPUT at each
+    position in ``rejected``.  ``events`` records each ``_peek`` as
+    ("peek", position, count) and each ``randbelow`` as ("randbelow", n,
+    the outputs it took)."""
+
+    def __init__(self, seed: int, rejected=()):
+        super().__init__(seed)
+        self._outputs = {at: REJECTED_OUTPUT for at in rejected}
+        self._at = 0
+        self.events = []
+
+    def _peek(self, count):
+        self.events.append(("peek", self._at, count))
+        block = super()._peek(count)
+        for at, output in self._outputs.items():
+            if 0 <= at - self._at < count:
+                block[at - self._at] = output
+        return block
+
+    def _skip(self, count):
+        super()._skip(count)
+        self._at += count
+
+    def next_u64(self):
+        output = super().next_u64()
+        self._at += 1
+        return self._outputs.get(self._at - 1, output)
+
+    def randbelow(self, n):
+        at = self._at
+        value = super().randbelow(n)
+        self.events.append(("randbelow", n, self._at - at))
+        return value
+
+
+def walk_paths(walk: CraftedStream, reference: CraftedStream, q: int) -> set:
+    """Which of the chaff walk's slow paths ran, from the calls of its
+    stream and of the oracle's: "rejected core" (a randbelow(q) of the
+    oracle took more than one output), "tail" (the walk called randbelow,
+    as it does for the draws after the core of the point that ends a
+    block) and "redraw" (a block ended after a core search took one of its
+    core draws, and the next starts inside it, with no randbelow between)."""
+    paths = set()
+    if any(kind == "randbelow" and n == q and taken > 1 for kind, n, taken in reference.events):
+        paths.add("rejected core")
+    if any(kind == "randbelow" for kind, _, _ in walk.events):
+        paths.add("tail")
+    # a block of count outputs holds count - 2 core draws
+    for (kind, at, count), (next_kind, next_at, _) in zip(walk.events, walk.events[1:]):
+        if kind == next_kind == "peek" and at < next_at < at + count - 2:
+            paths.add("redraw")
+    return paths
+
+
+def assert_chaff_matches_reference(poly, field, used, count, rho, seed, rejected=()):
     """generate_chaff gives the oracle's cores and points, and leaves the
-    stream where the oracle's randbelow calls leave it."""
-    rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+    stream where the oracle's randbelow calls leave it; the streams are
+    ``CraftedStream(seed, rejected)``, and returned, the walk's first."""
+    rng, ref_rng = CraftedStream(seed, rejected), CraftedStream(seed, rejected)
     got = generate_chaff(poly, field, used, count, rho, TRI, rng)
     cores = []
     want = reference_generate_chaff(poly, field, used, count, rho, TRI, ref_rng, cores)
@@ -271,6 +324,7 @@ def assert_chaff_matches_reference(poly, field, used, count, rho, seed):
               for x, y, t in rows]
     assert repr(points) == repr(want)  # repr also tells -0.0 from 0.0
     assert rng.next_u64() == ref_rng.next_u64()
+    return rng, ref_rng
 
 
 class TestBatchedLock:
@@ -293,14 +347,16 @@ class TestBatchedLock:
         assert ([rng.randbelow(n) for n in bounds]
                 == [reference_randbelow(ref, n) for n in bounds])
 
-    @pytest.mark.parametrize("q", [65537, P31, HALF_REJECTED])
+    @pytest.mark.parametrize("q", [65537, P31, Q_REJECTS])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
     def test_generate_chaff_matches_reference(self, q, rho):
         field = desk_field(q)
         poly = encode_key(bytes(range(12)), FieldParams(q), 8)
-        # the len() of a range must fit in an ssize_t
-        used = set(random.Random(q).sample(range(min(q, 2**62)), 12))
-        assert_chaff_matches_reference(poly, field, used, 2000, rho, q + 1)
+        used = set(random.Random(q).sample(range(q), 12))
+        walk, reference = assert_chaff_matches_reference(poly, field, used, 2000, rho, q + 1)
+        # the stream of seed q + 1 holds core or offset draws that Q_REJECTS rejects
+        if q == Q_REJECTS:
+            assert walk_paths(walk, reference, q) & {"rejected core", "tail"}
 
     @pytest.mark.parametrize("block", [2, 7, 2048])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
@@ -308,42 +364,46 @@ class TestBatchedLock:
         # most core draws collide, and near the end a redraw runs longer
         # than a block of outputs
         monkeypatch.setattr(vault_module, "_DRAW_BLOCK", block)
-        peeks = count_peeks(monkeypatch)
         field = desk_field(257)
         poly = Polynomial((5, 17, 3, 200, 1, 256), 257)
         used = set(random.Random(5).sample(range(257), 12))
-        assert_chaff_matches_reference(poly, field, used, 257 - len(used), rho, 9)
+        walk, _ = assert_chaff_matches_reference(poly, field, used, 257 - len(used), rho, 9)
         # a block holds at most ``block`` points, so the small ones take turns
-        assert len(peeks) > 1 or block == 2048
+        assert sum(kind == "peek" for kind, _, _ in walk.events) > 1 or block == 2048
 
     @pytest.mark.parametrize("block", [3, 64])
     def test_blocks_ending_in_rejection_runs_match_reference(self, monkeypatch, block):
-        # half of the outputs are rejected under 2**63 + 29, so small blocks
-        # end inside runs of rejected core and offset draws
+        # half of the outputs rejected, so small blocks end inside runs of
+        # rejected core and offset draws
         monkeypatch.setattr(vault_module, "_DRAW_BLOCK", block)
-        peeks = count_peeks(monkeypatch)
-        field = desk_field(HALF_REJECTED)
-        poly = encode_key(bytes(range(12)), FieldParams(HALF_REJECTED), 8)
-        assert_chaff_matches_reference(poly, field, {5, 6}, 300, 0.3, 17)
-        assert len(peeks) > 1
+        field = desk_field(Q_REJECTS)
+        poly = encode_key(bytes(range(12)), FieldParams(Q_REJECTS), 8)
+        rejected = random.Random(block).sample(range(2000), 1000)
+        walk, reference = assert_chaff_matches_reference(poly, field, {5, 6}, 300, 0.3, 17,
+                                                         rejected)
+        assert walk_paths(walk, reference, Q_REJECTS) == {"rejected core", "tail", "redraw"}
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1),
-           q=st.sampled_from([257, 401, 65537, P31, HALF_REJECTED, 2**64]),
-           rho=st.floats(0, 1), block=st.sampled_from([2, 7, 2048]), data=st.data())
-    def test_walk_matches_reference(self, seed, q, rho, block, data):
+           q=st.sampled_from([257, 401, 65537, P31, Q_REJECTS, 2**53 - 111]),
+           rho=st.floats(0, 1), block=st.sampled_from([2, 7, 2048]),
+           share=st.sampled_from([0.0, 2**-6, 0.5]), data=st.data())
+    def test_walk_matches_reference(self, seed, q, rho, block, share, data):
         # the walk's fast steps, its steps past rejected draws and the ends
-        # of its blocks, from an empty chaff to a field filled up
+        # of its blocks, from an empty chaff to a field filled up; a share
+        # of the outputs is REJECTED_OUTPUT, which every field here but
+        # 257 and 65537 rejects
         coefficients = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=8))
-        used = data.draw(st.sets(st.integers(0, min(q, 2**62) - 1), max_size=12))
+        used = data.draw(st.sets(st.integers(0, q - 1), max_size=12))
         count = data.draw(st.integers(0, min(q - len(used), 600)))
+        rejected = random.Random(seed).sample(range(4 * count), int(share * 4 * count))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(vault_module, "_DRAW_BLOCK", block)
-            peeks = count_peeks(patch)
-            assert_chaff_matches_reference(Polynomial(tuple(coefficients), q), desk_field(q),
-                                           used, count, rho, seed)
+            walk, _ = assert_chaff_matches_reference(Polynomial(tuple(coefficients), q),
+                                                     desk_field(q), used, count, rho, seed,
+                                                     rejected)
         # a block holds at most ``block`` points, so more take more blocks
-        assert len(peeks) > 1 or count <= block
+        assert sum(kind == "peek" for kind, _, _ in walk.events) > 1 or count <= block
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_randbelow_each_matches_reference(self, seed):
@@ -380,10 +440,12 @@ class TestBatchedLock:
         for n in (2**64 + 1, 2**65, 0, -3):
             with pytest.raises(ValueError, match=r"bound must lie in \[1, 2\*\*64\]"):
                 SplitMix64(1).randbelow(n)
+        # the chaff of such a field is refused before a draw, as that of
+        # every field beyond 2**53
         q = 2**64 + 13  # the smallest prime above 2**64
         field = desk_field(q)
         poly = Polynomial((1, 2, 3), q)
-        with pytest.raises(ValueError, match=r"bound must lie in \[1, 2\*\*64\]"):
+        with pytest.raises(ValueError, match=re.escape(f"q={q} exceeds 2**53")):
             generate_chaff(poly, field, {1}, 5, 0.5, TRI, SplitMix64(1))
 
     def test_desk_vault_golden_bytes(self, field_mfs):
@@ -407,6 +469,15 @@ class TestBatchedLock:
         assert len(text) == 136944
         assert hashlib.sha256(text).hexdigest() == (
             "89e6ccf59eafbffbeeee01c224d1b4f6ec4e28c77401572c2a69fc80368a4e24")
+        # and at q = 2**53 - 111, the largest prime a vault holds, where the
+        # values on the polynomial take _mulmod's float64 quotient
+        field = desk_field(2**53 - 111)
+        vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field, seed=7),
+                              field, desk_params(seed=7))
+        text = vault.to_json().encode()
+        assert len(text) == 11037
+        assert hashlib.sha256(text).hexdigest() == (
+            "2fe61b5c48b5c25ba85acbec5c877fdb180310c13967421e6392ec183e95da06")
 
 
 class TestLock:
@@ -463,6 +534,26 @@ class TestLock:
         with pytest.raises(ValueError, match=re.escape(f"q={q} exceeds 2**53")) as e:
             lock_polynomial(poly, locking, field, params)
         assert "template" not in str(e.value)
+
+    @pytest.mark.parametrize("q", [2**53 + 1, 2**61 - 1])
+    def test_every_entry_refuses_a_field_beyond_2_53(self, q):
+        # one bound and one message for every entry that works in F_q, ahead
+        # of the primality test, which 2**53 + 1 fails
+        field = split_field(q, [TRI, GAU])
+        locking = build_locking_set(field, [(tuple(range(1, 25, 2)), TRI)])
+        params = LockParams(t=12, k_subset=0, t_mfk=12, r=60, k=8, seed=7)
+        entries = [
+            lambda: FieldParams(q),
+            lambda: encode_key(KEY, FieldParams(q), 8),
+            lambda: search_key([(1, 2), (3, 4)], q, 1, 1),
+            lambda: generate_chaff(Polynomial((1, 2, 3), q), field, {1}, 5, 0.5, TRI,
+                                   SplitMix64(1)),
+            lambda: fuzzy_lock(KEY, locking, field, params),
+            lambda: vault_of([(TRI, 1, 2), (TRI, 3, 4)], q),
+        ]
+        for entry in entries:
+            with pytest.raises(ValueError, match=re.escape(f"q={q} exceeds 2**53")):
+                entry()
 
     def test_field_at_float_bound_locks(self):
         q = 2**53
@@ -1035,8 +1126,9 @@ def pad_bits(q, k, key_len):
     return k * (q.bit_length() - 1) - (8 * key_len + 16)
 
 
-# fields on both sides of 2**31, where the walk leaves int64 for Python ints
-WALK_FIELDS = [257, 65537, 2**31 - 1, P31, 2**61 - 1]
+# fields on both sides of 2**31, where _mulmod leaves the int64 product
+# for the float64 quotient, up to the largest prime a vault holds
+WALK_FIELDS = [257, 65537, 2**31 - 1, P31, 2**53 - 111]
 
 
 # (q, k, key_len) with pad < 0, pad = 0, 0 < pad < bits, pad = bits
@@ -1045,7 +1137,7 @@ SEARCH_CASES = [
     *[(65537, 3, n) for n in (5, 4, 3, 2, 1)],
     *[(2**31 - 1, 4, n) for n in (14, 13, 12, 8)],
     *[(P31, 8, n) for n in (30, 29, 28, 24)],
-    *[(2**61 - 1, 4, n) for n in (29, 28, 27, 20)],
+    *[(2**53 - 111, 4, n) for n in (25, 24, 23, 17)],
 ]
 
 
@@ -1178,6 +1270,12 @@ class TestSearchKey:
             with pytest.raises(ValueError, match=message):
                 search_key(matched, 65537, 8, key_len)
 
+    def test_field_of_a_numpy_integer(self):
+        # the search reduces mod FieldParams' q, an int whatever q's type
+        chaff = chaff_matches(10, seed=4)
+        got = search_key(chaff, np.int64(65537), 8, 12)
+        assert outcome(got) == outcome(search_key(chaff, 65537, 8, 12)) == (None, 10, 45)
+
     def test_cap_hit_only_with_subsets_left(self):
         chaff = chaff_matches(10, seed=4)  # C(10, 8) = 45 subsets
         for cap, tried, hit in ((44, 44, True), (45, 45, False), (46, 45, False)):
@@ -1224,13 +1322,14 @@ class TestPrefixWalk:
     @given(data=st.data(), q=st.sampled_from(WALK_FIELDS))
     def test_leaves_match_combinations(self, data, q):
         # the window again with fresh points, whose walk tables are the
-        # memo's, in either dtype as WALK_FIELDS crosses 2**31
+        # memo's, in either product as WALK_FIELDS crosses 2**31
         xs, ys, k, start, stop = data.draw(walk_points(q))
-        m, dtype = len(xs), field_poly._field_dtype(q)
+        m = len(xs)
         want = list(itertools.islice(itertools.combinations(range(m), k), start, stop))
         for _ in range(2):
-            w = np.array(field_poly._basis_at_zero(xs, q), dtype=dtype)
-            subsets, a0 = field_poly._constant_terms(w, np.array(ys, dtype=dtype), q, k, start, stop)
+            w = np.array(field_poly._basis_at_zero(xs, q), dtype=np.int64)
+            subsets, a0 = field_poly._constant_terms(w, np.array(ys, dtype=np.int64), q, k,
+                                                     start, stop)
             assert list(map(tuple, subsets.T.tolist())) == want
             assert list(map(int, a0.tolist())) == [
                 reference_a0([(xs[i], ys[i]) for i in s], q) for s in want]
@@ -1260,14 +1359,27 @@ class TestPrefixWalk:
         assert unranks == []
         assert field_poly._walk_tables.cache_info().hits == hits + 1
 
+    def test_terms_past_one_int64_sum(self):
+        # at q = 2**53 - 111, from 2**63 / q = 1024 terms below q a leaf's
+        # sum overflows int64: ys that make each term of the first subset,
+        # range(k), q - 1 give it a_0 = k (q - 1) = -k mod q
+        q, k = 2**53 - 111, 1030
+        xs = random.Random(12).sample(range(1, q), k + 1)
+        w = field_poly._basis_at_zero(xs, q)
+        # the Lagrange basis polynomial of each point of the subset at 0
+        basis = [functools.reduce(lambda acc, row: acc * row[b] % q, w[:k], 1) for b in range(k)]
+        ys = [(q - 1) * pow(c, -1, q) % q for c in basis] + [0]
+        _, a0 = field_poly._constant_terms(np.array(w, dtype=np.int64),
+                                           np.array(ys, dtype=np.int64), q, k, 0, 1)
+        assert a0.tolist() == [-k % q]
+
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), q=st.sampled_from(WALK_FIELDS))
     def test_runs_join_into_the_lexicographic_order(self, chunk, data, q):
         xs, ys, k, _, stop = data.draw(walk_points(q))
-        dtype = field_poly._field_dtype(q)
-        w = np.array(field_poly._basis_at_zero(xs, q), dtype=dtype)
-        runs = [field_poly._constant_terms(w, np.array(ys, dtype=dtype), q, k,
+        w = np.array(field_poly._basis_at_zero(xs, q), dtype=np.int64)
+        runs = [field_poly._constant_terms(w, np.array(ys, dtype=np.int64), q, k,
                                            start, min(start + chunk, stop))
                 for start in range(0, stop, chunk)]
         want = list(itertools.islice(itertools.combinations(range(len(xs)), k), stop))
@@ -1288,7 +1400,7 @@ class TestPrefixWalk:
             got = search_key(matched, q, k, 1, cap)
         assert outcome(got) == outcome(reference_search_key(matched, q, k, 1, cap))
 
-    @pytest.mark.parametrize("q", [65537, 2**61 - 1])
+    @pytest.mark.parametrize("q", [65537, 2**53 - 111])
     def test_subset_counts_beyond_int64(self, q):
         # C(70, 35) ~ 1.1e20 subsets: the walk's positions are Python ints
         matched = chaff_matches(70, seed=9, q=q)
@@ -1303,10 +1415,24 @@ class TestPrefixWalk:
         assert (values % q).tolist() == want
         assert field_poly._mod(values.copy(), q).tolist() == want
 
-    def test_reduction_of_python_ints(self):
-        q = 2**61 - 1
-        values = np.array([0, 1, q - 1, (q - 1) ** 2, 2**62 - 1, 2**130 + 3], dtype=object)
-        assert field_poly._mod(values.copy(), q).tolist() == [v % q for v in values.tolist()]
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), q=st.sampled_from([2**31 - 1, 2**31 + 11, 2**40 + 15, 2**53 - 111]))
+    def test_mulmod_matches_python_ints(self, data, q):
+        # residues a and b, among them the edges 0, 1, q - 1 and q // 2, and
+        # no addend, one addend for all or one each, up to 2**62 - 1
+        edges = [0, 1, q - 1, q // 2]
+        n = data.draw(st.integers(1, 40))
+        a, b = (data.draw(st.lists(st.sampled_from(edges) | st.integers(0, q - 1),
+                                   min_size=n, max_size=n)) for _ in range(2))
+        addend = st.sampled_from([0, q - 1, 2**62 - 1]) | st.integers(0, 2**62 - 1)
+        c = data.draw(st.none() | addend | st.lists(addend, min_size=n, max_size=n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = field_poly._mulmod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), q,
+                                     np.array(c, dtype=np.int64) if type(c) is list else c)
+        assert got.dtype == np.int64
+        cs = c if type(c) is list else [c or 0] * n
+        assert got.tolist() == [(x * y + z) % q for x, y, z in zip(a, b, cs)]
 
 
 # numbers whose JSON text is easy to get wrong: integral cores up to the
