@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .field_poly import _check_field_size
 from .vault import FAMILIES, LockTranscript, Vault
 
 
@@ -53,6 +54,7 @@ class ScenarioParams:
     family_cardinality: int = 1   # |epsilon~| of the family-restricted bound
 
     def __post_init__(self):
+        _check_field_size(self.q)
         if not (0 < self.t_mfj <= self.t <= self.r <= self.q):
             raise ValueError(
                 f"need 0 < t_mfj <= t <= r <= q, got t_mfj={self.t_mfj}, "
@@ -62,8 +64,11 @@ class ScenarioParams:
             raise ValueError(f"need 1 <= m_a <= m_f, got {self.m_a}, {self.m_f}")
         if not (0 < self.mu < 1):
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
-        if self.k < 1 or self.n < 0:
-            raise ValueError("k must be positive and n nonnegative")
+        # the formulas take k and n as float64 factors and exponents,
+        # which hold every integer up to 2**53
+        if not (1 <= self.k <= 2**53 and 0 <= self.n <= 2**53):
+            raise ValueError(f"need 1 <= k <= 2**53 and 0 <= n <= 2**53, "
+                             f"got k={self.k}, n={self.n}")
         if self.family_cardinality < 1:
             raise ValueError("family cardinality must be at least 1")
 
@@ -220,8 +225,7 @@ def empirical_spurious_census(vault: Vault, transcript: LockTranscript, k: int) 
     if q ** k > 10**7:
         raise ValueError(f"census infeasible: q^k = {q**k} exceeds 1e7")
     t = transcript.t_mfk
-    xs = vault.x_cores.astype(np.int64)
-    ys = vault.y_cores.astype(np.int64)
+    xs, ys = vault.x_cores, vault.y_cores
     fam_mask = vault.family_ids == FAMILIES.index(transcript.locking_family.family)
 
     def count_exact(xs_sel, ys_sel, target):

@@ -49,7 +49,6 @@ from .multi_fuzzy_set import (
     UNLOCKING,
     FamilyTemplate,
     MultiFuzzySet,
-    _layout,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -255,12 +254,6 @@ FAMILIES = tuple(PARAM_COUNT)
 _FAMILY_ID = {family: i for i, family in enumerate(FAMILIES)}
 
 
-def _defuzzify_rows(family: str, block):
-    """``FuzzyNumber.defuzzify`` of every row of a parameter block."""
-    with np.errstate(over="ignore"):  # beyond the float range: inf, as in Python
-        return CORE[family](block.T)
-
-
 def _members(template_ids, count: int) -> list:
     """Per template id below ``count``, the positions of its points."""
     # numpy radix-sorts keys of 16 bits or fewer
@@ -269,82 +262,54 @@ def _members(template_ids, count: int) -> list:
 
 
 def _keeps_cores(template: FamilyTemplate, cmax: float) -> bool:
-    """Whether the template instantiates every integral core in [0, cmax]
-    with finite parameters that round back to the core.
-
-    Each parameter is the core c, a spread s, c - s or c + s, and rounding
-    is monotone, so c - s >= -s is finite and c + s is if cmax + s is; the
-    core itself is a parameter in every family but trapezoidal.  There the
-    core is the plateau midpoint ((c - s) + (c + s)) / 2, which is c when
+    """Whether the trapezoidal template's plateau midpoint, ((c - s) + (c + s))
+    / 2 in float64, is c at every integer core c in [0, cmax].  It is when
     c - s and c + s are exact.  They are when c and s are multiples of
     u = ulp(cmax + s), as every integer c is while u <= 1: both then lie
-    below 2**53 u, where every multiple of u is a float.  Python floats,
-    as numpy would warn on overflow."""
-    spreads = template.spread_params
-    if template.family != TRAPEZOIDAL:
-        return math.isfinite(cmax + max(spreads, default=0.0))
-    ulp = math.ulp(cmax + spreads[0])
-    return ulp <= 1 and spreads[0] % ulp == 0
+    below 2**53 u, where every multiple of u is a float."""
+    plateau = template.spread_params[0]
+    ulp = math.ulp(cmax + plateau)
+    return ulp <= 1 and plateau % ulp == 0
 
 
 def _check_cores(table: list, template_ids, x_cores, y_cores) -> None:
-    """Check that each point's template instantiates both of its cores
-    with finite parameters that round back to the core, a family at a time
-    over both axes, skipping the templates ``_keeps_cores`` clears when
-    every core is integral.  ValueError names the first template in table
-    order that fails, the x-axis before the y-axis, at its first point."""
-    families = [t.family for t in table]
+    """Check that each trapezoidal point's plateau midpoint rounds back to
+    both of its int64 cores, in one pass over the points of the templates
+    ``_keeps_cores`` does not clear.  Every other family holds the core c
+    itself as a parameter, and no parameter, c, c - s, c + s or a spread s,
+    overflows for c below 2**63.  ValueError names the first template in
+    table order that fails, the x-axis before the y-axis, at its first
+    point."""
     cmax = float(max(x_cores.max(), y_cores.max()))
-    integral = all((np.rint(cores) == cores).all() for cores in (x_cores, y_cores))
-    checked = [not (integral and _keeps_cores(t, cmax)) for t in table]
-    for family in dict.fromkeys(families):
-        lo = families.index(family)  # the table holds a family's templates together
-        hi = lo + families.count(family)
-        if not any(checked[lo:hi]):
-            continue
-        wanted = np.zeros(len(table), dtype=bool)
-        wanted[lo:hi] = checked[lo:hi]
-        members = np.flatnonzero(wanted[template_ids])
-        ids, n = template_ids[members] - lo, len(members)
-        spreads = np.array([t.spread_params for t in table[lo:hi]])[ids].T
-        cores = np.concatenate((x_cores[members], y_cores[members]))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            params = np.array(_layout(family, cores, np.tile(spreads, 2)))
-            derived = np.rint(_defuzzify_rows(family, params.T))
-        finite, kept = np.isfinite(params).all(axis=0), derived == cores
-        passed = np.stack((finite[:n], kept[:n], finite[n:], kept[n:]))  # per check and point
-        if not passed.all():
-            failing = ids == ids[~passed.all(axis=0)].min()
-            check = passed[:, failing].all(axis=1).argmin()
-            i = np.argmin(passed[check] | ~failing) + n * (check >= 2)
-            if check % 2 == 0:
-                raise ValueError(f"{family} parameters must be finite: "
-                                 f"{tuple(params[:, i].tolist())}")
-            raise ValueError(f"template {table[lo + ids[i % n]]} turns the "
-                             f"{'xy'[check // 2]}-core {int(cores[i])} into {derived[i]}")
+    plateaus = [t.spread_params[0] if t.family == TRAPEZOIDAL and not _keeps_cores(t, cmax)
+                else math.nan for t in table]
+    plateaus = np.array(plateaus)[template_ids]
+    members = np.flatnonzero(~np.isnan(plateaus))
+    if not len(members):
+        return
+    ids, s = template_ids[members], plateaus[members]
+    cores = np.stack((x_cores[members], y_cores[members]))  # c - s and c + s are float64
+    derived = np.rint(CORE[TRAPEZOIDAL]((cores - s, cores + s)))
+    kept = derived == cores
+    if not kept.all():
+        failing = ids == ids[~kept.all(axis=0)].min()  # the first failing template's points
+        axis = kept[:, failing].all(axis=1).argmin()
+        i = np.argmin(kept[axis] | ~failing)
+        raise ValueError(f"template {table[ids[i]]} turns the {'xy'[axis]}-core "
+                         f"{cores[axis, i]} into {derived[axis, i]}")
 
 
-def _int_column(values, r: int, name: str, dtype):
-    """``values``, checked to be a parsed JSON array of exactly r integers,
-    as a ``dtype`` array, or None if one lies beyond the dtype's range."""
+def _int_column(values, r: int, name: str):
+    """``values``, checked to be a parsed JSON array of exactly r integers
+    that int64 holds, as an int64 array."""
     if type(values) is not list or len(values) != r:
         raise ValueError(f"{name} must be an array of r={r} integers")
     if not {int}.issuperset(map(type, values)):
         raise ValueError(f"{name} must hold integers only")
     try:
-        return np.array(values, dtype=dtype)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
-        return None
-
-
-def _core_column(values, r: int, axis: str):
-    """A v2 core column as float64, checked to hold r integers that float64
-    holds exactly; the vault checks that they lie in [0, q)."""
-    cores = _int_column(values, r, f"{axis}_cores", np.float64)
-    # float64 holds every integer up to 2**53, and 2**53 + 1 reads as 2**53
-    if cores is None or (cores.max(initial=0) >= 2**53 and _ints(cores) != values):
-        raise ValueError(f"vault {axis}-cores must be integers that float64 holds exactly")
-    return cores
+        raise ValueError(f"{name} must hold integers that int64 holds") from None
 
 
 # the integer columns of a v2 document, each an attribute of Vault
@@ -358,16 +323,8 @@ _V2_KEYS = ("crc_variant", "format_version", "n", "q", "r", "template_ids", "tem
 _IDS_OPEN, _X_OPEN, _Y_OPEN, _END = ',"template_ids":[', '],"x_cores":[', '],"y_cores":[', "]}\n"
 
 
-def _ints(cores) -> list:
-    """An integer column, intp or integral float64, as Python ints, exact
-    beyond int64 too."""
-    if -2.0**63 <= cores.min(initial=0) and cores.max(initial=0) < 2.0**63:
-        return cores.astype(np.int64).tolist()
-    return list(map(int, cores.tolist()))
-
-
 def _json_ints(column) -> str:
-    """``json.dumps(_ints(column), separators=(",", ":"))`` for a column of
+    """``json.dumps(column.tolist(), separators=(",", ":"))`` for a column of
     non-negative integers that int64 holds, as a vault's columns, all below
     2**53, are; its digits written in one numpy pass: a row of digit
     characters per value, from the last digit up, and a comma; each row is
@@ -459,8 +416,8 @@ class Vault:
     some point uses, equal ones merged, families as in FAMILIES, then
     spreads ascending, so equal vaults write equal files.  Per point,
     ``template_ids`` (intp) holds its template's index in the table, and
-    ``x_cores`` and ``y_cores`` its cores, as integral float64; all three
-    are read-only.  ``family_ids`` derives each point's family from them.
+    ``x_cores`` and ``y_cores`` (int64) its cores; all three are
+    read-only.  ``family_ids`` derives each point's family from them.
 
     A vault is built one way, from those columns and a table: the lock
     and the v2 reader hold them already, so neither builds an object per
@@ -471,15 +428,30 @@ class Vault:
 
     def __init__(self, x_cores, y_cores, template_ids, templates, q: int, n: int):
         """The vault whose point i is ``templates[template_ids[i]]``
-        instantiated at ``x_cores[i]`` and ``y_cores[i]``, float64 columns
-        of integers that the vault keeps, read-only, with the table made
-        canonical; r is the number of points, and the CRC variant is
-        ``CRC_VARIANT``.  ValueError names a template under which a rounded
-        core is not the integer core it was built from, as (x0 + y0) / 2
-        under a plateau of half-width 2**53.  A field beyond 2**53 is
-        checked last, so a vault refused for another fault keeps that
-        fault's message."""
+        instantiated at ``x_cores[i]`` and ``y_cores[i]``: three columns of
+        one length r, each an integer array that int64 holds, kept
+        read-only, the cores as int64 and the ids as intp, with the table
+        made canonical; the CRC variant is ``CRC_VARIANT``.  ValueError
+        names the fault: a column of floats, bools, strings or objects,
+        columns of unequal length, a template id outside ``templates``, or
+        a template under which a rounded core is not the integer core it
+        was built from, as (x0 + y0) / 2 under a plateau of half-width
+        2**53.  A field beyond 2**53 is checked last, so a vault refused
+        for another fault keeps that fault's message."""
+        template_ids, x_cores, y_cores = columns = [
+            np.asarray(column) for column in (template_ids, x_cores, y_cores)]
+        for name, column in zip(_COLUMNS, columns):
+            if (column.ndim != 1 or column.dtype.kind not in "iu"
+                    or not np.can_cast(column.dtype, np.int64)):
+                raise ValueError(f"vault {name} must be a column of integers that int64 "
+                                 f"holds, got {column.dtype} of shape {column.shape}")
         r = len(template_ids)
+        if not len(x_cores) == len(y_cores) == r:
+            raise ValueError(f"vault columns must be of one length, got {len(x_cores)} "
+                             f"x-cores, {len(y_cores)} y-cores and {r} template ids")
+        if r and not (0 <= template_ids.min() and template_ids.max() < len(templates)):
+            raise ValueError(f"template ids must index the table of {len(templates)} templates")
+        x_cores, y_cores = (cores.astype(np.int64, copy=False) for cores in (x_cores, y_cores))
         if not 0 <= n < r:
             raise ValueError(f"polynomial degree n={n} outside [0, r={r})")
         x_sorted = np.sort(x_cores)
@@ -566,7 +538,7 @@ class Vault:
     def to_dict(self) -> dict:
         """The v2 document: the header, the template table, and per point
         its template id and integer x- and y-core."""
-        return {**self._header(), **{name: _ints(getattr(self, name)) for name in _COLUMNS}}
+        return {**self._header(), **{name: getattr(self, name).tolist() for name in _COLUMNS}}
 
     def to_json(self) -> str:
         """The canonical v2 text, ``json.dumps(self.to_dict(),
@@ -607,7 +579,8 @@ class Vault:
         ``columns``, if given, are its integer columns as int64 arrays of
         non-negative integers, in ``_COLUMNS`` order, in place of its own;
         the vault refuses every value of 2**53 or more, so also one that
-        numpy read past int64 as 2**63 - 1."""
+        numpy read past int64 as 2**63 - 1, and a template id outside the
+        table."""
         (version,) = json_fields(d, "format_version")
         if type(version) is not int or version not in (1, 2):
             raise ValueError(f"unsupported vault format: {version!r}")
@@ -621,16 +594,11 @@ class Vault:
             raise ValueError(f"templates must be an array, got {type(templates).__name__}")
         table = [FamilyTemplate.from_dict(t) for t in templates]
         if columns is None:
-            ids = _int_column(template_ids, r, "template_ids", np.intp)
+            columns = [_int_column(values, r, name) for values, name
+                       in zip((template_ids, x_cores, y_cores), _COLUMNS)]
         elif any(len(column) != r for column in columns):
             raise ValueError(f"each column must hold r={r} integers")
-        else:
-            ids, x_cores, y_cores = (column.astype(dtype) for column, dtype
-                                     in zip(columns, (np.intp, np.float64, np.float64)))
-        if ids is None or (r and not (0 <= ids.min() and ids.max() < len(table))):
-            raise ValueError(f"template ids must index the table of {len(table)} templates")
-        if columns is None:
-            x_cores, y_cores = _core_column(x_cores, r, "x"), _core_column(y_cores, r, "y")
+        ids, x_cores, y_cores = columns
         if crc_variant != CRC_VARIANT:
             raise ValueError(f"unsupported CRC variant {crc_variant!r}, expected {CRC_VARIANT!r}")
         return cls(x_cores, y_cores, ids, table, q, n)
@@ -863,9 +831,9 @@ def lock_polynomial(
     )
     # scrambling the positions draws what scrambling the points would
     order = _permutation(params.r, rng)
-    x_cores, y_cores, template_ids = np.concatenate((genuine, chaff))[order].T
-    vault = Vault(x_cores.astype(np.float64), y_cores.astype(np.float64),
-                  template_ids.astype(np.intp), templates, q, params.n)
+    # x-cores, y-cores and template ids, each below q <= 2**53
+    columns = np.concatenate((genuine, chaff))[order].T.astype(np.int64, order="C")
+    vault = Vault(*columns, templates, q, params.n)
     transcript = LockTranscript(
         p,
         tuple(np.flatnonzero(order < params.t_mfk).tolist()),
@@ -965,9 +933,10 @@ def match_points(
                 best, best_dist = j, d
         if best is not None:
             claimed.add(best)
-            matched.append((int(xs[best]), int(vault.y_cores[members[best]])))
+            matched.append(best)
         i += 1
-    return matched
+    rows = members[matched]
+    return list(zip(vault.x_cores[rows].tolist(), vault.y_cores[rows].tolist()))
 
 
 def search_key(

@@ -62,7 +62,7 @@ def vault_of(rows, q, n=0) -> Vault:
     order, built through ``Vault``'s constructor."""
     templates = list(dict.fromkeys(template for template, _, _ in rows))
     ids = np.array([templates.index(template) for template, _, _ in rows], dtype=np.intp)
-    x_cores, y_cores = (np.array([row[axis] for row in rows], dtype=np.float64) for axis in (1, 2))
+    x_cores, y_cores = (np.array([row[axis] for row in rows], dtype=np.int64) for axis in (1, 2))
     return Vault(x_cores, y_cores, ids, templates, q, n)
 
 

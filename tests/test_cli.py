@@ -238,6 +238,11 @@ class TestUnlock:
         assert main(unlock_args(workdir)) == EXIT_VALIDATION
 
 
+# the explicit scenario of TestAnalyze.test_explicit_params
+ANALYZE_ARGS = {"--q": "7", "--k": "1", "--r": "3", "--t": "1", "--t-mfj": "1", "--m-a": "1",
+                "--m-f": "1", "--n": "0"}
+
+
 class TestAnalyze:
     def test_preset_text(self, capsys):
         assert main(["analyze", "--preset", "movie-k16-t20"]) == EXIT_OK
@@ -268,6 +273,32 @@ class TestAnalyze:
     def test_unknown_preset_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["analyze", "--preset", "bogus"])
+
+    # each overflowed a float in the formulas, a traceback with exit 1
+    @pytest.mark.parametrize("name, message", [
+        ("--q", f"field size q={10**400} exceeds 2**53"),
+        ("--k", f"need 1 <= k <= 2**53 and 0 <= n <= 2**53, got k={10**400}, n=0"),
+        ("--n", f"need 1 <= k <= 2**53 and 0 <= n <= 2**53, got k=1, n={10**400}"),
+    ], ids=["q", "k", "n"])
+    def test_integer_past_the_float_range_refused(self, capsys, name, message):
+        args = dict(ANALYZE_ARGS, **{name: str(10**400)})
+        assert main(["analyze", *(token for item in args.items() for token in item)]) == (
+            EXIT_VALIDATION)
+        assert message in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.fixed_dictionaries({
+        name: st.integers(0, 12) | st.sampled_from([2**53, 2**53 + 1, 10**308, 10**400])
+        | st.integers(-10**400, 10**400)
+        for name in [*ANALYZE_ARGS, "--family-cardinality"]}),
+        form=st.sampled_from(["text", "json"]))
+    def test_any_integers_exit_0_or_2(self, values, form):
+        argv = ["analyze", "--format", form]
+        for name, value in values.items():
+            argv += [name, str(value)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) in (EXIT_OK, EXIT_VALIDATION)
 
 
 class TestMinutiaeDemo:
@@ -474,6 +505,12 @@ MALFORMED_V2 = {
     "marker-in-crc-variant": lambda d: _canonical({**d, "crc_variant": 'CRC-16/ARC],"y_cores":['}),
     "marker-in-family": lambda d: _canonical({**d, "templates": [
         {**d["templates"][0], "family": 'triangular],"x_cores":['}, *d["templates"][1:]]}),
+    # a field past int64 in otherwise canonical text: np.fromstring reads
+    # it as 2**63 - 1, which the vault refuses, and then json reads it
+    "core-past-int64": lambda d: _canonical({**d, "x_cores": [2**64 + 5, *d["x_cores"][1:]]}),
+    # a core that int64 holds, in a field beyond 2**53
+    "core-past-2-53": lambda d: _canonical(
+        {**d, "q": 2**62, "x_cores": [2**53 + 1, *d["x_cores"][1:]]}),
 }
 
 # look-alikes of the canonical text that read as the vault the lock wrote
@@ -519,7 +556,10 @@ class TestMalformedInput:
          "vault format 1 is no longer read: lock the key again to write a format 2 file"),
         (MALFORMED_V2["q-beyond-float-cores"], "field size q=2305843009213693951 exceeds "
          "2**53, beyond which float64 cores cannot hold every field element"),
-    ], ids=["format-v1", "q-beyond-float-cores"])
+        (MALFORMED_V2["core-past-int64"], "x_cores must hold integers that int64 holds"),
+        (MALFORMED_V2["core-past-2-53"], "field size q=4611686018427387904 exceeds "
+         "2**53, beyond which float64 cores cannot hold every field element"),
+    ], ids=["format-v1", "q-beyond-float-cores", "core-past-int64", "core-past-2-53"])
     def test_vault_refusal_names_its_cause(self, workdir, capsys, mutate, cause):
         assert main(lock_args(workdir)) == EXIT_OK
         path = workdir / "vault.json"

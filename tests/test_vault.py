@@ -1769,18 +1769,25 @@ class TestSerialization:
     ])
     def test_to_json_digit_edges(self, column, value):
         # each column holds the edge value among values of fewer digits; a
-        # core of 2**53 or more needs a field that no vault holds
+        # core of 2**53 or more needs a field that no vault holds, and a
+        # core of 2**63 a column that int64 does not hold
         if column == "template_ids":
             templates = [FamilyTemplate("triangular", (1.0, 1.0 + i)) for i in range(value + 1)]
             ids = np.arange(value + 1, dtype=np.intp)[::-1].copy()
-            x_cores = np.arange(value + 1, dtype=np.float64)
+            x_cores = np.arange(value + 1, dtype=np.int64)
             y_cores = x_cores[::-1].copy()
         else:
             templates, ids = [TRI], np.zeros(4, dtype=np.intp)
-            cores = np.array([value, 1, 12345, 0 if value else 2], dtype=np.float64)
-            x_cores, y_cores = (cores, np.full(4, 7.0)) if column == "x_cores" else (
-                np.arange(4, dtype=np.float64), cores)
+            cores = np.array([value, 1, 12345, 0 if value else 2],
+                             dtype=np.uint64 if value >= 2**63 else np.int64)
+            x_cores, y_cores = (cores, np.full(4, 7, dtype=np.int64)) if column == "x_cores" else (
+                np.arange(4, dtype=np.int64), cores)
         q = int(max(x_cores.max(), y_cores.max())) + 1
+        if value >= 2**63:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"vault {column} must be a column of integers that int64 holds, got uint64")):
+                Vault(x_cores, y_cores, ids, templates, q, 0)
+            return
         if q > 2**53:
             with pytest.raises(ValueError, match=re.escape(f"field size q={q} exceeds 2**53")):
                 Vault(x_cores, y_cores, ids, templates, q, 0)
@@ -1871,13 +1878,15 @@ class TestSerialization:
 
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_core_beyond_float_range_rejected(self, axis):
-        # x0 and y0 round to the core 1e308 under a plateau of half-width
-        # 2**52, so (x0 + y0) / 2 overflows to inf
+        # a core of 1e308 under a plateau of half-width 2**52 would give a
+        # plateau midpoint (x0 + y0) / 2 of inf; int64 does not hold such a
+        # core, so the reader refuses its column before any template sees it
         big = int(1e308)
         wide = FamilyTemplate("trapezoidal", (2.0**52, 1.0, 1.0))
         doc = v2_document(q=2**1024, templates=[wide.to_dict(), GAU.to_dict()],
                           **{f"{axis}_cores": [big, 7 if axis == "x" else 0]})
-        with pytest.raises(ValueError, match=re.escape(f"turns the {axis}-core {big} into inf")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{axis}_cores must hold integers that int64 holds")):
             Vault.from_dict(doc)
 
     def test_core_an_ulp_off_its_integer_loads(self):
@@ -2118,7 +2127,8 @@ def reference_check_cores(table, template_ids, x_cores, y_cores) -> None:
                                  f"{int(cores[i])} into {derived[i]}")
 
 
-# templates some of whose instances overflow or lose their integer core;
+# templates with spreads near the float range, whose parameters stay
+# finite at every int64 core, and some that lose an integer core:
 # trapezoidal plateaus on the grid of ulp(c + plateau) below 2**52 (0, 0.5),
 # off it (0.1, and 2**-60 unless every core is 0) or so wide that the grid
 # reaches 1, or 2 and more (2**52, 1e16)
@@ -2141,27 +2151,26 @@ CHECKED_TEMPLATES = ALL_TEMPLATES + [
 # is the largest float that is not an integer
 FRACTIONAL_CORES = [2.5, 2.0**52 - 0.5]
 
-# cores about 2**52 and 2**53, where ulp(c + 0.5) reaches 1 and then 2, and
-# about the float range, where c + s overflows
-EDGE_CORES = [2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53, 2**60, 2**1023, 17 * 2**1000]
+# int64 cores about 2**52 and 2**53, where ulp(c + 0.5) reaches 1 and then
+# 2, and 2**60, far past every field a vault holds
+EDGE_CORES = [2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53, 2**60]
 
 
 @st.composite
 def core_checks(draw) -> tuple:
-    """A canonical table, per point a template id and two float64 cores,
-    small ones or some at the edges of ``_keeps_cores``: about 2**52, 2**53
-    and the float range, and now and then one that is not an integer."""
+    """A canonical table, per point a template id and two int64 cores,
+    small ones or some at the edges of ``_keeps_cores``: about 2**52 and
+    2**53, and 2**60."""
     table = draw(st.lists(st.sampled_from(CHECKED_TEMPLATES), min_size=1, unique=True))
     table.sort(key=lambda t: (vault_module.FAMILIES.index(t.family), t.spread_params))
     r = draw(st.integers(len(table), len(table) + 8))
     ids = draw(st.permutations(list(range(len(table)))
                                + draw(st.lists(st.integers(0, len(table) - 1),
                                                min_size=r - len(table), max_size=r - len(table)))))
-    cores = st.integers(0, 40).map(float) | st.sampled_from(EDGE_CORES).map(float)
-    if draw(st.integers(0, 3)) == 0:
-        cores |= st.sampled_from(FRACTIONAL_CORES)
+    cores = st.integers(0, 40) | st.sampled_from(EDGE_CORES)
     x, y = (draw(st.lists(cores, min_size=r, max_size=r)) for _ in "xy")
-    return table, np.array(ids, dtype=np.intp), np.array(x), np.array(y)
+    return table, np.array(ids, dtype=np.intp), np.array(x, dtype=np.int64), np.array(
+        y, dtype=np.int64)
 
 
 class TestFormatV2:
@@ -2225,9 +2234,9 @@ class TestFormatV2:
         doc = vault.to_dict()
         assert doc["x_cores"] == [3, top] and doc["y_cores"] == [top - 1, 0]
         assert Vault.from_dict(doc) == vault
-        # 2**53 + 1 reads as 2**53; past 2**53 float64 holds the even integers,
-        # which no field that a vault holds reaches
-        with pytest.raises(ValueError, match="float64 holds exactly"):
+        # int64 holds 2**53 + 1 and 2**53 + 2, which no field that a vault
+        # holds reaches: the field-size check, last, refuses both
+        with pytest.raises(ValueError, match=re.escape("q=4611686018427387904 exceeds 2**53")):
             Vault.from_dict(v2_document(q=2**62, x_cores=[3, 2**53 + 1]))
         with pytest.raises(ValueError, match=re.escape("q=4611686018427387904 exceeds 2**53")):
             Vault.from_dict(v2_document(q=2**62, x_cores=[3, 2**53 + 2]))
@@ -2240,9 +2249,11 @@ class TestFormatV2:
         for q in (2**53 + 1, 2**61 - 1, 2**65):
             with pytest.raises(ValueError, match=re.escape(f"field size q={q} exceeds 2**53")):
                 Vault.from_dict(dict(vault.to_dict(), q=q))
-        # float64 holds 2**63 and 2**64 + 4096, which int64 does not
+        # int64 does not hold 2**63 or 2**64 + 4096: the reader refuses the
+        # column by its name, ahead of the field
         cores = [2**63, 2**64 + 4096]
-        with pytest.raises(ValueError, match=re.escape("exceeds 2**53")):
+        with pytest.raises(ValueError, match=re.escape(
+                "x_cores must hold integers that int64 holds")):
             Vault.from_dict(v2_document(q=2**65, x_cores=cores, y_cores=cores[::-1]))
         assert Vault.from_dict(dict(vault.to_dict(), q=2**53)).q == 2**53
 
@@ -2250,13 +2261,17 @@ class TestFormatV2:
     @given(doc=v2_documents(), data=st.data())
     def test_v2_documents_round_trip(self, doc, data):
         assert Vault.from_dict(doc).to_dict() == doc
-        # one past an exact core beyond 2**53, where floats are 2 or more apart
+        # one past a float core beyond 2**53, in a field that holds it: the
+        # field-size check refuses the field, and the reader a core past int64
         big = data.draw(BEYOND_CORES, label="big")
         axis = data.draw(st.sampled_from(["x_cores", "y_cores"]), label="axis")
         cores = list(doc[axis])
         cores[data.draw(st.integers(0, doc["r"] - 1), label="i")] = big + 1
-        with pytest.raises(ValueError, match="float64 holds exactly"):
-            Vault.from_dict(dict(doc, q=max(doc["q"], big + 2), **{axis: cores}))
+        q = max(doc["q"], big + 2)
+        message = (f"{axis} must hold integers that int64 holds" if big + 1 >= 2**63
+                   else f"field size q={q} exceeds 2**53")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Vault.from_dict(dict(doc, q=q, **{axis: cores}))
 
     @settings(max_examples=400, deadline=None)
     @given(doc=v2_documents(), data=st.data())
@@ -2316,19 +2331,19 @@ class TestFormatV2:
         ({"x_cores": [3, 7.0]}, "integers only"),
         ({"x_cores": [3, 11]}, r"x-cores must lie in \[0, q=11\)"),
         ({"y_cores": [5, -1]}, r"y-cores must lie in \[0, q=11\)"),
-        ({"x_cores": [3, 10**400], "q": 10**401}, "float64 holds exactly"),
+        ({"x_cores": [3, 10**400], "q": 10**401}, "x_cores must hold integers that int64 holds"),
         ({"x_cores": [3, 3]}, "pairwise distinct"),
         ({"templates": {}}, "templates must be an array"),
         ({"templates": [TRI.to_dict(), {"family": "gaussian", "spreads": [0, 1]}]},
          "strictly positive"),
         ({"x_cores": [3, 2**1023], "q": 2**1024,
           "templates": [TRI.to_dict(), {"family": "triangular", "spreads": [1.0, 2.0**1023]}]},
-         "must be finite"),
+         "x_cores must hold integers that int64 holds"),
         ({"templates": [{"family": "trapezoidal", "spreads": [1e16, 1.0, 1.0]},
                         GAU.to_dict()], "x_cores": [3, 7]}, "turns the x-core 3 into "),
         ({"crc_variant": "CRC-32"}, "CRC variant"),
         ({"n": 2}, "outside"),
-        ({"template_ids": [0, 2**70]}, "index the table"),
+        ({"template_ids": [0, 2**70]}, "template_ids must hold integers that int64 holds"),
         ({"q": 2**61 - 1}, re.escape("field size q=2305843009213693951 exceeds 2**53")),
     ])
     def test_malformed_v2_rejected(self, edits, message):
@@ -2348,41 +2363,81 @@ class TestFormatV2:
         assert errors[0] == errors[1]
 
     def test_core_check_runs_once_per_family(self, monkeypatch):
-        layout, families = vault_module._layout, []
-        monkeypatch.setattr(vault_module, "_layout",
-                            lambda family, *args: families.append(family) or layout(family, *args))
         # plateaus off the grid of ulp(c + plateau), so each template is
-        # checked point by point; the gaussian one is cleared
+        # checked point by point, all in one pass that instantiates none;
+        # the gaussian one holds its cores as parameters and is not checked
+        asked = count_calls(monkeypatch, vault_module, "_keeps_cores")
+        for name in ("instantiate", "instantiate_column"):
+            monkeypatch.setattr(FamilyTemplate, name, None)
         spreads = [{"family": "trapezoidal", "spreads": [0.1 + i / 16, 1.0, 1.0]}
                    for i in range(300)]
         doc = v2_document(r=301, templates=[GAU.to_dict()] + spreads,
                           template_ids=list(range(301)), x_cores=list(range(301)),
                           y_cores=[7 * i % 401 for i in range(301)], q=401)
         assert len(Vault.from_dict(doc).templates) == 301
-        assert families == ["trapezoidal"]
+        assert [template.family for template, _ in asked] == ["trapezoidal"] * 300
 
     def test_desk_load_instantiates_no_core(self, field_mfs, tmp_path, monkeypatch):
-        # every desk template keeps each integral core below q, so loading
-        # the vault checks no point one by one
+        # the desk's triangular and gaussian templates hold each core as a
+        # parameter, and _keeps_cores clears its trapezoidal one, so loading
+        # the vault checks no point and builds none
         vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field_mfs, seed=1), field_mfs,
                               desk_params(seed=1, r=10_000))
         path = tmp_path / "vault.json"
         vault.save(path)
-        layout, families = vault_module._layout, []
-        monkeypatch.setattr(vault_module, "_layout",
-                            lambda family, *args: families.append(family) or layout(family, *args))
+        keeps = vault_module._keeps_cores
+        asked = count_calls(monkeypatch, vault_module, "_keeps_cores")
+        for name in ("instantiate", "instantiate_column"):
+            monkeypatch.setattr(FamilyTemplate, name, None)
         assert Vault.load(path) == vault
-        assert families == []
+        assert [template.family for template, _ in asked] == ["trapezoidal"]
+        assert keeps(*asked[0])
 
     @pytest.mark.parametrize("core", FRACTIONAL_CORES)
     def test_fractional_core_refused(self, core):
-        # the constructor takes float64 columns, which a caller may fill
-        # with a core that is not an integer
-        x_cores, y_cores = np.array([3.0, core]), np.array([1.0, 2.0])
+        # the constructor takes integer columns: a float64 one, which could
+        # hold a core that is not an integer, is refused by its name
+        x_cores, y_cores = np.array([3.0, core]), np.array([1, 2])
         for axis, (x, y) in (("x", (x_cores, y_cores)), ("y", (y_cores, x_cores))):
             with pytest.raises(ValueError, match=re.escape(
-                    f"template {TRI} turns the {axis}-core {int(core)} into {round(core)}.0")):
+                    f"vault {axis}_cores must be a column of integers that int64 holds, "
+                    f"got float64 of shape (2,)")):
                 Vault(x, y, np.array([0, 0], dtype=np.intp), [TRI], 2**53, 0)
+
+    @pytest.mark.parametrize("column, values, message", [
+        ("x_cores", np.array([3.0, 7.0]), "vault x_cores must be a column of integers that "
+                                          "int64 holds, got float64 of shape (2,)"),
+        ("y_cores", np.array([True, False]), "vault y_cores must be a column of integers that "
+                                             "int64 holds, got bool of shape (2,)"),
+        ("x_cores", np.array(["3", "7"]), "got <U1 of shape (2,)"),
+        ("y_cores", np.array([5, 0], dtype=object), "got object of shape (2,)"),
+        ("x_cores", np.array([3, 2**63], dtype=np.uint64), "got uint64 of shape (2,)"),
+        ("x_cores", np.array([[3, 7]]), "got int64 of shape (1, 2)"),
+        ("template_ids", np.array([0.0, 1.0]), "vault template_ids must be a column of "
+                                               "integers that int64 holds, got float64"),
+        ("y_cores", np.array([5]), "vault columns must be of one length, got 2 x-cores, "
+                                   "1 y-cores and 2 template ids"),
+        ("template_ids", np.array([0, 1, 1]), "vault columns must be of one length, got 2 "
+                                              "x-cores, 2 y-cores and 3 template ids"),
+        ("template_ids", np.array([0, 2]), "template ids must index the table of 2 templates"),
+        ("template_ids", np.array([-1, 0]), "template ids must index the table of 2 templates"),
+    ], ids=["float-cores", "bool-cores", "string-cores", "object-cores", "uint64-cores",
+            "2d-cores", "float-ids", "short-cores", "long-ids", "id-past-table", "id-negative"])
+    def test_constructor_refuses_columns_it_cannot_hold(self, column, values, message):
+        columns = {"x_cores": np.array([3, 7]), "y_cores": np.array([5, 0]),
+                   "template_ids": np.array([0, 1]), column: values}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Vault(**columns, templates=[TRI, GAU], q=11, n=1)
+
+    def test_constructor_keeps_int64_cores_and_intp_ids(self):
+        # whatever integer type its caller holds them in
+        vault = Vault(np.array([3, 7], dtype=np.uint32), np.array([5, 0], dtype=np.int8),
+                      np.array([1, 0], dtype=np.uint8), [TRI, GAU], 11, 1)
+        assert [c.dtype for c in (vault.x_cores, vault.y_cores, vault.template_ids)] == [
+            np.dtype(np.int64), np.dtype(np.int64), np.dtype(np.intp)]
+        assert not any(c.flags.writeable
+                       for c in (vault.x_cores, vault.y_cores, vault.template_ids))
+        assert vault == vault_of([(GAU, 3, 5), (TRI, 7, 0)], 11, 1)
 
     @settings(max_examples=300, deadline=None)
     @given(template=st.sampled_from(CHECKED_TEMPLATES) | st.builds(
@@ -2390,9 +2445,12 @@ class TestFormatV2:
                st.floats(0, 2.0**60) | st.sampled_from([0.5, 0.1, 2.0**-60, 2.0**52, 1e16])),
            cmax=st.integers(0, 2**54) | st.sampled_from(EDGE_CORES), data=st.data())
     def test_cleared_templates_keep_every_core(self, template, cmax, data):
-        # a template that _keeps_cores clears passes the point-by-point
-        # check at every integral core up to cmax
-        assume(vault_module._keeps_cores(template, float(cmax)))
-        cores = [float(cmax), float(data.draw(st.integers(0, cmax), label="core"))]
+        # a template the core check skips, of a family other than
+        # trapezoidal or with a plateau that _keeps_cores clears, passes the
+        # point-by-point check at every int64 core up to cmax
+        assume(template.family != "trapezoidal"
+               or vault_module._keeps_cores(template, float(cmax)))
+        cores = [cmax, data.draw(st.integers(0, cmax), label="core")]
         reference_check_cores([template], np.zeros(2, dtype=np.intp),
-                              np.array(cores), np.array(cores[::-1]))
+                              np.array(cores, dtype=np.int64),
+                              np.array(cores[::-1], dtype=np.int64))
