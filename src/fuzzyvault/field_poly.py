@@ -31,10 +31,12 @@ def _is_prime(q: int) -> bool:
 
 
 def _check_field_size(q: int) -> None:
-    """ValueError if F_q holds an element that float64 cores cannot."""
+    """ValueError if F_q holds an element that a float64 cannot: a fuzzy
+    number's parameters are float64s, one of them its core, and
+    ``_mulmod``'s float64 quotient is exact only up to 2**53."""
     if q > 2**53:
         raise ValueError(f"field size q={q} exceeds 2**53, beyond which float64 "
-                         f"cores cannot hold every field element")
+                         f"fuzzy parameters cannot hold every field element")
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,10 @@ Families and their parameter order (the serialization order as well):
 * ``crisp``:       ``(value,)`` -- degenerate embedding of a real number.
 
 A family is one entry in each of ``PARAM_COUNT``, ``CORE`` and ``RULES``
-here, plus one in each of ``multi_fuzzy_set``'s template tables.  A core
-and a rule index ``p[i]`` and join comparisons with ``&``, so the same
-entry works on one number's tuple of floats and on the columns
-(``block.T``) of a float64 block of parameters, one number per row.
+here, plus one in each of ``multi_fuzzy_set``'s template tables.  Each
+entry takes one number's tuple of floats; a core only indexes ``p[i]``, so
+the vault's core check also applies ``CORE[TRAPEZOIDAL]`` to a pair of
+float64 columns, the x0 and y0 of many points at once.
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ class FuzzyNumber:
     @classmethod
     def _trusted(cls, family: str, params: tuple) -> "FuzzyNumber":
         """Build without ``__post_init__``: for ``FamilyTemplate.instantiate``
-        and a vault's columns only, which pass a tuple of finite floats whose
-        order and signs their own checks already guarantee."""
+        only, which passes a tuple of finite floats whose order and signs the
+        template's own checks already guarantee."""
         fn = object.__new__(cls)
         object.__setattr__(fn, "family", family)
         object.__setattr__(fn, "params", params)

@@ -13,15 +13,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from .fuzzy_number import (
     CRISP,
     GAUSSIAN,
-    PARAM_COUNT,
     SIGMOID,
     TRAPEZOIDAL,
     TRIANGULAR,
@@ -51,8 +47,7 @@ _TEMPLATE_ARITY = {family: len({slot[0] for slot in layout if slot})
 
 
 def _layout(family: str, c, s) -> tuple:
-    """The parameters ``_LAYOUT`` gives for the core c and the spreads s;
-    c is a float or a float64 column alike."""
+    """The parameters ``_LAYOUT`` gives for the core c and the spreads s."""
     return tuple(c if slot is None else s[slot[0]] if slot[1] == 0 else c + slot[1] * s[slot[0]]
                  for slot in _LAYOUT[family])
 
@@ -105,26 +100,6 @@ class FamilyTemplate:
         if not all(map(math.isfinite, params)):
             raise ValueError(f"{family} parameters must be finite: {params}")
         return FuzzyNumber._trusted(family, params)
-
-    def instantiate_column(self, cores) -> np.ndarray:
-        """``instantiate`` of every core of a float64 column at once.
-
-        Row i of the float64 block returned holds the parameters of
-        ``instantiate(cores[i])``: the same layout entry applied to the
-        column, so the two agree bit for bit.  Raises ValueError where
-        ``instantiate`` raises: when a parameter is not finite.
-        """
-        family = self.family
-        cores = np.asarray(cores, dtype=np.float64)
-        block = np.empty((len(cores), PARAM_COUNT[family]))
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            for i, column in enumerate(_layout(family, cores, self.spread_params)):
-                block[:, i] = column
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            bad = tuple(block[np.argmin(finite)].tolist())
-            raise ValueError(f"{family} parameters must be finite: {bad}")
-        return block
 
     def to_dict(self) -> dict:
         return {"family": self.family, "spreads": list(self.spread_params)}
@@ -211,24 +186,6 @@ class MultiFuzzySet:
     @property
     def total_elements(self) -> int:
         return sum(s.size for s in self.subsets)
-
-    def subset_of(self, a: int) -> SubsetDescriptor:
-        """The subset holding element ``a``, found by scanning the subsets.
-        ``a`` is taken as its ``operator.index``, so that a numpy integer
-        is a Python int, which a range tests in O(1) instead of comparing
-        with each element; ValueError if ``a`` is not an integer."""
-        try:
-            a = operator.index(a)
-        except TypeError:
-            raise ValueError(f"element {a!r} is not an integer") from None
-        for s in self.subsets:
-            if a in s.elements:
-                return s
-        raise ValueError(f"element {a} is not covered by this {self.kind} set")
-
-    def fuzzify_element(self, a: int) -> FuzzyNumber:
-        """Fuzzify a field element with its subset's template."""
-        return self.subset_of(a).template.instantiate(_core(a))
 
     def subset(self, k: int) -> SubsetDescriptor:
         """Subset ``k``; ValueError if there is none."""

@@ -1,9 +1,10 @@
 """Spurious-polynomial counting and attacker-success formulas, evaluated in
 the log2 domain, plus scenario presets and a tiny-field empirical census.
 
-Counts are computed two ways: a log-gamma path that never overflows, and an
-exact-rational cross-check used whenever magnitudes stay representable.
-The published scenario exponents are carried along as *reported claims*,
+Reports compute counts by a log-gamma path that never overflows; the
+``*_exact`` functions give the same counts as exact rationals, against
+which the log2 path can be checked where magnitudes stay small.  The
+published scenario exponents are carried along as *reported claims*,
 never as oracle values: when the computed counts disagree by more than one
 bit the report raises its discrepancy flag instead of normalizing.
 """
@@ -62,6 +63,8 @@ class ScenarioParams:
             )
         if not (1 <= self.m_a <= self.m_f):
             raise ValueError(f"need 1 <= m_a <= m_f, got {self.m_a}, {self.m_f}")
+        if self.m_a > self.q:  # as conditional_membership_prob refuses
+            raise ValueError(f"need m_a <= q, got m_a={self.m_a}, q={self.q}")
         if not (0 < self.mu < 1):
             raise ValueError(f"mu must lie in (0, 1), got {self.mu}")
         # the formulas take k and n as float64 factors and exponents,

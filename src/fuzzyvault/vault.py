@@ -194,20 +194,20 @@ def scramble(points: list, rng: "SplitMix64 | int") -> list:
 
 @dataclass(frozen=True)
 class VaultPoint:
-    x: FuzzyNumber
-    y: FuzzyNumber
+    """One point of a vault: its template and its two integer cores; its
+    fuzzy numbers are the template instantiated at each core."""
 
-    def __post_init__(self):
-        if self.x.family != self.y.family:
-            raise ValueError("vault point coordinates must share a family")
-
-    @property
-    def x_core(self) -> int:
-        return round(self.x.defuzzify())
+    template: FamilyTemplate
+    x_core: int
+    y_core: int
 
     @property
-    def y_core(self) -> int:
-        return round(self.y.defuzzify())
+    def x(self) -> FuzzyNumber:
+        return self.template.instantiate(self.x_core)
+
+    @property
+    def y(self) -> FuzzyNumber:
+        return self.template.instantiate(self.y_core)
 
     def to_dict(self) -> dict:
         return {"x": self.x.to_dict(), "y": self.y.to_dict()}
@@ -252,13 +252,6 @@ class LockParams:
 # a vault point's family id is its family's position in FAMILIES
 FAMILIES = tuple(PARAM_COUNT)
 _FAMILY_ID = {family: i for i, family in enumerate(FAMILIES)}
-
-
-def _members(template_ids, count: int) -> list:
-    """Per template id below ``count``, the positions of its points."""
-    # numpy radix-sorts keys of 16 bits or fewer
-    order = np.argsort(template_ids.astype(np.min_scalar_type(count)), kind="stable")
-    return np.split(order, np.cumsum(np.bincount(template_ids, minlength=count))[:-1])
 
 
 def _keeps_cores(template: FamilyTemplate, cmax: float) -> bool:
@@ -354,9 +347,8 @@ def _digit_columns(texts: list) -> list:
     and every other one of 2**53 or more, as a core beyond a field it
     accepts or a template id beyond its table, so ``from_json`` then reads
     the text through json."""
-    text = ",".join(texts)
     # a comma on either side, so that each field lies between two commas
-    chars = np.frombuffer(f",{text},".encode("ascii"), dtype=np.uint8)
+    chars = np.frombuffer(",".join(["", *texts, ""]).encode("ascii"), dtype=np.uint8)
     digit = chars - np.uint8(ord("0")) < 10  # wraps below "0"
     comma = chars == ord(",")
     if (np.count_nonzero(digit) + np.count_nonzero(comma) != len(chars)
@@ -422,8 +414,8 @@ class Vault:
     A vault is built one way, from those columns and a table: the lock
     and the v2 reader hold them already, so neither builds an object per
     point.  ``points`` is the same vault as a tuple of ``VaultPoint`` s,
-    built a template at a time on first use and kept.  Two vaults are
-    equal when their header, table and columns are.
+    each a template and two cores.  Two vaults are equal when their
+    header, table and columns are.
     """
 
     def __init__(self, x_cores, y_cores, template_ids, templates, q: int, n: int):
@@ -469,7 +461,7 @@ class Vault:
         _check_field_size(q)
         for name, value in (("q", q), ("n", n), ("r", r), ("crc_variant", CRC_VARIANT),
                             ("templates", tuple(table)), ("template_ids", template_ids),
-                            ("x_cores", x_cores), ("y_cores", y_cores), ("_points", None)):
+                            ("x_cores", x_cores), ("y_cores", y_cores)):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -490,21 +482,9 @@ class Vault:
 
     @property
     def points(self) -> tuple:
-        """The vault as a tuple of ``VaultPoint`` s, built on first use."""
-        if self._points is None:
-            groups = _members(self.template_ids, len(self.templates))
-            # each axis's numbers a template at a time, then in vault order
-            rank = np.empty(self.r, dtype=np.intp)
-            rank[np.concatenate(groups)] = np.arange(self.r)
-            coords = []
-            for cores in (self.x_cores, self.y_cores):
-                numbers = []
-                for template, members in zip(self.templates, groups):
-                    rows = template.instantiate_column(cores[members]).tolist()
-                    numbers += [FuzzyNumber._trusted(template.family, tuple(row)) for row in rows]
-                coords.append(map(numbers.__getitem__, rank.tolist()))
-            object.__setattr__(self, "_points", tuple(map(VaultPoint, *coords)))
-        return self._points
+        """The vault as a tuple of ``VaultPoint`` s, built on each access."""
+        return tuple(map(VaultPoint, map(self.templates.__getitem__, self.template_ids.tolist()),
+                         self.x_cores.tolist(), self.y_cores.tolist()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -286,6 +286,13 @@ class TestAnalyze:
             EXIT_VALIDATION)
         assert message in capsys.readouterr().err
 
+    def test_more_locking_families_than_field_elements_refused(self, capsys):
+        # it exited 2 with "log2 of a non-positive rational", naming no parameter
+        args = dict(ANALYZE_ARGS, **{"--m-a": "9", "--m-f": "9"})
+        assert main(["analyze", *(token for item in args.items() for token in item)]) == (
+            EXIT_VALIDATION)
+        assert "need m_a <= q, got m_a=9, q=7" in capsys.readouterr().err
+
     @settings(max_examples=300, deadline=None)
     @given(values=st.fixed_dictionaries({
         name: st.integers(0, 12) | st.sampled_from([2**53, 2**53 + 1, 10**308, 10**400])
@@ -555,10 +562,10 @@ class TestMalformedInput:
         (MALFORMED["vault-format-v1"][1],
          "vault format 1 is no longer read: lock the key again to write a format 2 file"),
         (MALFORMED_V2["q-beyond-float-cores"], "field size q=2305843009213693951 exceeds "
-         "2**53, beyond which float64 cores cannot hold every field element"),
+         "2**53, beyond which float64 fuzzy parameters cannot hold every field element"),
         (MALFORMED_V2["core-past-int64"], "x_cores must hold integers that int64 holds"),
         (MALFORMED_V2["core-past-2-53"], "field size q=4611686018427387904 exceeds "
-         "2**53, beyond which float64 cores cannot hold every field element"),
+         "2**53, beyond which float64 fuzzy parameters cannot hold every field element"),
     ], ids=["format-v1", "q-beyond-float-cores", "core-past-int64", "core-past-2-53"])
     def test_vault_refusal_names_its_cause(self, workdir, capsys, mutate, cause):
         assert main(lock_args(workdir)) == EXIT_OK

@@ -138,7 +138,7 @@ class TestVaultDemo:
     @pytest.mark.parametrize("q", [2**20 + 7, 2**61 - 1])
     def test_field_beyond_bound_rejected(self, q):
         # both are prime; the only bound on the demo's field is the lock's
-        # 2**53, beyond which float64 cores lose field elements
+        # 2**53, beyond which float64 fuzzy parameters lose field elements
         if q < 2**53:
             assert minutiae_vault_demo(grid_minutiae(8), self.KEY, q=q).unlock.key == self.KEY
             return

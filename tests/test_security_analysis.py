@@ -93,6 +93,12 @@ class TestConditionalProb:
         with pytest.raises(ValueError):
             conditional_membership_prob(5, 6)
 
+    def test_scenario_refuses_more_locking_families_than_field_elements(self):
+        # as conditional_membership_prob does: the count took log2 of 1 - m_a / q
+        with pytest.raises(ValueError, match="need m_a <= q, got m_a=9, q=7"):
+            small_params(m_a=9, m_f=9)
+        assert small_params(m_a=7, m_f=9).m_a == 7
+
 
 class TestFamilyBound:
     def test_unit_binomial_ratio(self):

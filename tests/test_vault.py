@@ -68,6 +68,12 @@ SMALL_FIELD = desk_field(401)
 P31 = 2147483659  # the smallest prime above 2**31, where int64 would overflow
 
 
+def point_numbers(vault) -> tuple:
+    """Each point's (x, y) fuzzy numbers, in vault order: what the oracles
+    below build."""
+    return tuple((p.x, p.y) for p in vault.points)
+
+
 class TestScramble:
     def test_deterministic(self):
         items = list(range(50))
@@ -164,8 +170,8 @@ def reference_randbelow(outputs, n: int) -> int:
 
 def reference_generate_chaff(p, field_mfs, used_x_cores, count, rho,
                              locking_template, rng, cores=None):
-    """The chaff points; ``cores``, if given, receives each point's
-    (x, y) cores as drawn."""
+    """The chaff points, each as its (x, y) fuzzy numbers; ``cores``, if
+    given, receives each point's (x, y) cores as drawn."""
     q = field_mfs.q
     templates = field_mfs.templates()
     decoys = [t for t in templates if t.family != locking_template.family]
@@ -183,8 +189,7 @@ def reference_generate_chaff(p, field_mfs, used_x_cores, count, rho,
     for _ in range(n_on_poly):
         u = fresh_core()
         template = decoys[rng.randbelow(len(decoys))]
-        points.append(VaultPoint(template.instantiate(float(u)),
-                                 template.instantiate(float(p.eval(u)))))
+        points.append((template.instantiate(float(u)), template.instantiate(float(p.eval(u)))))
         if cores is not None:
             cores.append((u, p.eval(u)))
     for _ in range(count - n_on_poly):
@@ -193,24 +198,24 @@ def reference_generate_chaff(p, field_mfs, used_x_cores, count, rho,
         if v >= p.eval(u):
             v += 1
         template = templates[rng.randbelow(len(templates))]
-        points.append(VaultPoint(template.instantiate(float(u)),
-                                 template.instantiate(float(v))))
+        points.append((template.instantiate(float(u)), template.instantiate(float(v))))
         if cores is not None:
             cores.append((u, v))
     return points
 
 
 # lock_polynomial as it was before it built the vault's columns from core
-# triples, kept as the oracle for valid inputs: two fuzzy numbers and a
-# VaultPoint per point, scrambled as (point, source index) pairs
+# triples, kept as the oracle for valid inputs: two fuzzy numbers per
+# point, scrambled as (point, source index) pairs
 def reference_lock_points(p, locking_set, field_mfs, params, cores=None):
-    """The scrambled points and the transcript of the old lock; ``cores``,
+    """The scrambled points, each as its (x, y) fuzzy numbers, and the
+    transcript of the old lock; ``cores``,
     if given, receives each point's (x, y) cores as drawn, in vault order."""
     subset = locking_set.subsets[params.k_subset]
     template = subset.template
     rng = SplitMix64(params.seed)
     elements = sorted(subset.elements)
-    genuine = [VaultPoint(template.instantiate(float(a)), template.instantiate(float(p.eval(a))))
+    genuine = [(template.instantiate(float(a)), template.instantiate(float(p.eval(a))))
                for a in elements]
     drawn = [(a, p.eval(a)) for a in elements]
     chaff = reference_generate_chaff(p, field_mfs, set(elements), params.r - params.t_mfk,
@@ -320,7 +325,7 @@ def assert_chaff_matches_reference(poly, field, used, count, rho, seed, rejected
     rows = got.tolist()
     assert [(x, y) for x, y, _ in rows] == cores
     templates = field.templates()
-    points = [VaultPoint(templates[t].instantiate(float(x)), templates[t].instantiate(float(y)))
+    points = [(templates[t].instantiate(float(x)), templates[t].instantiate(float(y)))
               for x, y, t in rows]
     assert repr(points) == repr(want)  # repr also tells -0.0 from 0.0
     assert rng.next_u64() == ref_rng.next_u64()
@@ -506,8 +511,8 @@ class TestLock:
         points, want = reference_lock_points(
             encode_key(KEY, FieldParams(field_mfs.q), params.k), locking, field_mfs, params)
         assert transcript == want
-        assert vault.points == points
-        assert repr(vault.points) == repr(points)  # repr tells -0.0 from 0.0
+        assert point_numbers(vault) == points
+        assert repr(point_numbers(vault)) == repr(points)  # repr tells -0.0 from 0.0
 
     @pytest.mark.parametrize("halfwidth, elements", [
         (2.0**53, range(101, 322, 20)),  # stored as 100, 120, ...: a vault its set cannot open
@@ -524,7 +529,7 @@ class TestLock:
 
     @pytest.mark.parametrize("q", [2**53 + 1, 2**61 - 1])
     def test_field_beyond_float_cores_rejected(self, q, monkeypatch):
-        # float64 cores hold every integer only up to 2**53
+        # float64 fuzzy parameters hold every integer only up to 2**53
         field = split_field(q, [TRI, GAU])
         elements = range(q // 2 + 1, q // 2 + 24, 2)
         locking = build_locking_set(field, [(tuple(elements), TRI)])
@@ -651,7 +656,7 @@ class TestLock:
         vault, transcript = lock_polynomial(poly, locking, SMALL_FIELD, params)
         points, want = reference_lock_points(poly, locking, SMALL_FIELD, params)
         assert transcript == want
-        assert repr(vault.points) == repr(points)  # repr tells -0.0 from 0.0
+        assert repr(point_numbers(vault)) == repr(points)  # repr tells -0.0 from 0.0
 
     def test_lock_runs_no_full_collection(self, field_mfs):
         # the lock holds its points in uint64 columns, not 30 000 tracked
@@ -1545,10 +1550,10 @@ def reference_vault_from_v2(d) -> tuple:
         raise ValueError("an id outside the table")
     if not 0 <= n < r or len(set(xs)) != r or not all(0 <= v < q for v in xs + ys):
         raise ValueError("bad degree, repeated x-cores or cores outside [0, q)")
-    points = tuple(VaultPoint(*(reference_instance(*table[i], core) for core in (x, y)))
+    points = tuple(tuple(reference_instance(*table[i], core) for core in (x, y))
                    for i, x, y in zip(ids, xs, ys))
     if q > 2**53:
-        raise ValueError("a field beyond float64 cores")
+        raise ValueError("a field beyond 2**53")
     return q, n, r, points
 
 
@@ -1654,7 +1659,7 @@ def assert_parses_like_reference(doc: dict) -> None:
         return
     got = Vault.from_dict(doc)
     assert (got.q, got.n, got.r, got.crc_variant) == (q, n, r, CRC_VARIANT)
-    assert repr(got.points) == repr(points)  # repr tells -0.0 from 0.0
+    assert repr(point_numbers(got)) == repr(points)  # repr tells -0.0 from 0.0
     assert got.x_cores.tolist() == doc["x_cores"] and got.y_cores.tolist() == doc["y_cores"]
 
 
@@ -1746,10 +1751,9 @@ class TestSerialization:
         assert len(window) < 3 * len(probes)
         assert len(built) <= len(probes) + len(window)
         # the points rebuilt from the columns are the ones the lock made
-        assert loaded.points is loaded.points
-        for rebuilt in (vault.points, loaded.points):
-            assert rebuilt == locked[0]
-            assert repr(rebuilt) == repr(locked[0])
+        for rebuilt in (vault, loaded):
+            assert point_numbers(rebuilt) == locked[0]
+            assert repr(point_numbers(rebuilt)) == repr(locked[0])
 
     @settings(max_examples=200, deadline=None)
     @given(vault=serialisable_vaults())
@@ -1759,7 +1763,7 @@ class TestSerialization:
         assert text == json.dumps(vault.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
         loaded = Vault.from_dict(json.loads(text))
         assert loaded == vault
-        assert repr(loaded.points) == repr(vault.points)  # repr tells -0.0 from 0.0
+        assert repr(point_numbers(loaded)) == repr(point_numbers(vault))  # tells -0.0 from 0.0
 
     # a template id indexes a table of at most r templates, so its edges
     # stop at 100
@@ -1898,14 +1902,50 @@ class TestSerialization:
         assert Vault.from_dict(vault.to_dict()) == vault
 
 
-class TestVaultPoint:
-    def test_family_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            VaultPoint(TRI.instantiate(1.0), GAU.instantiate(2.0))
+def assert_numbers_keep_cores(vault) -> None:
+    """Every point's fuzzy numbers defuzzify back to its integer cores."""
+    for p in vault.points:
+        assert (round(p.x.defuzzify()), round(p.y.defuzzify())) == (p.x_core, p.y_core)
 
+
+class TestVaultPoint:
     def test_duplicate_cores_rejected(self):
         with pytest.raises(ValueError, match="pairwise distinct"):
             vault_of([(TRI, 1, 2), (TRI, 1, 3)], 7, 1)
+
+    def test_point_is_its_template_at_its_cores(self):
+        vault = vault_of([(TRAP, 10, 4), (GAU, 3, 5)], 11, 1)
+        assert vault.points == (VaultPoint(TRAP, 10, 4), VaultPoint(GAU, 3, 5))
+        assert [type(c) for p in vault.points for c in (p.x_core, p.y_core)] == [int] * 4
+        assert (vault.points[0].x, vault.points[0].y) == (TRAP.instantiate(10.0),
+                                                          TRAP.instantiate(4.0))
+
+    # a point's cores are the vault's columns, not derived from its numbers:
+    # the core check is what keeps them equal
+    @settings(max_examples=200, deadline=None)
+    @given(vault=serialisable_vaults(), doc=vault_documents())
+    def test_numbers_defuzzify_to_cores(self, vault, doc):
+        assert_numbers_keep_cores(vault)
+        try:
+            loaded = Vault.from_dict(doc)
+        except ValueError:
+            return
+        assert_numbers_keep_cores(loaded)
+
+    @pytest.mark.parametrize("plateau", [0.5, 0.1, 2.0**-60, 2.0**52, 1e16])
+    def test_numbers_defuzzify_to_cores_at_the_largest_field(self, plateau):
+        # near 2**53 the core check tests a trapezoidal plateau midpoint point
+        # by point: the lock keeps every core or refuses the template
+        trap = FamilyTemplate("trapezoidal", (plateau, 1.0, 1.0))
+        field = split_field(2**53 - 111, [TRI, GAU, SIG, trap])
+        assert not vault_module._keeps_cores(trap, 2.0**53)
+        try:
+            vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field, 7, k_template=trap),
+                                  field, desk_params(seed=7))
+        except ValueError as e:
+            assert LOST_CORE.search(str(e)) and plateau >= 2**52
+            return
+        assert_numbers_keep_cores(vault)
 
 
 SMALL_PRIME = 2003
@@ -1966,10 +2006,10 @@ class TestColumnarLock:
             vault, transcript = lock_polynomial(*case)
         except ValueError as e:
             assert LOST_CORE.search(str(e))
-            assert [(p.x_core, p.y_core) for p in points] != drawn
+            assert [(round(x.defuzzify()), round(y.defuzzify())) for x, y in points] != drawn
             return
         assert list(zip(vault.x_cores.tolist(), vault.y_cores.tolist())) == drawn
-        assert repr(vault.points) == repr(points)  # repr tells -0.0 from 0.0
+        assert repr(point_numbers(vault)) == repr(points)  # repr tells -0.0 from 0.0
         assert transcript == want_transcript
         # whatever its templates, a locked vault saves and loads back
         text = vault.to_json()
@@ -2112,19 +2152,18 @@ TEXT_EDITS = {
 
 def reference_check_cores(table, template_ids, x_cores, y_cores) -> None:
     """The core check as it ran a template at a time: each template in
-    table order, its x-cores and then its y-cores, raising at the first
-    point it fails."""
+    table order, its x-cores and then its y-cores, one point at a time,
+    raising at the first point it fails.  A derived core is compared with
+    the core as a float64, as numpy compares a float64 with an int64."""
     for t, template in enumerate(table):
         members = np.flatnonzero(template_ids == t)
         for axis, cores in (("x", x_cores[members]), ("y", y_cores[members])):
-            with np.errstate(over="ignore"):
-                derived = np.rint(reference_core(template.family,
-                                                 template.instantiate_column(cores).T))
-            lost = derived != cores
-            if lost.any():
-                i = np.argmax(lost)
-                raise ValueError(f"template {template} turns the {axis}-core "
-                                 f"{int(cores[i])} into {derived[i]}")
+            for core in cores.tolist():
+                derived = float(np.rint(reference_core(template.family,
+                                                       template.instantiate(core).params)))
+                if derived != float(core):
+                    raise ValueError(f"template {template} turns the {axis}-core "
+                                     f"{core} into {derived}")
 
 
 # templates with spreads near the float range, whose parameters stay
@@ -2183,7 +2222,7 @@ class TestFormatV2:
         vault.save(path)
         loaded = Vault.load(path)
         assert loaded == vault
-        assert repr(loaded.points) == repr(vault.points)  # repr tells -0.0 from 0.0
+        assert repr(point_numbers(loaded)) == repr(point_numbers(vault))  # tells -0.0 from 0.0
         assert loaded.to_json() == path.read_text()
 
     def test_spreads_no_core_offset_holds_exactly(self):
@@ -2242,7 +2281,7 @@ class TestFormatV2:
             Vault.from_dict(v2_document(q=2**62, x_cores=[3, 2**53 + 2]))
 
     def test_field_beyond_float_cores_refused(self, field_mfs):
-        # float64 cores cannot hold every element of such a field, which
+        # float64 fuzzy parameters cannot hold every element of such a field, which
         # no lock writes
         vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field_mfs, seed=7),
                               field_mfs, desk_params(seed=7))
@@ -2367,8 +2406,7 @@ class TestFormatV2:
         # checked point by point, all in one pass that instantiates none;
         # the gaussian one holds its cores as parameters and is not checked
         asked = count_calls(monkeypatch, vault_module, "_keeps_cores")
-        for name in ("instantiate", "instantiate_column"):
-            monkeypatch.setattr(FamilyTemplate, name, None)
+        monkeypatch.setattr(FamilyTemplate, "instantiate", None)
         spreads = [{"family": "trapezoidal", "spreads": [0.1 + i / 16, 1.0, 1.0]}
                    for i in range(300)]
         doc = v2_document(r=301, templates=[GAU.to_dict()] + spreads,
@@ -2387,8 +2425,7 @@ class TestFormatV2:
         vault.save(path)
         keeps = vault_module._keeps_cores
         asked = count_calls(monkeypatch, vault_module, "_keeps_cores")
-        for name in ("instantiate", "instantiate_column"):
-            monkeypatch.setattr(FamilyTemplate, name, None)
+        monkeypatch.setattr(FamilyTemplate, "instantiate", None)
         assert Vault.load(path) == vault
         assert [template.family for template, _ in asked] == ["trapezoidal"]
         assert keeps(*asked[0])
