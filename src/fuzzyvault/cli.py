@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 I/O failure, 2 validation failure, 3 unlock
 returned null.  Commands raise OSError, ValueError or MemoryError (an
 argument too large to hold, such as a huge ``--r``); :func:`main` alone
 maps them to exit codes.  All commands are deterministic functions of their
-arguments, input files and seed.
+arguments and input files, but ``lock`` without ``--seed``, which draws a
+fresh seed.
 """
 
 from __future__ import annotations
@@ -224,7 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True, help="total vault points")
     p.add_argument("--rho", type=float, default=0.2)
     p.add_argument("--subset-index", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None,
+                   help="chaff seed; an explicit one reproduces the file byte for byte "
+                        "(default: a fresh random seed per lock)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_lock)
 
@@ -254,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=80)
     p.add_argument("--delta", type=float, default=0.25)
     p.add_argument("--jitter", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the demo's lock and probe jitter (default 0, so that "
+                        "the demo reproduces; its vault is not secret)")
     p.set_defaults(func=cmd_minutiae_demo)
 
     p = sub.add_parser("selftest", help="run the fast built-in checks")

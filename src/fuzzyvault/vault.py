@@ -13,11 +13,13 @@ the polynomial; neither property alone identifies them.
 
 from __future__ import annotations
 
+import base64
 import bisect
 import json
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, repeat
+from random import SystemRandom
 
 import numpy as np
 
@@ -228,7 +230,7 @@ class LockParams:
     k: int              # coefficient count; polynomial degree n = k - 1
     rho: float = 0.2    # fraction of chaff that is on-polynomial wrong-family
     delta: float = 0.25  # matching tolerance, in core units
-    seed: int = 0
+    seed: int | None = None  # None: each lock draws 64 bits from the OS
 
     @property
     def n(self) -> int:
@@ -305,99 +307,41 @@ def _int_column(values, r: int, name: str):
         raise ValueError(f"{name} must hold integers that int64 holds") from None
 
 
-# the integer columns of a v2 document, each an attribute of Vault
+# the integer columns of a vault document, each an attribute of Vault
 _COLUMNS = ("template_ids", "x_cores", "y_cores")
 
-# the keys of a v2 document, in the order to_json writes them
-_V2_KEYS = ("crc_variant", "format_version", "n", "q", "r", "template_ids", "templates",
-            "x_cores", "y_cores")
 
-# where the canonical v2 text opens and closes its integer columns
-_IDS_OPEN, _X_OPEN, _Y_OPEN, _END = ',"template_ids":[', '],"x_cores":[', '],"y_cores":[', "]}\n"
-
-
-def _json_ints(column) -> str:
-    """``json.dumps(column.tolist(), separators=(",", ":"))`` for a column of
-    non-negative integers that int64 holds, as a vault's columns, all below
-    2**53, are; its digits written in one numpy pass: a row of digit
-    characters per value, from the last digit up, and a comma; each row is
-    kept from its leading digit on."""
-    values = column.astype(np.int64)
-    width = len(str(int(values.max(initial=0))))
-    text = np.full((len(values), width + 1), ord(","), dtype=np.uint8)
-    rest = values
-    for j in range(width - 1, -1, -1):
-        shifted = rest // 10  # by a scalar, which numpy divides fast
-        text[:, j] = rest - shifted * 10 + ord("0")
-        rest = shifted
-    kept = np.ones(text.shape, dtype=bool)
-    kept[:, :width - 1] = values[:, None] >= 10 ** np.arange(width - 1, 0, -1, dtype=np.int64)
-    return "[" + text[kept].tobytes().decode("ascii")[:-1] + "]"
+def _width(bound: int) -> int:
+    """The bytes a v3 column gives each value below ``bound``: as many as
+    bound - 1 takes, and at least 1."""
+    return max(1, (max(bound - 1, 0).bit_length() + 7) // 8)
 
 
-def _digit_columns(texts: list) -> list:
-    """Columns of canonical v2 text, each decimal integers joined by
-    commas, as int64 arrays.  ValueError unless every field is digits, none
-    empty and none with a leading zero, checked first, as numpy warns on a
-    field it cannot read.  A column of n fields in 2n - 1 characters holds
-    one digit per field, as the template ids of a table of at most 10
-    templates do, and is read by a strided slice of its characters; each
-    other column is parsed by ``np.fromstring``.  numpy reads a field past
-    the int64 range as its bound, 2**63 - 1; the vault refuses that value
-    and every other one of 2**53 or more, as a core beyond a field it
-    accepts or a template id beyond its table, so ``from_json`` then reads
-    the text through json."""
-    # a comma on either side, so that each field lies between two commas
-    chars = np.frombuffer(",".join(["", *texts, ""]).encode("ascii"), dtype=np.uint8)
-    digit = chars - np.uint8(ord("0")) < 10  # wraps below "0"
-    comma = chars == ord(",")
-    if (np.count_nonzero(digit) + np.count_nonzero(comma) != len(chars)
-            or (comma[1:] & comma[:-1]).any()
-            or (comma[:-2] & (chars[1:-1] == ord("0")) & digit[2:]).any()):
-        raise ValueError("not a column of canonical v2 text")
-    columns = []
-    start = 1  # each text is chars[start:stop], a comma on either side
-    for t in texts:
-        stop = start + len(t)
-        if len(t) == 2 * np.count_nonzero(comma[start:stop]) + 1:  # one digit per field
-            columns.append(chars[start:stop:2].astype(np.int64) - ord("0"))
-        else:
-            columns.append(np.fromstring(t, dtype=np.int64, sep=","))
-        start = stop + 1
-    return columns
+def _encode_column(column, bound: int) -> str:
+    """A v3 column: each value, non-negative and below ``bound`` <= 2**56,
+    as a little-endian unsigned integer of ``_width(bound)`` bytes, all of
+    them in base64."""
+    values = np.ascontiguousarray(column, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return base64.b64encode(values[:, :_width(bound)].tobytes()).decode("ascii")
 
 
-def _canonical_parts(text: str) -> tuple:
-    """Text exactly as ``Vault.to_json`` writes it, as its document with
-    the integer columns empty and those columns as int64 arrays, in
-    ``_COLUMNS`` order; ValueError for any other text.
-
-    The template ids are cut after the first ``,"template_ids":[`` up to
-    the next ``]``, and the cores after the next ``],"x_cores":[`` and the
-    ``],"y_cores":[`` after that, found forward from the ids, so that the
-    search passes over the x-cores alone.  The rest must be
-    ``json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\\n"`` of
-    its own parse, with the v2 keys alone, so that whitespace, another key
-    order or a repeated key is not canonical.  Such text holds no ``,"``
-    inside a string, so each cut is at a key: at the top level for the
-    cores, as the rest ends with them, and for the template ids too unless
-    a value before them is an array or object, which the checks refuse.
-    """
-    if not text.endswith(_END):
-        raise ValueError("not canonical v2 text")
-    ids = text.find(_IDS_OPEN) + len(_IDS_OPEN)
-    ids_end = text.find("]", ids)
-    x = text.find(_X_OPEN, ids_end)
-    y = text.find(_Y_OPEN, x + len(_X_OPEN))
-    if not len(_IDS_OPEN) <= ids <= ids_end <= x < x + len(_X_OPEN) <= y:
-        raise ValueError("not canonical v2 text")
-    rest = text[:ids] + text[ids_end:x + len(_X_OPEN)] + _Y_OPEN + _END
-    doc = json.loads(rest)
-    if (type(doc) is not dict or tuple(doc) != _V2_KEYS
-            or json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" != rest):
-        raise ValueError("not canonical v2 text")
-    spans = ((ids, ids_end), (x + len(_X_OPEN), y), (y + len(_Y_OPEN), len(text) - len(_END)))
-    return doc, _digit_columns([text[start:stop] for start, stop in spans])
+def _decode_column(text, r: int, bound: int, name: str):
+    """The inverse of ``_encode_column``: a v3 column of r values as an
+    int64 array, for ``bound`` <= 2**56.  ValueError names the column
+    unless it is a base64 string of exactly r values; its length is
+    checked before the array is allocated, as r comes from the file."""
+    width = _width(bound)
+    if type(text) is not str:
+        raise ValueError(f"{name} must be a base64 string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as e:
+        raise ValueError(f"{name} is not base64: {e}") from None
+    if len(raw) != r * width:
+        raise ValueError(f"{name} must hold r={r} values of {width} bytes, got {len(raw)} bytes")
+    values = np.zeros((r, 8), dtype=np.uint8)  # a value of up to 7 bytes reads as int64
+    values[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(r, width)
+    return values.view("<i8")[:, 0]
 
 
 class Vault:
@@ -412,7 +356,7 @@ class Vault:
     read-only.  ``family_ids`` derives each point's family from them.
 
     A vault is built one way, from those columns and a table: the lock
-    and the v2 reader hold them already, so neither builds an object per
+    and the reader hold them already, so neither builds an object per
     point.  ``points`` is the same vault as a tuple of ``VaultPoint`` s,
     each a template and two cores.  Two vaults are equal when their
     header, table and columns are.
@@ -504,80 +448,57 @@ class Vault:
         return (f"Vault(q={self.q!r}, n={self.n!r}, r={self.r!r}, "
                 f"crc_variant={self.crc_variant!r}, templates={self.templates!r})")
 
-    def _header(self) -> dict:
-        """The v2 document but its integer columns."""
+    def to_dict(self) -> dict:
+        """The v3 document: the header, the template table, and each
+        integer column as ``_encode_column`` writes it, the template ids
+        below the table's length and the cores below q."""
+        bounds = {"template_ids": len(self.templates), "x_cores": self.q, "y_cores": self.q}
         return {
             "crc_variant": self.crc_variant,
-            "format_version": 2,
+            "format_version": 3,
             "n": self.n,
             "q": self.q,
             "r": self.r,
             "templates": [t.to_dict() for t in self.templates],
+            **{name: _encode_column(getattr(self, name), bound) for name, bound in bounds.items()},
         }
 
-    def to_dict(self) -> dict:
-        """The v2 document: the header, the template table, and per point
-        its template id and integer x- and y-core."""
-        return {**self._header(), **{name: getattr(self, name).tolist() for name in _COLUMNS}}
-
     def to_json(self) -> str:
-        """The canonical v2 text, ``json.dumps(self.to_dict(),
-        sort_keys=True, separators=(",", ":")) + "\\n"``, with the integer
-        columns written by ``_json_ints``.  ``from_json`` reads this text,
-        and only this, without parsing the columns through ``json``."""
-        fields = {name: _json_ints(getattr(self, name)) for name in _COLUMNS}
-        for key, value in self._header().items():
-            fields[key] = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        return "{" + ",".join(f'"{key}":{fields[key]}' for key in sorted(fields)) + "}\n"
+        """The v3 text: ``to_dict`` with sorted keys, no spaces and a newline."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Vault":
-        """The vault of v2 text, the inverse of ``to_json``: for any text,
-        the vault or the error of ``from_dict(json.loads(text))``, a
+        """The vault of v3 or v2 text, the inverse of ``to_json``; a
         ValueError, or the RecursionError ``json.loads`` raises on deeply
-        nested text, which ``load`` turns into a ValueError.
-
-        Text exactly as ``to_json`` writes it has its columns parsed
-        straight into numpy and only the rest by ``json.loads``; they then
-        run the checks of ``from_dict``.  Any other text, and canonical
-        text those checks refuse, is parsed whole by ``json.loads``.
-        """
-        try:
-            return cls._from_v2(*_canonical_parts(text))
-        except (ValueError, RecursionError):  # not canonical, or refused: as json reads it
-            return cls.from_dict(json.loads(text))
+        nested text, which ``load`` turns into a ValueError."""
+        return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vault":
-        """Parse a v2 document; raises ValueError on any malformed input,
-        and on a v1 document, which is no longer read."""
-        return cls._from_v2(d)
-
-    @classmethod
-    def _from_v2(cls, d: dict, columns=None) -> "Vault":
-        """Check a parsed v2 document and build its vault as the lock does.
-        ``columns``, if given, are its integer columns as int64 arrays of
-        non-negative integers, in ``_COLUMNS`` order, in place of its own;
-        the vault refuses every value of 2**53 or more, so also one that
-        numpy read past int64 as 2**63 - 1, and a template id outside the
-        table."""
+        """Check a parsed v3 or v2 document and build its vault as the lock
+        does.  A v3 column is read by ``_decode_column``, after the field
+        size is checked, and a v2 column, an array of JSON integers, by
+        ``_int_column``.  ValueError on any malformed input, and on a v1
+        document, which is no longer read."""
         (version,) = json_fields(d, "format_version")
-        if type(version) is not int or version not in (1, 2):
+        if type(version) is not int or version not in (1, 2, 3):
             raise ValueError(f"unsupported vault format: {version!r}")
         if version == 1:
             raise ValueError("vault format 1 is no longer read: "
-                             "lock the key again to write a format 2 file")
-        q, n, r, crc_variant, templates, template_ids, x_cores, y_cores = json_fields(
-            d, "q", "n", "r", "crc_variant", "templates", "template_ids", "x_cores", "y_cores")
+                             "lock the key again to write a format 3 file")
+        q, n, r, crc_variant, templates, *columns = json_fields(
+            d, "q", "n", "r", "crc_variant", "templates", *_COLUMNS)
         q, n, r = json_int(q), json_int(n), json_int(r)
         if type(templates) is not list:
             raise ValueError(f"templates must be an array, got {type(templates).__name__}")
         table = [FamilyTemplate.from_dict(t) for t in templates]
-        if columns is None:
-            columns = [_int_column(values, r, name) for values, name
-                       in zip((template_ids, x_cores, y_cores), _COLUMNS)]
-        elif any(len(column) != r for column in columns):
-            raise ValueError(f"each column must hold r={r} integers")
+        if version == 2:
+            columns = [_int_column(values, r, name) for values, name in zip(columns, _COLUMNS)]
+        else:
+            _check_field_size(q)
+            columns = [_decode_column(text, r, bound, name) for text, bound, name
+                       in zip(columns, (len(table), q, q), _COLUMNS)]
         ids, x_cores, y_cores = columns
         if crc_variant != CRC_VARIANT:
             raise ValueError(f"unsupported CRC variant {crc_variant!r}, expected {CRC_VARIANT!r}")
@@ -590,9 +511,8 @@ class Vault:
     @classmethod
     def load(cls, path) -> "Vault":
         """Read a vault file, as text in UTF-8 with universal newlines,
-        through ``from_json``: the files ``save`` writes are canonical.
-        OSError passes through, and a malformed document raises ValueError
-        naming the file."""
+        through ``from_json``.  OSError passes through, and a malformed
+        document raises ValueError naming the file."""
         with open(path, encoding="utf-8") as fh:
             try:
                 return cls.from_json(fh.read())
@@ -766,7 +686,10 @@ def lock_polynomial(
     on p, with the subset's template, and ``generate_chaff`` adds the rest.
     Both come as rows of x-core, y-core and template index; the rows are
     scrambled and become the vault's columns, so locking builds no object
-    per point.
+    per point.  The chaff and the scramble draw from
+    ``SplitMix64(params.seed)``, or, without a seed, from a fresh seed of
+    64 bits from ``SystemRandom``, the OS source of ``secrets``: whoever
+    guesses the seed replays the chaff.
     """
     q = field_mfs.q
     _check_field_size(q)
@@ -799,7 +722,7 @@ def lock_polynomial(
         raise ValueError(
             f"locking template {template} is not a template of the field partition"
         )
-    rng = SplitMix64(params.seed)
+    rng = SplitMix64(SystemRandom().getrandbits(64) if params.seed is None else params.seed)
     templates = field_mfs.templates()
     elements = sorted(subset.elements)
     genuine = np.empty((params.t_mfk, 3), dtype=np.uint64)

@@ -144,3 +144,25 @@ def reference_v1_document(vault) -> dict:
 def reference_v1_json(vault) -> str:
     """The v1 text of ``vault``, as the v1 writer wrote it."""
     return json.dumps(reference_v1_document(vault), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# The v2 vault document, which the library still reads but no longer
+# writes, kept as the oracle of the v2 bytes: the v3 header at version 2,
+# and each integer column as an array of JSON integers.
+def reference_v2_document(vault) -> dict:
+    return {
+        "crc_variant": vault.crc_variant,
+        "format_version": 2,
+        "n": vault.n,
+        "q": vault.q,
+        "r": vault.r,
+        "templates": [t.to_dict() for t in vault.templates],
+        "template_ids": vault.template_ids.tolist(),
+        "x_cores": vault.x_cores.tolist(),
+        "y_cores": vault.y_cores.tolist(),
+    }
+
+
+def reference_v2_json(vault) -> str:
+    """The v2 text of ``vault``, as the v2 writer wrote it."""
+    return json.dumps(reference_v2_document(vault), sort_keys=True, separators=(",", ":")) + "\n"

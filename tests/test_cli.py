@@ -1,3 +1,4 @@
+import base64
 import contextlib
 import copy
 import io
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import fuzzyvault
-from conftest import reference_v1_document
+from conftest import reference_v1_document, reference_v2_document
 from fuzzyvault import Vault
 from fuzzyvault.cli import EXIT_IO, EXIT_NULL, EXIT_OK, EXIT_VALIDATION, main
 
@@ -93,8 +94,10 @@ class TestLock:
         out = capsys.readouterr().out
         assert "locked:" in out and "q=65537" in out
         doc = json.loads((workdir / "vault.json").read_text())
-        assert doc["format_version"] == 2
-        assert len(doc["template_ids"]) == len(doc["x_cores"]) == len(doc["y_cores"]) == 60
+        assert doc["format_version"] == 3
+        # 1 byte per id of the 2 templates, 3 per core below q = 65537
+        assert [len(base64.b64decode(doc[name])) for name in ("template_ids", "x_cores",
+                                                              "y_cores")] == [60, 180, 180]
 
     def test_byte_identical_reruns(self, workdir):
         main(lock_args(workdir))
@@ -369,6 +372,20 @@ def _replace(doc, path, value):
     return json.dumps(doc)
 
 
+def _v2(doc) -> dict:
+    """The v2 document of the vault of ``doc``, a v3 document."""
+    return reference_v2_document(Vault.from_dict(doc))
+
+
+def _v3_value(doc, name, value):
+    """JSON text of the v3 document ``doc`` with the first value of its
+    column ``name`` set to ``value``, at the column's width."""
+    raw = bytearray(base64.b64decode(doc[name]))
+    width = len(raw) // doc["r"]
+    raw[:width] = value.to_bytes(width, "little")
+    return _replace(doc, [name], base64.b64encode(raw).decode())
+
+
 def _template(doc, family):
     """Index of the first template of ``family`` in a v2 vault document."""
     return next(i for i, t in enumerate(doc["templates"]) if t["family"] == family)
@@ -403,7 +420,8 @@ def _sized_set(kind, q, size):
 # a JSON integer that no float holds
 HUGE_INT = 10**400
 
-# (file, mutation of its parsed document or text -> new file contents)
+# (file, mutation of its parsed document or text -> new file contents); a
+# vault file's document is given as v2
 MALFORMED = {
     # vault files that crashed the v1 reader with TypeError or
     # AttributeError, their faults carried by the v2 file
@@ -483,7 +501,7 @@ def assert_rejected(path, contents, argv, capsys):
     assert str(path) in err[0]
 
 
-# hostile v2 vault files, mutations of the file lock writes
+# hostile v2 vault files, mutations of the v2 document of the vault lock writes
 MALFORMED_V2 = {
     "id-outside-table": lambda d: _replace(d, ["template_ids", 0], len(d["templates"])),
     "id-negative": lambda d: _replace(d, ["template_ids", 0], -1),
@@ -503,7 +521,7 @@ MALFORMED_V2 = {
     "crc-variant": lambda d: _replace(d, ["crc_variant"], "CRC-32"),
     # a field beyond float64 cores, which no lock writes: it loaded with exit 0
     "q-beyond-float-cores": lambda d: _replace(d, ["q"], 2**61 - 1),
-    # look-alikes of the canonical text that the lock writes
+    # look-alikes of the text that the v2 writer wrote
     "core-leading-zero": lambda d: _canonical(d).replace(',"x_cores":[', ',"x_cores":[0', 1),
     "id-19-digits": lambda d: _canonical({**d, "template_ids": [10**18, *d["template_ids"][1:]]}),
     # the json reader keeps the last x_cores, one core repeated
@@ -512,15 +530,33 @@ MALFORMED_V2 = {
     "marker-in-crc-variant": lambda d: _canonical({**d, "crc_variant": 'CRC-16/ARC],"y_cores":['}),
     "marker-in-family": lambda d: _canonical({**d, "templates": [
         {**d["templates"][0], "family": 'triangular],"x_cores":['}, *d["templates"][1:]]}),
-    # a field past int64 in otherwise canonical text: np.fromstring reads
-    # it as 2**63 - 1, which the vault refuses, and then json reads it
+    # a field past int64, refused by its column's name
     "core-past-int64": lambda d: _canonical({**d, "x_cores": [2**64 + 5, *d["x_cores"][1:]]}),
     # a core that int64 holds, in a field beyond 2**53
     "core-past-2-53": lambda d: _canonical(
         {**d, "q": 2**62, "x_cores": [2**53 + 1, *d["x_cores"][1:]]}),
 }
 
-# look-alikes of the canonical text that read as the vault the lock wrote
+# hostile v3 vault files, mutations of the file lock writes, and the start
+# of the refusal each gives, which names the column
+MALFORMED_V3 = {
+    "column-not-string": (lambda d: _replace(d, ["x_cores"], list(range(60))),
+                          "x_cores must be a base64 string, got list"),
+    "bad-base64": (lambda d: _replace(d, ["y_cores"], "!" + d["y_cores"][1:]),
+                   "y_cores is not base64"),
+    "wrong-byte-length": (lambda d: _replace(d, ["x_cores"], d["x_cores"][:-4]),
+                          "x_cores must hold r=60 values of 3 bytes, got 177 bytes"),
+    "core-beyond-q": (lambda d: _v3_value(d, "x_cores", d["q"]),
+                      "vault x-cores must lie in [0, q=65537)"),
+    "id-outside-table": (lambda d: _v3_value(d, "template_ids", len(d["templates"])),
+                         "template ids must index the table of 2 templates"),
+    # r comes from the file: a short column is refused before an array of
+    # 2**40 values is allocated
+    "r-2e40": (lambda d: _replace(d, ["r"], 2**40),
+               "template_ids must hold r=1099511627776 values of 1 bytes, got 60 bytes"),
+}
+
+# look-alikes of the v2 writer's text that read as the vault the lock wrote
 LOOK_ALIKE_V2 = {
     # the json reader keeps the last x_cores, the real one
     "x-cores-twice": lambda d: _canonical(d).replace(
@@ -539,7 +575,8 @@ class TestMalformedInput:
             argv = ["minutiae-demo", "--minutiae", str(path)]
         else:
             assert main(lock_args(workdir)) == EXIT_OK
-            contents = mutate(json.loads(path.read_text()))
+            doc = json.loads(path.read_text())
+            contents = mutate(_v2(doc) if name == "vault.json" else doc)
             argv = lock_args(workdir) if name == "locking.json" else unlock_args(workdir)
         assert_rejected(path, contents, argv, capsys)
 
@@ -547,20 +584,29 @@ class TestMalformedInput:
     def test_hostile_v2_vault_rejected(self, workdir, capsys, mutate):
         assert main(lock_args(workdir)) == EXIT_OK
         path = workdir / "vault.json"
+        assert_rejected(path, mutate(_v2(json.loads(path.read_text()))), unlock_args(workdir),
+                        capsys)
+
+    @pytest.mark.parametrize("mutate, cause", MALFORMED_V3.values(), ids=MALFORMED_V3.keys())
+    def test_hostile_v3_vault_rejected(self, workdir, capsys, mutate, cause):
+        assert main(lock_args(workdir)) == EXIT_OK
+        path = workdir / "vault.json"
         assert_rejected(path, mutate(json.loads(path.read_text())), unlock_args(workdir), capsys)
+        main(unlock_args(workdir))
+        assert capsys.readouterr().err.startswith(f"error: bad vault file {path}: {cause}")
 
     @pytest.mark.parametrize("mutate", LOOK_ALIKE_V2.values(), ids=LOOK_ALIKE_V2.keys())
     def test_look_alike_v2_vault_unlocks(self, workdir, capsys, mutate):
         assert main(lock_args(workdir)) == EXIT_OK
         path = workdir / "vault.json"
-        path.write_text(mutate(json.loads(path.read_text())))
+        path.write_text(mutate(_v2(json.loads(path.read_text()))))
         capsys.readouterr()
         assert main(unlock_args(workdir)) == EXIT_OK
         assert capsys.readouterr().out.strip() == KEY_HEX
 
     @pytest.mark.parametrize("mutate, cause", [
         (MALFORMED["vault-format-v1"][1],
-         "vault format 1 is no longer read: lock the key again to write a format 2 file"),
+         "vault format 1 is no longer read: lock the key again to write a format 3 file"),
         (MALFORMED_V2["q-beyond-float-cores"], "field size q=2305843009213693951 exceeds "
          "2**53, beyond which float64 fuzzy parameters cannot hold every field element"),
         (MALFORMED_V2["core-past-int64"], "x_cores must hold integers that int64 holds"),
@@ -570,7 +616,8 @@ class TestMalformedInput:
     def test_vault_refusal_names_its_cause(self, workdir, capsys, mutate, cause):
         assert main(lock_args(workdir)) == EXIT_OK
         path = workdir / "vault.json"
-        assert_rejected(path, mutate(json.loads(path.read_text())), unlock_args(workdir), capsys)
+        assert_rejected(path, mutate(_v2(json.loads(path.read_text()))), unlock_args(workdir),
+                        capsys)
         main(unlock_args(workdir))
         assert capsys.readouterr().err == f"error: bad vault file {path}: {cause}\n"
 
@@ -643,14 +690,15 @@ def fuzz_dir(tmp_path_factory):
     d = write_inputs(tmp_path_factory.mktemp("fuzz"))
     (d / "m.txt").write_text(TestMinutiaeDemo.MINUTIAE)
     assert main(lock_args(d)) == EXIT_OK
-    v1 = reference_v1_document(Vault.load(d / "vault.json"))
-    (d / "vault-v1.json").write_text(json.dumps(v1))
+    vault = Vault.load(d / "vault.json")
+    (d / "vault-v1.json").write_text(json.dumps(reference_v1_document(vault)))
+    (d / "vault-v2.json").write_text(json.dumps(reference_v2_document(vault)))
     return d
 
 
 class TestFuzzedInput:
     @pytest.mark.parametrize("name", ["vault.json", "probe.json", "locking.json",
-                                      "field.json", "m.txt", "vault-v1.json"])
+                                      "field.json", "m.txt", "vault-v1.json", "vault-v2.json"])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_exit_code_contract(self, fuzz_dir, name, data):
@@ -666,7 +714,7 @@ class TestFuzzedInput:
             doc = json.loads(original.read_text())
             raw = _mutated(data, doc, json.dumps,
                            ["NaN", "Infinity", "-Infinity", "1e400", str(HUGE_INT)])
-            if name == "vault-v1.json":
+            if name in ("vault-v1.json", "vault-v2.json"):
                 argv = unlock_args(fuzz_dir, **{"--effort-cap": "50", "--vault": str(original)})
             elif name in ("vault.json", "probe.json"):
                 argv = unlock_args(fuzz_dir, **{"--effort-cap": "50"})
