@@ -122,6 +122,8 @@ def minutiae_vault_demo(
     copy of the same minutiae (jitter in core units, applied to probe cores)."""
     if len(minutiae) < k:
         raise ValueError(f"need at least k={k} minutiae, got {len(minutiae)}")
+    if len(minutiae) > r:  # as LockParams refuses t > r, before any is placed
+        raise ValueError(f"{len(minutiae)} minutiae do not fit a vault of r={r} points")
     field = FieldParams(q)
     encode_key(key, field, k)  # surface capacity errors before locking
 
@@ -148,16 +150,12 @@ def minutiae_vault_demo(
 
     # probe cores are perturbed by an offset of magnitude in [jitter/2, jitter],
     # random sign, so a jitter beyond 2*delta can never cross the tolerance
-    rng = SplitMix64(seed ^ 0xD6E8FEB86659FD93)
-    cores = []
-    for e in sorted(elements):
-        if jitter:
-            u = rng.next_u64() / 2.0**64
-            sign = 1.0 if rng.next_u64() & 1 else -1.0
-            offset = sign * (jitter / 2 + u * jitter / 2)
-        else:
-            offset = 0.0
-        cores.append(float(e) + offset)
+    cores = [float(e) for e in sorted(elements)]
+    if jitter:
+        outputs = SplitMix64(seed ^ 0xD6E8FEB86659FD93)._peek(2 * len(cores)).tolist()
+        for i, (u, sign) in enumerate(zip(outputs[::2], outputs[1::2])):
+            offset = jitter / 2 + u / 2.0**64 * jitter / 2
+            cores[i] += offset if sign & 1 else -offset
 
     matched = match_points(vault, template, cores, delta)
     unlock = search_key(matched, q, k, len(key))

@@ -68,24 +68,10 @@ _DRAW_BLOCK = 1 << 15
 DEFAULT_EFFORT_CAP = 100_000
 
 
-def _splitmix64_block(state: int, count: int):
-    """The ``count`` SplitMix64 outputs after ``state``, as uint64.
-
-    The state after i steps is state + i * gamma (mod 2**64), so a block of
-    outputs is one uint64 expression; numpy wraps array arithmetic mod 2**64
-    as the scalar algorithm's masks do.
-    """
-    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    z += np.uint64(state & _MASK64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
 def _rejection_limit(n: int) -> int:
-    """The largest multiple of n up to 2**64: ``randbelow(n)`` takes an
-    output below it mod n, and draws again otherwise.  Above 2**64 the limit
-    would be 0 and every output rejected, so such an n raises ValueError."""
+    """The largest multiple of n up to 2**64: a draw below n is the next
+    output below it, mod n.  Above 2**64 the limit would be 0 and every
+    output skipped, so such an n raises ValueError."""
     if not 0 < n <= 1 << 64:
         raise ValueError(f"bound must lie in [1, 2**64], got {n}")
     return (1 << 64) - (1 << 64) % n
@@ -93,42 +79,31 @@ def _rejection_limit(n: int) -> int:
 
 class SplitMix64:
     """Deterministic 64-bit generator, its state alone; fixed so vaults
-    reproduce per seed.  The bulk draws of ``generate_chaff`` and
-    ``scramble`` ``_peek`` at the stream ahead and ``_skip`` the outputs
-    they used, so they leave it where as many ``randbelow`` calls would.
-    """
+    reproduce per seed.  Its outputs are read in blocks: ``_peek`` at the
+    stream ahead, then ``_skip`` the outputs used."""
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
     def _peek(self, count: int):
-        """The next ``count`` outputs as uint64, without taking them."""
-        return _splitmix64_block(self._state, count)
+        """The next ``count`` outputs as uint64, without taking them.  The
+        state after i steps is state + i * gamma (mod 2**64), so a block of
+        outputs is one uint64 expression, which numpy wraps mod 2**64."""
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
 
     def _skip(self, count: int) -> None:
         """Take the next ``count`` outputs."""
         self._state = (self._state + count * _GAMMA) & _MASK64
 
-    def next_u64(self) -> int:
-        """The next output, one step in Python ints; ``_splitmix64_block``
-        is the same expression for a block."""
-        self._state = z = (self._state + _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def randbelow(self, n: int) -> int:
-        limit = _rejection_limit(n)
-        while True:
-            r = self.next_u64()
-            if r < limit:
-                return r % n
-
 
 def _randbelow_each(rng: SplitMix64, bounds):
-    """``[rng.randbelow(n) for n in bounds]`` for a uint64 array of bounds,
-    as a uint64 array: one numpy expression over the next outputs, and one
-    more from each output that a bound rejects; every bound is at least 1."""
+    """One draw below each of a uint64 array of bounds, each at least 1, in
+    order, as a uint64 array: one numpy expression over the next outputs,
+    and one more from each output that a bound rejects."""
     # the largest multiple of n up to 2**64, less one; 2**64 mod n is
     # (2**64 - n) mod n, which uint64 holds
     ceilings = np.uint64(_MASK64) - (np.uint64(_MASK64) - bounds + np.uint64(1)) % bounds
@@ -146,10 +121,11 @@ def _randbelow_each(rng: SplitMix64, bounds):
 
 
 def _permutation(n: int, rng: SplitMix64):
-    """The order of ``scramble(range(n), rng)`` as an intp array, from the
-    same draws, with no Python pass per position.
+    """The order of a Fisher-Yates shuffle of range(n), which swaps
+    positions i and a draw below i + 1 for i from n - 1 down to 1, as an
+    intp array, with no Python pass per position.
 
-    Step i of the Fisher-Yates loop swaps positions i and j_i <= i, and no
+    Step i of the loop swaps positions i and j_i <= i, and no
     later step touches position i, so it ends holding what position j_i
     held just before step i: what the last earlier step to write there
     moved in, or the item j_i itself if none did.  Steps run from n - 1
@@ -182,16 +158,6 @@ def _permutation(n: int, rng: SplitMix64):
     order = np.where(later < 0, j, ends[later])
     order[0] = ends[0]  # what position 0 holds after the last step
     return order
-
-
-def scramble(points: list, rng: "SplitMix64 | int") -> list:
-    """Fisher-Yates permutation driven by a splitmix64 stream: for i from
-    len - 1 down to 1, swap positions i and ``randbelow(i + 1)``, as
-    ``_permutation`` computes it in numpy."""
-    if isinstance(rng, int):
-        rng = SplitMix64(rng)
-    items = list(points)
-    return list(map(items.__getitem__, _permutation(len(items), rng).tolist()))
 
 
 @dataclass(frozen=True)
@@ -546,6 +512,20 @@ class UnlockResult:
     diagnostics: UnlockDiagnostics
 
 
+def _draws_after(outputs, at: int, bounds) -> tuple:
+    """One draw below each bound in turn from the outputs after position
+    ``at``, each the next output below its ``_rejection_limit``, mod the
+    bound, after the position of the last output read; IndexError if the
+    outputs end first."""
+    values = []
+    for n in bounds:
+        at += 1
+        while outputs[at] >= _rejection_limit(n):
+            at += 1
+        values.append(outputs[at] % n)
+    return at, values
+
+
 def generate_chaff(
     p: Polynomial,
     field_mfs: MultiFuzzySet,
@@ -564,22 +544,19 @@ def generate_chaff(
     family other than the locking one.  The rest are type (i): off the
     polynomial, any family.  A field beyond 2**53 raises ValueError.
 
-    The draws are those of ``rng.randbelow`` calls, in the order that fixes
-    the vault bytes: per point a core in [0, q) until one is unused, then a
-    decoy template for type (ii), or an offset in [0, q - 1) and a template
-    for type (i).  They are read off blocks of SplitMix64 outputs, each about
-    as long as the points left use, at most ``_DRAW_BLOCK`` unless a core
-    search needs more.  numpy reduces the block mod q, with q itself, which
-    no core equals, for an output q rejects; a walk over them, read as
-    Python ints one at a time, finds each point's core, and its other draws
-    are the next one or two outputs, which the block holds two more of.
-    The walk ends the block at the first point whose other draws reach the
-    first output that a decoy, offset or template bound rejects: that
-    point's other draws are plain ``randbelow`` calls, and the next block
-    is at most twice as long as the part of this one used.  A block that
-    ends inside a core search is drawn again, twice as long, from that
-    point.  numpy reduces the outputs at the one or two draws after each
-    core the walk kept.
+    A draw below n is the next output below ``_rejection_limit(n)``, mod n.
+    The draws, in the order that fixes the vault bytes, are per point a core
+    below q until one is unused, then a decoy template for type (ii), or an
+    offset below q - 1 and a template for type (i).  They are read off
+    blocks of SplitMix64 outputs, each planned for the points left, at most
+    ``_DRAW_BLOCK`` long.  numpy reduces the block mod q, with q itself,
+    which no core equals, for an output q rejects; a walk over them, read
+    as Python ints, finds each point's core, and its other draws are the
+    next one or two outputs.  Where numpy marked an output that a decoy,
+    offset or template bound may reject, ``_draws_after`` steps past those
+    that their bounds do reject.  A point that runs past the block's end is
+    read again from its first output; a block that held no point is read
+    again twice as long.
     """
     q = field_mfs.q
     _check_field_size(q)
@@ -593,42 +570,41 @@ def generate_chaff(
     n_on_poly = int(rho * count)
     if n_on_poly > 0 and not decoys:
         raise ValueError("on-polynomial chaff needs at least one non-locking family")
-    # the bounds of the decoy, offset and template draws that some point makes
-    bounds = [len(decoys)] * (n_on_poly > 0) + [q - 1, len(templates)] * (count > n_on_poly)
+    # per point type, as its draws after its core, their bounds; a field
+    # with no decoy draws none
+    after = {1: (len(decoys) or 1,), 2: (q - 1, len(templates))}
     if not count:
         return np.empty((0, 3), dtype=np.uint64)
-    # randbelow(q) keeps the outputs up to core_ceiling, a share kept of
+    # a core draw keeps the outputs up to core_ceiling, a share kept of
     # them all; the bounds of the other draws keep those up to ceiling
     core_ceiling = np.uint64(_rejection_limit(q) - 1)
-    ceiling = np.uint64(min(map(_rejection_limit, bounds)) - 1)
+    ceiling = np.uint64(min(map(_rejection_limit, after[1] + after[2])) - 1)
     kept = _rejection_limit(q) / 2**64
     used = set(used_x_cores)
     used.add(q)  # a rejected core draw is drawn again, as a used core is
     cores = np.empty(count, dtype=np.uint64)
     # each point's draws after its core: a decoy, or an offset and a template
     draws = np.empty((2, count), dtype=np.uint64)
-    drawn, least, most = 0, 1, _DRAW_BLOCK  # the points drawn, and the next block's bounds
+    drawn, size, fitted = 0, 0, True  # the points drawn, and the last block's length
     while drawn < count:
         # the type (ii) and all points left
         on_left, left = max(n_on_poly - drawn, 0), count - drawn
         # the outputs they use: one or two draws after each core, and core
-        # draws until one is fresh, at most q / fresh of those randbelow(q)
+        # draws until one is fresh, at most q / fresh of those a core draw
         # keeps on average, with fresh the cores still free for the last
         # point (used holds q as well)
         fresh = q + 2 - len(used) - left
         planned = min(_DRAW_BLOCK, math.ceil(left * q / fresh / kept) + 2 * left - on_left)
-        size = max(least, min(most, planned))  # the core draws of the block
-        # two outputs past the block's last core draw, so that a point's
-        # other draws lie in the block whenever its core does
-        block = rng._peek(size + 2)
-        reduced = block[:size] % np.uint64(q)
-        reduced[block[:size] > core_ceiling] = q
-        xs = memoryview(reduced)
-        rejected = block > ceiling
-        stop = int(rejected.argmax()) if rejected.any() else len(block)
-        # the core positions of the points drawn from the block, and of the
-        # point whose other draws are randbelow calls
-        at, tail = [], None
+        size = planned if fitted else 2 * size  # a block that held no point, twice as long
+        block = rng._peek(size)
+        reduced = block % np.uint64(q)
+        reduced[block > core_ceiling] = q
+        xs, outputs = memoryview(reduced), memoryview(block)
+        marks = [*np.flatnonzero(block > ceiling).tolist(), size]  # the marked, then the end
+        stop = marks[0]
+        # the core positions of the points drawn from the block, and the
+        # other draws of those the walk stepped through, by point
+        at, stepped = [], {}
         start = i = 0  # the next point's first output, and the core draw the walk is at
         # per point left, its draws after its core: 1 for type (ii), 2 for type (i)
         widths = chain(repeat(1, on_left), repeat(2, left - on_left))
@@ -636,14 +612,17 @@ def generate_chaff(
             for width in widths:
                 while (x := xs[i]) in used:
                     i += 1
+                end = i + width  # the output of its last draw
+                if end >= stop:  # a mark, or the block's end, among its draws
+                    end, stepped[len(at)] = _draws_after(outputs, i, after[width])
+                    stop = marks[bisect.bisect_right(marks, end)]
                 used.add(x)
-                if i + width >= stop:  # a draw that its bound rejects lies ahead
-                    tail = i
-                    break
                 at.append(i)
-                i = start = i + width + 1
-        except IndexError:  # the block ended inside a core search
+                i = start = end + 1
+        except IndexError:  # the point ran past the block's end
             pass
+        rng._skip(start)
+        fitted = bool(at)
         at = np.array(at, dtype=np.intp)
         done = drawn + len(at)
         on = min(len(at), on_left)  # this block's type (ii) points
@@ -651,19 +630,9 @@ def generate_chaff(
         draws[0, drawn:drawn + on] = block[at[:on] + 1] % np.uint64(len(decoys))
         draws[0, drawn + on:done] = block[at[on:] + 1] % np.uint64(q - 1)
         draws[1, drawn + on:done] = block[at[on:] + 2] % np.uint64(len(templates))
+        for point, values in stepped.items():
+            draws[:len(values), drawn + point] = values
         drawn = done
-        if tail is None:  # all drawn, or a core search to draw again from a longer block
-            rng._skip(start)
-            least, most = 2 * (size - start), 2 * size
-        else:
-            rng._skip(tail + 1)
-            least, most = 1, 2 * (tail + 1)
-            cores[drawn] = xs[tail]
-            if drawn < n_on_poly:
-                draws[0, drawn] = rng.randbelow(len(decoys))
-            else:
-                draws[:, drawn] = rng.randbelow(q - 1), rng.randbelow(len(templates))
-            drawn += 1
     ys = _eval_all(p, cores)
     # an offset v skips the value y on p: uniform over F_q minus y
     offsets = draws[0, n_on_poly:]

@@ -347,6 +347,16 @@ class TestMinutiaeDemo:
         path = tmp_path / "absent.txt"
         assert main(["minutiae-demo", "--minutiae", str(path)]) == EXIT_IO
 
+    @pytest.mark.parametrize("count", [81, 65538], ids=["r+1", "q+1"])
+    def test_more_minutiae_than_points_refused(self, tmp_path, count):
+        # one more than the default r = 80, and one more than the default
+        # field holds, where placing the elements cannot end
+        path = tmp_path / "m.txt"
+        path.write_text("ridge_ending 8 8 337.5 0 22.5\n" * count)
+        child = run_capped(["minutiae-demo", "--minutiae", str(path)])
+        assert child.returncode == EXIT_VALIDATION
+        assert child.stderr == f"error: {count} minutiae do not fit a vault of r=80 points\n"
+
     def test_field_beyond_demo_bound(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         path.write_text(self.MINUTIAE)

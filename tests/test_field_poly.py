@@ -1,4 +1,6 @@
+import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +159,17 @@ class TestKeyCodec:
         assert encode_key(key, field, k).coefficients[0] & mask == 0
         assert mask >> field.bits_per_element == 1
 
+    @pytest.mark.parametrize("q, k, message", [
+        (65537, 0, "coefficient count must be at least 1"),
+        (65537, -2, "coefficient count must be at least 1"),
+        # 2**15 + 3 is prime: its chunks hold 15 bits
+        (2**15 + 3, 8, "field too small for key binding: chunks hold 15 < 16 bits"),
+        (257, 30, "field too small for key binding: chunks hold 8 < 16 bits"),
+    ], ids=["k-0", "k-negative", "15-bit", "8-bit"])
+    def test_encode_key_refuses(self, q, k, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            encode_key(b"key", FieldParams(q), k)
+
     @pytest.mark.parametrize("key_len, k, message", [
         (0, 8, "at least 1 byte"), (15, 8, "capacity exceeded")])
     def test_constant_term_mask_refuses_as_capacity_check(self, key_len, k, message):
@@ -180,6 +193,15 @@ class TestPolyEval:
     def test_point_out_of_field(self):
         with pytest.raises(ValueError):
             Polynomial((1,), 7).eval(7)
+
+    @pytest.mark.parametrize("coefficients, message", [
+        ((), "a polynomial needs at least one coefficient"),
+        ((3, 7), "coefficients must be reduced into [0, q)"),
+        ((-1,), "coefficients must be reduced into [0, q)"),
+    ], ids=["empty", "q", "negative"])
+    def test_refuses(self, coefficients, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Polynomial(coefficients, 7)
 
 
 class TestInterpolation:
@@ -283,6 +305,43 @@ class TestFuzzyLagrange:
         lo_support, hi_support = res.los[0], res.his[0]
         assert res.membership(lo_support - 1) == 0.0
         assert res.membership(hi_support + 1) == 0.0
+
+
+    # one point, so the result is its ordinate triangular(4, 5, 6), whose
+    # cut at alpha is [4 + alpha, 6 - alpha]: on the grid 0, 0.5, 1 the
+    # levels hold 4-6, 4.5-5.5 and 5, and between them membership and cuts
+    # interpolate as the number itself
+    SINGLE = ((FuzzyNumber.triangular(0, 1, 2), FuzzyNumber.triangular(4, 5, 6)),)
+
+    @pytest.mark.parametrize("x, want", [
+        (4.25, 0.25),  # below the 0.5 cut, on its left side
+        (4.75, 0.75),  # inside the 0.5 cut, below the core
+        (5.0, 1.0),
+        (5.6, 0.4),  # outside the 0.5 cut, on its right side
+        (3.9, 0.0),
+        (6.1, 0.0),
+    ])
+    def test_membership_between_grid_levels(self, x, want):
+        res = fuzzy_lagrange_real(list(self.SINGLE), FuzzyNumber.crisp(9), levels=3)
+        assert (res.alphas, res.los, res.his) == ((0.0, 0.5, 1.0), (4.0, 4.5, 5.0),
+                                                  (6.0, 5.5, 5.0))
+        assert res.membership(x) == pytest.approx(want)
+
+    @pytest.mark.parametrize("alpha, want", [
+        (0.25, (4.25, 5.75)),
+        (0.75, (4.75, 5.25)),
+        (-0.1, "alpha must lie in [0, 1], got -0.1"),
+        (1.5, "alpha must lie in [0, 1], got 1.5"),
+        (math.nan, "alpha must lie in [0, 1], got nan"),
+    ])
+    def test_alpha_cut_between_grid_levels(self, alpha, want):
+        res = fuzzy_lagrange_real(list(self.SINGLE), FuzzyNumber.crisp(9), levels=3)
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=re.escape(want)):
+                res.alpha_cut(alpha)
+            return
+        cut = res.alpha_cut(alpha)
+        assert (cut.alpha, cut.lo, cut.hi) == (alpha, *want)
 
 
 class TestFieldParams:

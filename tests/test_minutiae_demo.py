@@ -127,13 +127,31 @@ class TestVaultDemo:
         assert a.elements == b.elements
 
     def test_distinct_elements_after_collision_resolution(self):
-        # 20 minutiae force orientation-grid reuse; elements stay distinct
-        res = minutiae_vault_demo(grid_minutiae(20), self.KEY, seed=1)
-        assert len(set(res.elements)) == 20
+        # identical minutiae map to one element; each later one takes the
+        # next free element, mod q
+        for position, first in [
+            ((8, 8), 768),  # grid index 0 and position hash 48: 16 * 48
+            # position hash 31 * 6 + 17 * 230 = 4096, and 16 * 4096 = q - 1,
+            # so the increments wrap around to 0
+            ((48, 1840), 65536),
+        ]:
+            minutia = Minutia(RIDGE_ENDING, position, (337.5, 0.0, 22.5))
+            res = minutiae_vault_demo([minutia] * 20, self.KEY, seed=1)
+            assert res.elements == tuple((first + i) % 65537 for i in range(20))
+            assert res.unlock.key == self.KEY
 
     def test_too_few_minutiae(self):
         with pytest.raises(ValueError):
             minutiae_vault_demo(grid_minutiae(3), self.KEY)
+
+    @pytest.mark.parametrize("r", [12, 80])
+    def test_more_minutiae_than_points_refused(self, r):
+        # refused before an element is placed: placing one is a walk past
+        # the used elements, which cannot end once the field is full
+        minutia = Minutia(RIDGE_ENDING, (8, 8), (337.5, 0.0, 22.5))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{r + 1} minutiae do not fit a vault of r={r} points")):
+            minutiae_vault_demo([minutia] * (r + 1), self.KEY, r=r)
 
     @pytest.mark.parametrize("q", [2**20 + 7, 2**61 - 1])
     def test_field_beyond_bound_rejected(self, q):

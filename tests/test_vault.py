@@ -10,6 +10,7 @@ import math
 import random
 import re
 import warnings
+from dataclasses import FrozenInstanceError
 from operator import itemgetter
 
 import hypothesis.strategies as st
@@ -42,13 +43,13 @@ from fuzzyvault import (
     lock_polynomial,
     match_points,
     partition_field,
-    scramble,
     search_key,
 )
 from fuzzyvault.field_poly import CRC_VARIANT
 from fuzzyvault.vault import LockTranscript, UnlockDiagnostics
 from conftest import (
     ALL_TEMPLATES,
+    Q_DESK,
     GAU,
     SIG,
     TRAP,
@@ -77,23 +78,26 @@ def point_numbers(vault) -> tuple:
     return tuple((p.x, p.y) for p in vault.points)
 
 
+def scrambled(n: int, seed: int) -> list:
+    """The order in which the lock scrambles n points, for ``seed``."""
+    return vault_module._permutation(n, SplitMix64(seed)).tolist()
+
+
 class TestScramble:
     def test_deterministic(self):
-        items = list(range(50))
-        assert scramble(items, 9) == scramble(items, 9)
+        assert scrambled(50, 9) == scrambled(50, 9)
 
     def test_multiset_preserved(self):
-        items = list(range(50))
-        assert sorted(scramble(items, 3)) == items
+        assert sorted(scrambled(50, 3)) == list(range(50))
 
     def test_single_item_unchanged(self):
-        assert scramble([42], 0) == [42]
+        assert scrambled(1, 0) == [0]
 
     def test_destroys_sortedness(self):
         # sorted-prefix statistic stays tiny across seeds
         stuck = 0
         for seed in range(100):
-            out = scramble(list(range(20)), seed)
+            out = scrambled(20, seed)
             prefix = 0
             while prefix < 19 and out[prefix] < out[prefix + 1]:
                 prefix += 1
@@ -102,10 +106,10 @@ class TestScramble:
         assert stuck == 0
 
     def test_splitmix_randbelow_in_range(self):
-        rng = SplitMix64(1)
-        draws = [rng.randbelow(17) for _ in range(1000)]
-        assert set(draws) <= set(range(17))
-        assert len(set(draws)) == 17
+        # the chaff walk's draws past a mark
+        outputs = memoryview(SplitMix64(1)._peek(1100))
+        _, draws = vault_module._draws_after(outputs, -1, [17] * 1000)
+        assert set(draws) == set(range(17))
 
 
 class TestChaff:
@@ -171,10 +175,21 @@ def reference_randbelow(outputs, n: int) -> int:
             return r % n
 
 
+def reference_scramble(items, randbelow) -> list:
+    """Fisher-Yates over ``items``, for i from len - 1 down to 1 swapping
+    positions i and ``randbelow(i + 1)``."""
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = randbelow(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
 def reference_generate_chaff(p, field_mfs, used_x_cores, count, rho,
-                             locking_template, rng, cores=None):
-    """The chaff points, each as its (x, y) fuzzy numbers; ``cores``, if
-    given, receives each point's (x, y) cores as drawn."""
+                             locking_template, randbelow, cores=None):
+    """The chaff points, each as its (x, y) fuzzy numbers, drawn by
+    ``randbelow(n)``; ``cores``, if given, receives each point's (x, y)
+    cores as drawn."""
     q = field_mfs.q
     templates = field_mfs.templates()
     decoys = [t for t in templates if t.family != locking_template.family]
@@ -184,23 +199,23 @@ def reference_generate_chaff(p, field_mfs, used_x_cores, count, rho,
 
     def fresh_core() -> int:
         while True:
-            u = rng.randbelow(q)
+            u = randbelow(q)
             if u not in used:
                 used.add(u)
                 return u
 
     for _ in range(n_on_poly):
         u = fresh_core()
-        template = decoys[rng.randbelow(len(decoys))]
+        template = decoys[randbelow(len(decoys))]
         points.append((template.instantiate(float(u)), template.instantiate(float(p.eval(u)))))
         if cores is not None:
             cores.append((u, p.eval(u)))
     for _ in range(count - n_on_poly):
         u = fresh_core()
-        v = rng.randbelow(q - 1)
+        v = randbelow(q - 1)
         if v >= p.eval(u):
             v += 1
-        template = templates[rng.randbelow(len(templates))]
+        template = templates[randbelow(len(templates))]
         points.append((template.instantiate(float(u)), template.instantiate(float(v))))
         if cores is not None:
             cores.append((u, v))
@@ -216,14 +231,14 @@ def reference_lock_points(p, locking_set, field_mfs, params, cores=None):
     if given, receives each point's (x, y) cores as drawn, in vault order."""
     subset = locking_set.subsets[params.k_subset]
     template = subset.template
-    rng = SplitMix64(params.seed)
+    randbelow = functools.partial(reference_randbelow, reference_splitmix64(params.seed))
     elements = sorted(subset.elements)
     genuine = [(template.instantiate(float(a)), template.instantiate(float(p.eval(a))))
                for a in elements]
     drawn = [(a, p.eval(a)) for a in elements]
     chaff = reference_generate_chaff(p, field_mfs, set(elements), params.r - params.t_mfk,
-                                     params.rho, template, rng, drawn)
-    tagged = scramble([(pt, i) for i, pt in enumerate(genuine + chaff)], rng)
+                                     params.rho, template, randbelow, drawn)
+    tagged = reference_scramble([(pt, i) for i, pt in enumerate(genuine + chaff)], randbelow)
     genuine_indices = tuple(at for at, (_, i) in enumerate(tagged) if i < len(genuine))
     transcript = LockTranscript(p, genuine_indices, tuple(elements), template, params.t_mfk,
                                 locking_set.subset_count)
@@ -267,8 +282,7 @@ def count_calls(patch, module, name) -> list:
 class CraftedStream(SplitMix64):
     """The outputs of ``SplitMix64(seed)``, but REJECTED_OUTPUT at each
     position in ``rejected``.  ``events`` records each ``_peek`` as
-    ("peek", position, count) and each ``randbelow`` as ("randbelow", n,
-    the outputs it took)."""
+    (position, count)."""
 
     def __init__(self, seed: int, rejected=()):
         super().__init__(seed)
@@ -277,7 +291,7 @@ class CraftedStream(SplitMix64):
         self.events = []
 
     def _peek(self, count):
-        self.events.append(("peek", self._at, count))
+        self.events.append((self._at, count))
         block = super()._peek(count)
         for at, output in self._outputs.items():
             if 0 <= at - self._at < count:
@@ -288,45 +302,62 @@ class CraftedStream(SplitMix64):
         super()._skip(count)
         self._at += count
 
-    def next_u64(self):
-        output = super().next_u64()
-        self._at += 1
-        return self._outputs.get(self._at - 1, output)
 
-    def randbelow(self, n):
+class ReferenceStream:
+    """The outputs of ``reference_splitmix64(seed)``, but REJECTED_OUTPUT
+    at each position in ``rejected``, as CraftedStream gives them, drawn
+    one at a time by ``reference_randbelow``.  ``draws`` records each draw
+    as (n, the outputs it took)."""
+
+    def __init__(self, seed: int, rejected=()):
+        self._outputs = reference_splitmix64(seed)
+        self._rejected = set(rejected)
+        self._at = 0
+        self.draws = []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self._at += 1
+        output = next(self._outputs)
+        return REJECTED_OUTPUT if self._at - 1 in self._rejected else output
+
+    def randbelow(self, n: int) -> int:
         at = self._at
-        value = super().randbelow(n)
-        self.events.append(("randbelow", n, self._at - at))
+        value = reference_randbelow(self, n)
+        self.draws.append((n, self._at - at))
         return value
 
 
-def walk_paths(walk: CraftedStream, reference: CraftedStream, q: int) -> set:
-    """Which of the chaff walk's slow paths ran, from the calls of its
-    stream and of the oracle's: "rejected core" (a randbelow(q) of the
-    oracle took more than one output), "tail" (the walk called randbelow,
-    as it does for the draws after the core of the point that ends a
-    block) and "redraw" (a block ended after a core search took one of its
-    core draws, and the next starts inside it, with no randbelow between)."""
+def walk_paths(walk: CraftedStream, reference: ReferenceStream, q: int) -> set:
+    """Which of the chaff walk's slow paths ran, from the blocks it read
+    and the oracle's draws: "rejected core" (a core draw of the oracle took
+    more than one output), "skipped draw" (so did a decoy, offset or
+    template draw, which the walk steps past in its block) and "redraw" (a
+    point ran past a block's end, and the next block starts inside that
+    one, at the point's first output)."""
     paths = set()
-    if any(kind == "randbelow" and n == q and taken > 1 for kind, n, taken in reference.events):
+    if any(n == q and taken > 1 for n, taken in reference.draws):
         paths.add("rejected core")
-    if any(kind == "randbelow" for kind, _, _ in walk.events):
-        paths.add("tail")
-    # a block of count outputs holds count - 2 core draws
-    for (kind, at, count), (next_kind, next_at, _) in zip(walk.events, walk.events[1:]):
-        if kind == next_kind == "peek" and at < next_at < at + count - 2:
-            paths.add("redraw")
+    if any(n != q and taken > 1 for n, taken in reference.draws):
+        paths.add("skipped draw")
+    blocks = zip(walk.events, walk.events[1:])
+    if any(next_at < at + count for (at, count), (next_at, _) in blocks):
+        paths.add("redraw")
     return paths
 
 
 def assert_chaff_matches_reference(poly, field, used, count, rho, seed, rejected=()):
     """generate_chaff gives the oracle's cores and points, and leaves the
-    stream where the oracle's randbelow calls leave it; the streams are
-    ``CraftedStream(seed, rejected)``, and returned, the walk's first."""
-    rng, ref_rng = CraftedStream(seed, rejected), CraftedStream(seed, rejected)
+    stream where the oracle's draws leave it; the streams are
+    ``CraftedStream(seed, rejected)`` and ``ReferenceStream(seed,
+    rejected)``, and returned, the walk's first."""
+    rng, ref_rng = CraftedStream(seed, rejected), ReferenceStream(seed, rejected)
     got = generate_chaff(poly, field, used, count, rho, TRI, rng)
     cores = []
-    want = reference_generate_chaff(poly, field, used, count, rho, TRI, ref_rng, cores)
+    want = reference_generate_chaff(poly, field, used, count, rho, TRI, ref_rng.randbelow,
+                                    cores)
     assert got.dtype == np.uint64 and got.shape == (count, 3)
     rows = got.tolist()
     assert [(x, y) for x, y, _ in rows] == cores
@@ -334,29 +365,33 @@ def assert_chaff_matches_reference(poly, field, used, count, rho, seed, rejected
     points = [(templates[t].instantiate(float(x)), templates[t].instantiate(float(y)))
               for x, y, t in rows]
     assert repr(points) == repr(want)  # repr also tells -0.0 from 0.0
-    assert rng.next_u64() == ref_rng.next_u64()
+    assert int(rng._peek(1)[0]) == next(ref_rng)
     return rng, ref_rng
 
 
 class TestBatchedLock:
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_block_stream_matches_reference(self, seed):
-        n = 3 * vault_module._DRAW_BLOCK + 5
+        # blocks read one after another, past the length of a chaff block
         rng, ref = SplitMix64(seed), reference_splitmix64(seed)
-        assert [rng.next_u64() for _ in range(n)] == [next(ref) for _ in range(n)]
+        for n in (1, vault_module._DRAW_BLOCK, 2 * vault_module._DRAW_BLOCK + 4):
+            assert rng._peek(n).tolist() == [next(ref) for _ in range(n)]
+            rng._skip(n)
+        assert int(rng._peek(1)[0]) == next(ref)
 
     def test_published_seed_zero_outputs(self):
-        rng = SplitMix64(0)
-        assert [rng.next_u64() for _ in range(3)] == [
+        assert SplitMix64(0)._peek(3).tolist() == [
             0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_randbelow_matches_reference(self, seed):
-        # 2**63 + 1 rejects almost half the draws, so blocks end mid-search
+        # the draws the chaff walk steps through: 2**63 + 1 rejects almost
+        # half the outputs, and 2**64 none
         bounds = [1, 2, 17, 65537, P31, 2**63 + 1, 2**64] * 500
-        rng, ref = SplitMix64(seed), reference_splitmix64(seed)
-        assert ([rng.randbelow(n) for n in bounds]
-                == [reference_randbelow(ref, n) for n in bounds])
+        outputs, ref = SplitMix64(seed)._peek(8000), reference_splitmix64(seed)
+        end, draws = vault_module._draws_after(memoryview(outputs), -1, bounds)
+        assert draws == [reference_randbelow(ref, n) for n in bounds]
+        assert int(outputs[end + 1]) == next(ref)
 
     @pytest.mark.parametrize("q", [65537, P31, Q_REJECTS])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
@@ -367,7 +402,7 @@ class TestBatchedLock:
         walk, reference = assert_chaff_matches_reference(poly, field, used, 2000, rho, q + 1)
         # the stream of seed q + 1 holds core or offset draws that Q_REJECTS rejects
         if q == Q_REJECTS:
-            assert walk_paths(walk, reference, q) & {"rejected core", "tail"}
+            assert walk_paths(walk, reference, q) & {"rejected core", "skipped draw"}
 
     @pytest.mark.parametrize("block", [2, 7, 2048])
     @pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
@@ -380,7 +415,7 @@ class TestBatchedLock:
         used = set(random.Random(5).sample(range(257), 12))
         walk, _ = assert_chaff_matches_reference(poly, field, used, 257 - len(used), rho, 9)
         # a block holds at most ``block`` points, so the small ones take turns
-        assert sum(kind == "peek" for kind, _, _ in walk.events) > 1 or block == 2048
+        assert len(walk.events) > 1 or block == 2048
 
     @pytest.mark.parametrize("block", [3, 64])
     def test_blocks_ending_in_rejection_runs_match_reference(self, monkeypatch, block):
@@ -392,29 +427,38 @@ class TestBatchedLock:
         rejected = random.Random(block).sample(range(2000), 1000)
         walk, reference = assert_chaff_matches_reference(poly, field, {5, 6}, 300, 0.3, 17,
                                                          rejected)
-        assert walk_paths(walk, reference, Q_REJECTS) == {"rejected core", "tail", "redraw"}
+        assert walk_paths(walk, reference, Q_REJECTS) == {"rejected core", "skipped draw",
+                                                          "redraw"}
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1),
-           q=st.sampled_from([257, 401, 65537, P31, Q_REJECTS, 2**53 - 111]),
-           rho=st.floats(0, 1), block=st.sampled_from([2, 7, 2048]),
-           share=st.sampled_from([0.0, 2**-6, 0.5]), data=st.data())
-    def test_walk_matches_reference(self, seed, q, rho, block, share, data):
+    def test_walk_matches_reference(self):
         # the walk's fast steps, its steps past rejected draws and the ends
         # of its blocks, from an empty chaff to a field filled up; a share
         # of the outputs is REJECTED_OUTPUT, which every field here but
         # 257 and 65537 rejects
-        coefficients = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=8))
-        used = data.draw(st.sets(st.integers(0, q - 1), max_size=12))
-        count = data.draw(st.integers(0, min(q - len(used), 600)))
-        rejected = random.Random(seed).sample(range(4 * count), int(share * 4 * count))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(vault_module, "_DRAW_BLOCK", block)
-            walk, _ = assert_chaff_matches_reference(Polynomial(tuple(coefficients), q),
-                                                     desk_field(q), used, count, rho, seed,
-                                                     rejected)
-        # a block holds at most ``block`` points, so more take more blocks
-        assert sum(kind == "peek" for kind, _, _ in walk.events) > 1 or count <= block
+        paths = set()
+
+        @settings(max_examples=60, deadline=None)
+        @given(seed=st.integers(0, 2**64 - 1),
+               q=st.sampled_from([257, 401, 65537, P31, Q_REJECTS, 2**53 - 111]),
+               rho=st.floats(0, 1), block=st.sampled_from([2, 7, 2048]),
+               share=st.sampled_from([0.0, 2**-6, 0.5]), data=st.data())
+        def walk_matches(seed, q, rho, block, share, data):
+            coefficients = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=8))
+            used = data.draw(st.sets(st.integers(0, q - 1), max_size=12))
+            count = data.draw(st.integers(0, min(q - len(used), 600)))
+            rejected = random.Random(seed).sample(range(4 * count), int(share * 4 * count))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(vault_module, "_DRAW_BLOCK", block)
+                walk, reference = assert_chaff_matches_reference(
+                    Polynomial(tuple(coefficients), q), desk_field(q), used, count, rho, seed,
+                    rejected)
+            # a block holds at most ``block`` points, so more take more blocks
+            assert len(walk.events) > 1 or count <= block
+            paths.update(walk_paths(walk, reference, q))
+
+        walk_matches()
+        # the examples ran each slow path of the walk
+        assert paths == {"rejected core", "skipped draw", "redraw"}
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_randbelow_each_matches_reference(self, seed):
@@ -423,34 +467,23 @@ class TestBatchedLock:
         rng, ref = SplitMix64(seed), reference_splitmix64(seed)
         got = vault_module._randbelow_each(rng, np.array(bounds, dtype=np.uint64))
         assert got.tolist() == [reference_randbelow(ref, n) for n in bounds]
-        assert rng.next_u64() == next(ref)
+        assert int(rng._peek(1)[0]) == next(ref)
 
     def test_scramble_matches_reference(self):
-        def reference_scramble(items, seed):
-            out, ref = list(items), reference_splitmix64(seed)
-            for i in range(len(out) - 1, 0, -1):
-                j = reference_randbelow(ref, i + 1)
-                out[i], out[j] = out[j], out[i]
-            return out
-
         # every length up to 64, and lengths around a 16-bit sort key's last
         for n in [*range(65), 2999, 5000, 65535, 65536, 65537]:
             for seed in RNG_SEEDS:
-                assert scramble(range(n), seed) == reference_scramble(range(n), seed)
+                randbelow = functools.partial(reference_randbelow, reference_splitmix64(seed))
+                assert scrambled(n, seed) == reference_scramble(range(n), randbelow)
 
-    def test_bound_beyond_2_64_raises(self, monkeypatch):
+    def test_bound_beyond_2_64_raises(self):
         # above 2**64 the rejection limit is 0: without the check every
-        # output would be rejected, so a stream that runs out fails instead
-        calls, peek_ahead = itertools.count(), SplitMix64._peek
-
-        def peek(rng, count):
-            assert next(calls) < 10, "the draw did not stop"
-            return peek_ahead(rng, count)
-
-        monkeypatch.setattr(SplitMix64, "_peek", peek)
+        # output would be rejected, and a walk stepping past them would run
+        # to the end of its block
+        outputs = memoryview(SplitMix64(1)._peek(8))
         for n in (2**64 + 1, 2**65, 0, -3):
             with pytest.raises(ValueError, match=r"bound must lie in \[1, 2\*\*64\]"):
-                SplitMix64(1).randbelow(n)
+                vault_module._draws_after(outputs, -1, [n])
         # the chaff of such a field is refused before a draw, as that of
         # every field beyond 2**53
         q = 2**64 + 13  # the smallest prime above 2**64
@@ -2487,3 +2520,65 @@ class TestFormatV3:
     def test_malformed_v3_rejected(self, edits, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             Vault.from_dict(v3_document(**edits))
+
+
+def lock_case(**edits):
+    """The desk lock of a 12-byte key at r = 300, as lock_polynomial's
+    arguments, each of them replaced where ``edits`` names it."""
+    field = desk_field()
+    case = {"p": encode_key(bytes(range(12)), FieldParams(field.q), 8),
+            "locking_set": desk_locking_set(field, seed=3), "field_mfs": field,
+            "params": desk_params(seed=3)}
+    return {**case, **edits}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("edits, message", [
+        ({"locking_set": MultiFuzzySet(Q_DESK, desk_locking_set(desk_field(), seed=3).subsets,
+                                       "unlocking")},
+         "expected a locking set, got kind='unlocking'"),
+        ({"locking_set": build_locking_set(SMALL_FIELD, [(tuple(range(12)), TRI)])},
+         "locking set and field partition disagree on q"),
+        ({"params": desk_params(seed=3, t=25)}, "locking set holds 24 elements, params.t = 25"),
+        ({"params": LockParams(t=24, k_subset=3, t_mfk=12, r=300, k=8, seed=3)},
+         "locking subset index 3 out of range"),
+        ({"params": desk_params(seed=3, t_mfk=11)},
+         "locking subset holds 12 elements, params.t_mfk = 11"),
+        ({"p": Polynomial(tuple(range(7)), Q_DESK)}, "polynomial length disagrees with params.k"),
+    ], ids=["unlocking-set", "other-q", "t", "subset-index", "t-mfk", "poly-length"])
+    def test_lock_polynomial_refuses(self, edits, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lock_polynomial(**lock_case(**edits))
+
+    def test_fuzzy_unlock_refuses_a_field_partition(self):
+        vault, _ = lock_polynomial(**lock_case())
+        message = "expected an unlocking set, got kind='field'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fuzzy_unlock(vault, desk_field(), 0, 0.25, 12)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_search_key_refuses_k_below_1(self, k):
+        with pytest.raises(ValueError, match="coefficient count must be at least 1"):
+            search_key([(1, 2), (3, 4)], Q_DESK, k, 12)
+
+    @pytest.mark.parametrize("rho", [-0.1, 1.5, math.nan])
+    def test_lock_params_refuse_rho_outside_unit(self, rho):
+        with pytest.raises(ValueError, match=re.escape(f"rho must lie in [0, 1], got {rho}")):
+            desk_params(seed=3, rho=rho).validate(Q_DESK)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda vault: setattr(vault, "q", 7), "cannot assign to field 'q'"),
+        (lambda vault: setattr(vault, "extra", 1), "cannot assign to field 'extra'"),
+        (lambda vault: delattr(vault, "x_cores"), "cannot delete field 'x_cores'"),
+    ], ids=["assign", "add", "delete"])
+    def test_vault_is_frozen(self, change, message):
+        vault, _ = lock_polynomial(**lock_case())
+        with pytest.raises(FrozenInstanceError, match=re.escape(message)):
+            change(vault)
+        assert vault == Vault.from_json(vault.to_json())
+
+    def test_equal_vaults_hash_equal(self):
+        vault, _ = lock_polynomial(**lock_case())
+        other, _ = lock_polynomial(**lock_case(params=desk_params(seed=4)))
+        assert hash(vault) == hash(Vault.from_json(vault.to_json()))
+        assert len({vault, Vault.from_json(vault.to_json()), other}) == 2
