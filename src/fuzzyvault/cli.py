@@ -106,7 +106,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_minutiae_demo(args) -> int:
-    minutiae = minutiae_demo.parse_minutiae_file(args.minutiae)
+    minutiae = minutiae_demo.parse_minutiae_file(args.minutiae, args.r)
     key = bytes.fromhex(args.key_hex)
     result = minutiae_demo.minutiae_vault_demo(
         minutiae, key, q=args.q, k=args.k, r=args.r,

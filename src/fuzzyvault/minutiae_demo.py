@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .field_poly import FieldParams, encode_key
 from .fuzzy_number import GAUSSIAN, TRIANGULAR, FuzzyNumber
@@ -100,6 +101,11 @@ def _minutia_field_element(m: Minutia, q: int) -> int:
     return (grid_index + 16 * pos_hash) % q
 
 
+def _refuse_more_than(r: int, count: int):
+    """ValueError: ``count`` minutiae, more than ``r``, do not fit the vault."""
+    raise ValueError(f"{count} minutiae do not fit a vault of r={r} points")
+
+
 @dataclass(frozen=True)
 class DemoResult:
     vault: Vault
@@ -123,7 +129,7 @@ def minutiae_vault_demo(
     if len(minutiae) < k:
         raise ValueError(f"need at least k={k} minutiae, got {len(minutiae)}")
     if len(minutiae) > r:  # as LockParams refuses t > r, before any is placed
-        raise ValueError(f"{len(minutiae)} minutiae do not fit a vault of r={r} points")
+        _refuse_more_than(r, len(minutiae))
     field = FieldParams(q)
     encode_key(key, field, k)  # surface capacity errors before locking
 
@@ -162,27 +168,36 @@ def minutiae_vault_demo(
     return DemoResult(vault, unlock, tuple(elements))
 
 
-def parse_minutiae_file(path) -> list[Minutia]:
-    """One minutia per line: ``kind x y lower center upper``.
+def parse_minutiae_file(path, r: int | None = None) -> list[Minutia]:
+    """One minutia per line: ``kind x y lower center upper``; blank lines
+    and lines starting with ``#`` are skipped.
 
-    OSError passes through; a malformed file raises ValueError naming the
-    file and line.
+    The file is read a line at a time.  Given the vault size ``r``, a file
+    of more than r minutiae is refused as ``minutiae_vault_demo`` refuses
+    them: the lines past the r-th minutia are counted, not parsed, so the
+    refusal holds at most r minutiae however long the file.  OSError passes
+    through; a malformed file raises ValueError naming the file and line.
     """
     minutiae = []
     lineno = 0
     with open(path, encoding="utf-8") as fh:
+        # the lines fh.read().splitlines() gives, one at a time
+        lines = ((n, line.strip()) for n, line
+                 in enumerate(chain.from_iterable(map(str.splitlines, fh)), 1))
+        records = ((n, line) for n, line in lines if line and not line.startswith("#"))
         try:
-            for lineno, line in enumerate(fh.read().splitlines(), 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
+            for lineno, line in islice(records, None if r is None else max(r, 0)):
                 parts = line.split()
                 if len(parts) != 6:
                     raise ValueError(f"expected 6 fields, got {len(parts)}")
                 kind, x, y, lower, center, upper = parts
                 minutiae.append(Minutia(kind, (int(x), int(y)),
                                         (float(lower), float(center), float(upper))))
+            extra = sum(1 for _ in records)
         except ValueError as e:
-            where = f", line {lineno}" if lineno else ""
+            # text is decoded a block at a time, ahead of the line reached
+            where = f", line {lineno}" if lineno and not isinstance(e, UnicodeDecodeError) else ""
             raise ValueError(f"bad minutiae file {path}{where}: {e}") from e
+    if extra:
+        _refuse_more_than(r, len(minutiae) + extra)
     return minutiae

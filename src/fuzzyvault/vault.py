@@ -244,10 +244,10 @@ def _check_cores(table: list, template_ids, x_cores, y_cores) -> None:
     cmax = float(max(x_cores.max(), y_cores.max()))
     plateaus = [t.spread_params[0] if t.family == TRAPEZOIDAL and not _keeps_cores(t, cmax)
                 else math.nan for t in table]
+    if all(map(math.isnan, plateaus)):  # no template needs the check
+        return
     plateaus = np.array(plateaus)[template_ids]
     members = np.flatnonzero(~np.isnan(plateaus))
-    if not len(members):
-        return
     ids, s = template_ids[members], plateaus[members]
     cores = np.stack((x_cores[members], y_cores[members]))  # c - s and c + s are float64
     derived = np.rint(CORE[TRAPEZOIDAL]((cores - s, cores + s)))
@@ -295,7 +295,11 @@ def _decode_column(text, r: int, bound: int, name: str):
     """The inverse of ``_encode_column``: a v3 column of r values as an
     int64 array, for ``bound`` <= 2**56.  ValueError names the column
     unless it is a base64 string of exactly r values; its length is
-    checked before the array is allocated, as r comes from the file."""
+    checked before the array is allocated, as r comes from the file.
+
+    Value i is the little-endian int64 at byte i * width, masked to its
+    width bytes: one strided read of the bytes, padded so that the last
+    value's 8 bytes lie within them."""
     width = _width(bound)
     if type(text) is not str:
         raise ValueError(f"{name} must be a base64 string, got {type(text).__name__}")
@@ -305,9 +309,9 @@ def _decode_column(text, r: int, bound: int, name: str):
         raise ValueError(f"{name} is not base64: {e}") from None
     if len(raw) != r * width:
         raise ValueError(f"{name} must hold r={r} values of {width} bytes, got {len(raw)} bytes")
-    values = np.zeros((r, 8), dtype=np.uint8)  # a value of up to 7 bytes reads as int64
-    values[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(r, width)
-    return values.view("<i8")[:, 0]
+    padded = np.frombuffer(raw + bytes(8 - width), dtype=np.uint8)
+    values = np.ndarray((r,), dtype="<i8", buffer=padded, strides=(width,))
+    return values & ((1 << 8 * width) - 1)
 
 
 class Vault:
@@ -359,8 +363,9 @@ class Vault:
         x_sorted = np.sort(x_cores)
         if (x_sorted[1:] == x_sorted[:-1]).any():
             raise ValueError("vault x-cores must be pairwise distinct")
-        for axis, cores in (("x", x_sorted), ("y", y_cores)):
-            if not (0 <= cores.min() and int(cores.max()) < q):
+        for axis, least, most in (("x", x_sorted[0], x_sorted[-1]),
+                                  ("y", y_cores.min(), y_cores.max())):
+            if not (0 <= least and int(most) < q):
                 raise ValueError(f"vault {axis}-cores must lie in [0, q={q})")
         used = np.flatnonzero(np.bincount(template_ids, minlength=len(templates))).tolist()
         table = sorted({templates[i] for i in used},

@@ -347,10 +347,11 @@ class TestMinutiaeDemo:
         path = tmp_path / "absent.txt"
         assert main(["minutiae-demo", "--minutiae", str(path)]) == EXIT_IO
 
-    @pytest.mark.parametrize("count", [81, 65538], ids=["r+1", "q+1"])
+    @pytest.mark.parametrize("count", [81, 65538, 262144], ids=["r+1", "q+1", "4q"])
     def test_more_minutiae_than_points_refused(self, tmp_path, count):
-        # one more than the default r = 80, and one more than the default
-        # field holds, where placing the elements cannot end
+        # one more than the default r = 80, one more than the default field
+        # holds, where placing the elements cannot end, and a file of 8 MB,
+        # whose lines past the 80th are counted, not parsed
         path = tmp_path / "m.txt"
         path.write_text("ridge_ending 8 8 337.5 0 22.5\n" * count)
         child = run_capped(["minutiae-demo", "--minutiae", str(path)])

@@ -10,6 +10,7 @@ from fuzzyvault import (
     Minutia,
     circular_distance,
     minutia_to_fuzzy,
+    minutiae_demo,
     minutiae_vault_demo,
     orientation_set,
     parse_minutiae_file,
@@ -184,3 +185,22 @@ class TestParseFile:
         path.write_text("ridge_ending 10 20 202.5 225\n")
         with pytest.raises(ValueError, match="line 1"):
             parse_minutiae_file(path)
+
+    def test_lines_past_r_counted_not_parsed(self, tmp_path, monkeypatch):
+        # given r, the parser builds at most r minutiae and counts the rest
+        # of the records, a malformed one too, for the demo's refusal
+        path = tmp_path / "minutiae.txt"
+        path.write_text("# header\n" + "ridge_ending 10 20 202.5 225 247.5\n" * 5
+                        + "\n# more\nbifurcation 1 2\n" + "bifurcation 30 40 292.5 315 337.5\n" * 3)
+        built = []
+        monkeypatch.setattr(minutiae_demo, "Minutia",
+                            lambda *args: built.append(args) or Minutia(*args))
+        with pytest.raises(ValueError,
+                           match=re.escape("9 minutiae do not fit a vault of r=4 points")):
+            parse_minutiae_file(path, 4)
+        assert len(built) == 4
+        with pytest.raises(ValueError, match=re.escape(f"bad minutiae file {path}, line 9: "
+                                                       "expected 6 fields, got 3")):
+            parse_minutiae_file(path, 9)
+        path.write_text("ridge_ending 10 20 202.5 225 247.5\n# a comment\n\n" * 4)
+        assert len(parse_minutiae_file(path, 4)) == 4

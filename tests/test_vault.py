@@ -1839,13 +1839,16 @@ class TestSerialization:
         assert repr(point_numbers(loaded)) == repr(point_numbers(vault))  # tells -0.0 from 0.0
 
     # a template id indexes a table of at most r templates, so its edges
-    # stop at 256, the first id that takes two bytes
-    @pytest.mark.parametrize("column, value", [
-        *[("template_ids", value) for value in DIGIT_EDGES + WIDTH_EDGES if value <= 256],
-        *[(column, value) for column in ("x_cores", "y_cores")
-          for value in DIGIT_EDGES + WIDTH_EDGES],
+    # stop at 256, the first id that takes two bytes; each edge sits in the
+    # first row, and, where a vault holds it, in the last, whose value is
+    # read up to the column's end
+    @pytest.mark.parametrize("column, value, last", [
+        pytest.param(column, value, last, id=f"{column}-{value}{'-last' * last}")
+        for column in vault_module._COLUMNS for value in DIGIT_EDGES + WIDTH_EDGES
+        for last in (False, True)
+        if (value <= 256 or column != "template_ids") and (not last or value < 2**53)
     ])
-    def test_to_json_digit_edges(self, column, value):
+    def test_to_json_digit_edges(self, column, value, last):
         # each column holds the edge value among smaller values, and the
         # column's bound, q or the table's length, is one past its largest
         # value: the v3 column gives every value the bytes that bound - 1
@@ -1854,12 +1857,12 @@ class TestSerialization:
         # hold
         if column == "template_ids":
             templates = [FamilyTemplate("triangular", (1.0, 1.0 + i)) for i in range(value + 1)]
-            ids = np.arange(value + 1, dtype=np.intp)[::-1].copy()
+            ids = np.arange(value + 1, dtype=np.intp)[::1 if last else -1].copy()
             x_cores = np.arange(value + 1, dtype=np.int64)
             y_cores = x_cores[::-1].copy()
         else:
             templates, ids = [TRI], np.zeros(4, dtype=np.intp)
-            cores = np.array([value, 1, 12345, 0 if value else 2],
+            cores = np.array([value, 1, 12345, 0 if value else 2][::-1 if last else 1],
                              dtype=np.uint64 if value >= 2**63 else np.int64)
             x_cores, y_cores = (cores, np.full(4, 7, dtype=np.int64)) if column == "x_cores" else (
                 np.arange(4, dtype=np.int64), cores)
