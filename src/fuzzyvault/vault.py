@@ -100,66 +100,6 @@ class SplitMix64:
         self._state = (self._state + count * _GAMMA) & _MASK64
 
 
-def _randbelow_each(rng: SplitMix64, bounds):
-    """One draw below each of a uint64 array of bounds, each at least 1, in
-    order, as a uint64 array: one numpy expression over the next outputs,
-    and one more from each output that a bound rejects."""
-    # the largest multiple of n up to 2**64, less one; 2**64 mod n is
-    # (2**64 - n) mod n, which uint64 holds
-    ceilings = np.uint64(_MASK64) - (np.uint64(_MASK64) - bounds + np.uint64(1)) % bounds
-    parts = []
-    while True:
-        block = rng._peek(len(bounds))
-        rejected = np.flatnonzero(block > ceilings)
-        kept = int(rejected[0]) if len(rejected) else len(bounds)
-        parts.append(block[:kept] % bounds[:kept])
-        if kept == len(bounds):
-            rng._skip(kept)
-            return np.concatenate(parts)
-        rng._skip(kept + 1)
-        bounds, ceilings = bounds[kept:], ceilings[kept:]
-
-
-def _permutation(n: int, rng: SplitMix64):
-    """The order of a Fisher-Yates shuffle of range(n), which swaps
-    positions i and a draw below i + 1 for i from n - 1 down to 1, as an
-    intp array, with no Python pass per position.
-
-    Step i of the loop swaps positions i and j_i <= i, and no
-    later step touches position i, so it ends holding what position j_i
-    held just before step i: what the last earlier step to write there
-    moved in, or the item j_i itself if none did.  Steps run from n - 1
-    down, so that writer is the least s > i with j_s = j_i, which moved in
-    what position s held just before step s; in turn, that is what the
-    least step t > s with j_t = s moved in, or the item s itself.  One
-    stable sort of the steps by j lists, per position, the steps that swap
-    with it in ascending order: the step after i in the list of j_i is the
-    first link, and the head of the list of s the second.  That head is s
-    itself when j_s = s, but then no other link leads to s, as j_i <= i < s
-    for every step i < s.  Pointer jumping follows the second link to the
-    end of each chain.
-    """
-    if n < 2:
-        return np.arange(n, dtype=np.intp)
-    j = np.zeros(n, dtype=np.intp)  # j[s]: the position step s swaps with s
-    j[:0:-1] = _randbelow_each(rng, np.arange(n, 1, -1, dtype=np.uint64))
-    # numpy radix-sorts keys of 16 bits or fewer
-    steps = np.argsort(j[1:].astype(np.min_scalar_type(n - 1)), kind="stable") + 1
-    key = j[steps]
-    same = key[1:] == key[:-1]
-    later = np.full(n, -1, dtype=np.intp)  # the next step with the same j, by step
-    later[steps[:-1][same]] = steps[1:][same]
-    first = np.full(n, -1, dtype=np.intp)  # the least step with j = s, by position s
-    heads = np.flatnonzero(np.concatenate(([True], ~same)))
-    first[key[heads]] = steps[heads]
-    ends = np.where(first < 0, np.arange(n), first)
-    while not np.array_equal(hop := ends[ends], ends):
-        ends = hop
-    order = np.where(later < 0, j, ends[later])
-    order[0] = ends[0]  # what position 0 holds after the last step
-    return order
-
-
 @dataclass(frozen=True)
 class VaultPoint:
     """One point of a vault: its template and its two integer cores; its
@@ -176,9 +116,6 @@ class VaultPoint:
     @property
     def y(self) -> FuzzyNumber:
         return self.template.instantiate(self.y_core)
-
-    def to_dict(self) -> dict:
-        return {"x": self.x.to_dict(), "y": self.y.to_dict()}
 
 
 def _check_tolerance(delta: float) -> None:
@@ -278,22 +215,22 @@ _COLUMNS = ("template_ids", "x_cores", "y_cores")
 
 
 def _width(bound: int) -> int:
-    """The bytes a v3 column gives each value below ``bound``: as many as
-    bound - 1 takes, and at least 1."""
+    """The bytes a v3 or v4 column gives each value below ``bound``: as
+    many as bound - 1 takes, and at least 1."""
     return max(1, (max(bound - 1, 0).bit_length() + 7) // 8)
 
 
 def _encode_column(column, bound: int) -> str:
-    """A v3 column: each value, non-negative and below ``bound`` <= 2**56,
-    as a little-endian unsigned integer of ``_width(bound)`` bytes, all of
-    them in base64."""
+    """A v3 or v4 column: each value, non-negative and below ``bound`` <=
+    2**56, as a little-endian unsigned integer of ``_width(bound)`` bytes,
+    all of them in base64."""
     values = np.ascontiguousarray(column, dtype="<u8").view(np.uint8).reshape(-1, 8)
     return base64.b64encode(values[:, :_width(bound)].tobytes()).decode("ascii")
 
 
 def _decode_column(text, r: int, bound: int, name: str):
-    """The inverse of ``_encode_column``: a v3 column of r values as an
-    int64 array, for ``bound`` <= 2**56.  ValueError names the column
+    """The inverse of ``_encode_column``: a v3 or v4 column of r values as
+    an int64 array, for ``bound`` <= 2**56.  ValueError names the column
     unless it is a base64 string of exactly r values; its length is
     checked before the array is allocated, as r comes from the file.
 
@@ -318,6 +255,9 @@ class Vault:
     """r fuzzy points over F_q, each an integer x-core and y-core plus a
     template: the point is that template instantiated at its two cores.
 
+    A vault is a set of points, held in one order: its rows ascend by
+    x-core, which are distinct.  That order is a function of the points
+    alone, so it tells no reader which of them are genuine.
     ``templates`` is the template table, in canonical order: the templates
     some point uses, equal ones merged, families as in FAMILIES, then
     spreads ascending, so equal vaults write equal files.  Per point,
@@ -329,21 +269,23 @@ class Vault:
     and the reader hold them already, so neither builds an object per
     point.  ``points`` is the same vault as a tuple of ``VaultPoint`` s,
     each a template and two cores.  Two vaults are equal when their
-    header, table and columns are.
+    header and point sets are.
     """
 
     def __init__(self, x_cores, y_cores, template_ids, templates, q: int, n: int):
-        """The vault whose point i is ``templates[template_ids[i]]``
+        """The vault of the points ``templates[template_ids[i]]``
         instantiated at ``x_cores[i]`` and ``y_cores[i]``: three columns of
         one length r, each an integer array that int64 holds, kept
-        read-only, the cores as int64 and the ids as intp, with the table
-        made canonical; the CRC variant is ``CRC_VARIANT``.  ValueError
-        names the fault: a column of floats, bools, strings or objects,
-        columns of unequal length, a template id outside ``templates``, or
-        a template under which a rounded core is not the integer core it
-        was built from, as (x0 + y0) / 2 under a plateau of half-width
-        2**53.  A field beyond 2**53 is checked last, so a vault refused
-        for another fault keeps that fault's message."""
+        read-only in ascending x-core order, the cores as int64 and the ids
+        as intp, with the table made canonical; the CRC variant is
+        ``CRC_VARIANT``.  Every check runs on the columns in the order
+        given, and the rows are sorted after them.  ValueError names the
+        fault: a column of floats, bools, strings or objects, columns of
+        unequal length, a template id outside ``templates``, or a template
+        under which a rounded core is not the integer core it was built
+        from, as (x0 + y0) / 2 under a plateau of half-width 2**53.  A
+        field beyond 2**53 is checked last, so a vault refused for another
+        fault keeps that fault's message."""
         template_ids, x_cores, y_cores = columns = [
             np.asarray(column) for column in (template_ids, x_cores, y_cores)]
         for name, column in zip(_COLUMNS, columns):
@@ -360,7 +302,8 @@ class Vault:
         x_cores, y_cores = (cores.astype(np.int64, copy=False) for cores in (x_cores, y_cores))
         if not 0 <= n < r:
             raise ValueError(f"polynomial degree n={n} outside [0, r={r})")
-        x_sorted = np.sort(x_cores)
+        order = np.argsort(x_cores)
+        x_sorted = x_cores[order]
         if (x_sorted[1:] == x_sorted[:-1]).any():
             raise ValueError("vault x-cores must be pairwise distinct")
         for axis, least, most in (("x", x_sorted[0], x_sorted[-1]),
@@ -375,8 +318,8 @@ class Vault:
         _check_cores(table, template_ids, x_cores, y_cores)
         _check_field_size(q)
         for name, value in (("q", q), ("n", n), ("r", r), ("crc_variant", CRC_VARIANT),
-                            ("templates", tuple(table)), ("template_ids", template_ids),
-                            ("x_cores", x_cores), ("y_cores", y_cores)):
+                            ("templates", tuple(table)), ("template_ids", template_ids[order]),
+                            ("x_cores", x_sorted), ("y_cores", y_cores[order])):
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -420,13 +363,14 @@ class Vault:
                 f"crc_variant={self.crc_variant!r}, templates={self.templates!r})")
 
     def to_dict(self) -> dict:
-        """The v3 document: the header, the template table, and each
+        """The v4 document: the header, the template table, and each
         integer column as ``_encode_column`` writes it, the template ids
-        below the table's length and the cores below q."""
+        below the table's length and the cores below q.  v4 is v3 with
+        its rows ascending by x-core."""
         bounds = {"template_ids": len(self.templates), "x_cores": self.q, "y_cores": self.q}
         return {
             "crc_variant": self.crc_variant,
-            "format_version": 3,
+            "format_version": 4,
             "n": self.n,
             "q": self.q,
             "r": self.r,
@@ -435,29 +379,31 @@ class Vault:
         }
 
     def to_json(self) -> str:
-        """The v3 text: ``to_dict`` with sorted keys, no spaces and a newline."""
+        """The v4 text: ``to_dict`` with sorted keys, no spaces and a newline."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "Vault":
-        """The vault of v3 or v2 text, the inverse of ``to_json``; a
+        """The vault of v4, v3 or v2 text, the inverse of ``to_json``; a
         ValueError, or the RecursionError ``json.loads`` raises on deeply
         nested text, which ``load`` turns into a ValueError."""
         return cls.from_dict(json.loads(text))
 
     @classmethod
     def from_dict(cls, d: dict) -> "Vault":
-        """Check a parsed v3 or v2 document and build its vault as the lock
-        does.  A v3 column is read by ``_decode_column``, after the field
-        size is checked, and a v2 column, an array of JSON integers, by
-        ``_int_column``.  ValueError on any malformed input, and on a v1
-        document, which is no longer read."""
+        """Check a parsed v4, v3 or v2 document and build its vault as the
+        lock does, its rows in ascending x-core order whatever order the
+        file holds them in.  A v4 or v3 column is read by
+        ``_decode_column``, after the field size is checked, and a v2
+        column, an array of JSON integers, by ``_int_column``.  ValueError
+        on any malformed input, and on a v1 document, which is no longer
+        read."""
         (version,) = json_fields(d, "format_version")
-        if type(version) is not int or version not in (1, 2, 3):
+        if type(version) is not int or version not in (1, 2, 3, 4):
             raise ValueError(f"unsupported vault format: {version!r}")
         if version == 1:
             raise ValueError("vault format 1 is no longer read: "
-                             "lock the key again to write a format 3 file")
+                             "lock the key again to write a format 4 file")
         q, n, r, crc_variant, templates, *columns = json_fields(
             d, "q", "n", "r", "crc_variant", "templates", *_COLUMNS)
         q, n, r = json_int(q), json_int(n), json_int(r)
@@ -494,10 +440,11 @@ class Vault:
 @dataclass(frozen=True)
 class LockTranscript:
     """Secret locking record, for tests and diagnostics only; never serialized
-    into the vault file."""
+    into the vault file.  ``genuine_indices`` are the genuine points'
+    positions among the vault's rows, which ascend by x-core."""
 
     polynomial: Polynomial
-    genuine_indices: tuple     # positions of genuine points after scrambling
+    genuine_indices: tuple     # rows of the genuine points, ascending
     genuine_cores: tuple
     locking_family: FamilyTemplate
     t_mfk: int
@@ -658,9 +605,10 @@ def lock_polynomial(
     Every point is a pair of integer cores plus a template of the field:
     the genuine points are the locking subset's elements and their values
     on p, with the subset's template, and ``generate_chaff`` adds the rest.
-    Both come as rows of x-core, y-core and template index; the rows are
-    scrambled and become the vault's columns, so locking builds no object
-    per point.  The chaff and the scramble draw from
+    Both come as rows of x-core, y-core and template index, which become
+    the vault's columns, so locking builds no object per point; ``Vault``
+    sorts the rows by x-core, so their order is that of the point set
+    and reveals nothing of which points are genuine.  The chaff draws from
     ``SplitMix64(params.seed)``, or, without a seed, from a fresh seed of
     64 bits from ``SystemRandom``, the OS source of ``secrets``: whoever
     guesses the seed replays the chaff.
@@ -706,14 +654,12 @@ def lock_polynomial(
     chaff = generate_chaff(
         p, field_mfs, set(elements), params.r - params.t_mfk, params.rho, template, rng
     )
-    # scrambling the positions draws what scrambling the points would
-    order = _permutation(params.r, rng)
     # x-cores, y-cores and template ids, each below q <= 2**53
-    columns = np.concatenate((genuine, chaff))[order].T.astype(np.int64, order="C")
+    columns = np.concatenate((genuine, chaff)).T.astype(np.int64, order="C")
     vault = Vault(*columns, templates, q, params.n)
     transcript = LockTranscript(
         p,
-        tuple(np.flatnonzero(order < params.t_mfk).tolist()),
+        tuple(np.searchsorted(vault.x_cores, elements).tolist()),
         tuple(elements),
         template,
         params.t_mfk,
@@ -729,7 +675,8 @@ def fuzzy_lock(
     params: LockParams,
 ) -> tuple[Vault, LockTranscript]:
     """Lock a secret key: encode (with CRC-16), project the locking subset
-    onto the polynomial, add chaff, scramble."""
+    onto the polynomial, add chaff, and hold the points in ascending
+    x-core order."""
     field = FieldParams(field_mfs.q)
     p = encode_key(key, field, params.k)
     return lock_polynomial(p, locking_set, field_mfs, params)
@@ -750,13 +697,14 @@ def match_points(
     in ascending core order, ties broken toward the smaller x-core.  A probe
     matches only within distance delta (family mismatch is infinitely far).
 
-    Only the vault points of the template's family are indexed, sorted by
-    their integer x-core, and a probe with core c tests the unclaimed ones
-    with an x-core in [c - W, c + W]: W = delta + 2 plus 2**-48 of
-    delta + s, where s is a trapezoidal template's plateau half-width (0
-    for the other families).  No match lies outside.  Take a = float(c),
-    which the window is compared in too, and x an x-core, an integer below
-    q <= 2**53.  Where the core is a parameter, |a - x| is at most the
+    Only the vault points of the template's family are indexed, in the
+    vault's row order, which ascends by integer x-core, and a probe with
+    core c tests the unclaimed ones with an x-core in [c - W, c + W]:
+    W = delta + 2 plus 2**-48 of delta + s, where s is a trapezoidal
+    template's plateau half-width (0 for the other families).  No match
+    lies outside.  Take a = float(c), which the window is compared in
+    too, and x an x-core, an integer below q <= 2**53.  Where the core is
+    a parameter, |a - x| is at most the
     distance, which rounds down by at most 2**-52 of itself.  A trapezoidal
     probe has x0 = a - s and y0 = a + s, the point x - s' and x + s' with
     s' within about delta of s, each rounded by half an ulp at most; the
@@ -778,7 +726,6 @@ def match_points(
     plateau = template.spread_params[0] if template.family == TRAPEZOIDAL else 0.0
     w = delta + 2.0 + (delta + plateau) * 2**-48
     members = np.flatnonzero(vault.family_ids == _FAMILY_ID[template.family])
-    members = members[np.argsort(vault.x_cores[members])]
     xs = vault.x_cores[members].tolist()
     built = {}  # position -> the point's x, built once
     claimed = set()

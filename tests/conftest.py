@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import random
@@ -137,7 +138,7 @@ def reference_v1_document(vault) -> dict:
         "n": vault.n,
         "r": vault.r,
         "crc_variant": vault.crc_variant,
-        "points": [p.to_dict() for p in vault.points],
+        "points": [{"x": p.x.to_dict(), "y": p.y.to_dict()} for p in vault.points],
     }
 
 
@@ -166,3 +167,22 @@ def reference_v2_document(vault) -> dict:
 def reference_v2_json(vault) -> str:
     """The v2 text of ``vault``, as the v2 writer wrote it."""
     return json.dumps(reference_v2_document(vault), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+# The v3 vault document, which the library still reads but no longer
+# writes, kept as the oracle of the v3 bytes: the v2 document at version
+# 3, each integer column written value by value as base64 of fixed-width
+# little-endian integers, as wide as the column's bound less one takes.
+def reference_v3_document(vault) -> dict:
+    doc = dict(reference_v2_document(vault), format_version=3)
+    for name, bound in (("template_ids", len(vault.templates)), ("x_cores", vault.q),
+                        ("y_cores", vault.q)):
+        width = max(1, ((bound - 1).bit_length() + 7) // 8)
+        doc[name] = base64.b64encode(b"".join(
+            v.to_bytes(width, "little") for v in doc[name])).decode("ascii")
+    return doc
+
+
+def reference_v3_json(vault) -> str:
+    """The v3 text of ``vault``, as the v3 writer wrote it."""
+    return json.dumps(reference_v3_document(vault), sort_keys=True, separators=(",", ":")) + "\n"

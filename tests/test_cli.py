@@ -94,10 +94,13 @@ class TestLock:
         out = capsys.readouterr().out
         assert "locked:" in out and "q=65537" in out
         doc = json.loads((workdir / "vault.json").read_text())
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
         # 1 byte per id of the 2 templates, 3 per core below q = 65537
-        assert [len(base64.b64decode(doc[name])) for name in ("template_ids", "x_cores",
-                                                              "y_cores")] == [60, 180, 180]
+        columns = [base64.b64decode(doc[name]) for name in ("template_ids", "x_cores", "y_cores")]
+        assert list(map(len, columns)) == [60, 180, 180]
+        # the rows ascend by x-core
+        x_cores = [int.from_bytes(columns[1][i:i + 3], "little") for i in range(0, 180, 3)]
+        assert x_cores == sorted(set(x_cores))
 
     def test_byte_identical_reruns(self, workdir):
         main(lock_args(workdir))
@@ -617,7 +620,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("mutate, cause", [
         (MALFORMED["vault-format-v1"][1],
-         "vault format 1 is no longer read: lock the key again to write a format 3 file"),
+         "vault format 1 is no longer read: lock the key again to write a format 4 file"),
         (MALFORMED_V2["q-beyond-float-cores"], "field size q=2305843009213693951 exceeds "
          "2**53, beyond which float64 fuzzy parameters cannot hold every field element"),
         (MALFORMED_V2["core-past-int64"], "x_cores must hold integers that int64 holds"),

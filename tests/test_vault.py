@@ -9,6 +9,7 @@ import json
 import math
 import random
 import re
+import types
 import warnings
 from dataclasses import FrozenInstanceError
 from operator import itemgetter
@@ -62,6 +63,8 @@ from conftest import (
     reference_v1_json,
     reference_v2_document,
     reference_v2_json,
+    reference_v3_document,
+    reference_v3_json,
     reference_validate,
     split_field,
     vault_of,
@@ -76,40 +79,6 @@ def point_numbers(vault) -> tuple:
     """Each point's (x, y) fuzzy numbers, in vault order: what the oracles
     below build."""
     return tuple((p.x, p.y) for p in vault.points)
-
-
-def scrambled(n: int, seed: int) -> list:
-    """The order in which the lock scrambles n points, for ``seed``."""
-    return vault_module._permutation(n, SplitMix64(seed)).tolist()
-
-
-class TestScramble:
-    def test_deterministic(self):
-        assert scrambled(50, 9) == scrambled(50, 9)
-
-    def test_multiset_preserved(self):
-        assert sorted(scrambled(50, 3)) == list(range(50))
-
-    def test_single_item_unchanged(self):
-        assert scrambled(1, 0) == [0]
-
-    def test_destroys_sortedness(self):
-        # sorted-prefix statistic stays tiny across seeds
-        stuck = 0
-        for seed in range(100):
-            out = scrambled(20, seed)
-            prefix = 0
-            while prefix < 19 and out[prefix] < out[prefix + 1]:
-                prefix += 1
-            if prefix >= 10:
-                stuck += 1
-        assert stuck == 0
-
-    def test_splitmix_randbelow_in_range(self):
-        # the chaff walk's draws past a mark
-        outputs = memoryview(SplitMix64(1)._peek(1100))
-        _, draws = vault_module._draws_after(outputs, -1, [17] * 1000)
-        assert set(draws) == set(range(17))
 
 
 class TestChaff:
@@ -224,11 +193,14 @@ def reference_generate_chaff(p, field_mfs, used_x_cores, count, rho,
 
 # lock_polynomial as it was before it built the vault's columns from core
 # triples, kept as the oracle for valid inputs: two fuzzy numbers per
-# point, scrambled as (point, source index) pairs
-def reference_lock_points(p, locking_set, field_mfs, params, cores=None):
-    """The scrambled points, each as its (x, y) fuzzy numbers, and the
-    transcript of the old lock; ``cores``,
-    if given, receives each point's (x, y) cores as drawn, in vault order."""
+# point, ordered as (point, source index) pairs.  The lock of v1 to v3
+# files scrambled them with the stream's next draws; the lock now sorts
+# them by x-core and draws nothing after the chaff.
+def reference_lock_points(p, locking_set, field_mfs, params, cores=None, scramble=False):
+    """The points, each as its (x, y) fuzzy numbers, in ascending x-core
+    order, or with ``scramble`` in the order of the old lock, and the
+    transcript of that lock; ``cores``, if given, receives each point's
+    (x, y) cores as drawn, in vault order."""
     subset = locking_set.subsets[params.k_subset]
     template = subset.template
     randbelow = functools.partial(reference_randbelow, reference_splitmix64(params.seed))
@@ -238,7 +210,11 @@ def reference_lock_points(p, locking_set, field_mfs, params, cores=None):
     drawn = [(a, p.eval(a)) for a in elements]
     chaff = reference_generate_chaff(p, field_mfs, set(elements), params.r - params.t_mfk,
                                      params.rho, template, randbelow, drawn)
-    tagged = reference_scramble([(pt, i) for i, pt in enumerate(genuine + chaff)], randbelow)
+    tagged = [(pt, i) for i, pt in enumerate(genuine + chaff)]
+    if scramble:
+        tagged = reference_scramble(tagged, randbelow)
+    else:
+        tagged.sort(key=lambda item: drawn[item[1]][0])
     genuine_indices = tuple(at for at, (_, i) in enumerate(tagged) if i < len(genuine))
     transcript = LockTranscript(p, genuine_indices, tuple(elements), template, params.t_mfk,
                                 locking_set.subset_count)
@@ -369,6 +345,55 @@ def assert_chaff_matches_reference(poly, field, used, count, rho, seed, rejected
     return rng, ref_rng
 
 
+def in_rows(vault, rows):
+    """A stand-in for ``vault`` that the reference writers read as the
+    vault with its points in the order of ``rows``: a ``Vault`` always
+    holds its rows in ascending x-core order."""
+    rows = np.asarray(rows, dtype=np.intp)
+    points = vault.points
+    return types.SimpleNamespace(
+        q=vault.q, n=vault.n, r=vault.r, crc_variant=vault.crc_variant,
+        templates=vault.templates, points=tuple(points[i] for i in rows.tolist()),
+        **{name: getattr(vault, name)[rows] for name in vault_module._COLUMNS})
+
+
+def in_scrambled_order(vault, locking_set, field_mfs, params):
+    """``vault``, locked from these arguments, with its rows in the order
+    the lock of v1 to v3 files scrambled them into, as ``in_rows`` gives
+    it."""
+    cores = []
+    reference_lock_points(encode_key(bytes(range(12)), FieldParams(field_mfs.q), params.k),
+                          locking_set, field_mfs, params, cores, scramble=True)
+    return in_rows(vault, np.searchsorted(vault.x_cores, [x for x, _ in cores]))
+
+
+GOLDEN_WRITERS = {"v1": reference_v1_json, "v2": reference_v2_json, "v3": reference_v3_json}
+# per desk lock of seed 7, by field and r, each text's length and SHA-256
+GOLDEN_PINS = [
+    (Q_DESK, 300, {
+        "v1": (37521, "f8b7276de8ee6f4b2ecf9edf3a413b38d24e0e826008be2ddfb6bef98d196bb0"),
+        "v2": (4412, "4dd5e8156d99767ef3adfbf81d74b1d3d2b7c96d7e95021858306bc1aea52a61"),
+        "v3": (3114, "2f757cd4446e10bcc60ec260fc5b4964bfc1ef55872f3aaec6318dd96572a66f"),
+        "v4": (3114, "52961c9fc8934ebbe85bdec11e79bf3b46908cc84a9bfea61bb0b459001624a8"),
+    }),
+    # at r = 10 000, as the benchmark locks, where the chaff takes about
+    # 30 000 outputs
+    (Q_DESK, 10_000, {
+        "v2": (136944, "89e6ccf59eafbffbeeee01c224d1b4f6ec4e28c77401572c2a69fc80368a4e24"),
+        "v3": (93652, "da8a1f42164706032577b61aa7a03046126d539ef6f87fae0b987d789797eebb"),
+        "v4": (93652, "ed6d708f0f27f004daa3f14253c3702712cf7ad751137a31e706144d7ec40e87"),
+    }),
+    # at q = 2**53 - 111, the largest prime a vault holds, where the values
+    # on the polynomial take _mulmod's float64 quotient and a core takes
+    # 7 bytes
+    (2**53 - 111, 300, {
+        "v2": (11037, "2fe61b5c48b5c25ba85acbec5c877fdb180310c13967421e6392ec183e95da06"),
+        "v3": (6325, "284379a73825a9f479436da0b4935974ea6303e29e63df0213ac0b0ce8c0240f"),
+        "v4": (6325, "9bca71b1b325fddae96c2fffa640eb373a9f07ce83f1a2c4a1ce9f5b1659fbdf"),
+    }),
+]
+
+
 class TestBatchedLock:
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_block_stream_matches_reference(self, seed):
@@ -462,19 +487,19 @@ class TestBatchedLock:
 
     @pytest.mark.parametrize("seed", RNG_SEEDS)
     def test_randbelow_each_matches_reference(self, seed):
-        # scramble's bulk draws: a rejected output shifts every later draw
+        # one draw below each bound in turn: a rejected output shifts every
+        # later draw, and HALF_REJECTED rejects runs of outputs
         bounds = [1, 2, 3, HALF_REJECTED, 17, 65537, P31, 2**64 - 1, HALF_REJECTED] * 40
-        rng, ref = SplitMix64(seed), reference_splitmix64(seed)
-        got = vault_module._randbelow_each(rng, np.array(bounds, dtype=np.uint64))
-        assert got.tolist() == [reference_randbelow(ref, n) for n in bounds]
-        assert int(rng._peek(1)[0]) == next(ref)
+        outputs, ref = SplitMix64(seed)._peek(1000), reference_splitmix64(seed)
+        end, draws = vault_module._draws_after(memoryview(outputs), -1, bounds)
+        assert draws == [reference_randbelow(ref, n) for n in bounds]
+        assert int(outputs[end + 1]) == next(ref)
 
-    def test_scramble_matches_reference(self):
-        # every length up to 64, and lengths around a 16-bit sort key's last
-        for n in [*range(65), 2999, 5000, 65535, 65536, 65537]:
-            for seed in RNG_SEEDS:
-                randbelow = functools.partial(reference_randbelow, reference_splitmix64(seed))
-                assert scrambled(n, seed) == reference_scramble(range(n), randbelow)
+    def test_splitmix_randbelow_in_range(self):
+        # the chaff walk's draws past a mark
+        outputs = memoryview(SplitMix64(1)._peek(1100))
+        _, draws = vault_module._draws_after(outputs, -1, [17] * 1000)
+        assert set(draws) == set(range(17))
 
     def test_bound_beyond_2_64_raises(self):
         # above 2**64 the rejection limit is 0: without the check every
@@ -492,50 +517,26 @@ class TestBatchedLock:
         with pytest.raises(ValueError, match=re.escape(f"q={q} exceeds 2**53")):
             generate_chaff(poly, field, {1}, 5, 0.5, TRI, SplitMix64(1))
 
-    def test_desk_vault_golden_bytes(self, field_mfs):
-        # the locked vault is fixed per seed across versions: its v1 and v2
-        # texts, written by the oracles, keep the digests the v1 and v2
-        # writers gave them, and to_json writes the v3 text
-        vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field_mfs, seed=7),
-                              field_mfs, desk_params(seed=7))
-        text = reference_v1_json(vault).encode()
-        assert len(text) == 37521
-        assert hashlib.sha256(text).hexdigest() == (
-            "f8b7276de8ee6f4b2ecf9edf3a413b38d24e0e826008be2ddfb6bef98d196bb0")
-        text = reference_v2_json(vault).encode()
-        assert len(text) == 4412
-        assert hashlib.sha256(text).hexdigest() == (
-            "4dd5e8156d99767ef3adfbf81d74b1d3d2b7c96d7e95021858306bc1aea52a61")
-        text = vault.to_json().encode()
-        assert len(text) == 3114
-        assert hashlib.sha256(text).hexdigest() == (
-            "2f757cd4446e10bcc60ec260fc5b4964bfc1ef55872f3aaec6318dd96572a66f")
-        # and at r = 10 000, as the benchmark locks, where the chaff takes
-        # about 30 000 outputs
-        vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field_mfs, seed=7),
-                              field_mfs, desk_params(seed=7, r=10_000))
-        text = reference_v2_json(vault).encode()
-        assert len(text) == 136944
-        assert hashlib.sha256(text).hexdigest() == (
-            "89e6ccf59eafbffbeeee01c224d1b4f6ec4e28c77401572c2a69fc80368a4e24")
-        text = vault.to_json().encode()
-        assert len(text) == 93652
-        assert hashlib.sha256(text).hexdigest() == (
-            "da8a1f42164706032577b61aa7a03046126d539ef6f87fae0b987d789797eebb")
-        # and at q = 2**53 - 111, the largest prime a vault holds, where the
-        # values on the polynomial take _mulmod's float64 quotient and a
-        # v3 core takes 7 bytes
-        field = desk_field(2**53 - 111)
-        vault, _ = fuzzy_lock(bytes(range(12)), desk_locking_set(field, seed=7),
-                              field, desk_params(seed=7))
-        text = reference_v2_json(vault).encode()
-        assert len(text) == 11037
-        assert hashlib.sha256(text).hexdigest() == (
-            "2fe61b5c48b5c25ba85acbec5c877fdb180310c13967421e6392ec183e95da06")
-        text = vault.to_json().encode()
-        assert len(text) == 6325
-        assert hashlib.sha256(text).hexdigest() == (
-            "284379a73825a9f479436da0b4935974ea6303e29e63df0213ac0b0ce8c0240f")
+    def test_desk_vault_golden_bytes(self):
+        # the locked vault is fixed per seed across versions: files before
+        # v4 hold its rows in the order the old lock scrambled them into,
+        # and, put back in that order, its v1, v2 and v3 texts, written by
+        # the oracles, keep the digests their writers gave them; to_json
+        # writes the v4 text, its rows ascending by x-core
+        for q, r, pins in GOLDEN_PINS:
+            field = desk_field(q)
+            locking, params = desk_locking_set(field, seed=7), desk_params(seed=7, r=r)
+            vault, _ = fuzzy_lock(bytes(range(12)), locking, field, params)
+            old = in_scrambled_order(vault, locking, field, params)
+            for name, (size, digest) in pins.items():
+                text = (vault.to_json() if name == "v4" else GOLDEN_WRITERS[name](old)).encode()
+                assert (q, r, name, len(text), hashlib.sha256(text).hexdigest()) == (
+                    q, r, name, size, digest)
+            # an old v2 or v3 file loads to the vault the lock now builds
+            for text in (reference_v2_json(old), reference_v3_json(old)):
+                loaded = Vault.from_json(text)
+                assert loaded == vault and loaded.to_json() == vault.to_json()
+                assert fuzzy_unlock(loaded, locking, 0, 0.25, 12).key == bytes(range(12))
 
 
 class TestLock:
@@ -1940,7 +1941,7 @@ class TestSerialization:
             assert f'"{c}"' not in text
 
     def test_bad_format_version(self, field_mfs):
-        for version in (0, 4, 2.0, True, "2", "3"):
+        for version in (0, 5, 2.0, True, "2", "3", "4"):
             with pytest.raises(ValueError, match="unsupported vault format"):
                 Vault.from_dict(v2_document(format_version=version))
         # the v1 text of a locked vault, one object per coordinate
@@ -2002,10 +2003,11 @@ class TestVaultPoint:
             vault_of([(TRI, 1, 2), (TRI, 1, 3)], 7, 1)
 
     def test_point_is_its_template_at_its_cores(self):
+        # the points come back in ascending x-core order
         vault = vault_of([(TRAP, 10, 4), (GAU, 3, 5)], 11, 1)
-        assert vault.points == (VaultPoint(TRAP, 10, 4), VaultPoint(GAU, 3, 5))
+        assert vault.points == (VaultPoint(GAU, 3, 5), VaultPoint(TRAP, 10, 4))
         assert [type(c) for p in vault.points for c in (p.x_core, p.y_core)] == [int] * 4
-        assert (vault.points[0].x, vault.points[0].y) == (TRAP.instantiate(10.0),
+        assert (vault.points[1].x, vault.points[1].y) == (TRAP.instantiate(10.0),
                                                           TRAP.instantiate(4.0))
 
     # a point's cores are the vault's columns, not derived from its numbers:
@@ -2019,6 +2021,7 @@ class TestVaultPoint:
         except ValueError:
             return
         assert_numbers_keep_cores(loaded)
+        assert_rows_ascend(loaded)
 
     @pytest.mark.parametrize("plateau", [0.5, 0.1, 2.0**-60, 2.0**52, 1e16])
     def test_numbers_defuzzify_to_cores_at_the_largest_field(self, plateau):
@@ -2097,6 +2100,7 @@ class TestColumnarLock:
             assert [(round(x.defuzzify()), round(y.defuzzify())) for x, y in points] != drawn
             return
         assert list(zip(vault.x_cores.tolist(), vault.y_cores.tolist())) == drawn
+        assert_rows_ascend(vault)
         assert repr(point_numbers(vault)) == repr(points)  # repr tells -0.0 from 0.0
         assert transcript == want_transcript
         # whatever its templates, a locked vault saves and loads back
@@ -2308,7 +2312,10 @@ class TestFormatV2:
     @settings(max_examples=150, deadline=None)
     @given(doc=v2_documents(), data=st.data())
     def test_v2_documents_round_trip(self, doc, data):
-        assert reference_v2_document(Vault.from_dict(doc)) == doc
+        # the vault holds the document's rows, sorted by x-core
+        order = np.argsort(doc["x_cores"]).tolist()
+        assert reference_v2_document(Vault.from_dict(doc)) == dict(
+            doc, **{name: [doc[name][i] for i in order] for name in vault_module._COLUMNS})
         # one past a float core beyond 2**53, in a field that holds it: the
         # field-size check refuses the field, and the reader a core past int64
         big = data.draw(BEYOND_CORES, label="big")
@@ -2486,7 +2493,7 @@ class TestFormatV2:
 
 def v3_document(**edits) -> dict:
     """``v2_document()`` 's vault as a v3 document, with ``edits`` applied."""
-    return dict(Vault.from_dict(v2_document()).to_dict(), **edits)
+    return {**Vault.from_dict(v2_document()).to_dict(), "format_version": 3, **edits}
 
 
 def b64(*values, width=1) -> str:
@@ -2512,17 +2519,80 @@ class TestFormatV3:
         ({"q": 2**53 + 1}, "field size q=9007199254740993 exceeds 2**53"),
         ({"q": 10**400}, "exceeds 2**53"),
         ({"q": -5}, "vault x-cores must lie in [0, q=-5)"),
-        ({"format_version": 4}, "unsupported vault format: 4"),
+        ({"format_version": 5}, "unsupported vault format: 5"),
         # r comes from the file: the column's length is checked before
         # an array of r values is allocated
         ({"r": 2**40}, "template_ids must hold r=1099511627776 values of 1 bytes, got 2 bytes"),
         ({"r": -1}, "template_ids must hold r=-1 values"),
     ], ids=["cores-list", "cores-null", "unpadded", "bad-character", "newline", "ids-short",
             "cores-long", "width-of-q", "core-q", "core-past-q", "id-past-table", "x-repeated",
-            "q-past-2-53", "q-huge", "q-negative", "format-4", "r-2e40", "r-negative"])
+            "q-past-2-53", "q-huge", "q-negative", "format-5", "r-2e40", "r-negative"])
     def test_malformed_v3_rejected(self, edits, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            Vault.from_dict(v3_document(**edits))
+        # v4 is v3 with its rows ascending, read by the same path
+        for version in (3, 4):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Vault.from_dict(v3_document(**{"format_version": version, **edits}))
+
+
+def assert_rows_ascend(vault) -> None:
+    """The vault's x-cores, and so its rows, are strictly ascending."""
+    assert (np.diff(vault.x_cores) > 0).all()
+
+
+class TestRowOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(vault=serialisable_vaults() | match_cases().map(itemgetter(0)), data=st.data())
+    def test_any_row_order_builds_the_same_vault(self, vault, data):
+        # a vault is a set of points: its columns in any order build an
+        # equal vault, with an equal hash and the same bytes
+        rows = np.array(data.draw(st.permutations(range(vault.r))), dtype=np.intp)
+        shuffled = Vault(vault.x_cores[rows], vault.y_cores[rows], vault.template_ids[rows],
+                         vault.templates, vault.q, vault.n)
+        assert shuffled == vault and hash(shuffled) == hash(vault)
+        assert shuffled.to_json() == vault.to_json()
+        assert_rows_ascend(shuffled)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=v2_documents(), data=st.data())
+    def test_every_version_reads_rows_ascending(self, doc, data):
+        # a v2, v3 or v4 document may hold its rows in any order; the
+        # vault it reads to holds them ascending by x-core
+        vault = Vault.from_dict(doc)
+        assert_rows_ascend(vault)
+        old = in_rows(vault, data.draw(st.permutations(range(vault.r))))
+        v3 = reference_v3_document(old)
+        for loaded in (Vault.from_json(reference_v2_json(old)), Vault.from_dict(v3),
+                       Vault.from_dict(dict(v3, format_version=4))):
+            assert loaded == vault
+            assert_rows_ascend(loaded)
+
+    def test_refusals_name_the_rows_as_given(self):
+        # every check runs before the rows are sorted: the core check names
+        # the first failing point in the order the columns were given
+        wide = FamilyTemplate("trapezoidal", (2.0**53, 1.0, 1.0))
+        for first, second in ((121, 101), (101, 121)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"template {wide} turns the x-core {first} into {first - 1}")):
+                vault_of([(wide, first, 6), (wide, second, 8)], 400)
+
+    def test_callers_columns_left_as_they_were(self):
+        # the vault holds sorted copies; the columns passed in keep their
+        # order and stay writable
+        x_cores, y_cores = np.array([5, 3], dtype=np.int64), np.array([1, 2], dtype=np.int64)
+        ids = np.zeros(2, dtype=np.intp)
+        vault = Vault(x_cores, y_cores, ids, [TRI], 11, 0)
+        assert vault.x_cores.tolist() == [3, 5] and vault.y_cores.tolist() == [2, 1]
+        assert not vault.x_cores.flags.writeable
+        assert x_cores.tolist() == [5, 3] and y_cores.tolist() == [1, 2]
+        assert all(column.flags.writeable for column in (x_cores, y_cores, ids))
+
+    def test_genuine_indices_are_rows_of_the_sorted_vault(self, field_mfs):
+        locking = desk_locking_set(field_mfs, seed=6)
+        vault, transcript = fuzzy_lock(KEY, locking, field_mfs, desk_params(seed=6, r=3000))
+        assert_rows_ascend(vault)
+        rows = list(transcript.genuine_indices)
+        assert rows == sorted(rows)
+        assert vault.x_cores[rows].tolist() == sorted(locking.subsets[0].elements)
 
 
 def lock_case(**edits):
