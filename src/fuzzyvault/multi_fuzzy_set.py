@@ -52,6 +52,33 @@ def _layout(family: str, c, s) -> tuple:
                  for slot in _LAYOUT[family])
 
 
+def _match_plan(probe: FamilyTemplate, point: FamilyTemplate) -> tuple:
+    """``(const, offsets)`` for two templates of one family: the distance
+    from ``probe.instantiate(a)`` to ``point.instantiate(x)`` is
+    ``max(const, *[abs((a + p) - (x + t)) for p, t in offsets])``.
+
+    ``const`` is the largest |P_j - T_j| over the (j, 0) slots, and
+    ``offsets`` holds (0.0, 0.0) for the core slot and (±P_j, ±T_j) for a
+    (j, ±1) slot.  These are the operations ``_layout`` and ``distance``
+    run: an integer x plus a float rounds once, as ``float(x)`` and the sum
+    would, ``c + (-1) * s`` is ``c - s``, and ``c + 0.0`` is c (or 0.0 for
+    -0.0, which abs then reads alike), so the value is bit for bit the same.
+    """
+    const = 0.0
+    offsets = []
+    for slot in _LAYOUT[probe.family]:
+        if slot is None:
+            offsets.append((0.0, 0.0))
+            continue
+        j, sign = slot
+        p, t = probe.spread_params[j], point.spread_params[j]
+        if sign == 0:
+            const = max(const, abs(p - t))
+        else:
+            offsets.append((sign * p, sign * t))
+    return const, tuple(offsets)
+
+
 @dataclass(frozen=True)
 class FamilyTemplate:
     """Shape parameters of one membership family, minus the location."""

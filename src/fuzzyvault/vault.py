@@ -41,7 +41,10 @@ from .fuzzy_number import (
     PARAM_COUNT,
     TRAPEZOIDAL,
     FuzzyNumber,
-    distance,
+    # matching no longer calls distance, but the benchmark's tracer wraps
+    # fuzzyvault.vault.distance by name (perfbench/spans.py) and fails to
+    # install if the name is gone
+    distance,  # noqa: F401
     json_fields,
     json_int,
 )
@@ -51,6 +54,7 @@ from .multi_fuzzy_set import (
     UNLOCKING,
     FamilyTemplate,
     MultiFuzzySet,
+    _match_plan,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -717,17 +721,28 @@ def match_points(
     within W of a probe, the walk bisects ``cores`` to the first probe that
     reaches the next unclaimed point, so a range is never walked.  The
     least and greatest core are instantiated first, so that a template
-    that cannot fuzzify one raises as ``select_subset`` would.
+    that cannot fuzzify one raises as ``select_subset`` would; no other
+    probe, and no vault point, becomes a fuzzy number.
+
+    ``distance`` is a Chebyshev maximum over the ``_LAYOUT`` slots, so the
+    probe template and a point's template fix it up to the two cores: the
+    point at x-core x is ``max(const, |(a + p) - (x + t)| ...)`` from the
+    probe at a, with one ``_match_plan`` per template of the family, built
+    once per call.  The plan runs the operations that instantiating both
+    numbers and ``distance`` run, so every distance, and with it every
+    match, is bit for bit the same.
     """
     if type(cores) is not range or cores.step < 0:
         cores = sorted(cores)
-    ends = {c: template.instantiate(float(c)) for c in ((cores[0], cores[-1]) if cores else ())}
+    for c in (cores[0], cores[-1]) if cores else ():
+        template.instantiate(float(c))
     _check_tolerance(delta)
-    plateau = template.spread_params[0] if template.family == TRAPEZOIDAL else 0.0
+    family = template.family
+    plateau = template.spread_params[0] if family == TRAPEZOIDAL else 0.0
     w = delta + 2.0 + (delta + plateau) * 2**-48
-    members = np.flatnonzero(vault.family_ids == _FAMILY_ID[template.family])
+    plans = [_match_plan(template, t) if t.family == family else None for t in vault.templates]
+    members = np.flatnonzero(vault.family_ids == _FAMILY_ID[family])
     xs = vault.x_cores[members].tolist()
-    built = {}  # position -> the point's x, built once
     claimed = set()
     matched = []
     i = 0
@@ -741,16 +756,15 @@ def match_points(
         if xs[j] > c + w:  # on to the first probe within W of point j
             i = max(i + 1, bisect.bisect_left(cores, xs[j] - w))
             continue
-        probe = ends[c] if c in ends else template.instantiate(float(c))
+        a = float(c)
         best = None
         best_dist = None
         for j in range(j, bisect.bisect_right(xs, c + w)):  # a tie keeps the smaller x-core
             if j in claimed:
                 continue
-            x = built.get(j)
-            if x is None:
-                x = built[j] = vault.templates[vault.template_ids[members[j]]].instantiate(xs[j])
-            d = distance(x, probe)
+            const, offsets = plans[vault.template_ids[members[j]]]
+            x = xs[j]
+            d = max(const, *[abs((a + p) - (x + t)) for p, t in offsets])
             if d > delta:
                 continue
             if best is None or d < best_dist:

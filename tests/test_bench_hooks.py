@@ -53,9 +53,9 @@ def test_every_traced_name_is_wrapped_and_restored(spans):
 FLOW_SPANS = [
     "vault.fuzzy_lock", "field_poly.FieldParams", "field_poly.encode_key",
     "vault.lock_polynomial", "vault.generate_chaff", "vault.Vault.save", "vault.Vault.load",
-    "vault.fuzzy_unlock", "vault.match_points", "fuzzy_number.distance",
-    "multi_fuzzy_set.FamilyTemplate.instantiate", "vault.search_key",
-    "field_poly.lagrange_interpolate", "field_poly.decode_key", "field_poly.crc16",
+    "vault.fuzzy_unlock", "vault.match_points", "multi_fuzzy_set.FamilyTemplate.instantiate",
+    "vault.search_key", "field_poly.lagrange_interpolate", "field_poly.decode_key",
+    "field_poly.crc16",
 ]
 
 

@@ -14,8 +14,8 @@ from fuzzyvault import (
     build_locking_set,
     partition_field,
 )
-from fuzzyvault.fuzzy_number import CORE, PARAM_COUNT, RULES
-from fuzzyvault.multi_fuzzy_set import _LAYOUT, _TEMPLATE_ARITY
+from fuzzyvault.fuzzy_number import CORE, PARAM_COUNT, RULES, distance
+from fuzzyvault.multi_fuzzy_set import _LAYOUT, _TEMPLATE_ARITY, _match_plan
 from conftest import desk_field
 
 TRI = FamilyTemplate("triangular", (1.0, 1.0))
@@ -99,6 +99,34 @@ INSTANCE_CORES = st.one_of(
     st.floats(-1e6, 1e6), st.floats(1.6e308, 1.79e308), st.floats(-1.79e308, -1.6e308),
     st.sampled_from([math.nan, math.inf, -math.inf]),
 )
+
+# per family, the spreads of a template: a plateau half-width may be 0 and
+# a sigmoid peak grade lies in (0, 1]
+FAMILY_SPREADS = {
+    "triangular": (SPREAD, SPREAD),
+    "trapezoidal": (st.just(0.0) | SPREAD, SPREAD, SPREAD),
+    "gaussian": (SPREAD, SPREAD),
+    "sigmoid": (SPREAD, SPREAD, st.floats(5e-324, 1.0), SPREAD),
+    "crisp": (),
+}
+# x-cores of a vault, which lie below q <= 2**53, and probe cores also
+# negative, fractional or past 2**53
+PLAN_X_CORES = st.sampled_from([0, 1, 2**52, 2**53 - 1]) | st.integers(0, 2**53 - 1)
+PLAN_PROBE_CORES = st.one_of(
+    st.sampled_from([-0.0, 0.5, -1, 2**53, 2**53 + 1, 2**60 + 3]), st.integers(-2**64, 2**64),
+    st.floats(-1e6, 1e6), st.floats(-1e308, 1e308), PLAN_X_CORES.map(lambda x: x + 0.25))
+
+
+@st.composite
+def template_pairs(draw, family):
+    """A probe template and a vault template of ``family``, each spread of
+    the second often the first's or one ulp from it."""
+    probe = [draw(s) for s in FAMILY_SPREADS[family]]
+    point = [draw(st.just(p) | st.just(math.nextafter(p, math.inf)) | s)
+             for p, s in zip(probe, FAMILY_SPREADS[family])]
+    if family == "sigmoid":
+        point[2] = min(point[2], 1.0)
+    return FamilyTemplate(family, probe), FamilyTemplate(family, point)
 
 
 class TestPartitionField:
@@ -352,6 +380,20 @@ class TestTemplates:
             FamilyTemplate("crisp", ()),
         ):
             assert template.instantiate(7.0).defuzzify() == 7.0
+
+    @pytest.mark.parametrize("family", sorted(FAMILY_SPREADS))
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), x=PLAN_X_CORES, c=PLAN_PROBE_CORES)
+    def test_match_plan_is_the_distance(self, family, data, x, c):
+        probe_t, point_t = data.draw(template_pairs(family))
+        try:
+            probe = probe_t.instantiate(float(c))
+        except ValueError:  # a parameter beyond the float range: no plan is read
+            return
+        const, offsets = _match_plan(probe_t, point_t)
+        a = float(c)
+        got = max(const, *[abs((a + p) - (x + t)) for p, t in offsets])
+        assert repr(got) == repr(distance(point_t.instantiate(x), probe))
 
     @settings(max_examples=500, deadline=None)
     @given(template=TEMPLATES, core=INSTANCE_CORES)

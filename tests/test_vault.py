@@ -17,7 +17,7 @@ from operator import itemgetter
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 import fuzzyvault.field_poly as field_poly
 import fuzzyvault.vault as vault_module
@@ -815,14 +815,35 @@ MATCH_Q = 64
 WIDE_TRAP = FamilyTemplate("trapezoidal", (1e17, 1.0, 1.0))
 
 
+def shifted(draw, template: FamilyTemplate, delta: float) -> FamilyTemplate:
+    """``template`` with its spreads moved by one amount, 0, delta / 2,
+    delta, 2 delta or just over 2 delta: each spread up, down or not at
+    all, where the moved spread is still valid."""
+    amount = draw(st.sampled_from([0.0, delta / 2, delta, 2 * delta,
+                                   math.nextafter(2 * delta, math.inf), 2 * delta * (1 + 2**-20)]))
+    spreads = list(template.spread_params)
+    for j, s in enumerate(spreads):
+        shift = amount * draw(st.sampled_from([1, -1, 0]))
+        for moved in (s + shift, s - shift):
+            try:
+                FamilyTemplate(template.family, (*spreads[:j], moved, *spreads[j + 1:]))
+            except ValueError:
+                continue
+            spreads[j] = moved
+            break
+    return FamilyTemplate(template.family, spreads)
+
+
 @st.composite
 def match_cases(draw):
     """A vault of all families on a dense core range, a probe template, its
     cores as a range, a tuple of elements, or floats jittered around the
     vault's cores or around the midpoint of two neighbours, and a
-    tolerance.  Probes often share a target, so later ones fall through to
-    their second-best point, and a midpoint ties the distances to two
-    points of the same shape."""
+    tolerance, at times past the field size.  Probes often share a target,
+    so later ones fall through to their second-best point, and a midpoint
+    ties the distances to two points of the same shape.  The probe
+    template is often one of the vault's shapes with its spreads moved by
+    amounts on both sides of delta and 2 delta."""
     families = sorted(MATCH_TEMPLATES)
     family = draw(st.sampled_from(families))
     # the first shape of a family is the common one, so ties are common
@@ -835,8 +856,10 @@ def match_cases(draw):
     point_family = st.sampled_from([family] * 12 + families)
     rows = [(draw(shapes[draw(point_family)]), x, draw(st.integers(0, MATCH_Q - 1)))
             for x in xs]
-    delta = draw(st.sampled_from([0.01, 0.25, 0.5, 1.0, 3.0, 50.0])
+    delta = draw(st.sampled_from([0.01, 0.25, 0.5, 1.0, 3.0, 50.0, 2.0 * MATCH_Q])
                  | st.floats(0.01, 50.0))
+    if draw(st.booleans()):
+        template = shifted(draw, template, delta)
     jitter = (st.just(0.0) | st.sampled_from([0.5, -0.5, delta, -delta])
               | st.floats(-2 * delta, 2 * delta))
     jittered = []
@@ -1605,7 +1628,9 @@ V2_KEYS = ("crc_variant", "format_version", "n", "q", "r", "templates", "templat
 
 
 def reference_vault_from_v2(d) -> tuple:
-    """(q, n, r, points) of a v2 document, or ValueError."""
+    """(q, n, r, points, order) of a v2 document, or ValueError: ``order``
+    lists the document's rows by ascending x-core, the order of a vault's
+    rows, and ``points`` are in that order."""
     if type(d) is not dict or not all(key in d for key in V2_KEYS):
         raise ValueError("not a v2 document")
     if type(d["format_version"]) is not int or d["format_version"] != 2:
@@ -1628,7 +1653,8 @@ def reference_vault_from_v2(d) -> tuple:
                    for i, x, y in zip(ids, xs, ys))
     if q > 2**53:
         raise ValueError("a field beyond 2**53")
-    return q, n, r, points
+    order = sorted(range(r), key=xs.__getitem__)
+    return q, n, r, tuple(points[i] for i in order), order
 
 
 def json_nodes(node, path=()):
@@ -1726,7 +1752,7 @@ def assert_parses_like_reference(doc: dict) -> None:
     """Vault.from_dict rejects ``doc`` where the oracle does, and otherwise
     returns the oracle's header, points and cores."""
     try:
-        q, n, r, points = reference_vault_from_v2(copy.deepcopy(doc))
+        q, n, r, points, order = reference_vault_from_v2(copy.deepcopy(doc))
     except ValueError:
         with pytest.raises(ValueError):
             Vault.from_dict(doc)
@@ -1734,12 +1760,17 @@ def assert_parses_like_reference(doc: dict) -> None:
     got = Vault.from_dict(doc)
     assert (got.q, got.n, got.r, got.crc_variant) == (q, n, r, CRC_VARIANT)
     assert repr(point_numbers(got)) == repr(points)  # repr tells -0.0 from 0.0
-    assert got.x_cores.tolist() == doc["x_cores"] and got.y_cores.tolist() == doc["y_cores"]
+    for axis in ("x_cores", "y_cores"):
+        assert getattr(got, axis).tolist() == [doc[axis][i] for i in order]
 
 
 class TestSerialization:
     @settings(max_examples=400, deadline=None)
     @given(doc=vault_documents())
+    # rows that arrive out of x-core order
+    @example(doc={"crc_variant": CRC_VARIANT, "format_version": 2, "n": 0, "q": 8, "r": 2,
+                  "templates": [{"family": "crisp", "spreads": []}], "template_ids": [0, 0],
+                  "x_cores": [7, 1], "y_cores": [0, 7]})
     def test_from_dict_matches_reference_parser(self, doc):
         assert_parses_like_reference(doc)
 
